@@ -46,8 +46,9 @@ def _add_config_flags(parser):
     parser.add_argument("--out-dir", dest="out_dir", type=str, default=".")
 
 
-def _merge_config(args, parser) -> dict:
-    """Defaults < config file < explicit flags; nphi is mandatory."""
+def _merge_config(args, parser):
+    """Defaults < config file < explicit flags; nphi is mandatory. Returns the
+    merged values and the TorusConfig built from them."""
     values = {"mass": 1.0, "charge": 1.0, "lx": 1.0, "ly": 1.0, "theta_x": 0.0, "theta_y": 0.0}
     if args.config:
         try:
@@ -61,7 +62,11 @@ def _merge_config(args, parser) -> dict:
             values[key] = flag
     if "nphi" not in values or values["nphi"] is None:
         parser.error("--nphi is required (flag or config file)")
-    return values
+    try:
+        cfg = torus_config_from_mapping(values)
+    except ValueError as exc:
+        parser.error(f"bad configuration: {exc}")
+    return values, cfg
 
 
 def _manifest(command, values, outputs, started, out_dir, seed=None, extra=None):
@@ -89,15 +94,15 @@ def _parse_complex(text: str, parser, flag: str) -> complex:
 
 def cmd_spectrum(args, parser) -> int:
     started = time.perf_counter()
-    values = _merge_config(args, parser)
-    cfg = torus_config_from_mapping(values)
+    values, cfg = _merge_config(args, parser)
+    grid = args.grid
+    try:
+        report = low_spectrum(build_hamiltonian(cfg, grid, grid), args.levels * cfg.n_phi)
+    except ValueError as exc:
+        parser.error(str(exc))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = args.grid
-    ham = build_hamiltonian(cfg, grid, grid)
-    report = low_spectrum(ham, args.levels * cfg.n_phi)
     payload = report.as_dict()
-    payload.pop("wall_time_s")  # timing lives in the manifest; outputs stay byte-stable
     payload["grid"] = grid
     payload["analytic_levels"] = [cfg.omega * (n + 0.5) for n in range(args.levels)]
     path = out_dir / "spectrum.json"
@@ -113,8 +118,7 @@ def cmd_spectrum(args, parser) -> int:
 
 def cmd_density(args, parser) -> int:
     started = time.perf_counter()
-    values = _merge_config(args, parser)
-    cfg = torus_config_from_mapping(values)
+    values, cfg = _merge_config(args, parser)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = -(-args.grid // cfg.n_phi) * cfg.n_phi
@@ -211,8 +215,7 @@ def cmd_group(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     started = time.perf_counter()
-    values = _merge_config(args, parser)
-    cfg = torus_config_from_mapping(values)
+    values, cfg = _merge_config(args, parser)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     checks, ok = run_verification(cfg, nphi_override=args.nphi_override, seed=args.seed)
@@ -232,8 +235,7 @@ def cmd_verify(args, parser) -> int:
 
 def cmd_orbit(args, parser) -> int:
     started = time.perf_counter()
-    values = _merge_config(args, parser)
-    cfg = torus_config_from_mapping(values)
+    values, cfg = _merge_config(args, parser)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     orbit = ClassicalOrbit(
@@ -269,8 +271,7 @@ def cmd_orbit(args, parser) -> int:
 
 def cmd_coherent(args, parser) -> int:
     started = time.perf_counter()
-    values = _merge_config(args, parser)
-    cfg = torus_config_from_mapping(values)
+    values, cfg = _merge_config(args, parser)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lam = _parse_complex(args.lam, parser, "--lam")

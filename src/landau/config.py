@@ -13,6 +13,17 @@ from dataclasses import dataclass
 TWO_PI = 2.0 * math.pi
 
 
+def _check_values(positive: dict, finite: dict | None = None) -> None:
+    """Raise ValueError unless every value is a finite number and each value
+    in `positive` is greater than zero."""
+    for name, value in {**positive, **(finite or {})}.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    for name, value in positive.items():
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class InfiniteConfig:
     """Charged particle of mass `mass` and charge magnitude `charge` in a
@@ -23,12 +34,7 @@ class InfiniteConfig:
     b_field: float
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.charge <= 0:
-            raise ValueError(f"charge must be positive, got {self.charge}")
-        if self.b_field <= 0:
-            raise ValueError(f"b_field must be positive, got {self.b_field}")
+        _check_values({"mass": self.mass, "charge": self.charge, "b_field": self.b_field})
 
     @property
     def omega(self) -> float:
@@ -58,13 +64,11 @@ class TorusConfig:
     theta_y: float = 0.0
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.charge <= 0:
-            raise ValueError(f"charge must be positive, got {self.charge}")
-        if self.lx <= 0 or self.ly <= 0:
-            raise ValueError(f"periods must be positive, got {self.lx}, {self.ly}")
-        if int(self.n_phi) != self.n_phi or self.n_phi < 1:
+        _check_values(
+            {"mass": self.mass, "charge": self.charge, "lx": self.lx, "ly": self.ly, "n_phi": self.n_phi},
+            {"theta_x": self.theta_x, "theta_y": self.theta_y},
+        )
+        if int(self.n_phi) != self.n_phi:
             raise ValueError(f"n_phi must be a positive integer, got {self.n_phi}")
         object.__setattr__(self, "n_phi", int(self.n_phi))
         object.__setattr__(self, "theta_x", self.theta_x % TWO_PI)

@@ -114,15 +114,6 @@ def apply_fd_operator(op, values, xs, ys, cfg, twist_x=None, twist_y=None):
     raise ValueError(f"unknown operator {op!r}; expected one of {OPERATORS}")
 
 
-def fd_spacing(mass_omega: float, budget: float = 1.0e-3) -> float:
-    """Grid spacing h with h^2 * M*w <= budget.
-
-    The 4th-order truncation error then scales like (h^2 M w)^2, which keeps
-    operator-application residuals near 1e-6 for budget 1e-3.
-    """
-    return float(np.sqrt(budget / mass_omega))
-
-
 def interior(values, margin: int):
     """View with `margin` cells stripped from every edge."""
     if margin == 0:

@@ -13,12 +13,11 @@ phi_x(y) = theta_x/e - B Lx y and phi_y(x) = theta_y/e.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .config import TWO_PI
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TorusConfig
+from .config import TWO_PI, TorusConfig
 from .finitediff import apply_fd_operator
 from .gauge import boundary_residual, x_boundary_twist, y_boundary_twist
 from .oscillator import OscillatorBasis, hermite_eigenfunction
 from .plane import CoherentLabel, _coherent_raw, coherent_center
-
-TWO_PI = 2.0 * math.pi
 
 
 class TruncationError(ValueError):

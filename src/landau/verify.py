@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maggroup, spectral
-from .config import TorusConfig
+from .config import TWO_PI, TorusConfig
 from .finitediff import interior
 from .gauge import (
     cocycle_defect,
@@ -41,8 +41,6 @@ from .torus import (
     torus_inner,
     translation_expectation,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)

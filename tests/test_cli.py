@@ -43,6 +43,21 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--nphi", "1", "--grid", "16", "--levels", "0"],
+        ["spectrum", "--nphi", "2", "--grid", "8"],
+        ["spectrum", "--nphi", "1", "--grid", "16", "--lx", "nan"],
+        ["spectrum", "--nphi", "1", "--grid", "16", "--theta-x", "inf"],
+    ],
+)
+def test_invalid_input_exits_2(tmp_path, args):
+    with pytest.raises(SystemExit) as err:
+        run_cli(args + ["--out-dir", str(tmp_path)])
+    assert err.value.code == 2
+
+
 def test_density_fig2_reproduction(tmp_path):
     pi = repr(math.pi)
     code = run_cli(

@@ -70,6 +70,7 @@ def test_theta_normalized_mod_two_pi():
         dict(mass=-1, charge=1, b_field=1),
         dict(mass=1, charge=0, b_field=1),
         dict(mass=1, charge=1, b_field=-2),
+        dict(mass=1, charge=math.inf, b_field=1),
     ],
 )
 def test_infinite_config_validation(kwargs):
@@ -82,6 +83,10 @@ def test_torus_config_validation():
         TorusConfig(1, 1, lx=0, ly=1, n_phi=1)
     with pytest.raises(ValueError):
         TorusConfig(1, 1, lx=1, ly=1, n_phi=0)
+    with pytest.raises(ValueError):
+        TorusConfig(1, 1, lx=math.nan, ly=1, n_phi=1)
+    with pytest.raises(ValueError):
+        TorusConfig(1, 1, lx=1, ly=1, n_phi=1, theta_x=math.inf)
 
 
 def test_config_file_parsing():

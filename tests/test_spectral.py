@@ -11,7 +11,7 @@ from landau import (
     projector_distance,
     torus_eigenstate,
 )
-from landau.spectral import cluster_eigenvalues, clusters_well_separated, lowest_eigenvalues
+from landau.spectral import cluster_eigenvalues, clusters_well_separated
 from landau.torus import SampledState, normalized
 from landau.gauge import x_boundary_twist, y_boundary_twist
 
@@ -35,6 +35,39 @@ def eigenvector_states(cfg, vec, nx, ny):
     return out
 
 
+def loop_hamiltonian(cfg, nx, ny, include_flux=True):
+    """Per-site assembly of the same stencil, entry by entry."""
+    hx, hy = cfg.lx / nx, cfg.ly / ny
+    kx, ky = 1.0 / (2.0 * cfg.mass * hx * hx), 1.0 / (2.0 * cfg.mass * hy * hy)
+    eb = cfg.mass_omega if include_flux else 0.0
+    entries = {}
+    for j in range(nx):
+        for k in range(ny):
+            entries[j * ny + k, j * ny + k] = 2.0 * kx + 2.0 * ky
+            hop = -kx
+            if j == nx - 1:
+                flux_phase = 2.0 * np.pi * cfg.n_phi * (hy * k) / cfg.ly if include_flux else 0.0
+                hop = hop * np.exp(1j * (cfg.theta_x - flux_phase))
+            entries[j * ny + k, (j + 1) % nx * ny + k] = hop
+            entries[(j + 1) % nx * ny + k, j * ny + k] = np.conj(hop)
+            hop = -ky * np.exp(1j * eb * (hx * j) * hy)
+            if k == ny - 1:
+                hop = hop * np.exp(1j * cfg.theta_y)
+            entries[j * ny + k, j * ny + (k + 1) % ny] = hop
+            entries[j * ny + (k + 1) % ny, j * ny + k] = np.conj(hop)
+    dense = np.zeros((nx * ny, nx * ny), dtype=complex)
+    for (row, col), value in entries.items():
+        dense[row, col] = value
+    return dense
+
+
+@pytest.mark.parametrize("include_flux", [True, False])
+def test_assembly_matches_per_site_loop(include_flux):
+    cfg = make_cfg(2, lx=1.1, ly=0.9)
+    ham = build_hamiltonian(cfg, 20, 18, include_flux=include_flux)
+    assert np.array_equal(ham.matrix.toarray(), loop_hamiltonian(cfg, 20, 18, include_flux))
+
+
 def test_hamiltonian_is_exactly_hermitian():
     cfg = make_cfg(2)
     ham = build_hamiltonian(cfg, 24, 32)
@@ -52,13 +85,27 @@ def test_too_many_eigenvalues_rejected():
     ham = build_hamiltonian(cfg, 12, 12)
     with pytest.raises(ValueError):
         low_spectrum(ham, 100)
+    with pytest.raises(ValueError):
+        lowest_eigenpairs(ham, 0)
+
+
+def test_shift_invert_matches_dense_oracle():
+    # dense LAPACK on a grid small enough to diagonalize fully
+    cfg = make_cfg(2)
+    ham = build_hamiltonian(cfg, 24, 32)
+    ev, vec = lowest_eigenpairs(ham, 6)
+    dense = np.linalg.eigvalsh(ham.matrix.toarray())[:6]
+    assert np.max(np.abs(ev - dense) / dense) < 1e-9
+    sizes = [[len(c) for c in cluster_eigenvalues(values)] for values in (ev, dense)]
+    assert sizes == [[2, 2, 2], [2, 2, 2]]
+    assert np.allclose(vec.conj().T @ vec, np.eye(6), atol=1e-12)
 
 
 def test_free_twisted_torus_matches_closed_form():
     # flux removed: the twisted lattice Laplacian has an exact dispersion
     cfg = make_cfg(1, theta_x=0.3, theta_y=0.5, ly=1.4)
     ham = build_hamiltonian(cfg, 32, 32, include_flux=False)
-    solver = lowest_eigenvalues(ham, 5)
+    solver = lowest_eigenpairs(ham, 5)[0]
     closed = free_twisted_spectrum(cfg, 32, 32, 5)
     assert np.max(np.abs(solver - closed)) < 1e-10
     continuum = cfg.theta_x**2 / (2 * cfg.mass * cfg.lx**2) + cfg.theta_y**2 / (
