@@ -9,14 +9,13 @@ Hamiltonian exactly, so the degeneracy survives discretization to solver
 precision.
 """
 
-from landau import TorusConfig, build_hamiltonian, low_spectrum
+from landau import TorusConfig, low_spectrum
 
 GRID = 96
 
 for n_phi in (1, 2, 3):
     cfg = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=n_phi, theta_x=0.7, theta_y=1.9)
-    ham = build_hamiltonian(cfg, GRID, GRID)
-    report = low_spectrum(ham, 3 * n_phi)
+    report = low_spectrum(cfg, GRID, GRID, 3 * n_phi)
     print(f"\nn_phi = {n_phi} (w = {cfg.omega:.4f}), grid {GRID}x{GRID}:")
     print("   mult   mean        target      rel dev     spread")
     for c in report.clusters:
@@ -31,6 +30,6 @@ for n_phi in (1, 2, 3):
 print("\ntheta-independence at n_phi = 2:")
 for theta in ((0.0, 0.0), (3.14159, 3.14159)):
     cfg = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=2, theta_x=theta[0], theta_y=theta[1])
-    report = low_spectrum(build_hamiltonian(cfg, GRID, GRID), 4)
+    report = low_spectrum(cfg, GRID, GRID, 4)
     means = ", ".join(f"{c.mean:.8f}" for c in report.clusters)
     print(f"   theta = {theta}: cluster means {means}")

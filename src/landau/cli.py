@@ -10,6 +10,7 @@ deterministic, so identical flags give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 import time
@@ -27,7 +28,7 @@ from .plane import (
     evolve_coherent,
 )
 from .serialize import write_density_csv, write_json, write_pgm, write_trace_csv
-from .spectral import build_hamiltonian, low_spectrum
+from .spectral import low_spectrum
 from .torus import TorusLabel, density_map, torus_coherent, torus_eigenstate
 from .verify import run_verification
 
@@ -87,9 +88,21 @@ def _manifest(command, values, outputs, started, out_dir, seed=None, extra=None)
 
 def _parse_complex(text: str, parser, flag: str) -> complex:
     try:
-        return complex(text)
+        value = complex(text)
     except ValueError:
         parser.error(f"{flag} expects a complex literal like 0.5+0.3j, got {text!r}")
+    if not cmath.isfinite(value):
+        parser.error(f"{flag} must be finite, got {text!r}")
+    return value
+
+
+def _trace_times(args, parser, period: float) -> np.ndarray:
+    """Sample times for --periods periods at --samples steps each."""
+    if args.periods < 0:
+        parser.error(f"--periods must be >= 0, got {args.periods}")
+    if args.samples < 1:
+        parser.error(f"--samples must be >= 1, got {args.samples}")
+    return np.linspace(0.0, args.periods * period, args.periods * args.samples + 1)
 
 
 def cmd_spectrum(args, parser) -> int:
@@ -97,7 +110,7 @@ def cmd_spectrum(args, parser) -> int:
     values, cfg = _merge_config(args, parser)
     grid = args.grid
     try:
-        report = low_spectrum(build_hamiltonian(cfg, grid, grid), args.levels * cfg.n_phi)
+        report = low_spectrum(cfg, grid, grid, args.levels * cfg.n_phi)
     except ValueError as exc:
         parser.error(str(exc))
     out_dir = Path(args.out_dir)
@@ -107,7 +120,10 @@ def cmd_spectrum(args, parser) -> int:
     payload["analytic_levels"] = [cfg.omega * (n + 0.5) for n in range(args.levels)]
     path = out_dir / "spectrum.json"
     write_json(payload, path)
-    _manifest("spectrum", values, [path], started, out_dir, extra={"grid": grid, "levels": args.levels})
+    _manifest(
+        "spectrum", values, [path], started, out_dir,
+        extra={"grid": grid, "levels": args.levels, "solver": report.solver},
+    )
     for c in report.clusters:
         print(
             f"cluster mean={c.mean:.8g} multiplicity={c.multiplicity} "
@@ -119,6 +135,8 @@ def cmd_spectrum(args, parser) -> int:
 def cmd_density(args, parser) -> int:
     started = time.perf_counter()
     values, cfg = _merge_config(args, parser)
+    if args.grid < 1:
+        parser.error(f"--grid must be >= 1, got {args.grid}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = -(-args.grid // cfg.n_phi) * cfg.n_phi
@@ -128,14 +146,20 @@ def cmd_density(args, parser) -> int:
     if eigen_selector and coherent_selector:
         parser.error("choose either an eigenstate (--n/--l) or a coherent state (--lam/--lam-prime)")
     if eigen_selector:
-        state = torus_eigenstate(
-            cfg, TorusLabel(args.n or 0, args.l or 0, args.basis), nx=grid, ny=grid
-        )
+        try:
+            state = torus_eigenstate(
+                cfg, TorusLabel(args.n or 0, args.l or 0, args.basis), nx=grid, ny=grid
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
         selector = {"kind": "eigenstate", "n": args.n or 0, "l": args.l or 0, "basis": args.basis}
     elif coherent_selector:
         lam = _parse_complex(args.lam or "0", parser, "--lam")
         lam_prime = _parse_complex(args.lam_prime or "0", parser, "--lam-prime")
-        state = torus_coherent(cfg, CoherentLabel(lam, lam_prime), nx=grid, ny=grid)
+        try:
+            state = torus_coherent(cfg, CoherentLabel(lam, lam_prime), nx=grid, ny=grid)
+        except ValueError as exc:
+            parser.error(str(exc))
         selector = {
             "kind": "coherent",
             "lam": [lam.real, lam.imag],
@@ -175,8 +199,8 @@ def cmd_group(args, parser) -> int:
     if args.nphi is None:
         parser.error("--nphi is required")
     n = args.nphi
-    if n > 12:
-        parser.error(f"--nphi {n} too large for a full table dump (limit 12)")
+    if not 1 <= n <= 12:
+        parser.error(f"--nphi must be in [1, 12] for a full table dump, got {n}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -238,15 +262,18 @@ def cmd_orbit(args, parser) -> int:
     values, cfg = _merge_config(args, parser)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    orbit = ClassicalOrbit(
-        center_x=args.center_x,
-        center_y=args.center_y,
-        radius=args.radius,
-        phase0=args.phase0,
-        omega=cfg.omega,
-    )
+    try:
+        orbit = ClassicalOrbit(
+            center_x=args.center_x,
+            center_y=args.center_y,
+            radius=args.radius,
+            phase0=args.phase0,
+            omega=cfg.omega,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     period = 2.0 * math.pi / cfg.omega
-    times = np.linspace(0.0, args.periods * period, args.periods * args.samples + 1)
+    times = _trace_times(args, parser, period)
     wrapped = classical_orbit_trace(orbit, times, wrap=(cfg.lx, cfg.ly))
     free = classical_orbit_trace(orbit, times)
     closure = float(np.max(np.abs(free[-1] - free[0]))) if args.periods >= 1 else float("nan")
@@ -278,7 +305,7 @@ def cmd_coherent(args, parser) -> int:
     lam_prime = _parse_complex(args.lam_prime, parser, "--lam-prime")
     label = CoherentLabel(lam, lam_prime)
     period = 2.0 * math.pi / cfg.omega
-    times = np.linspace(0.0, args.periods * period, args.periods * args.samples + 1)
+    times = _trace_times(args, parser, period)
     path = out_dir / "coherent.csv"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,x,y,energy,delta_x,delta_y,delta_energy\n")

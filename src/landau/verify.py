@@ -247,8 +247,7 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     # discrete spectrum: multiplicities n_phi, means near omega*(n+1/2)
     grid = max(48, 16 * n)
     grid = -(-grid // n) * n
-    ham = spectral.build_hamiltonian(cfg, grid, grid)
-    report = spectral.low_spectrum(ham, 2 * n)
+    report = spectral.low_spectrum(cfg, grid, grid, 2 * n)
     dev = 0.0
     for cluster in report.clusters:
         if cluster.multiplicity != n:

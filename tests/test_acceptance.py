@@ -19,7 +19,6 @@ from landau import (
     apply_operator,
     apply_tx,
     apply_ty,
-    build_hamiltonian,
     coherent_amplitude,
     coherent_center,
     coherent_expectations,
@@ -67,8 +66,7 @@ def test_criterion_01_spectrum_and_degeneracy():
         spreads = []
         for theta in THETA_PAIRS:
             cfg = torus_cfg(n_phi, theta)
-            ham = build_hamiltonian(cfg, 96, 96)
-            rep = low_spectrum(ham, 3 * n_phi)
+            rep = low_spectrum(cfg, 96, 96, 3 * n_phi)
             assert len(rep.clusters) == 3
             for cluster in rep.clusters:
                 assert cluster.multiplicity == n_phi

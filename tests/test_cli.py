@@ -31,6 +31,13 @@ def test_spectrum_command(tmp_path):
     assert manifest["config"]["nphi"] == 3
 
 
+def test_spectrum_solver_telemetry_only_in_manifest(tmp_path):
+    run_cli(["spectrum", "--nphi", "2", "--grid", "48", "--levels", "2", "--out-dir", str(tmp_path)])
+    solver = read_json(tmp_path / "spectrum_manifest.json")["solver"]
+    assert set(solver) == {"method", "blocks", "block_dimension", "k_per_block", "shift", "kept"}
+    assert "solver" not in read_json(tmp_path / "spectrum.json")
+
+
 def test_spectrum_unit_flux_nondegenerate(tmp_path):
     run_cli(["spectrum", "--nphi", "1", "--grid", "48", "--levels", "2", "--out-dir", str(tmp_path)])
     payload = read_json(tmp_path / "spectrum.json")
@@ -50,6 +57,15 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
         ["spectrum", "--nphi", "2", "--grid", "8"],
         ["spectrum", "--nphi", "1", "--grid", "16", "--lx", "nan"],
         ["spectrum", "--nphi", "1", "--grid", "16", "--theta-x", "inf"],
+        ["density", "--nphi", "1", "--n", "0", "--grid", "0"],
+        ["density", "--nphi", "2", "--n", "-1", "--grid", "16"],
+        ["density", "--nphi", "1", "--lam", "nan", "--grid", "16"],
+        ["orbit", "--nphi", "1", "--radius", "0.1", "--samples", "0"],
+        ["orbit", "--nphi", "1", "--radius", "0.1", "--periods", "-1"],
+        ["orbit", "--nphi", "1", "--radius", "-1"],
+        ["coherent", "--nphi", "1", "--lam", "0", "--lam-prime", "0", "--periods", "-1"],
+        ["coherent", "--nphi", "1", "--lam", "0", "--lam-prime", "0", "--samples", "0"],
+        ["group", "--nphi", "0"],
     ],
 )
 def test_invalid_input_exits_2(tmp_path, args):

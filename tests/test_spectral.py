@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from landau import (
     projector_distance,
     torus_eigenstate,
 )
-from landau.spectral import cluster_eigenvalues, clusters_well_separated
+from landau.spectral import bloch_chain, chain_spectra, cluster_eigenvalues, clusters_well_separated
 from landau.torus import SampledState, normalized
 from landau.gauge import x_boundary_twist, y_boundary_twist
 
@@ -78,15 +80,18 @@ def test_grid_too_small_rejected():
     cfg = make_cfg(3)
     with pytest.raises(ValueError):
         build_hamiltonian(cfg, 16, 32)
+    with pytest.raises(ValueError):
+        low_spectrum(cfg, 32, 16, 3)
 
 
 def test_too_many_eigenvalues_rejected():
     cfg = make_cfg(1)
-    ham = build_hamiltonian(cfg, 12, 12)
     with pytest.raises(ValueError):
-        low_spectrum(ham, 100)
+        low_spectrum(cfg, 12, 12, 100)
     with pytest.raises(ValueError):
-        lowest_eigenpairs(ham, 0)
+        low_spectrum(cfg, 12, 12, 0)
+    with pytest.raises(ValueError):
+        lowest_eigenpairs(build_hamiltonian(cfg, 12, 12), 0)
 
 
 def test_shift_invert_matches_dense_oracle():
@@ -99,6 +104,39 @@ def test_shift_invert_matches_dense_oracle():
     sizes = [[len(c) for c in cluster_eigenvalues(values)] for values in (ev, dense)]
     assert sizes == [[2, 2, 2], [2, 2, 2]]
     assert np.allclose(vec.conj().T @ vec, np.eye(6), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n_phi, nx, ny, lx, ly",
+    [(2, 20, 18, 1.1, 0.9), (3, 27, 25, 1.0, 1.0)],
+)
+def test_bloch_chains_are_unitarily_equivalent_to_full_matrix(n_phi, nx, ny, lx, ly):
+    # every eigenvalue of the nx*ny matrix, chain by chain; 27x25 at
+    # n_phi = 3 has ny not a multiple of n_phi, so one chain holds them all
+    cfg = make_cfg(n_phi, lx=lx, ly=ly)
+    chains = [bloch_chain(cfg, nx, ny, m0) for m0 in range(math.gcd(n_phi, ny))]
+    assert sum(chain.shape[0] for chain in chains) == nx * ny
+    stacked = np.sort(np.concatenate([np.linalg.eigvalsh(chain.toarray()) for chain in chains]))
+    full = np.linalg.eigvalsh(build_hamiltonian(cfg, nx, ny).matrix.toarray())
+    assert np.max(np.abs(stacked - full) / full) < 1e-10
+
+
+@pytest.mark.parametrize("n_phi", [1, 2, 3, 4])
+def test_block_solve_matches_full_matrix_solve(n_phi):
+    cfg = make_cfg(n_phi)
+    k = 3 * n_phi
+    blocks = low_spectrum(cfg, 96, 96, k).eigenvalues
+    full, _ = lowest_eigenpairs(build_hamiltonian(cfg, 96, 96), k)
+    assert np.max(np.abs(blocks - full) / full) < 1e-10
+
+
+@pytest.mark.parametrize("n_phi, grid", [(2, 64), (3, 96), (4, 96)])
+def test_degeneracy_as_identical_chains(n_phi, grid):
+    # n_phi divides both sides: one chain per Ty label, all with one spectrum
+    cfg = make_cfg(n_phi)
+    spectra = chain_spectra(cfg, grid, grid, 3)
+    assert spectra.shape == (n_phi, 3)
+    assert np.max(np.ptp(spectra, axis=0)) < 1e-10 * cfg.omega
 
 
 def test_free_twisted_torus_matches_closed_form():
@@ -117,8 +155,7 @@ def test_free_twisted_torus_matches_closed_form():
 @pytest.mark.parametrize("n_phi", [1, 2, 3])
 def test_landau_clusters_with_exact_degeneracy(n_phi):
     cfg = make_cfg(n_phi)
-    ham = build_hamiltonian(cfg, 96, 96)
-    report = low_spectrum(ham, 3 * n_phi)
+    report = low_spectrum(cfg, 96, 96, 3 * n_phi)
     assert len(report.clusters) == 3
     assert report.well_separated
     for cluster in report.clusters:
@@ -131,8 +168,7 @@ def test_deviation_shrinks_under_refinement():
     cfg = make_cfg(2)
     devs = {}
     for grid in (48, 96):
-        ham = build_hamiltonian(cfg, grid, grid)
-        report = low_spectrum(ham, 4)
+        report = low_spectrum(cfg, grid, grid, 4)
         devs[grid] = max(abs(c.relative_deviation) for c in report.clusters)
     assert devs[96] < devs[48]
 
@@ -142,8 +178,7 @@ def test_second_order_convergence_of_cluster_means():
     cfg = make_cfg(1)
     errors = {}
     for grid in (64, 128):
-        ham = build_hamiltonian(cfg, grid, grid)
-        report = low_spectrum(ham, 3)
+        report = low_spectrum(cfg, grid, grid, 3)
         errors[grid] = [abs(c.mean - c.target) for c in report.clusters]
     for e64, e128 in zip(errors[64], errors[128]):
         assert 3.5 < e64 / e128 < 4.5
@@ -155,7 +190,7 @@ def test_spectrum_independent_of_theta():
     spreads = []
     for tx, ty in cfg_pairs:
         cfg = make_cfg(2, theta_x=tx, theta_y=ty)
-        report = low_spectrum(build_hamiltonian(cfg, 96, 96), 4)
+        report = low_spectrum(cfg, 96, 96, 4)
         means.append([c.mean for c in report.clusters])
         spreads.append(max(c.spread for c in report.clusters))
     omega = make_cfg(2).omega
