@@ -27,7 +27,7 @@ from .plane import (
     coherent_expectations,
     evolve_coherent,
 )
-from .serialize import write_density_csv, write_json, write_pgm, write_trace_csv
+from .serialize import write_density_csv, write_json, write_pgm, write_table_csv, write_trace_csv
 from .spectral import low_spectrum
 from .torus import TorusLabel, density_map, torus_coherent, torus_eigenstate
 from .verify import run_verification
@@ -170,6 +170,8 @@ def cmd_density(args, parser) -> int:
         return 2
 
     dmap = density_map(state)
+    if not np.isfinite(dmap.density).all():
+        parser.error("the state's density is not finite; choose a smaller label")
     csv_path = out_dir / "density.csv"
     pgm_path = out_dir / "density.pgm"
     argmax_path = out_dir / "argmax.json"
@@ -206,7 +208,7 @@ def cmd_group(args, parser) -> int:
 
     els = maggroup.elements(n)
     index = {g: i for i, g in enumerate(els)}
-    table = [[index[maggroup.multiply(g, h)] for h in els] for g in els]
+    table = maggroup.multiplication_table(n)
     classes = sorted(
         {maggroup.conjugacy_class(g) for g in els},
         key=lambda cl: min(index[g] for g in cl),
@@ -272,11 +274,13 @@ def cmd_orbit(args, parser) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
+    if args.periods < 1:
+        parser.error(f"--periods must be >= 1 for an orbit, got {args.periods}")
     period = 2.0 * math.pi / cfg.omega
     times = _trace_times(args, parser, period)
     wrapped = classical_orbit_trace(orbit, times, wrap=(cfg.lx, cfg.ly))
     free = classical_orbit_trace(orbit, times)
-    closure = float(np.max(np.abs(free[-1] - free[0]))) if args.periods >= 1 else float("nan")
+    closure = float(np.max(np.abs(free[-1] - free[0])))
     wraps = bool(np.any(np.abs(np.diff(wrapped, axis=0)) > orbit.radius * cfg.omega * period / args.samples * 4 + 1e-12))
     csv_path = out_dir / "orbit.csv"
     write_trace_csv(times, wrapped, csv_path)
@@ -306,19 +310,21 @@ def cmd_coherent(args, parser) -> int:
     label = CoherentLabel(lam, lam_prime)
     period = 2.0 * math.pi / cfg.omega
     times = _trace_times(args, parser, period)
+    ex = coherent_expectations(cfg, evolve_coherent(cfg, label, times))
     path = out_dir / "coherent.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,x,y,energy,delta_x,delta_y,delta_energy\n")
-        for t in times:
-            ex = coherent_expectations(cfg, evolve_coherent(cfg, label, float(t)))
-            x = ex.center_x + ex.rel_x
-            y = ex.center_y + ex.rel_y
-            dx = math.hypot(ex.spread_center_x, ex.spread_rel_x)
-            dy = math.hypot(ex.spread_center_y, ex.spread_rel_y)
-            fh.write(
-                f"{t:.17g},{x:.17g},{y:.17g},{ex.energy:.17g},"
-                f"{dx:.17g},{dy:.17g},{ex.spread_energy:.17g}\n"
-            )
+    write_table_csv(
+        ("t", "x", "y", "energy", "delta_x", "delta_y", "delta_energy"),
+        (
+            times,
+            ex.center_x + ex.rel_x,
+            ex.center_y + ex.rel_y,
+            ex.energy,
+            math.hypot(ex.spread_center_x, ex.spread_rel_x),
+            math.hypot(ex.spread_center_y, ex.spread_rel_y),
+            ex.spread_energy,
+        ),
+        path,
+    )
     _manifest("coherent", values, [path], started, out_dir)
     print(f"wrote {args.periods * args.samples + 1} steps over {args.periods} period(s)")
     return 0

@@ -57,6 +57,21 @@ def elements(n_phi: int):
     ]
 
 
+def multiplication_table(n_phi: int) -> list:
+    """table[i][j] = index of elements[i] * elements[j] in `elements(n_phi)`,
+    where element i is g(nx, ny, m) with i = (nx*n + ny)*n + m.
+
+    The group law of `multiply`, evaluated on index arrays. Entries are the
+    shared int objects of one list, so the n^6 entries cost a pointer each.
+    """
+    n = n_phi
+    nx, ny, m = (a.ravel() for a in np.indices((n, n, n), dtype=np.int32))
+    gx, gy, gm = nx[:, None], ny[:, None], m[:, None]  # left factor, one per row
+    product = ((gx + nx) % n * n + (gy + ny) % n) * n + (gm + m - gx * ny) % n
+    ids = list(range(n**3))
+    return [list(map(ids.__getitem__, row.tolist())) for row in product]
+
+
 def conjugacy_class(g: GroupElement) -> frozenset:
     """{g(nx, ny, m + nx*ny' - nx'*ny)} over all (nx', ny').
 

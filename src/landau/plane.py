@@ -256,7 +256,8 @@ class CoherentExpectations:
 
 
 def coherent_expectations(cfg, c: CoherentLabel) -> CoherentExpectations:
-    """Closed-form table of the fourteen first and second moments.
+    """Closed-form table of the fourteen first and second moments; an array
+    lambda gives arrays for the moments that depend on it.
 
     rel_* are the components of the radius vector (x - R_x, y - R_y);
     kinetic_momentum_* are M v_i = p_i + e A_i.
@@ -265,6 +266,9 @@ def coherent_expectations(cfg, c: CoherentLabel) -> CoherentExpectations:
     omega = cfg.omega
     s2 = math.sqrt(2.0 / mw)
     lam, lamp = c.lam, c.lam_prime
+    # |lam| as abs() gives it for one complex; np.abs on an array may round
+    # differently
+    amp = np.hypot(lam.real, lam.imag)
     return CoherentExpectations(
         center_x=s2 * lamp.real,
         spread_center_x=1.0 / math.sqrt(2.0 * mw),
@@ -278,15 +282,22 @@ def coherent_expectations(cfg, c: CoherentLabel) -> CoherentExpectations:
         spread_kinetic_momentum_x=math.sqrt(mw / 2.0),
         kinetic_momentum_y=math.sqrt(2.0 * mw) * lam.real,
         spread_kinetic_momentum_y=math.sqrt(mw / 2.0),
-        energy=omega * (abs(lam) ** 2 + 0.5),
-        spread_energy=omega * abs(lam),
+        energy=omega * (amp**2 + 0.5),
+        spread_energy=omega * amp,
     )
 
 
-def evolve_coherent(cfg, c: CoherentLabel, t: float) -> CoherentLabel:
+def evolve_coherent(cfg, c: CoherentLabel, t) -> CoherentLabel:
     """Coherent label after time t: lambda rotates by exp(-i w t), lambda'
-    (the orbit center) is conserved."""
-    return CoherentLabel(c.lam * np.exp(-1j * cfg.omega * t), c.lam_prime)
+    (the orbit center) is conserved. An array t gives an array lambda."""
+    rot = np.exp(-1j * cfg.omega * np.asarray(t, dtype=float))
+    lam = c.lam
+    # The product in real arithmetic: numpy's vectorised complex multiply can
+    # round differently from the scalar one.
+    out = np.empty(rot.shape, dtype=complex)
+    out.real = lam.real * rot.real - lam.imag * rot.imag
+    out.imag = lam.real * rot.imag + lam.imag * rot.real
+    return CoherentLabel(out[()], c.lam_prime)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from landau.cli import main
+from landau.config import TorusConfig
+from landau.maggroup import GroupElement, multiply
+from landau.plane import CoherentLabel, coherent_expectations, evolve_coherent
 
 
 def run_cli(args):
@@ -63,6 +66,8 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
         ["orbit", "--nphi", "1", "--radius", "0.1", "--samples", "0"],
         ["orbit", "--nphi", "1", "--radius", "0.1", "--periods", "-1"],
         ["orbit", "--nphi", "1", "--radius", "-1"],
+        ["orbit", "--nphi", "1", "--radius", "0.1", "--periods", "0"],
+        ["density", "--nphi", "1", "--lam", "1e3", "--grid", "16"],
         ["coherent", "--nphi", "1", "--lam", "0", "--lam-prime", "0", "--periods", "-1"],
         ["coherent", "--nphi", "1", "--lam", "0", "--lam-prime", "0", "--samples", "0"],
         ["group", "--nphi", "0"],
@@ -198,6 +203,47 @@ def test_coherent_period_return(tmp_path):
     first = list(map(float, lines[1].split(",")))
     last = list(map(float, lines[-1].split(",")))
     assert abs(first[1] - last[1]) < 1e-9 and abs(first[2] - last[2]) < 1e-9
+
+
+def _coherent_csv_per_step(cfg, label, times):
+    """coherent.csv as one scalar evolve/expectations call per time step."""
+    lines = ["t,x,y,energy,delta_x,delta_y,delta_energy\n"]
+    for t in times:
+        ex = coherent_expectations(cfg, evolve_coherent(cfg, label, float(t)))
+        x = ex.center_x + ex.rel_x
+        y = ex.center_y + ex.rel_y
+        dx = math.hypot(ex.spread_center_x, ex.spread_rel_x)
+        dy = math.hypot(ex.spread_center_y, ex.spread_rel_y)
+        lines.append(
+            f"{t:.17g},{x:.17g},{y:.17g},{ex.energy:.17g},"
+            f"{dx:.17g},{dy:.17g},{ex.spread_energy:.17g}\n"
+        )
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "mass, charge, lam, lam_prime",
+    [(1.0, 1.0, "0", "0.5-0.1j"), (1.3, 0.7, "0.3-0.8j", "0.2+0.4j"), (0.6, 2.0, "-0.9+0.1j", "-0.0-0.7j")],
+)
+def test_coherent_csv_matches_per_step_evaluation(tmp_path, mass, charge, lam, lam_prime):
+    periods, samples = 8, 1024
+    args = ["--nphi", "2", "--mass", str(mass), "--charge", str(charge), "--lx", "1.2", "--ly", "0.8"]
+    run_cli(
+        ["coherent", *args, f"--lam={lam}", f"--lam-prime={lam_prime}",
+         "--periods", str(periods), "--samples", str(samples), "--out-dir", str(tmp_path)]
+    )
+    cfg = TorusConfig(mass=mass, charge=charge, lx=1.2, ly=0.8, n_phi=2)
+    times = np.linspace(0.0, periods * 2.0 * math.pi / cfg.omega, periods * samples + 1)
+    expected = _coherent_csv_per_step(cfg, CoherentLabel(complex(lam), complex(lam_prime)), times)
+    assert (tmp_path / "coherent.csv").read_text() == expected
+
+
+def test_group_table_matches_group_law(tmp_path):
+    run_cli(["group", "--nphi", "5", "--out-dir", str(tmp_path)])
+    payload = read_json(tmp_path / "group.json")
+    els = [GroupElement(nx, ny, m, 5) for nx, ny, m in payload["elements"]]
+    index = {g: i for i, g in enumerate(els)}
+    assert payload["multiplication_table"] == [[index[multiply(g, h)] for h in els] for g in els]
 
 
 def test_outputs_are_deterministic(tmp_path):

@@ -187,3 +187,11 @@ def test_representation_irreducible(n_phi):
 def test_order_is_cubed():
     for n_phi in range(1, 6):
         assert len(elements(n_phi)) == n_phi**3
+
+
+@pytest.mark.parametrize("n_phi", range(1, 8))
+def test_multiplication_table_matches_group_law(n_phi):
+    els = elements(n_phi)
+    index = {g: i for i, g in enumerate(els)}
+    expected = [[index[multiply(g, h)] for h in els] for g in els]
+    assert maggroup.multiplication_table(n_phi) == expected

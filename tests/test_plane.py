@@ -303,6 +303,47 @@ def test_evolution_identity_and_periodicity():
     assert evolved.lam_prime == label.lam_prime
 
 
+def _bits(v):
+    return float(v).hex(), math.copysign(1.0, float(v))
+
+
+LABELS = [0.3 - 0.8j, 0j, 0.0, -0.0 + 0.0j, 1.5, -0.45 + 0.25j, 2.0e-8 + 3.0e5j]
+
+
+@pytest.mark.parametrize("lam", LABELS)
+def test_scalar_evolution_equals_complex_product(lam):
+    # lambda(t) = lambda * exp(-i w t) in numpy scalar arithmetic, bit for bit
+    label = CoherentLabel(lam, 0.2 - 0.1j)
+    for t in (0.0, 0.37, 5.0, -1.25, 1.0e3):
+        expected = lam * np.exp(-1j * CFG.omega * t)
+        got = evolve_coherent(CFG, label, t).lam
+        assert isinstance(got, np.complex128)
+        assert _bits(got.real) == _bits(expected.real) and _bits(got.imag) == _bits(expected.imag)
+
+
+@pytest.mark.parametrize("lam", LABELS)
+def test_scalar_moments_equal_abs_form(lam):
+    # energy and its spread from abs(lambda), as for one complex number
+    for label in (CoherentLabel(lam, 0.2 - 0.1j), evolve_coherent(CFG, CoherentLabel(lam, 0.5j), 0.7)):
+        ex = coherent_expectations(CFG, label)
+        a = abs(label.lam)
+        assert _bits(ex.energy) == _bits(CFG.omega * (a**2 + 0.5))
+        assert _bits(ex.spread_energy) == _bits(CFG.omega * a)
+        assert _bits(ex.rel_y) == _bits(-math.sqrt(2.0 / CFG.mass_omega) * label.lam.imag)
+
+
+def test_array_time_matches_scalar_calls():
+    label = CoherentLabel(0.6 - 0.35j, 0.1 + 0.2j)
+    times = np.linspace(0.0, 16.0 * 2.0 * math.pi / CFG.omega, 4097)
+    lam_t = evolve_coherent(CFG, label, times).lam
+    moments = coherent_expectations(CFG, CoherentLabel(lam_t, label.lam_prime)).as_dict()
+    for i, t in enumerate(times):
+        one = evolve_coherent(CFG, label, float(t))
+        assert _bits(lam_t[i].real) == _bits(one.lam.real) and _bits(lam_t[i].imag) == _bits(one.lam.imag)
+        for key, value in coherent_expectations(CFG, one).as_dict().items():
+            assert _bits(np.broadcast_to(moments[key], times.shape)[i]) == _bits(value), key
+
+
 def test_evolved_position_matches_quadrature():
     # <x>(t) = <R_x> + sqrt(2/Mw) |lambda| cos(w t) for real lambda(0)
     lam0 = 0.6
