@@ -135,8 +135,8 @@ def cmd_spectrum(args, parser) -> int:
 def cmd_density(args, parser) -> int:
     started = time.perf_counter()
     values, cfg = _merge_config(args, parser)
-    if args.grid < 1:
-        parser.error(f"--grid must be >= 1, got {args.grid}")
+    if args.grid < 8 * cfg.n_phi:
+        parser.error(f"--grid must be >= 8 * nphi = {8 * cfg.n_phi}, got {args.grid}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = -(-args.grid // cfg.n_phi) * cfg.n_phi
@@ -209,10 +209,13 @@ def cmd_group(args, parser) -> int:
     els = maggroup.elements(n)
     index = {g: i for i, g in enumerate(els)}
     table = maggroup.multiplication_table(n)
-    classes = sorted(
-        {maggroup.conjugacy_class(g) for g in els},
-        key=lambda cl: min(index[g] for g in cl),
-    )
+    # in element order, so the classes come sorted by their smallest index
+    classes, seen = [], set()
+    for g in els:
+        if g not in seen:
+            cl = maggroup.conjugacy_class(g)
+            seen |= cl
+            classes.append(cl)
     rep = maggroup.clock_and_shift(n)
 
     def mat_to_list(m):

@@ -20,7 +20,7 @@ from .config import TWO_PI, TorusConfig
 from .finitediff import apply_fd_operator
 from .gauge import boundary_residual, x_boundary_twist, y_boundary_twist
 from .oscillator import OscillatorBasis, hermite_eigenfunction
-from .plane import CoherentLabel, _coherent_raw, coherent_center
+from .plane import CoherentLabel, coherent_center
 
 
 class TruncationError(ValueError):
@@ -246,32 +246,56 @@ def torus_coherent(
         sum_{kx, ky} exp(2 pi i n_phi kx y / Ly - i kx theta_x - i ky theta_y)
                      f(x + kx Lx, y + ky Ly),
 
-    normalized on the grid (the normalization constant is not assumed)."""
+    normalized on the grid (the normalization constant is not assumed).
+
+    With f(u, v) = exp[-(Mw/4)(u^2 + v^2) - i (Mw/2) u v
+    + sqrt(Mw/2)(u (lam + lam') + i v (lam - lam'))], u = x + kx Lx and
+    v = y + ky Ly, the cross term splits as
+
+        uv = xy + x ky Ly + kx Lx y + kx ky Lx Ly,
+
+    so each image term j = (kx, ky) is exp(-i Mw xy / 2) F[x, j] G[y, j] with
+
+        F[x, j] = exp[-(Mw/4) u^2 + sqrt(Mw/2) u (lam + lam') - i (Mw/2) x ky Ly]
+        G[y, j] = exp[-(Mw/4) v^2 + i sqrt(Mw/2) v (lam - lam')
+                      - i (Mw/2)(kx Lx y + kx ky Lx Ly)
+                      + 2 pi i n_phi kx y / Ly - i kx theta_x - i ky theta_y],
+
+    and the whole sum is exp(-i Mw xy / 2) * (F @ G^T): one grid-sized
+    exponential and one matrix product instead of one per image term."""
     policy = policy or LatticeSumPolicy()
     if nx is None or ny is None:
         dx, dy = default_grid(cfg)
         nx = nx or dx
         ny = ny or dy
     xs, ys = grid_axes(cfg, nx, ny)
-    raw = _coherent_raw(cfg, c)
-    s2 = math.sqrt(2.0 / cfg.mass_omega)
+    mw = cfg.mass_omega
+    pre = math.sqrt(mw / 2.0)
+    s2 = math.sqrt(2.0 / mw)
     cx = s2 * (c.lam + c.lam_prime).real
     cy = s2 * (c.lam_prime.imag - c.lam.imag)
     # coherent amplitude ~ exp(-M w d^2 / 4) around the packet center
-    width = policy.reach(cfg.mass_omega / 4.0)
+    width = policy.reach(mw / 4.0)
 
-    values = np.zeros((nx + 1, ny + 1), dtype=complex)
-    x2 = xs[:, None]
-    y2 = ys[None, :]
-    for kx in policy.indices(cx, -cfg.lx, 0.0, cfg.lx, width):
-        for ky in policy.indices(cy, -cfg.ly, 0.0, cfg.ly, width):
-            phase = np.exp(
-                TWO_PI * 1j * cfg.n_phi * kx * y2 / cfg.ly
-                - 1j * (kx * cfg.theta_x + ky * cfg.theta_y)
-            )
-            values += phase * raw(x2 + kx * cfg.lx, y2 + ky * cfg.ly)
-
-    return normalized(SampledState(cfg, values))
+    kxs = np.array(policy.indices(cx, -cfg.lx, 0.0, cfg.lx, width), dtype=float)
+    kys = np.array(policy.indices(cy, -cfg.ly, 0.0, cfg.ly, width), dtype=float)
+    kx, ky = (k.ravel() for k in np.meshgrid(kxs, kys, indexing="ij"))
+    u = xs[:, None] + kx * cfg.lx
+    v = ys[:, None] + ky * cfg.ly
+    f = np.exp(
+        -0.25 * mw * u * u
+        + pre * u * (c.lam + c.lam_prime)
+        - 0.5j * mw * xs[:, None] * (ky * cfg.ly)
+    )
+    g = np.exp(
+        -0.25 * mw * v * v
+        + 1j * pre * v * (c.lam - c.lam_prime)
+        - 0.5j * mw * (kx * cfg.lx) * v
+        + 1j * (TWO_PI * cfg.n_phi / cfg.ly) * kx * ys[:, None]
+        - 1j * (kx * cfg.theta_x + ky * cfg.theta_y)
+    )
+    common = np.exp(-0.5j * mw * xs[:, None] * ys[None, :])
+    return normalized(SampledState(cfg, common * (f @ g.T)))
 
 
 # ---------------------------------------------------------------------------

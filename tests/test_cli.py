@@ -71,6 +71,9 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
         ["coherent", "--nphi", "1", "--lam", "0", "--lam-prime", "0", "--periods", "-1"],
         ["coherent", "--nphi", "1", "--lam", "0", "--lam-prime", "0", "--samples", "0"],
         ["group", "--nphi", "0"],
+        ["density", "--nphi", "1", "--n", "0", "--grid", "1"],
+        ["density", "--nphi", "1", "--n", "0", "--grid", "2"],
+        ["density", "--nphi", "2", "--n", "0", "--grid", "15"],
     ],
 )
 def test_invalid_input_exits_2(tmp_path, args):

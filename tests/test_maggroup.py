@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landau import maggroup
 from landau.maggroup import (
@@ -195,3 +197,27 @@ def test_multiplication_table_matches_group_law(n_phi):
     index = {g: i for i, g in enumerate(els)}
     expected = [[index[multiply(g, h)] for h in els] for g in els]
     assert maggroup.multiplication_table(n_phi) == expected
+
+
+def element_in(n_phi):
+    # unreduced components: GroupElement must reduce them mod n_phi
+    part = st.integers(min_value=-3 * n_phi, max_value=3 * n_phi)
+    return st.builds(GroupElement, part, part, part, st.just(n_phi))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n_phi=st.integers(min_value=1, max_value=12))
+def test_group_axioms_random(data, n_phi):
+    triples = data.draw(st.lists(st.tuples(*[element_in(n_phi)] * 3), min_size=1, max_size=20))
+    e = identity(n_phi)
+    table = maggroup.multiplication_table(n_phi)
+
+    def index(g):
+        return (g.nx * n_phi + g.ny) * n_phi + g.m
+
+    for g, h, k in triples:
+        assert multiply(multiply(g, h), k) == multiply(g, multiply(h, k))
+        assert multiply(e, g) == g == multiply(g, e)
+        assert multiply(g, inverse(g)) == e == multiply(inverse(g), g)
+        assert elements(n_phi)[index(g)] == g
+        assert table[index(g)][index(h)] == index(multiply(g, h))

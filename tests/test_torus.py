@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from landau import (
     CoherentLabel,
@@ -25,7 +27,8 @@ from landau import (
     torus_inner,
     translation_expectation,
 )
-from landau.torus import SampledState, TruncationError, torus_norm
+from landau.plane import _coherent_raw
+from landau.torus import SampledState, TruncationError, grid_axes, normalized, torus_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,9 +112,13 @@ def test_policy_cutoff_error():
     cfg = make_cfg(1)
     with pytest.raises(TruncationError):
         torus_eigenstate(cfg, TorusLabel(0, 0), policy=LatticeSumPolicy(cutoff=0), nx=32, ny=32)
+    with pytest.raises(TruncationError):
+        torus_coherent(cfg, CoherentLabel(0.0, 0.0), policy=LatticeSumPolicy(cutoff=0), nx=32, ny=32)
     # a generous cutoff works
     st = torus_eigenstate(cfg, TorusLabel(0, 0), policy=LatticeSumPolicy(cutoff=12), nx=32, ny=32)
     assert st.boundary_residual() < 1e-8
+    coh = torus_coherent(cfg, CoherentLabel(0.0, 0.0), policy=LatticeSumPolicy(cutoff=12), nx=32, ny=32)
+    assert coh.boundary_residual() < 1e-8
 
 
 def test_grid_commensurability_enforced():
@@ -253,6 +260,65 @@ def test_unknown_operator_rejected():
 
 # ---------------------------------------------------------------------------
 # torus coherent states
+
+
+def reference_coherent(cfg, c, nx, ny):
+    """The per-image double loop that the separable sum replaced: one
+    full-grid complex exponential per (kx, ky) image term."""
+    policy = LatticeSumPolicy()
+    xs, ys = grid_axes(cfg, nx, ny)
+    raw = _coherent_raw(cfg, c)
+    s2 = math.sqrt(2.0 / cfg.mass_omega)
+    cx = s2 * (c.lam + c.lam_prime).real
+    cy = s2 * (c.lam_prime.imag - c.lam.imag)
+    width = policy.reach(cfg.mass_omega / 4.0)
+    values = np.zeros((nx + 1, ny + 1), dtype=complex)
+    x2 = xs[:, None]
+    y2 = ys[None, :]
+    for kx in policy.indices(cx, -cfg.lx, 0.0, cfg.lx, width):
+        for ky in policy.indices(cy, -cfg.ly, 0.0, cfg.ly, width):
+            phase = np.exp(
+                TWO_PI * 1j * cfg.n_phi * kx * y2 / cfg.ly
+                - 1j * (kx * cfg.theta_x + ky * cfg.theta_y)
+            )
+            values += phase * raw(x2 + kx * cfg.lx, y2 + ky * cfg.ly)
+    return normalized(SampledState(cfg, values))
+
+
+def assert_matches_reference(cfg, lab, nx, ny):
+    got = torus_coherent(cfg, lab, nx=nx, ny=ny).values
+    want = reference_coherent(cfg, lab, nx, ny).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_phi", [1, 2, 3, 4])
+@pytest.mark.parametrize("lx, ly", [(1.0, 1.0), (1.3, 0.8)])
+@pytest.mark.parametrize(
+    "lam, lam_prime",
+    # |lam + lam'| ~ 3 puts the packet center outside the fundamental domain
+    [(0.0, 0.0), (0.5 - 0.2j, -0.3 + 0.4j), (1.6 + 0.3j, 1.4 - 0.5j)],
+)
+def test_coherent_separable_sum_matches_image_loop(n_phi, lx, ly, lam, lam_prime):
+    cfg = make_cfg(n_phi, lx=lx, ly=ly)
+    assert_matches_reference(cfg, CoherentLabel(lam, lam_prime), 16 * n_phi, 24 * n_phi)
+
+
+label_part = strategies.floats(min_value=-1.5, max_value=1.5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_phi=strategies.integers(min_value=1, max_value=4),
+    angles=strategies.tuples(strategies.floats(-TWO_PI, TWO_PI), strategies.floats(-TWO_PI, TWO_PI)),
+    aspect=strategies.floats(min_value=0.5, max_value=2.0),
+    label=strategies.tuples(label_part, label_part, label_part, label_part),
+    cells=strategies.tuples(strategies.integers(4, 12), strategies.integers(4, 12)),
+)
+def test_coherent_separable_sum_property(n_phi, angles, aspect, label, cells):
+    side = math.sqrt(aspect)
+    cfg = make_cfg(n_phi, theta_x=angles[0], theta_y=angles[1], lx=side, ly=1.0 / side)
+    lab = CoherentLabel(complex(label[0], label[1]), complex(label[2], label[3]))
+    assert_matches_reference(cfg, lab, n_phi * cells[0], n_phi * cells[1])
 
 
 def test_coherent_identity_at_unit_flux():
