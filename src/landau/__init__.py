@@ -85,6 +85,7 @@ from .torus import (
     eigenvalue_residual,
     evolve_by_spectrum,
     expectation,
+    gram_matrix,
     normalized,
     projector_distance,
     sample_on_torus,

@@ -208,7 +208,6 @@ def cmd_group(args, parser) -> int:
 
     els = maggroup.elements(n)
     index = {g: i for i, g in enumerate(els)}
-    table = maggroup.multiplication_table(n)
     # in element order, so the classes come sorted by their smallest index
     classes, seen = [], set()
     for g in els:
@@ -225,7 +224,6 @@ def cmd_group(args, parser) -> int:
         "n_phi": n,
         "order": len(els),
         "elements": [[g.nx, g.ny, g.m] for g in els],
-        "multiplication_table": table,
         "conjugacy_classes": [sorted(index[g] for g in cl) for cl in classes],
         "center": sorted(index[g] for g in maggroup.center(n)),
         "tx": mat_to_list(rep.tx),
@@ -233,7 +231,7 @@ def cmd_group(args, parser) -> int:
         "weyl_deviation": maggroup.weyl_deviation(rep),
     }
     path = out_dir / "group.json"
-    write_json(payload, path)
+    write_json(payload, path, tables={"multiplication_table": maggroup.multiplication_indices(n)})
     _manifest("group", {"nphi": n}, [path], started, out_dir)
     print(
         f"group of order {len(els)}: {len(classes)} conjugacy classes, "
@@ -255,7 +253,10 @@ def cmd_verify(args, parser) -> int:
     }
     path = out_dir / "verify.json"
     write_json(payload, path)
-    _manifest("verify", values, [path], started, out_dir, seed=args.seed)
+    _manifest(
+        "verify", values, [path], started, out_dir, seed=args.seed,
+        extra={"checks": [{"name": c.name, "time_s": c.time_s} for c in checks]},
+    )
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: residual {c.residual:.3e} (tol {c.tolerance:.1e})")
     print("verification:", "all passed" if ok else "FAILURES above")

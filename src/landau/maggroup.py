@@ -57,19 +57,22 @@ def elements(n_phi: int):
     ]
 
 
-def multiplication_table(n_phi: int) -> list:
-    """table[i][j] = index of elements[i] * elements[j] in `elements(n_phi)`,
-    where element i is g(nx, ny, m) with i = (nx*n + ny)*n + m.
-
-    The group law of `multiply`, evaluated on index arrays. Entries are the
-    shared int objects of one list, so the n^6 entries cost a pointer each.
-    """
+def multiplication_indices(n_phi: int) -> np.ndarray:
+    """int32 array table[i, j] = index of elements[i] * elements[j] in
+    `elements(n_phi)`, where element i is g(nx, ny, m) with
+    i = (nx*n + ny)*n + m: the group law of `multiply` on index arrays."""
     n = n_phi
     nx, ny, m = (a.ravel() for a in np.indices((n, n, n), dtype=np.int32))
     gx, gy, gm = nx[:, None], ny[:, None], m[:, None]  # left factor, one per row
-    product = ((gx + nx) % n * n + (gy + ny) % n) * n + (gm + m - gx * ny) % n
-    ids = list(range(n**3))
-    return [list(map(ids.__getitem__, row.tolist())) for row in product]
+    return ((gx + nx) % n * n + (gy + ny) % n) * n + (gm + m - gx * ny) % n
+
+
+def multiplication_table(n_phi: int) -> list:
+    """`multiplication_indices` as a list of int lists. Entries are the
+    shared int objects of one list, so the n^6 entries cost a pointer each.
+    """
+    ids = list(range(n_phi**3))
+    return [list(map(ids.__getitem__, row.tolist())) for row in multiplication_indices(n_phi)]
 
 
 def conjugacy_class(g: GroupElement) -> frozenset:

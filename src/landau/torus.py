@@ -165,6 +165,13 @@ def torus_inner(a: SampledState, b: SampledState) -> complex:
     return complex(np.vdot(a.core, b.core) * a.hx * a.hy)
 
 
+def gram_matrix(states) -> np.ndarray:
+    """All inner products G[i, j] = <states[i]|states[j]> of states on one
+    grid, as one matrix product (torus_inner's quadrature for every pair)."""
+    v = np.stack([s.core.ravel() for s in states], axis=1)
+    return (v.conj().T @ v) * (states[0].hx * states[0].hy)
+
+
 def torus_norm(a: SampledState) -> float:
     return math.sqrt(max(torus_inner(a, a).real, 0.0))
 
@@ -198,6 +205,17 @@ def torus_eigenstate(
     and the 'lx' basis is the analogous sum along y with the extra gauge
     factor exp(-2 pi i n_phi x y / (Lx Ly)). The overall constant is made
     positive real by unit normalization; term phases stay as written.
+
+    Every image term is a product of a function of x and a function of y,
+    so the sum is one matrix product over the image index k:
+
+        'ly':  P @ W^T,            P[x, k] = psi_n(x + kval_k a_x),
+                                   W[y, k] = exp(2 pi i y kval_k / Ly - i theta_x k)
+        'lx':  cross * (W @ P^T),  W[x, k] = exp(2 pi i x qval_k / Lx + i theta_y k),
+                                   P[y, k] = psi_n(y - qval_k a_y)
+
+    with kval_k = n_phi k + l + theta_y/2pi, qval_k = n_phi k + l + theta_x/2pi
+    and cross = exp(-2 pi i n_phi x y / (Lx Ly)).
     """
     policy = policy or LatticeSumPolicy()
     if nx is None or ny is None:
@@ -210,25 +228,24 @@ def torus_eigenstate(
     width = math.sqrt(2.0 * label.n + 1.0) / math.sqrt(cfg.mass_omega) + policy.reach(
         cfg.mass_omega / 2.0
     )
-    values = np.zeros((nx + 1, ny + 1), dtype=complex)
 
     if label.basis == "ly":
         # Gaussian centers in x at -(l + theta_y/2pi) a_x - k Lx
         c0 = -(label.l + cfg.theta_y / TWO_PI) * cfg.ax
-        for k in policy.indices(c0, -cfg.lx, 0.0, cfg.lx, width):
-            kval = cfg.n_phi * k + label.l + cfg.theta_y / TWO_PI
-            profile = hermite_eigenfunction(basis, label.n, xs + kval * cfg.ax)
-            wave = np.exp(TWO_PI * 1j * ys * kval / cfg.ly - 1j * cfg.theta_x * k)
-            values += profile[:, None] * wave[None, :]
+        k = np.array(policy.indices(c0, -cfg.lx, 0.0, cfg.lx, width), dtype=float)
+        kval = cfg.n_phi * k + label.l + cfg.theta_y / TWO_PI
+        profile = hermite_eigenfunction(basis, label.n, xs[:, None] + kval * cfg.ax)
+        wave = np.exp(TWO_PI * 1j * ys[:, None] * kval / cfg.ly - 1j * cfg.theta_x * k)
+        values = profile @ wave.T
     else:
         # Gaussian centers in y at (l + theta_x/2pi) a_y + k Ly
         c0 = (label.l + cfg.theta_x / TWO_PI) * cfg.ay
         cross = np.exp(-TWO_PI * 1j * cfg.n_phi * xs[:, None] * ys[None, :] / (cfg.lx * cfg.ly))
-        for k in policy.indices(c0, cfg.ly, 0.0, cfg.ly, width):
-            qval = cfg.n_phi * k + label.l + cfg.theta_x / TWO_PI
-            profile = hermite_eigenfunction(basis, label.n, ys - qval * cfg.ay)
-            wave = np.exp(TWO_PI * 1j * xs * qval / cfg.lx + 1j * cfg.theta_y * k)
-            values += wave[:, None] * profile[None, :] * cross
+        k = np.array(policy.indices(c0, cfg.ly, 0.0, cfg.ly, width), dtype=float)
+        qval = cfg.n_phi * k + label.l + cfg.theta_x / TWO_PI
+        profile = hermite_eigenfunction(basis, label.n, ys[:, None] - qval * cfg.ay)
+        wave = np.exp(TWO_PI * 1j * xs[:, None] * qval / cfg.lx + 1j * cfg.theta_y * k)
+        values = cross * (wave @ profile.T)
 
     return normalized(SampledState(cfg, values))
 

@@ -5,13 +5,13 @@ reported as numbers, not just booleans, so regressions show up as drift."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import maggroup, spectral
 from .config import TWO_PI, TorusConfig
-from .finitediff import interior
 from .gauge import (
     cocycle_defect,
     flux_consistency_defect,
@@ -35,6 +35,7 @@ from .torus import (
     default_grid,
     eigenvalue_residual,
     expectation,
+    gram_matrix,
     projector_distance,
     torus_coherent,
     torus_eigenstate,
@@ -48,6 +49,10 @@ class Check:
     name: str
     residual: float
     tolerance: float
+    # wall time since the previous check (so setup shared by later checks
+    # counts toward the first one that uses it); kept out of as_dict, which
+    # must be deterministic
+    time_s: float = field(default=0.0, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -81,6 +86,37 @@ def _fock_commutator_residual(rng) -> float:
     return worst
 
 
+# The center-commutator check keeps the grid interior [MARGIN, N - MARGIN) in
+# both axes and walks its rows (x) in blocks of BLOCK_ROWS, which bounds the
+# memory it holds at once. Each block is sampled with HALO extra rows per
+# side: the reach of the one x-stencil (Ry) in each product.
+_MARGIN = 6
+_BLOCK_ROWS = 64
+_HALO = 2
+
+
+def _commutator_blocks(cfg, amp, xs, ys):
+    """(psi, [Rx, Ry] psi) on the kept interior of the plane grid xs x ys,
+    one block of at most _BLOCK_ROWS x-rows at a time, in order. Every value is
+    the one the full-grid evaluation gives there, bit for bit."""
+
+    def op(name, g, bx):
+        return apply_operator_plane(name, g, bx, ys, cfg)
+
+    n = len(xs)
+    for r0 in range(_MARGIN, n - _MARGIN, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, n - _MARGIN)
+        # apply_fd_operator reads the x-spacing as xs[1] - xs[0], and other
+        # first differences of the rounded coordinates can be an ulp off it.
+        # So each block carries the grid's first two rows in front; the
+        # stencils that reach across that gap land only on discarded rows.
+        bx = np.concatenate((xs[:2], xs[r0 - _HALO : r1 + _HALO]))
+        values = sample_plane(amp, bx, ys)
+        comm = op("Rx", op("Ry", values, bx), bx) - op("Ry", op("Rx", values, bx), bx)
+        keep = (slice(2 + _HALO, -_HALO), slice(_MARGIN, -_MARGIN))
+        yield values[keep], comm[keep]
+
+
 def _heisenberg_residual(cfg) -> float:
     mw = cfg.mass_omega
     h = math.sqrt(2.5e-4 / mw)
@@ -89,17 +125,11 @@ def _heisenberg_residual(cfg) -> float:
     xs = h * np.arange(-m, m + 1)
     ys = h * np.arange(-m, m + 1)
     amp = coherent_amplitude(cfg, CoherentLabel(0.3 + 0.2j, -0.1 + 0.4j))
-    values = sample_plane(amp, xs, ys)
-
-    def op(name, g):
-        return apply_operator_plane(name, g, xs, ys, cfg)
-
-    comm = op("Rx", op("Ry", values)) - op("Ry", op("Rx", values))
-    margin = 6
-    w = interior(comm, margin)
-    fw = interior(values, margin)
-    val = np.vdot(fw, w) / np.vdot(fw, fw)
-    return float(abs(val - 1j / mw))
+    num = den = 0.0
+    for fw, w in _commutator_blocks(cfg, amp, xs, ys):
+        num += np.vdot(fw, w)
+        den += np.vdot(fw, fw)
+    return float(abs(num / den - 1j / mw))
 
 
 def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed: int = 0):
@@ -111,24 +141,28 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     """
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
+    mark = time.perf_counter()
+
+    def add(name, residual, tolerance):
+        nonlocal mark
+        now = time.perf_counter()
+        checks.append(Check(name, residual, tolerance, now - mark))
+        mark = now
+
     e = cfg.charge
 
     # flux quantization and boundary-shift consistency
-    checks.append(
-        Check(
-            "flux_quantization_integer",
-            abs(e * cfg.b_field * cfg.lx * cfg.ly / TWO_PI - cfg.n_phi),
-            1.0e-12,
-        )
+    add(
+        "flux_quantization_integer",
+        abs(e * cfg.b_field * cfg.lx * cfg.ly / TWO_PI - cfg.n_phi),
+        1.0e-12,
     )
     flux = cfg.n_phi if nphi_override is None else nphi_override
     b_used = TWO_PI * flux / (e * cfg.lx * cfg.ly)
-    checks.append(
-        Check(
-            "boundary_shift_consistency",
-            flux_consistency_defect(e, b_used, cfg.lx, cfg.ly),
-            1.0e-12,
-        )
+    add(
+        "boundary_shift_consistency",
+        flux_consistency_defect(e, b_used, cfg.lx, cfg.ly),
+        1.0e-12,
     )
 
     # cocycle condition, constant in (x, y)
@@ -136,7 +170,7 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     target = TWO_PI * cfg.n_phi / e
     pts = rng.uniform(-2.0, 2.0, size=(10, 2))
     cdef = max(abs(cocycle_defect(tf, cfg, x, y) - target) for x, y in pts)
-    checks.append(Check("cocycle_defect_constant", cdef, 1.0e-9 * max(1.0, target)))
+    add("cocycle_defect_constant", cdef, 1.0e-9 * max(1.0, target))
 
     # Polyakov phases periodic under elementary steps
     ys = rng.uniform(0.0, cfg.ly, size=8)
@@ -145,7 +179,7 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
         np.max(np.abs(polyakov_phase_x(cfg, ys + cfg.ay) - polyakov_phase_x(cfg, ys))),
         np.max(np.abs(polyakov_phase_y(cfg, xs + cfg.ax) - polyakov_phase_y(cfg, xs))),
     )
-    checks.append(Check("polyakov_step_periodicity", float(p), 1.0e-12))
+    add("polyakov_step_periodicity", float(p), 1.0e-12)
 
     # group axioms and representation
     n = cfg.n_phi
@@ -161,10 +195,10 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
         ok = maggroup.multiply(g, maggroup.inverse(g)) == maggroup.identity(nn)
         worst = max(worst, 0.0 if ok else 1.0)
     worst = max(worst, 0.0 if maggroup.center(nn) == maggroup.center_brute_force(nn) else 1.0)
-    checks.append(Check("group_axioms", worst, 0.5))
+    add("group_axioms", worst, 0.5)
 
     rep = maggroup.clock_and_shift(max(n, 2))
-    checks.append(Check("weyl_matrix_relation", maggroup.weyl_deviation(rep), 1.0e-14))
+    add("weyl_matrix_relation", maggroup.weyl_deviation(rep), 1.0e-14)
     hom = 0.0
     for _ in range(100):
         g, h = (els[rng.integers(len(els))] for _ in range(2))
@@ -172,7 +206,7 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
         lhs = maggroup.represent(rep_n, maggroup.multiply(g, h))
         rhs = maggroup.represent(rep_n, g) @ maggroup.represent(rep_n, h)
         hom = max(hom, float(np.max(np.abs(lhs - rhs))))
-    checks.append(Check("representation_homomorphism", hom, 1.0e-12))
+    add("representation_homomorphism", hom, 1.0e-12)
 
     # torus states: boundary condition, orthonormality, translation actions
     nx, ny = default_grid(cfg)
@@ -181,68 +215,58 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
         for lev in range(3)
         for l in range(n)
     }
-    checks.append(
-        Check(
-            "torus_boundary_residual",
-            max(s.boundary_residual() for s in states.values()),
-            1.0e-8,
-        )
+    add(
+        "torus_boundary_residual",
+        max(s.boundary_residual() for s in states.values()),
+        1.0e-8,
     )
-    gram_dev = 0.0
-    for lev in range(3):
-        for l1 in range(n):
-            for l2 in range(n):
-                ov = torus_inner(states[(lev, l1)], states[(lev, l2)])
-                gram_dev = max(gram_dev, abs(ov - (1.0 if l1 == l2 else 0.0)))
-    checks.append(Check("degenerate_basis_orthonormality", gram_dev, 1.0e-8))
+    gram_dev = max(
+        float(np.max(np.abs(gram_matrix([states[(lev, l)] for l in range(n)]) - np.eye(n))))
+        for lev in range(3)
+    )
+    add("degenerate_basis_orthonormality", gram_dev, 1.0e-8)
 
     st = states[(1, 0)]
-    checks.append(
-        Check(
-            "hamiltonian_eigen_residual",
-            eigenvalue_residual("H", st, cfg.omega * 1.5),
-            1.0e-3,
-        )
+    add(
+        "hamiltonian_eigen_residual",
+        eigenvalue_residual("H", st, cfg.omega * 1.5),
+        1.0e-3,
     )
 
     s0 = states[(0, 0)]
     weyl_states = apply_ty(apply_tx(s0)).values - np.exp(TWO_PI * 1j / n) * apply_tx(apply_ty(s0)).values
-    checks.append(
-        Check(
-            "weyl_relation_on_states",
-            float(np.max(np.abs(weyl_states)) / np.max(np.abs(s0.values))),
-            1.0e-10,
-        )
+    add(
+        "weyl_relation_on_states",
+        float(np.max(np.abs(weyl_states)) / np.max(np.abs(s0.values))),
+        1.0e-10,
     )
     ladder = abs(abs(torus_inner(states[(0, 1 % n)], apply_tx(s0))) - 1.0)
+    add("tx_ladder_overlap", ladder, 1.0e-8)
     ty_eig = abs(torus_inner(s0, apply_ty(s0)) - 1.0)
-    checks.append(Check("tx_ladder_overlap", ladder, 1.0e-8))
-    checks.append(Check("ty_eigenvalue", ty_eig, 1.0e-8))
+    add("ty_eigenvalue", ty_eig, 1.0e-8)
 
     # the two degeneracy bases span the same subspace
     set_ly = [states[(0, l)] for l in range(n)]
     set_lx = [torus_eigenstate(cfg, TorusLabel(0, l, "lx"), nx=nx, ny=ny) for l in range(n)]
-    checks.append(Check("basis_projector_distance", projector_distance(set_ly, set_lx), 1.0e-8))
+    add("basis_projector_distance", projector_distance(set_ly, set_lx), 1.0e-8)
 
     # coherent states on the torus
     lab = CoherentLabel(0.35 + 0.2j, 0.3 - 0.4j)
     coh = torus_coherent(cfg, lab, nx=nx, ny=ny)
-    checks.append(Check("coherent_boundary_residual", coh.boundary_residual(), 1.0e-8))
+    add("coherent_boundary_residual", coh.boundary_residual(), 1.0e-8)
     e_target = cfg.omega * (abs(lab.lam) ** 2 + 0.5)
-    checks.append(
-        Check(
-            "coherent_energy_expectation",
-            abs(expectation("H", coh) - e_target) / e_target,
-            1.0e-3,
-        )
+    add(
+        "coherent_energy_expectation",
+        abs(expectation("H", coh) - e_target) / e_target,
+        1.0e-3,
     )
     series = coherent_translation_series(cfg, lab, lx=1)
     quad = translation_expectation(coh, "x", 1)
-    checks.append(Check("translation_expectation_series", abs(series - quad), 1.0e-8))
+    add("translation_expectation_series", abs(series - quad), 1.0e-8)
 
     # ladder algebra on Fock maps and plane-state operator identities
-    checks.append(Check("fock_commutators", _fock_commutator_residual(rng), 1.0e-12))
-    checks.append(Check("heisenberg_center_commutator", _heisenberg_residual(cfg), 1.0e-6))
+    add("fock_commutators", _fock_commutator_residual(rng), 1.0e-12)
+    add("heisenberg_center_commutator", _heisenberg_residual(cfg), 1.0e-6)
 
     # discrete spectrum: multiplicities n_phi, means near omega*(n+1/2)
     grid = max(48, 16 * n)
@@ -253,6 +277,6 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
         if cluster.multiplicity != n:
             dev = 1.0
         dev = max(dev, abs(cluster.relative_deviation))
-    checks.append(Check("spectrum_clusters", dev, 0.05))
+    add("spectrum_clusters", dev, 0.05)
 
     return checks, all(c.passed for c in checks)

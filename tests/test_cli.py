@@ -259,6 +259,18 @@ def test_outputs_are_deterministic(tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
+def test_verify_timing_only_in_manifest(tmp_path):
+    # verify.json holds residuals only; the per-check times go to the manifest
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for d in dirs:
+        run_cli(["verify", "--nphi", "1", "--seed", "3", "--out-dir", str(d)])
+    assert (dirs[0] / "verify.json").read_bytes() == (dirs[1] / "verify.json").read_bytes()
+    names = [c["name"] for c in read_json(dirs[0] / "verify.json")["checks"]]
+    timed = read_json(dirs[0] / "verify_manifest.json")["checks"]
+    assert [c["name"] for c in timed] == names
+    assert all(set(c) == {"name", "time_s"} and c["time_s"] >= 0.0 for c in timed)
+
+
 def test_spectrum_output_deterministic_through_eigensolver(tmp_path):
     # 96^2 routes through the iterative solver; repeated runs must still be
     # byte-identical (spectrum.json embeds no timing, only eigenvalues)

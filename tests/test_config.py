@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landau import (
     InfiniteConfig,
@@ -113,3 +115,32 @@ def test_config_from_file(tmp_path):
     assert cfg.n_phi == 4
     assert cfg.theta_y == 1.25
     assert cfg.b_field == pytest.approx(2 * math.pi * 4 / (0.5 * 1.5))
+
+
+positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
+angle = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.fixed_dictionaries(
+        {"mass": positive, "charge": positive, "lx": positive, "ly": positive, "nphi": st.integers(1, 64)},
+        optional={"theta_x": angle, "theta_y": angle},
+    ),
+    spelling=st.sampled_from(["nphi", "n_phi", "N-PHI", "Nphi"]),
+    comment=st.booleans(),
+)
+def test_config_text_round_trip(values, spelling, comment):
+    lines = ["# torus", ""] if comment else []
+    for key, value in values.items():
+        name = spelling if key == "nphi" else key
+        lines.append(f"  {name} = {value!r}  ")
+    parsed = parse_config_text("\n".join(lines) + "\n")
+    assert parsed == values
+    assert all(type(parsed[k]) is type(values[k]) for k in values)
+    cfg = torus_config_from_mapping(parsed)
+    assert (cfg.mass, cfg.charge, cfg.lx, cfg.ly, cfg.n_phi) == tuple(
+        values[k] for k in ("mass", "charge", "lx", "ly", "nphi")
+    )
+    assert cfg.theta_x == values.get("theta_x", 0.0) % TWO_PI
+    assert cfg.theta_y == values.get("theta_y", 0.0) % TWO_PI

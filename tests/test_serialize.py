@@ -7,6 +7,7 @@ exactly while formatting whole chunks of rows per call.
 """
 
 import io
+import json
 import math
 from types import SimpleNamespace
 
@@ -16,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landau import serialize
+from landau.maggroup import multiplication_indices, multiplication_table
 from landau.serialize import (
     write_density_csv,
+    write_json,
     write_pgm,
     write_state_csv,
     write_table_csv,
@@ -196,3 +199,46 @@ def test_row_formatter_matches_per_value_format(width, data, chunk):
     finally:
         serialize.CHUNK_FIELDS = old
     assert fh.getvalue() == "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# JSON with integer tables spliced in; json.dump(indent=2) is the reference
+
+
+def reference_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("n_phi", range(1, 13))
+def test_group_table_json_matches_json_dump(tmp_path, n_phi):
+    payload = {"n_phi": n_phi, "center": list(range(n_phi)), "tx": [[[0.5, -0.0]]], "weyl_deviation": 1e-16}
+    path = tmp_path / "group.json"
+    write_json(payload, path, tables={"multiplication_table": multiplication_indices(n_phi)})
+    want = reference_json({**payload, "multiplication_table": multiplication_table(n_phi)})
+    assert path.read_text(encoding="utf-8") == want
+
+
+def test_json_tables_in_key_order_with_chunk_boundaries(tmp_path):
+    rng = np.random.default_rng(3)
+    tables = {
+        "b_first": rng.integers(-10**9, 10**9, size=(7, 3)),
+        "m_column": rng.integers(-5, 5, size=(40, 1)),
+        "z_last": np.array([[0]]),
+    }
+    payload = {"a": [1, [2, 3]], "k": {"x": 1.5}, "y": "text", "zz": None}
+    path = tmp_path / "t.json"
+    old = serialize.CHUNK_FIELDS
+    serialize.CHUNK_FIELDS = 2  # a chunk boundary inside every table
+    try:
+        write_json(payload, path, tables=tables)
+    finally:
+        serialize.CHUNK_FIELDS = old
+    want = reference_json({**payload, **{k: v.tolist() for k, v in tables.items()}})
+    assert path.read_text(encoding="utf-8") == want
+
+
+def test_json_tables_rejected(tmp_path):
+    with pytest.raises(ValueError):
+        write_json({"t": 1}, tmp_path / "a.json", tables={"t": np.ones((2, 2), dtype=int)})
+    with pytest.raises(ValueError):
+        write_json({}, tmp_path / "b.json", tables={"t": np.zeros((0, 3), dtype=int)})

@@ -20,6 +20,7 @@ from landau import (
     eigenvalue_residual,
     evolve_by_spectrum,
     expectation,
+    gram_matrix,
     projector_distance,
     sample_on_torus,
     torus_coherent,
@@ -27,6 +28,7 @@ from landau import (
     torus_inner,
     translation_expectation,
 )
+from landau.oscillator import OscillatorBasis, hermite_eigenfunction
 from landau.plane import _coherent_raw
 from landau.torus import SampledState, TruncationError, grid_axes, normalized, torus_norm
 
@@ -59,6 +61,77 @@ def test_degenerate_level_is_orthonormal(n_phi):
     states = [torus_eigenstate(cfg, TorusLabel(n, l), nx=32 * n_phi, ny=32 * n_phi) for l in range(n_phi)]
     gram = np.array([[torus_inner(a, b) for b in states] for a in states])
     assert np.max(np.abs(gram - np.eye(n_phi))) < 1e-8
+
+
+def reference_eigenstate(cfg, label, nx, ny):
+    """The per-image loop that the one-product sum replaced: one outer
+    product (times the gauge factor, for 'lx') per image term k."""
+    policy = LatticeSumPolicy()
+    xs, ys = grid_axes(cfg, nx, ny)
+    basis = OscillatorBasis(cfg.mass_omega, max_level=max(label.n, 1))
+    width = math.sqrt(2.0 * label.n + 1.0) / math.sqrt(cfg.mass_omega) + policy.reach(
+        cfg.mass_omega / 2.0
+    )
+    values = np.zeros((nx + 1, ny + 1), dtype=complex)
+    if label.basis == "ly":
+        c0 = -(label.l + cfg.theta_y / TWO_PI) * cfg.ax
+        for k in policy.indices(c0, -cfg.lx, 0.0, cfg.lx, width):
+            kval = cfg.n_phi * k + label.l + cfg.theta_y / TWO_PI
+            profile = hermite_eigenfunction(basis, label.n, xs + kval * cfg.ax)
+            wave = np.exp(TWO_PI * 1j * ys * kval / cfg.ly - 1j * cfg.theta_x * k)
+            values += profile[:, None] * wave[None, :]
+    else:
+        c0 = (label.l + cfg.theta_x / TWO_PI) * cfg.ay
+        cross = np.exp(-TWO_PI * 1j * cfg.n_phi * xs[:, None] * ys[None, :] / (cfg.lx * cfg.ly))
+        for k in policy.indices(c0, cfg.ly, 0.0, cfg.ly, width):
+            qval = cfg.n_phi * k + label.l + cfg.theta_x / TWO_PI
+            profile = hermite_eigenfunction(basis, label.n, ys - qval * cfg.ay)
+            wave = np.exp(TWO_PI * 1j * xs * qval / cfg.lx + 1j * cfg.theta_y * k)
+            values += wave[:, None] * profile[None, :] * cross
+    return normalized(SampledState(cfg, values))
+
+
+def assert_eigenstate_matches_reference(cfg, label, nx, ny):
+    got = torus_eigenstate(cfg, label, nx=nx, ny=ny).values
+    want = reference_eigenstate(cfg, label, nx, ny).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_phi", [1, 2, 3, 4])
+@pytest.mark.parametrize("lx, ly", [(1.0, 1.0), (1.3, 0.8)])
+@pytest.mark.parametrize("basis", ["ly", "lx"])
+def test_eigenstate_product_sum_matches_image_loop(n_phi, lx, ly, basis):
+    cfg = make_cfg(n_phi, lx=lx, ly=ly)
+    for n in range(4):
+        assert_eigenstate_matches_reference(
+            cfg, TorusLabel(n, n_phi - 1, basis), 16 * n_phi, 24 * n_phi
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_phi=strategies.integers(min_value=1, max_value=4),
+    angles=strategies.tuples(strategies.floats(-TWO_PI, TWO_PI), strategies.floats(-TWO_PI, TWO_PI)),
+    aspect=strategies.floats(min_value=0.5, max_value=2.0),
+    level=strategies.integers(min_value=0, max_value=5),
+    l=strategies.integers(min_value=-3, max_value=6),
+    basis=strategies.sampled_from(["ly", "lx"]),
+    cells=strategies.tuples(strategies.integers(4, 12), strategies.integers(4, 12)),
+)
+def test_eigenstate_product_sum_property(n_phi, angles, aspect, level, l, basis, cells):
+    side = math.sqrt(aspect)
+    cfg = make_cfg(n_phi, theta_x=angles[0], theta_y=angles[1], lx=side, ly=1.0 / side)
+    assert_eigenstate_matches_reference(
+        cfg, TorusLabel(level, l, basis), n_phi * cells[0], n_phi * cells[1]
+    )
+
+
+def test_gram_matrix_matches_pairwise_inner():
+    cfg = make_cfg(3, lx=1.3, ly=0.8)
+    states = [torus_eigenstate(cfg, TorusLabel(1, l, b), nx=48, ny=60) for b in ("ly", "lx") for l in range(3)]
+    gram = gram_matrix(states)
+    pairwise = np.array([[torus_inner(a, b) for b in states] for a in states])
+    assert np.max(np.abs(gram - pairwise)) <= 1e-14
 
 
 def test_fig2_density_peak():
@@ -158,6 +231,46 @@ def test_translations_are_unitary_on_grid():
     for op in (apply_tx, apply_ty):
         moved = op(st)
         assert torus_inner(moved, moved).real == pytest.approx(torus_inner(st, st).real, rel=1e-12)
+
+
+def random_grid_state(cfg, cells, seed):
+    """A state with random core values on the grid: no eigenstate of
+    anything and no boundary condition; the boundary lines are noise too."""
+    rng = np.random.default_rng(seed)
+    shape = (cfg.n_phi * cells[0] + 1, cfg.n_phi * cells[1] + 1)
+    return SampledState(cfg, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+grid_state_args = dict(
+    n_phi=strategies.integers(min_value=1, max_value=4),
+    angles=strategies.tuples(strategies.floats(-TWO_PI, TWO_PI), strategies.floats(-TWO_PI, TWO_PI)),
+    aspect=strategies.floats(min_value=0.5, max_value=2.0),
+    cells=strategies.tuples(strategies.integers(1, 8), strategies.integers(1, 8)),
+    seed=strategies.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**grid_state_args)
+def test_translations_unitary_property(n_phi, angles, aspect, cells, seed):
+    side = math.sqrt(aspect)
+    cfg = make_cfg(n_phi, theta_x=angles[0], theta_y=angles[1], lx=side, ly=1.0 / side)
+    a = random_grid_state(cfg, cells, seed)
+    b = random_grid_state(cfg, cells, seed + 1)
+    scale = torus_norm(a) * torus_norm(b)
+    for op in (apply_tx, apply_ty):
+        assert abs(torus_inner(op(a), op(b)) - torus_inner(a, b)) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(**grid_state_args)
+def test_weyl_relation_property(n_phi, angles, aspect, cells, seed):
+    side = math.sqrt(aspect)
+    cfg = make_cfg(n_phi, theta_x=angles[0], theta_y=angles[1], lx=side, ly=1.0 / side)
+    st = random_grid_state(cfg, cells, seed)
+    lhs = apply_ty(apply_tx(st)).values
+    rhs = np.exp(TWO_PI * 1j / n_phi) * apply_tx(apply_ty(st)).values
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(st.values))
 
 
 @pytest.mark.parametrize("n_phi", [1, 2, 3, 4])

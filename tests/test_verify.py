@@ -1,7 +1,12 @@
+import math
+
+import numpy as np
 import pytest
 
 from landau import TorusConfig
-from landau.verify import run_verification
+from landau.finitediff import interior
+from landau.plane import CoherentLabel, apply_operator_plane, coherent_amplitude, sample_plane
+from landau.verify import _commutator_blocks, _heisenberg_residual, run_verification
 
 
 def test_all_invariants_pass_at_two_flux_quanta():
@@ -39,3 +44,62 @@ def test_checks_serialize():
     payload = checks[0].as_dict()
     assert set(payload) == {"name", "residual", "tolerance", "passed"}
     assert isinstance(payload["residual"], float)
+
+
+# ---------------------------------------------------------------------------
+# the center-commutator check, streamed in row blocks
+
+
+def plane_axes(cfg):
+    mw = cfg.mass_omega
+    h = math.sqrt(2.5e-4 / mw)
+    m = int(math.ceil(9.0 / math.sqrt(mw) / h))
+    return h * np.arange(-m, m + 1), h * np.arange(-m, m + 1)
+
+
+def full_commutator(cfg, amp, xs, ys):
+    values = sample_plane(amp, xs, ys)
+
+    def op(name, g):
+        return apply_operator_plane(name, g, xs, ys, cfg)
+
+    return values, op("Rx", op("Ry", values)) - op("Ry", op("Rx", values))
+
+
+def reference_heisenberg(cfg):
+    """The full-grid check that the row blocks replaced: the whole plane
+    grid sampled and differentiated at once, interior margin 6."""
+    xs, ys = plane_axes(cfg)
+    amp = coherent_amplitude(cfg, CoherentLabel(0.3 + 0.2j, -0.1 + 0.4j))
+    values, comm = full_commutator(cfg, amp, xs, ys)
+    fw = interior(values, 6)
+    val = np.vdot(fw, interior(comm, 6)) / np.vdot(fw, fw)
+    return float(abs(val - 1j / cfg.mass_omega))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=n) for n in (1, 2, 3, 4)]
+    + [TorusConfig(2.0, 0.7, lx=1.3, ly=0.8, n_phi=2, theta_x=0.6, theta_y=1.2)],
+    ids=["nphi1", "nphi2", "nphi3", "nphi4", "mass2-charge0.7"],
+)
+def test_heisenberg_blocks_match_full_grid(cfg):
+    want = reference_heisenberg(cfg)
+    assert _heisenberg_residual(cfg) == pytest.approx(want, rel=1e-5)
+    assert want < 1e-6
+
+
+def test_commutator_blocks_equal_full_grid_bit_for_bit():
+    # 151 x-rows keep 139 interior rows: two blocks of 64 and a partial one of 11
+    cfg = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=2)
+    xs = 0.035 * np.arange(-75, 76) + 0.1
+    ys = 0.04 * np.arange(-60, 61)
+    amp = coherent_amplitude(cfg, CoherentLabel(0.3 + 0.2j, -0.1 + 0.4j))
+    values, comm = full_commutator(cfg, amp, xs, ys)
+    blocks = list(_commutator_blocks(cfg, amp, xs, ys))
+    assert [len(v) for v, _ in blocks] == [64, 64, 11]
+    got_values = np.concatenate([v for v, _ in blocks])
+    got_comm = np.concatenate([c for _, c in blocks])
+    assert got_values.shape == got_comm.shape == (139, 121 - 12)
+    assert np.array_equal(got_values, interior(values, 6))
+    assert np.array_equal(got_comm, interior(comm, 6))
