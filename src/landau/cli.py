@@ -14,6 +14,7 @@ import cmath
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,16 @@ def _merge_config(args, parser):
     except ValueError as exc:
         parser.error(f"bad configuration: {exc}")
     return values, cfg
+
+
+@contextmanager
+def stage(stages: dict, name: str):
+    """Add the wall time of the block to stages[name], for the manifest."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[name] = stages.get(name, 0.0) + time.perf_counter() - start
 
 
 def _manifest(command, values, outputs, started, out_dir, seed=None, extra=None):
@@ -145,11 +156,13 @@ def cmd_density(args, parser) -> int:
     coherent_selector = args.lam is not None or args.lam_prime is not None
     if eigen_selector and coherent_selector:
         parser.error("choose either an eigenstate (--n/--l) or a coherent state (--lam/--lam-prime)")
+    stages = {}
     if eigen_selector:
         try:
-            state = torus_eigenstate(
-                cfg, TorusLabel(args.n or 0, args.l or 0, args.basis), nx=grid, ny=grid
-            )
+            with stage(stages, "state"):
+                state = torus_eigenstate(
+                    cfg, TorusLabel(args.n or 0, args.l or 0, args.basis), nx=grid, ny=grid
+                )
         except ValueError as exc:
             parser.error(str(exc))
         selector = {"kind": "eigenstate", "n": args.n or 0, "l": args.l or 0, "basis": args.basis}
@@ -157,7 +170,8 @@ def cmd_density(args, parser) -> int:
         lam = _parse_complex(args.lam or "0", parser, "--lam")
         lam_prime = _parse_complex(args.lam_prime or "0", parser, "--lam-prime")
         try:
-            state = torus_coherent(cfg, CoherentLabel(lam, lam_prime), nx=grid, ny=grid)
+            with stage(stages, "state"):
+                state = torus_coherent(cfg, CoherentLabel(lam, lam_prime), nx=grid, ny=grid)
         except ValueError as exc:
             parser.error(str(exc))
         selector = {
@@ -169,28 +183,33 @@ def cmd_density(args, parser) -> int:
         parser.error("no state selected: pass --n/--l or --lam/--lam-prime")
         return 2
 
-    dmap = density_map(state)
-    if not np.isfinite(dmap.density).all():
+    with stage(stages, "density"):
+        dmap = density_map(state)
+        finite = np.isfinite(dmap.density).all()
+    if not finite:
         parser.error("the state's density is not finite; choose a smaller label")
     csv_path = out_dir / "density.csv"
     pgm_path = out_dir / "density.pgm"
     argmax_path = out_dir / "argmax.json"
-    write_density_csv(dmap, csv_path)
-    write_pgm(dmap, pgm_path)
+    with stage(stages, "csv"):
+        write_density_csv(dmap, csv_path)
+    with stage(stages, "pgm"):
+        write_pgm(dmap, pgm_path)
     integral = float(dmap.density[:-1, :-1].sum() * state.hx * state.hy)
-    write_json(
-        {
-            "argmax_x": dmap.argmax_x,
-            "argmax_y": dmap.argmax_y,
-            "grid": [state.nx + 1, state.ny + 1],
-            "integral": integral,
-            "selector": selector,
-        },
-        argmax_path,
-    )
+    with stage(stages, "json"):
+        write_json(
+            {
+                "argmax_x": dmap.argmax_x,
+                "argmax_y": dmap.argmax_y,
+                "grid": [state.nx + 1, state.ny + 1],
+                "integral": integral,
+                "selector": selector,
+            },
+            argmax_path,
+        )
     _manifest(
         "density", values, [csv_path, pgm_path, argmax_path], started, out_dir,
-        extra={"grid": grid},
+        extra={"grid": grid, "stages": stages},
     )
     print(f"density argmax at ({dmap.argmax_x:.6g}, {dmap.argmax_y:.6g}), integral {integral:.12g}")
     return 0
@@ -206,16 +225,18 @@ def cmd_group(args, parser) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    els = maggroup.elements(n)
-    index = {g: i for i, g in enumerate(els)}
-    # in element order, so the classes come sorted by their smallest index
-    classes, seen = [], set()
-    for g in els:
-        if g not in seen:
-            cl = maggroup.conjugacy_class(g)
-            seen |= cl
-            classes.append(cl)
-    rep = maggroup.clock_and_shift(n)
+    stages = {}
+    with stage(stages, "group"):
+        els = maggroup.elements(n)
+        index = {g: i for i, g in enumerate(els)}
+        # in element order, so the classes come sorted by their smallest index
+        classes, seen = [], set()
+        for g in els:
+            if g not in seen:
+                cl = maggroup.conjugacy_class(g)
+                seen |= cl
+                classes.append(cl)
+        rep = maggroup.clock_and_shift(n)
 
     def mat_to_list(m):
         return [[[float(v.real), float(v.imag)] for v in row] for row in m]
@@ -231,8 +252,11 @@ def cmd_group(args, parser) -> int:
         "weyl_deviation": maggroup.weyl_deviation(rep),
     }
     path = out_dir / "group.json"
-    write_json(payload, path, tables={"multiplication_table": maggroup.multiplication_indices(n)})
-    _manifest("group", {"nphi": n}, [path], started, out_dir)
+    with stage(stages, "table"):
+        table = maggroup.multiplication_indices(n)
+    with stage(stages, "json"):
+        write_json(payload, path, tables={"multiplication_table": table})
+    _manifest("group", {"nphi": n}, [path], started, out_dir, extra={"stages": stages})
     print(
         f"group of order {len(els)}: {len(classes)} conjugacy classes, "
         f"center size {n}, weyl deviation {payload['weyl_deviation']:.2e}"
@@ -282,24 +306,28 @@ def cmd_orbit(args, parser) -> int:
         parser.error(f"--periods must be >= 1 for an orbit, got {args.periods}")
     period = 2.0 * math.pi / cfg.omega
     times = _trace_times(args, parser, period)
-    wrapped = classical_orbit_trace(orbit, times, wrap=(cfg.lx, cfg.ly))
-    free = classical_orbit_trace(orbit, times)
-    closure = float(np.max(np.abs(free[-1] - free[0])))
-    wraps = bool(np.any(np.abs(np.diff(wrapped, axis=0)) > orbit.radius * cfg.omega * period / args.samples * 4 + 1e-12))
+    stages = {}
+    with stage(stages, "trace"):
+        wrapped = classical_orbit_trace(orbit, times, wrap=(cfg.lx, cfg.ly))
+        free = classical_orbit_trace(orbit, times)
+        closure = float(np.max(np.abs(free[-1] - free[0])))
+        wraps = bool(np.any(np.abs(np.diff(wrapped, axis=0)) > orbit.radius * cfg.omega * period / args.samples * 4 + 1e-12))
     csv_path = out_dir / "orbit.csv"
-    write_trace_csv(times, wrapped, csv_path)
+    with stage(stages, "csv"):
+        write_trace_csv(times, wrapped, csv_path)
     info_path = out_dir / "orbit.json"
-    write_json(
-        {
-            "closure_residual": closure,
-            "closes": closure < 1.0e-9,
-            "crosses_boundary": wraps,
-            "period": period,
-            "radius": args.radius,
-        },
-        info_path,
-    )
-    _manifest("orbit", values, [csv_path, info_path], started, out_dir)
+    with stage(stages, "json"):
+        write_json(
+            {
+                "closure_residual": closure,
+                "closes": closure < 1.0e-9,
+                "crosses_boundary": wraps,
+                "period": period,
+                "radius": args.radius,
+            },
+            info_path,
+        )
+    _manifest("orbit", values, [csv_path, info_path], started, out_dir, extra={"stages": stages})
     print(f"orbit closure residual {closure:.2e}; crosses boundary: {wraps}")
     return 0
 
@@ -314,22 +342,25 @@ def cmd_coherent(args, parser) -> int:
     label = CoherentLabel(lam, lam_prime)
     period = 2.0 * math.pi / cfg.omega
     times = _trace_times(args, parser, period)
-    ex = coherent_expectations(cfg, evolve_coherent(cfg, label, times))
+    stages = {}
+    with stage(stages, "evolve"):
+        ex = coherent_expectations(cfg, evolve_coherent(cfg, label, times))
     path = out_dir / "coherent.csv"
-    write_table_csv(
-        ("t", "x", "y", "energy", "delta_x", "delta_y", "delta_energy"),
-        (
-            times,
-            ex.center_x + ex.rel_x,
-            ex.center_y + ex.rel_y,
-            ex.energy,
-            math.hypot(ex.spread_center_x, ex.spread_rel_x),
-            math.hypot(ex.spread_center_y, ex.spread_rel_y),
-            ex.spread_energy,
-        ),
-        path,
-    )
-    _manifest("coherent", values, [path], started, out_dir)
+    with stage(stages, "csv"):
+        write_table_csv(
+            ("t", "x", "y", "energy", "delta_x", "delta_y", "delta_energy"),
+            (
+                times,
+                ex.center_x + ex.rel_x,
+                ex.center_y + ex.rel_y,
+                ex.energy,
+                math.hypot(ex.spread_center_x, ex.spread_rel_x),
+                math.hypot(ex.spread_center_y, ex.spread_rel_y),
+                ex.spread_energy,
+            ),
+            path,
+        )
+    _manifest("coherent", values, [path], started, out_dir, extra={"stages": stages})
     print(f"wrote {args.periods * args.samples + 1} steps over {args.periods} period(s)")
     return 0
 

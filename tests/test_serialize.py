@@ -9,6 +9,7 @@ exactly while formatting whole chunks of rows per call.
 import io
 import json
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -188,17 +189,106 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
     data=st.data(),
     chunk=st.integers(min_value=1, max_value=20),
 )
-def test_row_formatter_matches_per_value_format(width, data, chunk):
+def test_row_formatter_matches_per_value_format(tmp_path_factory, width, data, chunk):
     rows = data.draw(st.lists(st.lists(finite, min_size=width, max_size=width), max_size=40))
-    line = ",".join(["%.17g"] * width) + "\n"
-    fh = io.StringIO()
+    columns = [np.array([row[j] for row in rows], dtype=float) for j in range(width)]
+    path = tmp_path_factory.mktemp("rows") / "table.csv"
     old = serialize.CHUNK_FIELDS
     serialize.CHUNK_FIELDS = chunk  # small chunks: many chunk boundaries
     try:
-        serialize._write_rows(fh, line, rows)
+        write_table_csv([f"c{j}" for j in range(width)], columns, path)
     finally:
         serialize.CHUNK_FIELDS = old
-    assert fh.getvalue() == "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+    want = ",".join(f"c{j}" for j in range(width)) + "\n"
+    want += "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+    assert path.read_text() == want
+
+
+# ---------------------------------------------------------------------------
+# The vectorised encoder against format(v, '.17g') and str(int), value by value
+
+
+def _encoded(values) -> list:
+    fields = serialize._encode(np.asarray(values))
+    return serialize._text(fields, serialize._NEWLINE).decode().splitlines()
+
+
+def _assert_encodes(values):
+    values = np.asarray(values, dtype=float)
+    got = serialize._text(serialize._encode(values), serialize._NEWLINE)
+    want = "".join(format(v, ".17g") + "\n" for v in values.tolist()).encode()
+    if got != want:
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got.decode().splitlines(), want.decode().splitlines()) if g != w]
+        raise AssertionError(f"{len(bad)} values differ, first {bad[:5]}")
+
+
+def _certified(values):
+    values = np.abs(np.asarray(values, dtype=float))
+    return serialize._float_digits(values, serialize._tables())[2]
+
+
+def _boundary_values():
+    """Both sides of every switch in the '%.17g' layout and of the fast
+    path's own range."""
+    powers = 10.0 ** np.arange(-5, 18)
+    near = np.concatenate([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)])
+    exponents = [1.5e-5, 1.5e-4, 1.5e16, 1.5e17, 9.5e-5, 9.5e16, 123456789012345678.0]
+    ties = [2.0**-25, 3 * 2.0**-25, 2.0**-24 * 5, 0.5, 0.125]
+    extremes = [5e-324, 2.2250738585072014e-308, 2.2250738585072009e-308, 1e-310, 1.7976931348623157e308]
+    three_digit = [1e-100, 1.2345e-100, 9.87e100, 1e200, 3.3e-250, 1e-281, 1e-279, 1e296, 1e298]
+    values = np.concatenate([near, exponents, ties, extremes, three_digit, [0.0, 1.0, 10.0, 0.1]])
+    return np.concatenate([values, -values])
+
+
+def test_encoder_boundary_table():
+    values = _boundary_values()
+    _assert_encodes(values)
+    assert "99999999999999984" in _encoded(values) and "9.9999999999999991e-05" in _encoded(values)
+    assert _encoded([0.0, -0.0]) == ["0", "-0"]
+
+
+def test_encoder_random_bit_patterns():
+    rng = np.random.default_rng(20240917)
+    values = rng.integers(0, 2**64, size=1_200_000, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)][:1_000_000]
+    assert values.size == 1_000_000
+    _assert_encodes(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(finite, min_size=1, max_size=50))
+def test_encoder_matches_format_property(values):
+    _assert_encodes(values)
+
+
+def test_encoder_certifies_nearly_all_values_and_falls_back_on_the_rest():
+    uniform = np.random.default_rng(5).uniform(0.0, 4.0, 100_000)
+    assert _certified(uniform).mean() >= 0.999
+    _assert_encodes(uniform)
+    # exact ties (18 significant digits ending in 5), subnormals and values
+    # beyond the power-of-ten table are left to '%'
+    for v in (2.0**-25, 3 * 2.0**-25, 5e-324, 1e-310, 2.2250738585072009e-308, 1e-300, 1e300, 1.7976931348623157e308):
+        assert not _certified([v])[0], v
+
+
+def test_encoder_scaled_product_within_error_bound():
+    # the double-double S = |v| * 10**e the digits come from, against exact
+    # rationals over the whole power-of-ten table
+    rng = np.random.default_rng(8)
+    e = rng.integers(serialize._E_MIN, serialize._E_MAX + 1, 3000)
+    a = rng.uniform(1.0, 10.0, e.size) * 10.0 ** (16 - e).astype(float)
+    hi, lo = serialize._scaled(a, e - serialize._E_MIN, serialize._tables())
+    for v, p, h, l in zip(a.tolist(), e.tolist(), hi.tolist(), lo.tolist()):
+        exact = Fraction(v) * Fraction(10) ** p
+        assert abs(Fraction(h) + Fraction(l) - exact) <= exact * Fraction(1, 2**104)
+
+
+def test_encoder_integers_match_str():
+    rng = np.random.default_rng(11)
+    edges = [0, 1, -1, 9, 10, 99, 100, 10**9, -(10**9), 10**16, 10**17 - 1, 10**17, -(10**17), 2**63 - 1, -(2**63)]
+    values = np.concatenate([np.array(edges, dtype=np.int64), rng.integers(-(2**62), 2**62, 100_000), rng.integers(-300, 300, 1000)])
+    for v in (values, 10 ** rng.integers(0, 18, 1000) * rng.choice([-1, 1], 1000)):
+        assert _encoded(v) == [str(int(x)) for x in v]
 
 
 # ---------------------------------------------------------------------------
