@@ -29,10 +29,10 @@ without a `%` conversion per value:
   lanes, then 16-bit pairs, then bytes, dividing by multiply-shifts). They
   are laid out as %g does: fixed notation for -4 <= k < 17, scientific
   otherwise, trailing zeros and a bare '.' stripped, 'e±dd' or 'e±ddd', '-0'
-  kept. Each value becomes a NUL-padded field of 24 bytes (32 when a value
-  of the array takes an exponent); '%.17g' never needs more than 24.
+  kept. Each value becomes a NUL-padded field of _FIELD bytes.
 
-Integers take the same digit and layout path with S = |v| * 10**(16-k) exact.
+Integers below 2**53 in magnitude take the same path (their S is an integer,
+so the product is exact to well within the margin), larger ones go to '%d'.
 A writer lays the fields of a chunk of rows side by side with the separators
 in one uint8 matrix, drops its NULs and writes the bytes, so it never holds
 the whole text. The writers refuse non-finite values.
@@ -66,7 +66,6 @@ class _Tables(NamedTuple):
     p_lo: np.ndarray  # double nearest 10**e - p_hi
     layout: np.ndarray  # (9, _CLASSES * 17) uint64 masks, see _layout_words
     exponent: np.ndarray  # uint64 "e±dd[d]" for exponents _E_MIN.._E_MAX, 0 if fixed
-    pow10: np.ndarray  # int64 10**0 .. 10**17
 
 
 def _power_of_ten(e: int) -> tuple:
@@ -116,8 +115,7 @@ def _tables() -> _Tables:
         [0 if -4 <= x < 17 else int.from_bytes(b"e%+03d" % x, "little") for x in range(_E_MIN, _E_MAX + 1)],
         dtype=np.uint64,
     )
-    pow10 = np.array([10**i for i in range(18)], dtype=np.int64)
-    return _Tables(p_hi, p_hi_hi, p_hi - p_hi_hi, p_lo, layout, exponent, pow10)
+    return _Tables(p_hi, p_hi_hi, p_hi - p_hi_hi, p_lo, layout, exponent)
 
 
 def _scaled(a: np.ndarray, i: np.ndarray, t: _Tables):
@@ -149,14 +147,6 @@ def _float_digits(a: np.ndarray, t: _Tables):
     return n, np.where(in_table, k, 0).astype(np.intp), ok
 
 
-def _int_digits(v: np.ndarray, t: _Tables):
-    """N and k with |v| = N * 10**(k-16) exactly, for 0 < |v| < 10**17."""
-    ok = (v != 0) & (v > -_N_MAX) & (v < _N_MAX)
-    a = np.abs(np.where(ok, v, 1))
-    k = np.searchsorted(t.pow10, a, side="right") - 1
-    return a * t.pow10.take(16 - k), k, ok
-
-
 def _digit_bytes(x: np.ndarray) -> np.ndarray:
     """The 8 decimal digits of each x < 10**8 as byte values 0..9 of one
     uint64, first digit in the low byte: split at 10**4 into two 32-bit
@@ -173,8 +163,7 @@ def _digit_bytes(x: np.ndarray) -> np.ndarray:
 
 def _fields(n: np.ndarray, k: np.ndarray, neg: np.ndarray, t: _Tables) -> np.ndarray:
     """(len(n), _FIELD) uint8 NUL-padded text of ±n * 10**(k-16) for
-    10**16 <= n < 10**17, in '%.17g' layout; only the first 24 bytes of
-    each field when no value takes an exponent."""
+    10**16 <= n < 10**17, in '%.17g' layout."""
     high = n // 10**8
     lead = high // 10**8
     raw = _digit_bytes(np.stack([high - lead * 10**8, n - high * 10**8]).astype(np.uint64))
@@ -182,8 +171,8 @@ def _fields(n: np.ndarray, k: np.ndarray, neg: np.ndarray, t: _Tables) -> np.nda
     # a word whose bytes are at most 9 is exact in float64)
     used = (np.frexp(raw.astype(np.float64))[1] + 7) >> 3
     digits = np.where(raw[1] != 0, 9 + used[1], 1 + used[0])
-    fixed = (k >= -4) & (k < 17)
-    masks = t.layout.take(np.where(fixed, k + 4, _CLASSES - 1) * 17 + digits - 1, axis=1)
+    cls = np.where((k >= -4) & (k < 17), k + 4, _CLASSES - 1)
+    masks = t.layout.take(cls * 17 + digits - 1, axis=1)
 
     middle, low = raw | _U(0x3030303030303030)
     g0 = _U(0x3030303000) | (neg * _U(ord("-"))) | ((lead.astype(np.uint64) + _U(_ASCII_ZERO)) << _U(40)) | (middle << _U(48))
@@ -193,26 +182,23 @@ def _fields(n: np.ndarray, k: np.ndarray, neg: np.ndarray, t: _Tables) -> np.nda
     out = np.empty((len(n), _FIELD // 8), dtype=np.uint64)
     for w, g in enumerate((g0, g1, g2)):
         out[:, w] = (g & masks[w]) | (up[w] & masks[3 + w]) | masks[6 + w]
-    if fixed.all():  # no exponents: the last word would be all NUL
-        return out[:, :3].view(np.uint8)
     out[:, 3] = t.exponent.take(np.clip(k, _E_MIN, _E_MAX) - _E_MIN)
     return out.view(np.uint8)
 
 
 def _encode(values) -> np.ndarray:
     """'%.17g' (float arrays) or '%d' (integer arrays) of every value, as a
-    (size, 24 or _FIELD) uint8 matrix of NUL-padded fields."""
+    (size, _FIELD) uint8 matrix of NUL-padded fields."""
     v = np.asarray(values).ravel()
     t = _tables()
+    a = np.abs(v, dtype=np.float64)
+    n, k, ok = _float_digits(a, t)
     if v.dtype.kind in "iu":
-        v = v.astype(np.int64, copy=False)
-        n, k, ok = _int_digits(v, t)
-        neg, zero, fmt = v < 0, v == 0, b"%d"
+        ok &= a < 2.0**53  # beyond, an integer need not equal its double
+        fmt = b"%d"
     else:
-        v = v.astype(np.float64, copy=False)
-        a = np.abs(v)
-        n, k, ok = _float_digits(a, t)
-        neg, zero, fmt = np.signbit(v), a == 0, b"%.17g"
+        fmt = b"%.17g"
+    neg, zero = np.signbit(v), a == 0
     out = _fields(np.where(ok, n, _N_MIN), k, neg, t)
     if zero.any():
         out[zero] = 0
@@ -220,8 +206,8 @@ def _encode(values) -> np.ndarray:
         out[zero, 1] = _ASCII_ZERO
     rest = np.flatnonzero(~(ok | zero))
     if rest.size:
-        text = np.array([fmt % x for x in v[rest].tolist()], dtype=f"S{out.shape[1]}")
-        out[rest] = text.view(np.uint8).reshape(rest.size, -1)
+        text = np.array([fmt % x for x in v[rest].tolist()], dtype=f"S{_FIELD}")
+        out[rest] = text.view(np.uint8).reshape(rest.size, _FIELD)
     return out
 
 
