@@ -258,7 +258,7 @@ def _write_grid_csv(path, header, xs, ys, planes) -> None:
     """Rows 'x,y,<planes...>' over the grid, x-major; the coordinates are
     encoded once and gathered for each row."""
     xs_f, ys_f = _compact(_encode(xs)), _compact(_encode(ys))
-    planes = [np.ascontiguousarray(p, dtype=float).ravel() for p in planes]
+    planes = [np.asarray(p, dtype=float).reshape(-1) for p in planes]
     ny = len(ys)
     with open(path, "wb") as fh:
         fh.write(header.encode())
@@ -273,7 +273,8 @@ def _write_grid_csv(path, header, xs, ys, planes) -> None:
 def write_state_csv(state, path) -> None:
     """Columns x, y, re, im over the closed grid."""
     _check_finite(state.xs, state.ys, state.values)
-    _write_grid_csv(path, "x,y,re,im\n", state.xs, state.ys, (state.values.real, state.values.imag))
+    values = state.values.reshape(-1)  # a view: the planes below are too
+    _write_grid_csv(path, "x,y,re,im\n", state.xs, state.ys, (values.real, values.imag))
 
 
 def write_density_csv(dmap, path) -> None:
@@ -333,20 +334,22 @@ def _write_int_table(fh, table) -> None:
     """A non-empty 2-D integer array in the layout json.dump(indent=2) gives
     a list of int lists that is the value of a top-level key. When the values
     span no more integers than the table holds (group element ids do), each
-    is encoded once and gathered."""
+    entry line is encoded once and gathered."""
     rows, cols = table.shape
     low, high = int(table.min()), int(table.max())
-    levels = _compact(_encode(np.arange(low, high + 1))) if high - low < table.size else None
-    ends = np.zeros((cols, 2), dtype=np.uint8)
-    ends[:-1] = _b(",\n")
-    ends[-1, 1] = ord("\n")
+    indent, comma = _b("      "), _b(",\n")
+    dense = high - low < table.size
+    entries = _lay(indent, _compact(_encode(np.arange(low, high + 1))), comma) if dense else None
     fh.write(b"[\n")
     for i0, i1 in _chunks(rows, cols):
         chunk = table[i0:i1]
-        fields = levels.take(chunk - low, axis=0) if levels is not None else _encode(chunk).reshape(i1 - i0, cols, -1)
-        entries = _lay(_b("      "), fields, ends).reshape(i1 - i0, -1)
-        text = _text(_b("    [\n"), entries, _b("    ],\n"))
-        fh.write(text[:-2] if i1 == rows else text)  # no ',\n' after the last row
+        if dense:
+            lines = entries.take(chunk - low, axis=0)
+        else:
+            lines = _lay(indent, _encode(chunk), comma).reshape(i1 - i0, cols, -1)
+        lines[:, -1, -2] = 0  # no comma after the last entry of a row
+        text = _text(_b("    [\n"), lines.reshape(i1 - i0, -1), _b("    ],\n"))
+        fh.write(text[:-2] if i1 == rows else text)  # nor after the last row
     fh.write(b"\n  ]")
 
 
