@@ -32,7 +32,8 @@ without a `%` conversion per value:
   kept. Each value becomes a NUL-padded field of _FIELD bytes.
 
 Integers below 2**53 in magnitude take the same path (their S is an integer,
-so the product is exact to well within the margin), larger ones go to '%d'.
+which the product meets to within its error bound, far inside the margin);
+larger ones, and powers of ten, go to '%d'.
 A writer lays the fields of a chunk of rows side by side with the separators
 in one uint8 matrix, drops its NULs and writes the bytes, so it never holds
 the whole text. The writers refuse non-finite values.
@@ -84,10 +85,13 @@ def _layout_words(cls: int, digits: int) -> list:
     """The byte masks that place one value's characters in its field.
 
     `_fields` builds bytes G: G[0] the sign, G[1..4] '0000', G[5..21] the 17
-    digits, G[22..23] NUL. Field byte 1 + j is G[1 + j] for j <= p (kept from
-    G[1 + s] on), the point at j = p + 1 when digits follow it, and G[j]
-    beyond (the digits shifted up one byte, up to the last significant one).
-    Returns the keep, shift and point masks as three 8-byte words each."""
+    digits, G[22..23] NUL; slot j = 0..21 of the field is its byte 1 + j.
+    Slots s..p keep G[1 + j]: the digits before the point, or for exponents
+    x < 0 the '0' before it (s = p = 4 + x, so the zeros after the point
+    follow). The point takes slot p + 1 when significant digits follow it;
+    later slots hold G[j], the digits shifted up one byte, up to the last
+    significant one. Returns the keep, shift and point masks as three
+    8-byte words each."""
     x = cls - 4
     s, p = (4 + x, 4 + x) if x < 0 else (4, 4 + x if cls < _CLASSES - 1 else 4)
     keep, shift, point = bytearray(24), bytearray(24), bytearray(24)
