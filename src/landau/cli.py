@@ -73,12 +73,12 @@ def _merge_config(args, parser):
 
 @contextmanager
 def stage(stages: dict, name: str):
-    """Add the wall time of the block to stages[name], for the manifest."""
+    """Store the wall time of the block in stages[name], for the manifest."""
     start = time.perf_counter()
     try:
         yield
     finally:
-        stages[name] = stages.get(name, 0.0) + time.perf_counter() - start
+        stages[name] = time.perf_counter() - start
 
 
 def _manifest(command, values, outputs, started, out_dir, seed=None, extra=None):

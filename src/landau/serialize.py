@@ -336,21 +336,12 @@ def write_trace_csv(times, positions, path) -> None:
 
 def _write_int_table(fh, table) -> None:
     """A non-empty 2-D integer array in the layout json.dump(indent=2) gives
-    a list of int lists that is the value of a top-level key. When the values
-    span no more integers than the table holds (group element ids do), each
-    entry line is encoded once and gathered."""
+    a list of int lists that is the value of a top-level key."""
     rows, cols = table.shape
-    low, high = int(table.min()), int(table.max())
     indent, comma = _b("      "), _b(",\n")
-    dense = high - low < table.size
-    entries = _lay(indent, _compact(_encode(np.arange(low, high + 1))), comma) if dense else None
     fh.write(b"[\n")
     for i0, i1 in _chunks(rows, cols):
-        chunk = table[i0:i1]
-        if dense:
-            lines = entries.take(chunk - low, axis=0)
-        else:
-            lines = _lay(indent, _encode(chunk), comma).reshape(i1 - i0, cols, -1)
+        lines = _lay(indent, _encode(table[i0:i1]), comma).reshape(i1 - i0, cols, -1)
         lines[:, -1, -2] = 0  # no comma after the last entry of a row
         text = _text(_b("    [\n"), lines.reshape(i1 - i0, -1), _b("    ],\n"))
         fh.write(text[:-2] if i1 == rows else text)  # nor after the last row
