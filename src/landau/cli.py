@@ -120,8 +120,10 @@ def cmd_spectrum(args, parser) -> int:
     started = time.perf_counter()
     values, cfg = _merge_config(args, parser)
     grid = args.grid
+    stages = {}
     try:
-        report = low_spectrum(cfg, grid, grid, args.levels * cfg.n_phi)
+        with stage(stages, "solve"):
+            report = low_spectrum(cfg, grid, grid, args.levels * cfg.n_phi)
     except ValueError as exc:
         parser.error(str(exc))
     out_dir = Path(args.out_dir)
@@ -130,10 +132,11 @@ def cmd_spectrum(args, parser) -> int:
     payload["grid"] = grid
     payload["analytic_levels"] = [cfg.omega * (n + 0.5) for n in range(args.levels)]
     path = out_dir / "spectrum.json"
-    write_json(payload, path)
+    with stage(stages, "json"):
+        write_json(payload, path)
     _manifest(
         "spectrum", values, [path], started, out_dir,
-        extra={"grid": grid, "levels": args.levels, "solver": report.solver},
+        extra={"grid": grid, "levels": args.levels, "solver": report.solver, "stages": stages},
     )
     for c in report.clusters:
         print(
@@ -227,15 +230,9 @@ def cmd_group(args, parser) -> int:
 
     stages = {}
     with stage(stages, "group"):
-        els = maggroup.elements(n)
-        index = {g: i for i, g in enumerate(els)}
-        # in element order, so the classes come sorted by their smallest index
-        classes, seen = [], set()
-        for g in els:
-            if g not in seen:
-                cl = maggroup.conjugacy_class(g)
-                seen |= cl
-                classes.append(cl)
+        # element i is g(nx, ny, m) with i = (nx*n + ny)*n + m, as in maggroup
+        elements = np.indices((n, n, n)).reshape(3, -1).T.tolist()
+        classes = maggroup.conjugacy_class_indices(n)
         rep = maggroup.clock_and_shift(n)
 
     def mat_to_list(m):
@@ -243,10 +240,10 @@ def cmd_group(args, parser) -> int:
 
     payload = {
         "n_phi": n,
-        "order": len(els),
-        "elements": [[g.nx, g.ny, g.m] for g in els],
-        "conjugacy_classes": [sorted(index[g] for g in cl) for cl in classes],
-        "center": sorted(index[g] for g in maggroup.center(n)),
+        "order": len(elements),
+        "elements": elements,
+        "conjugacy_classes": classes,
+        "center": sorted((g.nx * n + g.ny) * n + g.m for g in maggroup.center(n)),
         "tx": mat_to_list(rep.tx),
         "ty": mat_to_list(rep.ty),
         "weyl_deviation": maggroup.weyl_deviation(rep),
@@ -258,7 +255,7 @@ def cmd_group(args, parser) -> int:
         write_json(payload, path, tables={"multiplication_table": table})
     _manifest("group", {"nphi": n}, [path], started, out_dir, extra={"stages": stages})
     print(
-        f"group of order {len(els)}: {len(classes)} conjugacy classes, "
+        f"group of order {len(elements)}: {len(classes)} conjugacy classes, "
         f"center size {n}, weyl deviation {payload['weyl_deviation']:.2e}"
     )
     return 0
@@ -269,17 +266,20 @@ def cmd_verify(args, parser) -> int:
     values, cfg = _merge_config(args, parser)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    checks, ok = run_verification(cfg, nphi_override=args.nphi_override, seed=args.seed)
+    stages = {}
+    with stage(stages, "checks"):
+        checks, ok = run_verification(cfg, nphi_override=args.nphi_override, seed=args.seed)
     payload = {
         "all_passed": bool(ok),
         "checks": [c.as_dict() for c in checks],
         "nphi_override": args.nphi_override,
     }
     path = out_dir / "verify.json"
-    write_json(payload, path)
+    with stage(stages, "json"):
+        write_json(payload, path)
     _manifest(
         "verify", values, [path], started, out_dir, seed=args.seed,
-        extra={"checks": [{"name": c.name, "time_s": c.time_s} for c in checks]},
+        extra={"checks": [{"name": c.name, "time_s": c.time_s} for c in checks], "stages": stages},
     )
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: residual {c.residual:.3e} (tol {c.tolerance:.1e})")

@@ -1,70 +1,142 @@
 """Fourth-order finite-difference realizations of the magnetic operators.
 
-Grids are uniform, values[ix, iy]. Stencils reach across array edges with
-np.roll; the `twist_x` / `twist_y` factors implement the torus boundary
-condition on the wrapped entries (twist_x is a function of y, twist_y a
-constant phase). With twists set to None the wrap values are meaningless and
-callers must discard a margin of 2 cells per application.
+Grids are uniform, values[ix, iy].
+
+Ghost cells. Each stencil pads its axis once with 2 ghost cells per side and
+reads its five points as shifted slices of the padded array. The ghost cells
+hold the periodic wrap of the array, times `twist` past the high edge and
+times 1/twist before the low edge: the torus boundary condition (twist_x is a
+function of y, twist_y a constant phase). With twist None the wrap values are
+meaningless and callers must discard a margin of 2 cells per application. An
+axis needs length >= 2; at length 1 the stencil would wrap twice, and it
+raises ValueError.
+
+Real arithmetic. A complex array is worked on as two real planes (re, im),
+and every step whose factor is real or +-i runs per plane. These steps give
+numpy's complex results bit for bit (up to the sign of an exact zero), and
+they skip its costly complex loops (division by a real runs Smith's
+algorithm, and negation is a full complex pass):
+
+    c * z  = (c re, c im)          for real c, scalar or array
+    z / c  = (re * (1/c), im * (1/c))   Smith's algorithm at zero imaginary
+                                        part is a multiply by 1/c
+    1j * z = (-im, re)      -1j * z = (im, -re)
+
+Products with a complex factor (the ghost-cell twists, 2j eB x in H, +-1j y
+in b and bdag) stay numpy complex multiplies, whose rounding may differ from
+any hand-written form (see `spectral.build_hamiltonian`). A real array with
+twist None stays real, and its stencil divides by 12h as a real array does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+OPERATORS = ("H", "L", "Px", "Py", "Rx", "Ry", "a", "adag", "b", "bdag")
 
-def _rolled(values, s, axis, twist):
-    """values advanced by s along axis: result[j] = values[j+s], wrapped.
 
-    twist: factor relating f(coord + period) to f(coord), i.e. a complex
-    array broadcastable over the other axis (or None for a plain roll).
-    """
-    g = np.roll(values, -s, axis=axis)
-    if twist is None or s == 0:
-        return g
-    g = np.asarray(g, dtype=complex)
-    t = twist if s > 0 else 1.0 / twist
-    if axis == 0:
-        if s > 0:
-            g[-s:, :] *= t
-        else:
-            g[:-s, :] *= t
+def _along(axis, sl):
+    """Index applying slice `sl` along `axis` and taking every other axis."""
+    return (slice(None),) * axis + (sl,)
+
+
+def _merged(re, im):
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _ghosted(planes, axis, twist):
+    """Yield each plane padded with 2 ghost cells per side along axis, so
+    that padded[k + 2 + s] is the value s cells past k, wrapped as described
+    in the module docstring. With a twist, `planes` is (re, im). One padded
+    plane at a time: fewer large temporaries alive at once is measurably
+    faster than padding both planes up front."""
+    n = planes[0].shape[axis]
+    if n < 2:
+        raise ValueError(f"a stencil axis needs length >= 2, got {n}")
+    head, tail = _along(axis, slice(0, 2)), _along(axis, slice(n - 2, n))
+    if twist is None:
+        low = [p[tail] for p in planes]
+        high = [p[head] for p in planes]
     else:
-        if s > 0:
-            g[:, -s:] *= t
-        else:
-            g[:, : -s] *= t
-    return g
+        low = _merged(*(p[tail] for p in planes)) * (1.0 / twist)
+        high = _merged(*(p[head] for p in planes)) * twist
+        low, high = (low.real, low.imag), (high.real, high.imag)
+    for p, lo, hi in zip(planes, low, high):
+        shape = list(p.shape)
+        shape[axis] += 4
+        g = np.empty(shape, dtype=p.dtype)
+        g[_along(axis, slice(0, 2))] = lo
+        g[_along(axis, slice(2, n + 2))] = p
+        g[_along(axis, slice(n + 2, n + 4))] = hi
+        yield g
+
+
+def _d1_sum(g, axis):
+    """12h * first derivative on a ghosted plane: -f(+2) + 8f(+1) - 8f(-1) + f(-2)."""
+    n = g.shape[axis] - 4
+    f = lambda k: g[_along(axis, slice(k, k + n))]  # noqa: E731  (f(k): shift k - 2)
+    out = 8.0 * f(3)
+    out -= f(4)
+    out -= 8.0 * f(1)
+    out += f(0)
+    return out
+
+
+def _d2_sum(g, axis):
+    """12h^2 * second derivative: -f(+2) + 16f(+1) - 30f + 16f(-1) - f(-2)."""
+    n = g.shape[axis] - 4
+    f = lambda k: g[_along(axis, slice(k, k + n))]  # noqa: E731
+    out = 16.0 * f(3)
+    out -= f(4)
+    out -= 30.0 * f(2)
+    out += 16.0 * f(1)
+    out -= f(0)
+    return out
+
+
+def _derivative(stencil, scale, planes, axis, twist):
+    """Stencil / scale on (re, im) planes, as numpy's complex z / scale."""
+    inv = 1.0 / scale
+    out = []
+    for g in _ghosted(planes, axis, twist):
+        s = stencil(g, axis)
+        s *= inv
+        out.append(s)
+    return tuple(out)
+
+
+def _apply(stencil, scale, values, axis, twist):
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        planes = (values.real, values.imag)
+    elif twist is None:
+        (g,) = _ghosted((values,), axis, None)
+        return stencil(g, axis) / scale
+    else:
+        planes = (values, np.zeros_like(values))
+    return _merged(*_derivative(stencil, scale, planes, axis, twist))
 
 
 def d1(values, h, axis, twist=None):
     """First derivative, 4th-order central stencil."""
-    return (
-        -_rolled(values, 2, axis, twist)
-        + 8.0 * _rolled(values, 1, axis, twist)
-        - 8.0 * _rolled(values, -1, axis, twist)
-        + _rolled(values, -2, axis, twist)
-    ) / (12.0 * h)
+    return _apply(_d1_sum, 12.0 * h, values, axis, twist)
 
 
 def d2(values, h, axis, twist=None):
     """Second derivative, 4th-order central stencil."""
-    return (
-        -_rolled(values, 2, axis, twist)
-        + 16.0 * _rolled(values, 1, axis, twist)
-        - 30.0 * values
-        + 16.0 * _rolled(values, -1, axis, twist)
-        - _rolled(values, -2, axis, twist)
-    ) / (12.0 * h * h)
-
-
-OPERATORS = ("H", "L", "Px", "Py", "Rx", "Ry", "a", "adag", "b", "bdag")
+    return _apply(_d2_sum, 12.0 * h * h, values, axis, twist)
 
 
 def apply_fd_operator(op, values, xs, ys, cfg, twist_x=None, twist_y=None):
     """Apply one of the magnetic operators to sampled values.
 
-    xs, ys are the 1-D coordinate arrays of the (uniform) grid; cfg supplies
-    mass, charge and b_field. Landau gauge A = (0, B x, 0) throughout:
+    values is a complex array, or a (re, im) pair of real planes; the result
+    takes the same form. xs, ys are the 1-D coordinate arrays of the
+    (uniform) grid; cfg supplies mass, charge and b_field. Landau gauge
+    A = (0, B x, 0) throughout:
 
         Px = -i dx + e B y        Py = -i dy
         Rx =  i dy / (e B)        Ry = y - i dx / (e B)
@@ -75,43 +147,94 @@ def apply_fd_operator(op, values, xs, ys, cfg, twist_x=None, twist_y=None):
         b    = sqrt(M w / 2) [ i y + (dx + i dy)/(e B) ]
         bdag = sqrt(M w / 2) [ -i y - (dx - i dy)/(e B) ]
     """
+    if op not in OPERATORS:
+        raise ValueError(f"unknown operator {op!r}; expected one of {OPERATORS}")
+    if isinstance(values, tuple):
+        return _operator_planes(op, *values, xs, ys, cfg, twist_x, twist_y)
     values = np.asarray(values, dtype=complex)
+    return _merged(*_operator_planes(op, values.real, values.imag, xs, ys, cfg, twist_x, twist_y))
+
+
+def _operator_planes(op, re, im, xs, ys, cfg, twist_x, twist_y):
+    """apply_fd_operator on (re, im) planes. Each line notes the complex
+    expression it reproduces; numpy evaluates those left to right."""
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
     x = xs[:, None]
     y = ys[None, :]
     eb = cfg.mass_omega
-    mass = cfg.mass
+    inv_eb = 1.0 / eb  # z / eb = z * (1/eb)
 
-    if op == "Py":
-        return -1j * d1(values, hy, 1, twist_y)
-    if op == "Px":
-        return -1j * d1(values, hx, 0, twist_x) + eb * y * values
-    if op == "Rx":
-        return 1j * d1(values, hy, 1, twist_y) / eb
-    if op == "Ry":
-        return y * values - 1j * d1(values, hx, 0, twist_x) / eb
-    if op == "H":
-        dxx = d2(values, hx, 0, twist_x)
-        dyy = d2(values, hy, 1, twist_y)
-        dy = d1(values, hy, 1, twist_y)
-        return (-dxx - dyy - 2j * eb * x * dy + (eb * x) ** 2 * values) / (2.0 * mass)
-    if op == "L":
-        dx = d1(values, hx, 0, twist_x)
-        dy = d1(values, hy, 1, twist_y)
-        return x * (-1j * dy + 0.5 * eb * x * values) - y * (-1j * dx + 0.5 * eb * y * values)
-    if op in ("a", "adag", "b", "bdag"):
-        scale = np.sqrt(eb / 2.0)
-        dx = d1(values, hx, 0, twist_x)
-        dy = d1(values, hy, 1, twist_y)
-        if op == "a":
-            return scale * (x * values + (dx - 1j * dy) / eb)
-        if op == "adag":
-            return scale * (x * values - (dx + 1j * dy) / eb)
-        if op == "b":
-            return scale * (1j * y * values + (dx + 1j * dy) / eb)
-        return scale * (-1j * y * values - (dx - 1j * dy) / eb)
-    raise ValueError(f"unknown operator {op!r}; expected one of {OPERATORS}")
+    def dx():
+        return _derivative(_d1_sum, 12.0 * hx, (re, im), 0, twist_x)
+
+    def dy():
+        return _derivative(_d1_sum, 12.0 * hy, (re, im), 1, twist_y)
+
+    if op == "Py":  # -1j dy
+        dr, di = dy()
+        return di, np.negative(dr, out=dr)
+    if op == "Px":  # -1j dx + eb y psi
+        dr, di = dx()
+        eby = eb * y
+        di += eby * re
+        out_im = eby * im
+        out_im -= dr
+        return di, out_im
+    if op == "Rx":  # 1j dy / eb
+        dr, di = dy()
+        di *= -inv_eb
+        dr *= inv_eb
+        return di, dr
+    if op == "Ry":  # y psi - 1j dx / eb
+        dr, di = dx()
+        di *= inv_eb
+        di += y * re
+        dr *= inv_eb
+        out_im = y * im
+        out_im -= dr
+        return di, out_im
+    if op == "H":  # (-dxx - dyy - 2j eb x dy + (eb x)^2 psi) / (2 M)
+        dxx = _derivative(_d2_sum, 12.0 * hx * hx, (re, im), 0, twist_x)
+        dyy = _derivative(_d2_sum, 12.0 * hy * hy, (re, im), 1, twist_y)
+        cross = 2j * eb * x * _merged(*dy())
+        q = (eb * x) ** 2
+        inv_2m = 1.0 / (2.0 * cfg.mass)
+        out = []
+        for a, b, c, v in zip(dxx, dyy, (cross.real, cross.imag), (re, im)):
+            s = np.negative(a, out=a)
+            s -= b
+            s -= c
+            s += q * v
+            s *= inv_2m
+            out.append(s)
+        return tuple(out)
+    dx_r, dx_i = dx()
+    dy_r, dy_i = dy()
+    if op == "L":  # x (-1j dy + eb x psi / 2) - y (-1j dx + eb y psi / 2)
+        ax = 0.5 * eb * x
+        ay = 0.5 * eb * y
+        out_re = x * (dy_i + ax * re) - y * (dx_i + ay * re)
+        out_im = x * (ax * im - dy_r) - y * (ay * im - dx_r)
+        return out_re, out_im
+    scale = np.sqrt(eb / 2.0)
+    if op == "a":  # scale (x psi + (dx - 1j dy) / eb)
+        out_re = x * re + (dx_r + dy_i) * inv_eb
+        out_im = x * im + (dx_i - dy_r) * inv_eb
+    elif op == "adag":  # scale (x psi - (dx + 1j dy) / eb)
+        out_re = x * re - (dx_r - dy_i) * inv_eb
+        out_im = x * im - (dx_i + dy_r) * inv_eb
+    elif op == "b":  # scale (1j y psi + (dx + 1j dy) / eb)
+        c = 1j * y * _merged(re, im)
+        out_re = c.real + (dx_r - dy_i) * inv_eb
+        out_im = c.imag + (dx_i + dy_r) * inv_eb
+    else:  # bdag: scale (-1j y psi - (dx - 1j dy) / eb)
+        c = -1j * y * _merged(re, im)
+        out_re = c.real - (dx_r + dy_i) * inv_eb
+        out_im = c.imag - (dx_i - dy_r) * inv_eb
+    out_re *= scale
+    out_im *= scale
+    return out_re, out_im
 
 
 def interior(values, margin: int):

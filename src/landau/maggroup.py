@@ -12,6 +12,7 @@ matrices appear only in the representation checks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,23 @@ def conjugacy_class(g: GroupElement) -> frozenset:
         for nxp in range(n)
         for nyp in range(n)
     )
+
+
+def conjugacy_class_indices(n_phi: int) -> list:
+    """Every conjugacy class as a sorted list of `elements(n_phi)` indices
+    (i = (nx*n + ny)*n + m), the classes ordered by their smallest index.
+
+    Closed form of `conjugacy_class`: conjugation adds nx*ny' - nx'*ny to m,
+    and those values run over the multiples of d = gcd(nx, ny, n_phi), so
+    the class of g(nx, ny, m) is every g(nx, ny, m') with m' = m mod d.
+    """
+    n = n_phi
+    classes = []
+    for nx, ny in itertools.product(range(n), repeat=2):
+        base = (nx * n + ny) * n
+        d = math.gcd(nx, ny, n)
+        classes.extend(list(range(base + r, base + n, d)) for r in range(d))
+    return classes
 
 
 def center(n_phi: int) -> frozenset:

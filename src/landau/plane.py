@@ -93,8 +93,10 @@ def sample_plane(state, xs, ys) -> np.ndarray:
 def apply_operator_plane(op: str, values, xs, ys, cfg) -> np.ndarray:
     """Finite-difference operator application on open-domain samples.
 
-    No wrap is available, so the outer 2 cells per application are invalid;
-    trim a margin before comparing (finitediff.interior).
+    values is a complex array or a (re, im) pair of real planes, and the
+    result takes the same form (finitediff.apply_fd_operator). No wrap is
+    available, so the outer 2 cells per application are invalid; trim a
+    margin before comparing (finitediff.interior).
     """
     from .finitediff import apply_fd_operator
 

@@ -98,12 +98,15 @@ _HALO = 2
 def _commutator_blocks(cfg, amp, xs, ys):
     """(psi, [Rx, Ry] psi) on the kept interior of the plane grid xs x ys,
     one block of at most _BLOCK_ROWS x-rows at a time, in order. Every value is
-    the one the full-grid evaluation gives there, bit for bit."""
+    the one the full-grid evaluation gives there, bit for bit. The operators
+    work on the block as two real planes (re, im), which give the complex
+    evaluation's values and cost about half as much."""
 
     def op(name, g, bx):
         return apply_operator_plane(name, g, bx, ys, cfg)
 
     n = len(xs)
+    keep = (slice(2 + _HALO, -_HALO), slice(_MARGIN, -_MARGIN))
     for r0 in range(_MARGIN, n - _MARGIN, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, n - _MARGIN)
         # apply_fd_operator reads the x-spacing as xs[1] - xs[0], and other
@@ -112,9 +115,14 @@ def _commutator_blocks(cfg, amp, xs, ys):
         # stencils that reach across that gap land only on discarded rows.
         bx = np.concatenate((xs[:2], xs[r0 - _HALO : r1 + _HALO]))
         values = sample_plane(amp, bx, ys)
-        comm = op("Rx", op("Ry", values, bx), bx) - op("Ry", op("Rx", values, bx), bx)
-        keep = (slice(2 + _HALO, -_HALO), slice(_MARGIN, -_MARGIN))
-        yield values[keep], comm[keep]
+        planes = (values.real, values.imag)
+        rx_ry = op("Rx", op("Ry", planes, bx), bx)
+        ry_rx = op("Ry", op("Rx", planes, bx), bx)
+        fw = values[keep]
+        comm = np.empty(fw.shape, dtype=complex)
+        np.subtract(rx_ry[0][keep], ry_rx[0][keep], out=comm.real)
+        np.subtract(rx_ry[1][keep], ry_rx[1][keep], out=comm.imag)
+        yield fw, comm
 
 
 def _heisenberg_residual(cfg) -> float:

@@ -3,7 +3,10 @@
 Nothing here may call the closed-form expressions under test: oscillator
 eigenfunctions come from numpy's Hermite polynomials with explicit
 normalization constants (safe for n <= 12), and expectation values come from
-finite-difference operator applications plus quadrature on plane grids.
+finite-difference operator applications plus quadrature on plane grids. The
+finite differences are this module's own: the np.roll stencils and complex
+operator expressions that `landau.finitediff` replaced with ghost cells and
+real planes, kept as the reference that module is checked against bit for bit.
 """
 
 import math
@@ -11,7 +14,7 @@ import math
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
-from landau.finitediff import apply_fd_operator, d1, interior
+from landau.finitediff import interior
 
 
 def independent_psi_n(mass_omega, n, u):
@@ -40,6 +43,95 @@ def plane_box(cfg, center_x, center_y, half_width_units=8.5, budget=2.5e-4, half
     return xs, ys
 
 
+def _rolled(values, s, axis, twist):
+    """values advanced by s along axis: result[j] = values[j+s], wrapped.
+
+    twist: factor relating f(coord + period) to f(coord), i.e. a complex
+    array broadcastable over the other axis (or None for a plain roll).
+    """
+    g = np.roll(values, -s, axis=axis)
+    if twist is None or s == 0:
+        return g
+    g = np.asarray(g, dtype=complex)
+    t = twist if s > 0 else 1.0 / twist
+    if axis == 0:
+        if s > 0:
+            g[-s:, :] *= t
+        else:
+            g[:-s, :] *= t
+    else:
+        if s > 0:
+            g[:, -s:] *= t
+        else:
+            g[:, : -s] *= t
+    return g
+
+
+def reference_d1(values, h, axis, twist=None):
+    """First derivative, 4th-order central stencil, from np.roll copies."""
+    return (
+        -_rolled(values, 2, axis, twist)
+        + 8.0 * _rolled(values, 1, axis, twist)
+        - 8.0 * _rolled(values, -1, axis, twist)
+        + _rolled(values, -2, axis, twist)
+    ) / (12.0 * h)
+
+
+def reference_d2(values, h, axis, twist=None):
+    """Second derivative, 4th-order central stencil, from np.roll copies."""
+    return (
+        -_rolled(values, 2, axis, twist)
+        + 16.0 * _rolled(values, 1, axis, twist)
+        - 30.0 * values
+        + 16.0 * _rolled(values, -1, axis, twist)
+        - _rolled(values, -2, axis, twist)
+    ) / (12.0 * h * h)
+
+
+def reference_fd_operator(op, values, xs, ys, cfg, twist_x=None, twist_y=None):
+    """The magnetic operators in Landau gauge as complex numpy expressions
+    (see `landau.finitediff.apply_fd_operator` for the formulas)."""
+    values = np.asarray(values, dtype=complex)
+    hx = xs[1] - xs[0]
+    hy = ys[1] - ys[0]
+    x = xs[:, None]
+    y = ys[None, :]
+    eb = cfg.mass_omega
+    mass = cfg.mass
+    d1 = reference_d1
+    d2 = reference_d2
+
+    if op == "Py":
+        return -1j * d1(values, hy, 1, twist_y)
+    if op == "Px":
+        return -1j * d1(values, hx, 0, twist_x) + eb * y * values
+    if op == "Rx":
+        return 1j * d1(values, hy, 1, twist_y) / eb
+    if op == "Ry":
+        return y * values - 1j * d1(values, hx, 0, twist_x) / eb
+    if op == "H":
+        dxx = d2(values, hx, 0, twist_x)
+        dyy = d2(values, hy, 1, twist_y)
+        dy = d1(values, hy, 1, twist_y)
+        return (-dxx - dyy - 2j * eb * x * dy + (eb * x) ** 2 * values) / (2.0 * mass)
+    if op == "L":
+        dx = d1(values, hx, 0, twist_x)
+        dy = d1(values, hy, 1, twist_y)
+        return x * (-1j * dy + 0.5 * eb * x * values) - y * (-1j * dx + 0.5 * eb * y * values)
+    if op in ("a", "adag", "b", "bdag"):
+        scale = np.sqrt(eb / 2.0)
+        dx = d1(values, hx, 0, twist_x)
+        dy = d1(values, hy, 1, twist_y)
+        if op == "a":
+            return scale * (x * values + (dx - 1j * dy) / eb)
+        if op == "adag":
+            return scale * (x * values - (dx + 1j * dy) / eb)
+        if op == "b":
+            return scale * (1j * y * values + (dx + 1j * dy) / eb)
+        return scale * (-1j * y * values - (dx - 1j * dy) / eb)
+    raise ValueError(f"unknown operator {op!r}")
+
+
 class PlaneOperators:
     """Single-application finite-difference operators on one plane grid."""
 
@@ -52,7 +144,7 @@ class PlaneOperators:
         self.margin = margin
 
     def named(self, name, values):
-        return apply_fd_operator(name, values, self.xs, self.ys, self.cfg)
+        return reference_fd_operator(name, values, self.xs, self.ys, self.cfg)
 
     def apply(self, which, values):
         eb = self.cfg.mass_omega
@@ -65,9 +157,9 @@ class PlaneOperators:
         if which == "y_rel":  # y - Ry
             return y * values - self.named("Ry", values)
         if which == "mvx":  # M v_x = -i dx
-            return -1j * d1(values, self.hx, 0)
+            return -1j * reference_d1(values, self.hx, 0)
         if which == "mvy":  # M v_y = -i dy + e B x
-            return -1j * d1(values, self.hy, 1) + eb * x * values
+            return -1j * reference_d1(values, self.hy, 1) + eb * x * values
         raise ValueError(which)
 
     def mean_and_spread(self, which, values):

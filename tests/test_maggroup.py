@@ -112,6 +112,20 @@ def test_classes_partition_group(n_phi):
         seen |= c
 
 
+@pytest.mark.parametrize("n_phi", range(1, 13))
+def test_class_indices_match_conjugacy_class(n_phi):
+    # the element-by-element pass over the group that the closed form replaced
+    els = elements(n_phi)
+    index = {g: i for i, g in enumerate(els)}
+    want, seen = [], set()
+    for g in els:
+        if g not in seen:
+            cl = conjugacy_class(g)
+            seen |= cl
+            want.append(sorted(index[h] for h in cl))
+    assert maggroup.conjugacy_class_indices(n_phi) == want
+
+
 def test_center_small_cases():
     assert len(center(1)) == 1
     assert len(center(4)) == 4
