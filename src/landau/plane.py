@@ -186,13 +186,35 @@ def _coherent_raw(cfg, c: CoherentLabel):
     pre = math.sqrt(mw / 2.0)
     lam, lamp = c.lam, c.lam_prime
 
+    k = -0.25 * mw
+    s, d = lam + lamp, lam - lamp
+
     def raw(x, y):
+        """exp(k (x^2 + 2i x y + y^2) + pre (x s + i y d)). The exponent is
+        built in place in the real and imaginary planes of the result:
+
+            re = k (x^2 + y^2) + pre (x Re s - y Im d)
+            im = k (2 x y)     + pre (x Im s + y Re d)
+
+        which are numpy's complex results for the expression above bit for
+        bit, up to the sign of an exact zero (see the finitediff docstring),
+        at a fraction of the cost of its complex temporaries."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return np.exp(
-            -0.25 * mw * (x * x + 2j * x * y + y * y)
-            + pre * (x * (lam + lamp) + 1j * y * (lam - lamp))
-        )
+        out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+        re, im = out.real, out.imag
+        np.add(x * x, y * y, out=re)
+        re *= k
+        t = np.empty(out.shape)
+        np.subtract(x * s.real, y * d.imag, out=t)
+        t *= pre
+        re += t
+        np.multiply(2.0 * x, y, out=im)
+        im *= k
+        np.add(x * s.imag, y * d.real, out=t)
+        t *= pre
+        im += t
+        return np.exp(out, out=out)[()]
 
     return raw
 
@@ -229,7 +251,9 @@ def coherent_amplitude(cfg, c: CoherentLabel):
     raw = _coherent_raw(cfg, c)
 
     def amplitude(x, y):
-        return a * raw(x, y)
+        out = raw(x, y)
+        out *= a
+        return out
 
     return amplitude
 

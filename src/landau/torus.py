@@ -543,7 +543,14 @@ class DensityMap:
 
 
 def density_map(state: SampledState) -> DensityMap:
-    """|Psi|^2 normalized to unit torus integral, plus the argmax location."""
+    """|Psi|^2 normalized to unit torus integral, plus the argmax location.
+
+    The argmax is not unique for every state: an eigenstate's density has
+    n_phi copies of its peak that are equal in exact arithmetic ('ly' states
+    repeat every a_y in y, 'lx' states every a_x in x), and `np.argmax` picks
+    among them by rounding noise. Any reordering of the image sum may move
+    the reported point to another copy; compare densities, not argmaxes.
+    """
     d = np.abs(state.values) ** 2
     total = d[:-1, :-1].sum() * state.hx * state.hy
     d = d / total

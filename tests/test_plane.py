@@ -22,6 +22,7 @@ from landau import (
     semiclassical_energy,
     semiclassical_radius,
 )
+from landau import plane
 from landau.finitediff import interior
 from landau.oscillator import OscillatorBasis
 from landau.plane import apply_operator_plane
@@ -271,6 +272,25 @@ def test_coherent_zero_orbit_amplitude_is_ground_state():
     ex = coherent_expectations(CFG, CoherentLabel(0.0, 1.0 + 0.0j))
     assert ex.energy == pytest.approx(CFG.omega / 2)
     assert ex.spread_energy == 0.0
+
+
+@pytest.mark.parametrize(
+    "lam,lamp,mw", [(0.3 + 0.2j, -0.1 + 0.4j, 1.0), (-0.8 + 0.05j, 0.6 - 0.7j, 6.283185307179586), (0.0, 0.0, 2.5)]
+)
+def test_coherent_raw_matches_complex_expression_bit_for_bit(lam, lamp, mw):
+    # the exponent is built in real planes; numpy's complex evaluation of the
+    # same expression must give the same bits, up to the sign of a zero
+    cfg = InfiniteConfig(mass=1.0, charge=1.0, b_field=mw)
+    pre = math.sqrt(mw / 2.0)
+    rng = np.random.default_rng(4)
+    xs = np.concatenate((0.013 * np.arange(-40, 41), rng.uniform(-9.0, 9.0, 60)))
+    ys = np.concatenate((0.017 * np.arange(-30, 31), rng.uniform(-9.0, 9.0, 50)))
+    x, y = xs[:, None], ys[None, :]
+    want = np.exp(-0.25 * mw * (x * x + 2j * x * y + y * y) + pre * (x * (lam + lamp) + 1j * y * (lam - lamp)))
+    got = plane._coherent_raw(cfg, CoherentLabel(lam, lamp))(x, y)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal((got + 0.0).view(np.uint64), (want + 0.0).view(np.uint64))
+    assert got[40, 30] == 1.0  # x = y = 0
 
 
 def test_coherent_center_plugin():
