@@ -267,25 +267,11 @@ def test_outputs_are_deterministic(tmp_path):
         (["orbit", "--nphi", "1", "--radius", "0.2", "--samples", "8"], {"trace", "csv", "json"}),
         (["coherent", "--nphi", "1", "--lam", "0.3", "--lam-prime", "0", "--samples", "8"], {"evolve", "csv"}),
         (["group", "--nphi", "3"], {"group", "table", "json"}),
-    ],
-)
-def test_export_stage_timings_only_in_manifest(tmp_path, argv, stages):
-    assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 0
-    manifest = read_json(tmp_path / f"{argv[0]}_manifest.json")
-    assert set(manifest["stages"]) == stages
-    assert all(isinstance(s, float) and s >= 0.0 for s in manifest["stages"].values())
-    for name in manifest["outputs"]:
-        assert "stages" not in (tmp_path / name).read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize(
-    "argv, stages",
-    [
         (["spectrum", "--nphi", "1", "--grid", "16", "--levels", "1"], {"solve", "json"}),
         (["verify", "--nphi", "1"], {"checks", "json"}),
     ],
 )
-def test_spectrum_and_verify_stage_timings_only_in_manifest(tmp_path, argv, stages):
+def test_stage_timings_only_in_manifest(tmp_path, argv, stages):
     assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 0
     manifest = read_json(tmp_path / f"{argv[0]}_manifest.json")
     assert set(manifest["stages"]) == stages

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from landau import TorusConfig
 from landau.finitediff import OPERATORS, apply_fd_operator, d1, d2
-from landau.plane import apply_operator_plane
 from landau.torus import x_boundary_twist, y_boundary_twist
 from oracles import reference_d1, reference_d2, reference_fd_operator
 
@@ -133,42 +132,17 @@ def grid(cfg, nx, ny):
 @pytest.mark.parametrize("op", OPERATORS)
 @pytest.mark.parametrize("cfg", CFGS, ids=["unit", "mass2"])
 @pytest.mark.parametrize("twisted", (False, True), ids=["open", "torus"])
-def test_operators_match_complex_reference(op, cfg, twisted):
+@pytest.mark.parametrize("complex_values", (True, False), ids=["complex", "real"])
+def test_operators_match_complex_reference(op, cfg, twisted, complex_values):
     for nx, ny in ((2, 2), (3, 9), (9, 4), (70, 1141), (33, 48)):
         xs, ys = grid(cfg, nx, ny)
-        values = sample((nx, ny), nx + ny)
+        values = sample((nx, ny), nx + ny, complex_values)
         twists = (x_boundary_twist(cfg, ys), y_boundary_twist(cfg)) if twisted else (None, None)
         want = reference_fd_operator(op, values, xs, ys, cfg, *twists)
         got = apply_fd_operator(op, values, xs, ys, cfg, *twists)
         assert_same_up_to_zero_sign(got, want)
-        re, im = apply_fd_operator(op, (values.real.copy(), values.imag.copy()), xs, ys, cfg, *twists)
+        planes = (np.real(values).copy(), np.imag(values).copy())
+        re, im = apply_fd_operator(op, planes, xs, ys, cfg, *twists)
         assert_same_up_to_zero_sign(re, want.real.copy())
         assert_same_up_to_zero_sign(im, want.imag.copy())
 
-
-@pytest.mark.parametrize("op", OPERATORS)
-def test_operators_on_real_input_match_complex_reference(op):
-    cfg = CFGS[0]
-    xs, ys = grid(cfg, 12, 10)
-    values = sample((12, 10), 5, complex_values=False)
-    want = reference_fd_operator(op, values, xs, ys, cfg)
-    assert_same_up_to_zero_sign(apply_fd_operator(op, values, xs, ys, cfg), want)
-
-
-def test_plane_route_takes_planes_and_complex_alike():
-    cfg = CFGS[1]
-    xs, ys = grid(cfg, 20, 24)
-    values = sample((20, 24), 11)
-    planes = (values.real, values.imag)
-    for op in ("Rx", "Ry"):
-        got = apply_operator_plane(op, values, xs, ys, cfg)
-        re, im = apply_operator_plane(op, planes, xs, ys, cfg)
-        assert_same_up_to_zero_sign(re, got.real.copy())
-        assert_same_up_to_zero_sign(im, got.imag.copy())
-
-
-def test_unknown_operator_raises():
-    cfg = CFGS[0]
-    xs, ys = grid(cfg, 4, 4)
-    with pytest.raises(ValueError, match="unknown operator"):
-        apply_fd_operator("Q", np.ones((4, 4), dtype=complex), xs, ys, cfg)
