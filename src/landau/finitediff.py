@@ -156,7 +156,7 @@ def apply_fd_operator(op, values, xs, ys, cfg, twist_x=None, twist_y=None):
 
 
 def _operator_planes(op, re, im, xs, ys, cfg, twist_x, twist_y):
-    """apply_fd_operator on (re, im) planes. Each line notes the complex
+    """apply_fd_operator on (re, im) planes. Each branch notes the complex
     expression it reproduces; numpy evaluates those left to right."""
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
