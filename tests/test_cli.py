@@ -271,7 +271,7 @@ def test_outputs_are_deterministic(tmp_path):
         (["verify", "--nphi", "1"], {"checks", "json"}),
     ],
 )
-def test_stage_timings_only_in_manifest(tmp_path, argv, stages):
+def test_export_stage_timings_only_in_manifest(tmp_path, argv, stages):
     assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 0
     manifest = read_json(tmp_path / f"{argv[0]}_manifest.json")
     assert set(manifest["stages"]) == stages
