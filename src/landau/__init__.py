@@ -60,15 +60,7 @@ from .plane import (
     semiclassical_energy,
     semiclassical_radius,
 )
-from .spectral import (
-    DiscreteHamiltonian,
-    SpectrumReport,
-    build_hamiltonian,
-    cluster_eigenvalues,
-    free_twisted_spectrum,
-    low_spectrum,
-    lowest_eigenpairs,
-)
+from .spectral import SpectrumReport, cluster_eigenvalues, low_spectrum
 from .torus import (
     DensityMap,
     LatticeSumPolicy,

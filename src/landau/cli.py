@@ -264,6 +264,8 @@ def cmd_group(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     started = time.perf_counter()
     values, cfg = _merge_config(args, parser)
+    if args.nphi_override is not None and not math.isfinite(args.nphi_override):
+        parser.error(f"--nphi-override must be finite, got {args.nphi_override}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stages = {}

@@ -24,7 +24,8 @@ algorithm, and negation is a full complex pass):
 
 Products with a complex factor (the ghost-cell twists, 2j eB x in H, +-1j y
 in b and bdag) stay numpy complex multiplies, whose rounding may differ from
-any hand-written form (see `spectral.build_hamiltonian`). A real array with
+any hand-written form (a product of two complex scalars can differ from the
+same product done elementwise in an array by an ulp). A real array with
 twist None stays real, and its stencil divides by 12h as a real array does.
 """
 
@@ -235,10 +236,3 @@ def _operator_planes(op, re, im, xs, ys, cfg, twist_x, twist_y):
     out_re *= scale
     out_im *= scale
     return out_re, out_im
-
-
-def interior(values, margin: int):
-    """View with `margin` cells stripped from every edge."""
-    if margin == 0:
-        return values
-    return values[margin:-margin, margin:-margin]

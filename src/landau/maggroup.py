@@ -68,14 +68,6 @@ def multiplication_indices(n_phi: int) -> np.ndarray:
     return ((gx + nx) % n * n + (gy + ny) % n) * n + (gm + m - gx * ny) % n
 
 
-def multiplication_table(n_phi: int) -> list:
-    """`multiplication_indices` as a list of int lists. Entries are the
-    shared int objects of one list, so the n^6 entries cost a pointer each.
-    """
-    ids = list(range(n_phi**3))
-    return [list(map(ids.__getitem__, row.tolist())) for row in multiplication_indices(n_phi)]
-
-
 def conjugacy_class(g: GroupElement) -> frozenset:
     """{g(nx, ny, m + nx*ny' - nx'*ny)} over all (nx', ny').
 

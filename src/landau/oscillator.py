@@ -18,6 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Quadrature grids keep this many samples per oscillator length 1/sqrt(M w).
+POINTS_PER_LENGTH = 16
+
 
 @dataclass(frozen=True)
 class OscillatorBasis:
@@ -63,17 +66,17 @@ def hermite_eigenfunction(basis: OscillatorBasis, n: int, u) -> np.ndarray:
     return math.sqrt(s) * hermite_functions(n, xi)[n]
 
 
-def oscillator_grid(basis: OscillatorBasis, n: int, points_per_length: int = 16):
+def oscillator_grid(basis: OscillatorBasis, n: int):
     """Uniform grid wide enough to hold psi_n to below-roundoff tails.
 
     The cutoff is the classical turning point sqrt(2n+1) plus 8 decay lengths
-    in units of 1/sqrt(M w); spacing keeps at least `points_per_length`
+    in units of 1/sqrt(M w); spacing keeps at least POINTS_PER_LENGTH
     samples per oscillator length so the trapezoid rule is in its
     spectrally-accurate regime for Gaussian-decaying integrands.
     """
     s = math.sqrt(basis.mass_omega)
     half_width = (math.sqrt(2.0 * n + 1.0) + 8.0) / s
-    du = 1.0 / (points_per_length * s)
+    du = 1.0 / (POINTS_PER_LENGTH * s)
     m = int(math.ceil(half_width / du))
     u = du * np.arange(-m, m + 1)
     return u, du

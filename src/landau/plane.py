@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oscillator import OscillatorBasis, hermite_eigenfunction
+from .oscillator import POINTS_PER_LENGTH, OscillatorBasis, hermite_eigenfunction
 
 
 # ---------------------------------------------------------------------------
@@ -88,19 +88,6 @@ def eigenstate_px(cfg, n: int, p_x: float):
 def sample_plane(state, xs, ys) -> np.ndarray:
     """Sample a callable state on the tensor grid xs x ys; values[ix, iy]."""
     return np.asarray(state(xs[:, None], ys[None, :]), dtype=complex)
-
-
-def apply_operator_plane(op: str, values, xs, ys, cfg) -> np.ndarray:
-    """Finite-difference operator application on open-domain samples.
-
-    values is a complex array or a (re, im) pair of real planes, and the
-    result takes the same form (finitediff.apply_fd_operator). No wrap is
-    available, so the outer 2 cells per application are invalid; trim a
-    margin before comparing (finitediff.interior).
-    """
-    from .finitediff import apply_fd_operator
-
-    return apply_fd_operator(op, values, xs, ys, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +206,12 @@ def _coherent_raw(cfg, c: CoherentLabel):
     return raw
 
 
-def coherent_norm_constant(cfg, c: CoherentLabel, points_per_length: int = 16) -> float:
+def coherent_norm_constant(cfg, c: CoherentLabel) -> float:
     """Normalization constant A for the coherent amplitude, by quadrature.
 
     The closed form is deliberately not assumed; A is fixed so that the
     sampled |A * raw|^2 integrates to 1 over a box of 9 decay lengths around
-    the packet center.
+    the packet center, with POINTS_PER_LENGTH samples per oscillator length.
     """
     mw = cfg.mass_omega
     raw = _coherent_raw(cfg, c)
@@ -232,7 +219,7 @@ def coherent_norm_constant(cfg, c: CoherentLabel, points_per_length: int = 16) -
     cx = s2 * (c.lam + c.lam_prime).real
     cy = s2 * (c.lam_prime.imag - c.lam.imag)
     half = 9.0 / math.sqrt(mw)
-    h = 1.0 / (points_per_length * math.sqrt(mw))
+    h = 1.0 / (POINTS_PER_LENGTH * math.sqrt(mw))
     m = int(math.ceil(half / h))
     xs = cx + h * np.arange(-m, m + 1)
     ys = cy + h * np.arange(-m, m + 1)

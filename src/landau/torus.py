@@ -22,6 +22,13 @@ from .gauge import boundary_residual, x_boundary_twist, y_boundary_twist
 from .oscillator import OscillatorBasis, hermite_eigenfunction
 from .plane import CoherentLabel, coherent_center
 
+# Default grids keep h^2 * M w at or below this (the finite-difference
+# accuracy rule).
+GRID_BUDGET = 1.0e-3
+# projector_distance rejects input families whose Gram matrix is further
+# than this from the identity.
+ORTHONORMAL_TOL = 1.0e-6
+
 
 class TruncationError(ValueError):
     """A requested lattice-sum cutoff cannot meet the tail tolerance."""
@@ -111,11 +118,11 @@ class SampledState:
 
     @property
     def xs(self) -> np.ndarray:
-        return np.linspace(0.0, self.config.lx, self.nx + 1)
+        return grid_axes(self.config, self.nx, self.ny)[0]
 
     @property
     def ys(self) -> np.ndarray:
-        return np.linspace(0.0, self.config.ly, self.ny + 1)
+        return grid_axes(self.config, self.nx, self.ny)[1]
 
     @property
     def core(self) -> np.ndarray:
@@ -126,16 +133,26 @@ class SampledState:
         return boundary_residual(self)
 
 
-def default_grid(cfg: TorusConfig, budget: float = 1.0e-3) -> tuple[int, int]:
+def default_grid(cfg: TorusConfig) -> tuple[int, int]:
     """Grid dimensions: multiples of n_phi with spacing h satisfying
-    h^2 * M*w <= budget (the finite-difference accuracy rule)."""
-    h = math.sqrt(budget / cfg.mass_omega)
+    h^2 * M*w <= GRID_BUDGET."""
+    h = math.sqrt(GRID_BUDGET / cfg.mass_omega)
 
     def round_up(n_target):
         n = max(n_target, 8 * cfg.n_phi, 32)
         return -(-n // cfg.n_phi) * cfg.n_phi
 
     return round_up(math.ceil(cfg.lx / h)), round_up(math.ceil(cfg.ly / h))
+
+
+def _grid_or_default(cfg: TorusConfig, nx, ny) -> tuple[int, int]:
+    """(nx, ny) as given, except that when either is None, each of them that
+    is None or 0 comes from default_grid."""
+    if nx is None or ny is None:
+        dx, dy = default_grid(cfg)
+        nx = nx or dx
+        ny = ny or dy
+    return nx, ny
 
 
 def grid_axes(cfg: TorusConfig, nx: int, ny: int):
@@ -147,11 +164,7 @@ def grid_axes(cfg: TorusConfig, nx: int, ny: int):
 def sample_on_torus(cfg: TorusConfig, func, nx=None, ny=None, normalize=False) -> SampledState:
     """Sample an arbitrary amplitude callable on the closed grid. No boundary
     condition is imposed; use gauge.boundary_residual to test it."""
-    if nx is None or ny is None:
-        dx, dy = default_grid(cfg)
-        nx = nx or dx
-        ny = ny or dy
-    xs, ys = grid_axes(cfg, nx, ny)
+    xs, ys = grid_axes(cfg, *_grid_or_default(cfg, nx, ny))
     values = np.asarray(func(xs[:, None], ys[None, :]), dtype=complex)
     state = SampledState(cfg, values)
     return normalized(state) if normalize else state
@@ -218,11 +231,7 @@ def torus_eigenstate(
     and cross = exp(-2 pi i n_phi x y / (Lx Ly)).
     """
     policy = policy or LatticeSumPolicy()
-    if nx is None or ny is None:
-        dx, dy = default_grid(cfg)
-        nx = nx or dx
-        ny = ny or dy
-    xs, ys = grid_axes(cfg, nx, ny)
+    xs, ys = grid_axes(cfg, *_grid_or_default(cfg, nx, ny))
     basis = OscillatorBasis(cfg.mass_omega, max_level=max(label.n, 1))
     # oscillator amplitude ~ exp(-M w u^2 / 2) beyond the turning point
     width = math.sqrt(2.0 * label.n + 1.0) / math.sqrt(cfg.mass_omega) + policy.reach(
@@ -281,11 +290,7 @@ def torus_coherent(
     and the whole sum is exp(-i Mw xy / 2) * (F @ G^T): one grid-sized
     exponential and one matrix product instead of one per image term."""
     policy = policy or LatticeSumPolicy()
-    if nx is None or ny is None:
-        dx, dy = default_grid(cfg)
-        nx = nx or dx
-        ny = ny or dy
-    xs, ys = grid_axes(cfg, nx, ny)
+    xs, ys = grid_axes(cfg, *_grid_or_default(cfg, nx, ny))
     mw = cfg.mass_omega
     pre = math.sqrt(mw / 2.0)
     s2 = math.sqrt(2.0 / mw)
@@ -508,7 +513,7 @@ def coherent_prefactor(cfg: TorusConfig, c: CoherentLabel, l: int, direction: st
 # subspace comparison, densities, spectral evolution
 
 
-def projector_distance(set_a, set_b, tol: float = 1.0e-6) -> float:
+def projector_distance(set_a, set_b) -> float:
     """Operator norm of P_A - P_B for the projectors onto the spans of two
     orthonormal families of SampledStates (grid inner products)."""
 
@@ -522,8 +527,8 @@ def projector_distance(set_a, set_b, tol: float = 1.0e-6) -> float:
     vb = stack(set_b)
     for name, v in (("A", va), ("B", vb)):
         gram = v.conj().T @ v
-        if np.max(np.abs(gram - np.eye(v.shape[1]))) > tol:
-            raise ValueError(f"input set {name} is not orthonormal within {tol}")
+        if np.max(np.abs(gram - np.eye(v.shape[1]))) > ORTHONORMAL_TOL:
+            raise ValueError(f"input set {name} is not orthonormal within {ORTHONORMAL_TOL}")
     w = np.hstack([va, vb])
     q, _ = np.linalg.qr(w)
     ma = q.conj().T @ va

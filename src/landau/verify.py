@@ -12,6 +12,7 @@ import numpy as np
 
 from . import maggroup, spectral
 from .config import TWO_PI, TorusConfig
+from .finitediff import apply_fd_operator
 from .gauge import (
     cocycle_defect,
     flux_consistency_defect,
@@ -22,7 +23,6 @@ from .gauge import (
 from .plane import (
     CoherentLabel,
     FockLabel,
-    apply_operator_plane,
     coherent_amplitude,
     ladder_apply,
     sample_plane,
@@ -103,7 +103,7 @@ def _commutator_blocks(cfg, amp, xs, ys):
     evaluation's values and cost about half as much."""
 
     def op(name, g, bx):
-        return apply_operator_plane(name, g, bx, ys, cfg)
+        return apply_fd_operator(name, g, bx, ys, cfg)
 
     n = len(xs)
     keep = (slice(2 + _HALO, -_HALO), slice(_MARGIN, -_MARGIN))

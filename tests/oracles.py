@@ -1,20 +1,31 @@
 """Independent numerical routes used as test oracles.
 
-Nothing here may call the closed-form expressions under test: oscillator
-eigenfunctions come from numpy's Hermite polynomials with explicit
-normalization constants (safe for n <= 12), and expectation values come from
-finite-difference operator applications plus quadrature on plane grids. The
-finite differences are this module's own: the np.roll stencils and complex
-operator expressions that `landau.finitediff` replaced with ghost cells and
-real planes, kept as the reference that module is checked against bit for bit.
+Nothing here may call the code under test, and this module imports nothing
+from `landau`. Oscillator eigenfunctions come from numpy's Hermite
+polynomials with explicit normalization constants (safe for n <= 12), and
+expectation values come from finite-difference operator applications plus
+quadrature on plane grids. The finite differences are this module's own: the
+np.roll stencils and complex operator expressions that `landau.finitediff`
+replaced with ghost cells and real planes, kept as the reference that module
+is checked against bit for bit. The lattice spectrum has its own route too:
+the assembled nx*ny Peierls matrix, solved whole, which the Bloch-chain
+solver of `landau.spectral` must reproduce.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.polynomial.hermite import hermval
 
-from landau.finitediff import interior
+
+def interior(values, margin: int):
+    """View with `margin` cells stripped from every edge."""
+    if margin == 0:
+        return values
+    return values[margin:-margin, margin:-margin]
 
 
 def independent_psi_n(mass_omega, n, u):
@@ -198,3 +209,102 @@ def coherent_moments_by_quadrature(cfg, amplitude, label_center):
         out[mean_key] = mean
         out["spread_" + mean_key] = spread
     return out
+
+
+# ---------------------------------------------------------------------------
+# the full Peierls lattice Hamiltonian on the twisted torus
+
+
+@dataclass
+class DiscreteHamiltonian:
+    config: object
+    nx: int
+    ny: int
+    matrix: sp.csr_matrix
+
+    @property
+    def dimension(self) -> int:
+        return self.nx * self.ny
+
+    def hermiticity_defect(self) -> float:
+        diff = self.matrix - self.matrix.getH()
+        return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+
+
+def build_hamiltonian(cfg, nx: int, ny: int, include_flux: bool = True) -> DiscreteHamiltonian:
+    """Assemble the sparse Hermitian matrix on the half-open nx x ny grid:
+    the 5-point Laplacian with Peierls phases exp(i e B x hy) on forward
+    y-links and the boundary twists exp(i theta_x - 2 pi i n_phi y/Ly) on the
+    x-wrap and exp(i theta_y) on the y-wrap.
+
+    include_flux=False drops the magnetic link and wrap phases (keeping the
+    theta twists), which gives the free twisted-torus Laplacian used as a
+    code-path check against the closed-form free spectrum.
+    """
+    if nx < 8 * cfg.n_phi or ny < 8 * cfg.n_phi:
+        raise ValueError(
+            f"grid {nx}x{ny} too small; need at least {8 * cfg.n_phi} per direction"
+        )
+    hx = cfg.lx / nx
+    hy = cfg.ly / ny
+    xs = hx * np.arange(nx)
+    ys = hy * np.arange(ny)
+    kx = 1.0 / (2.0 * cfg.mass * hx * hx)
+    ky = 1.0 / (2.0 * cfg.mass * hy * hy)
+    eb = cfg.mass_omega if include_flux else 0.0
+    dim = nx * ny
+    site = np.arange(dim).reshape(nx, ny)  # site (j, k) -> row j * ny + k
+
+    # x-hop (j,k) -> (j+1,k); wraparound picks up the x twist
+    xhop = np.full((nx, ny), -kx, dtype=complex)
+    flux_phase = 2.0 * math.pi * cfg.n_phi * ys / cfg.ly if include_flux else 0.0
+    xhop[-1] = -kx * np.exp(1j * (cfg.theta_x - flux_phase))
+    # y-hop (j,k) -> (j,k+1) with Peierls phase exp(+i e B x hy):
+    # the transporter for D_y = d_y + i e A_y satisfies
+    # exp(+ieA_y hy) Psi(y+hy) -> gauge-covariant forward difference
+    yhop = np.repeat((-ky * np.exp(1j * eb * xs * hy))[:, None], ny, axis=1)
+    # scalar products on purpose: the vectorised complex multiply may fuse
+    # operations and move the y-wrap entries by an ulp
+    twist = np.exp(1j * cfg.theta_y)
+    yhop[:, -1] = [hop * twist for hop in yhop[:, -1]]
+
+    rows = np.tile(site.ravel(), 2)
+    cols = np.concatenate([np.roll(site, -1, axis=0).ravel(), np.roll(site, -1, axis=1).ravel()])
+    vals = np.concatenate([xhop.ravel(), yhop.ravel()])
+    fwd = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    diag = sp.identity(dim, format="csr") * (2.0 * kx + 2.0 * ky)
+    # backward hops are the conjugate transpose: exactly Hermitian by construction
+    mat = fwd + fwd.getH() + diag
+    return DiscreteHamiltonian(config=cfg, nx=nx, ny=ny, matrix=mat)
+
+
+def lowest_eigenpairs(ham: DiscreteHamiltonian, k: int):
+    """k smallest eigenpairs, sorted ascending, by ARPACK in shift-invert mode
+    around zero (H is positive definite), from the same fixed start vector as
+    the chain solver. Eigenvectors are re-orthonormalized by QR since ARPACK
+    may return a skewed basis inside exactly degenerate clusters."""
+    if not 1 <= k <= ham.dimension // 4:
+        raise ValueError(f"k={k} outside [1, {ham.dimension // 4}] for dimension {ham.dimension}")
+    start = np.random.default_rng(0).standard_normal(ham.dimension)
+    ev, vec = spla.eigsh(ham.matrix.tocsc(), k=k, sigma=0.0, which="LM", v0=start)
+    order = np.argsort(ev)
+    q, _ = np.linalg.qr(vec[:, order])
+    return ev[order], q
+
+
+def free_twisted_spectrum(cfg, nx: int, ny: int, count: int) -> np.ndarray:
+    """Closed-form eigenvalues of the flux-free twisted discrete Laplacian:
+
+        E(m, n) = (1 - cos(kx hx)) / (M hx^2) + (1 - cos(ky hy)) / (M hy^2)
+
+    with kx = (2 pi m + theta_x)/Lx, ky = (2 pi n + theta_y)/Ly."""
+    hx = cfg.lx / nx
+    hy = cfg.ly / ny
+    ms = np.arange(-(nx // 2), nx - nx // 2)
+    ns = np.arange(-(ny // 2), ny - ny // 2)
+    kx = (2.0 * math.pi * ms + cfg.theta_x) / cfg.lx
+    ky = (2.0 * math.pi * ns + cfg.theta_y) / cfg.ly
+    ex = (1.0 - np.cos(kx * hx)) / (cfg.mass * hx * hx)
+    ey = (1.0 - np.cos(ky * hy)) / (cfg.mass * hy * hy)
+    total = ex[:, None] + ey[None, :]
+    return np.sort(total.ravel())[:count]

@@ -38,10 +38,9 @@ from landau import (
     torus_inner,
     translation_expectation,
 )
-from landau.finitediff import interior
 from landau.plane import FockLabel, ladder_apply
 from landau.serialize import write_pgm
-from oracles import PlaneOperators, coherent_moments_by_quadrature, plane_box
+from oracles import PlaneOperators, coherent_moments_by_quadrature, interior, plane_box
 
 TWO_PI = 2.0 * math.pi
 THETA_PAIRS = [(math.pi, math.pi), (0.7, 1.9), (0.0, 0.0)]

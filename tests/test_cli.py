@@ -74,6 +74,8 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
         ["density", "--nphi", "1", "--n", "0", "--grid", "1"],
         ["density", "--nphi", "1", "--n", "0", "--grid", "2"],
         ["density", "--nphi", "2", "--n", "0", "--grid", "15"],
+        ["verify", "--nphi", "1", "--nphi-override", "nan"],
+        ["verify", "--nphi", "1", "--nphi-override", "inf"],
     ],
 )
 def test_invalid_input_exits_2(tmp_path, args):

@@ -23,10 +23,9 @@ from landau import (
     semiclassical_radius,
 )
 from landau import plane
-from landau.finitediff import interior
+from landau.finitediff import apply_fd_operator
 from landau.oscillator import OscillatorBasis
-from landau.plane import apply_operator_plane
-from oracles import PlaneOperators, coherent_moments_by_quadrature, plane_box
+from oracles import PlaneOperators, coherent_moments_by_quadrature, interior, plane_box
 
 CFG = InfiniteConfig(mass=1.0, charge=1.0, b_field=4.0)
 
@@ -100,7 +99,7 @@ def test_eigenstate_py_shift_property():
 def test_eigenstate_py_energy_residual(n, p_y):
     xs, ys = plane_box(CFG, -p_y / CFG.mass_omega, 0.0, half_width_units=9 + math.sqrt(2 * n + 1))
     values = sample_plane(eigenstate_py(CFG, n, p_y), xs, ys)
-    h_values = apply_operator_plane("H", values, xs, ys, CFG)
+    h_values = apply_fd_operator("H", values, xs, ys, CFG)
     res = interior(h_values - landau_energy(CFG, n) * values, 4)
     assert np.linalg.norm(res) / np.linalg.norm(interior(values, 4)) < 1e-6
 
@@ -117,7 +116,7 @@ def test_eigenstate_px_energy_residual(n, p_x):
         half_width_units_y=9 + math.sqrt(2 * n + 1),
     )
     values = sample_plane(eigenstate_px(CFG, n, p_x), xs, ys)
-    h_values = apply_operator_plane("H", values, xs, ys, CFG)
+    h_values = apply_fd_operator("H", values, xs, ys, CFG)
     res = interior(h_values - landau_energy(CFG, n) * values, 4)
     assert np.linalg.norm(res) / np.linalg.norm(interior(values, 4)) < 1e-6
 
@@ -252,7 +251,7 @@ def test_coherent_is_joint_ladder_eigenstate(lam, lamp):
     xs, ys = plane_box(CFG, cx, cy)
     values = sample_plane(amp, xs, ys)
     for op, eig in (("a", lam), ("b", lamp)):
-        applied = apply_operator_plane(op, values, xs, ys, CFG)
+        applied = apply_fd_operator(op, values, xs, ys, CFG)
         res = interior(applied - eig * values, 4)
         assert np.linalg.norm(res) / np.linalg.norm(interior(values, 4)) < 1e-6
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from landau import TorusConfig
-from landau.finitediff import interior
-from landau.plane import CoherentLabel, apply_operator_plane, coherent_amplitude, sample_plane
+from landau.finitediff import apply_fd_operator
+from landau.plane import CoherentLabel, coherent_amplitude, sample_plane
 from landau.verify import _commutator_blocks, _heisenberg_residual, run_verification
+from oracles import interior
 
 
 def test_all_invariants_pass_at_two_flux_quanta():
@@ -61,7 +62,7 @@ def full_commutator(cfg, amp, xs, ys):
     values = sample_plane(amp, xs, ys)
 
     def op(name, g):
-        return apply_operator_plane(name, g, xs, ys, cfg)
+        return apply_fd_operator(name, g, xs, ys, cfg)
 
     return values, op("Rx", op("Ry", values)) - op("Ry", op("Rx", values))
 
