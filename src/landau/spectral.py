@@ -28,6 +28,25 @@ same spectrum and each Landau level holds one state per chain. Each chain is
 solved on its own, so that equality stays a check. A grid with ny not a
 multiple of n_phi stays accepted: its chains close after ny/g steps, and
 each holds n_phi/g near-degenerate copies of every level.
+
+Each chain is a ring of D sites, so it is folded before the solve: site t
+goes to position 2t and site D-1-t to 2t+1. Every link, the closing one
+included, then spans at most two positions, and `bloch_chain` returns the
+chain as a Hermitian band of half-bandwidth 2 in LAPACK upper band storage.
+The chain is positive definite. The lattice Hamiltonian is a sum over links
+of kx |psi_a - U_ab psi_b|^2 (and ky alike), so a zero mode would need
+psi_a = U_ab psi_b on every link, hence a trivial phase around every
+plaquette; the plaquette flux is 2 pi n_phi/(nx ny), and the grid's floor of
+8 n_phi sites per side keeps it strictly between 0 and 2 pi. So each chain
+is factored once by a banded Cholesky (zpbtrf), and ARPACK runs in regular
+mode on H^-1 applied through that factor, which is shift-invert at 0: the
+eigenvalues are 1/mu for the largest Ritz values mu. ARPACK stops at a
+relative residual of ARPACK_TOL = 1e-12 rather than machine epsilon: a
+Hermitian Ritz value is off by at most its residual, which keeps the
+eigenvalues 1000x inside DEGENERACY_TOL, and the restarts machine epsilon
+asks for come after the values have stopped moving. Where the grid does
+not resolve the magnetic length the chain is singular in doubles, and the
+failed factorisation is reported as a ValueError.
 """
 
 from __future__ import annotations
@@ -36,8 +55,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .config import TWO_PI
 
@@ -47,13 +66,20 @@ DEGENERACY_TOL = 1.0e-9
 # Clusters count as well separated when every gap between them is at least
 # this many times the widest cluster.
 SEPARATION_RATIO = 10.0
+# ARPACK stops once each Ritz residual is below this fraction of its Ritz
+# value. A Hermitian Ritz value is off by at most its residual, so the
+# eigenvalues stay 1000x inside DEGENERACY_TOL; tol=0 (machine epsilon) only
+# adds restarts after they have stopped moving.
+ARPACK_TOL = 1.0e-12
 
 
-def bloch_chain(cfg, nx: int, ny: int, m0: int) -> sp.csc_matrix:
+def bloch_chain(cfg, nx: int, ny: int, m0: int) -> np.ndarray:
     """Cyclic chain of the y-momentum orbit m0, m0 + n_phi, ... (mod ny),
-    0 <= m0 < gcd(n_phi, ny). Site s*nx + j is column x_j at the s-th
-    momentum of the orbit; the hop from j = nx-1 onto the next momentum
-    carries the x twist exp(i theta_x)."""
+    0 <= m0 < gcd(n_phi, ny), folded into LAPACK upper band storage of shape
+    (3, D). Site s*nx + j is column x_j at the s-th momentum of the orbit; the
+    hop from j = nx-1 onto the next momentum carries the x twist
+    exp(i theta_x). Site t sits at position 2t and site D-1-t at 2t+1, and
+    entry (i, j), i <= j, of the folded matrix is stored at [2 - (j - i), j]."""
     hx = cfg.lx / nx
     hy = cfg.ly / ny
     kx = 1.0 / (2.0 * cfg.mass * hx * hx)
@@ -63,11 +89,16 @@ def bloch_chain(cfg, nx: int, ny: int, m0: int) -> sp.csc_matrix:
     xs = hx * np.arange(nx)
     diag = 2.0 * kx + 2.0 * ky - 2.0 * ky * np.cos(cfg.mass_omega * xs[None, :] * hy + qs[:, None])
     dim = diag.size
+    # hop[s] is the entry (s, s + 1 mod D), the last one closing the ring
     hop = np.full(dim, -kx, dtype=complex)
     hop[nx - 1 :: nx] *= np.exp(1j * cfg.theta_x)
-    sites = np.arange(dim)
-    fwd = sp.csc_matrix((hop, (sites, (sites + 1) % dim)), shape=(dim, dim))
-    return (fwd + fwd.getH() + sp.diags(diag.ravel())).tocsc()
+    half = (dim + 1) // 2
+    pos = np.concatenate([2 * np.arange(half), 2 * np.arange(dim // 2)[::-1] + 1])
+    row, col = pos, np.roll(pos, -1)
+    band = np.zeros((3, dim), dtype=complex)
+    band[2, pos] = diag.ravel()
+    band[2 - np.abs(col - row), np.maximum(row, col)] = np.where(row < col, hop, hop.conj())
+    return band
 
 
 @dataclass
@@ -137,21 +168,46 @@ def clusters_well_separated(clusters) -> bool:
     return True
 
 
-def chain_spectra(cfg, nx: int, ny: int, k: int) -> np.ndarray:
+def chain_spectra(cfg, nx: int, ny: int, k: int) -> tuple[np.ndarray, list]:
     """The k smallest eigenvalues of each Bloch chain, one sorted row per
-    chain m0 = 0..gcd(n_phi, ny)-1, by ARPACK in shift-invert mode around 0."""
+    chain m0 = 0..gcd(n_phi, ny)-1, and the number of times ARPACK applied
+    each chain's inverse. ARPACK runs in regular mode on H^-1 (shift-invert
+    at 0), applied through one banded Cholesky factor per chain."""
     if nx < 8 * cfg.n_phi or ny < 8 * cfg.n_phi:
         raise ValueError(
             f"grid {nx}x{ny} too small; need at least {8 * cfg.n_phi} per direction"
         )
-    rows = []
+    rows, applications = [], []
     for m0 in range(math.gcd(cfg.n_phi, ny)):
-        chain = bloch_chain(cfg, nx, ny, m0)
+        band = bloch_chain(cfg, nx, ny, m0)
+        # scale by an exact power of four so the largest diagonal entry lies
+        # in [1/2, 2): the factor scales by an exact power of two, and
+        # nothing the solve touches nears underflow or overflow, whatever
+        # the units
+        exponent = 2 * (math.frexp(band[2].real.max())[1] // 2)
+        try:
+            factor = cholesky_banded(band * math.ldexp(1.0, -exponent), check_finite=False)
+        except LinAlgError as exc:
+            hx, hy = cfg.lx / nx, cfg.ly / ny
+            raise ValueError(
+                f"the lattice chain of grid {nx}x{ny} (hx={hx:.3g}, hy={hy:.3g}) is not "
+                f"numerically positive definite ({exc}); the grid must resolve the "
+                f"magnetic length 1/sqrt(eB) = {1.0 / math.sqrt(cfg.mass_omega):.3g}"
+            ) from None
+        dim = band.shape[1]
+        count = [0]
+
+        def solve(v):
+            count[0] += 1
+            return cho_solve_banded((factor, False), v, check_finite=False)
+
+        inverse = spla.LinearOperator((dim, dim), matvec=solve, dtype=complex)
         # fixed ARPACK start so repeated solves are bit-identical
-        start = np.random.default_rng(0).standard_normal(chain.shape[0])
-        ev = spla.eigsh(chain, k=k, sigma=0.0, which="LM", v0=start, return_eigenvectors=False)
-        rows.append(np.sort(ev))
-    return np.array(rows)
+        start = np.random.default_rng(0).standard_normal(dim)
+        mu = spla.eigsh(inverse, k=k, which="LM", v0=start, tol=ARPACK_TOL, return_eigenvectors=False)
+        rows.append(np.ldexp(np.sort(1.0 / mu), exponent))
+        applications.append(count[0])
+    return np.array(rows), applications
 
 
 def low_spectrum(cfg, nx: int, ny: int, k: int) -> SpectrumReport:
@@ -166,7 +222,8 @@ def low_spectrum(cfg, nx: int, ny: int, k: int) -> SpectrumReport:
         raise ValueError(f"k={k} outside [1, {nx * ny // 4}] for dimension {nx * ny}")
     blocks = math.gcd(cfg.n_phi, ny)
     per_block = -(-k // blocks)
-    ev = np.sort(chain_spectra(cfg, nx, ny, per_block).ravel())[:k]
+    spectra, applications = chain_spectra(cfg, nx, ny, per_block)
+    ev = np.sort(spectra.ravel())[:k]
     omega = cfg.omega
     groups = cluster_eigenvalues(ev)
     clusters = []
@@ -189,11 +246,14 @@ def low_spectrum(cfg, nx: int, ny: int, k: int) -> SpectrumReport:
         omega=omega,
         well_separated=clusters_well_separated(groups),
         solver={
-            "method": "bloch_chains_shift_invert",
+            "method": "bloch_chains_banded_cholesky",
             "blocks": blocks,
             "block_dimension": nx * ny // blocks,
+            "bandwidth": 2,
             "k_per_block": per_block,
             "shift": 0.0,
+            "tol": ARPACK_TOL,
+            "operator_applications": applications,
             "kept": k,
         },
     )

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,9 @@ from landau.cli import main
 from landau.config import TorusConfig
 from landau.maggroup import GroupElement, multiply
 from landau.plane import CoherentLabel, coherent_expectations, evolve_coherent
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args):
@@ -37,7 +44,11 @@ def test_spectrum_command(tmp_path):
 def test_spectrum_solver_telemetry_only_in_manifest(tmp_path):
     run_cli(["spectrum", "--nphi", "2", "--grid", "48", "--levels", "2", "--out-dir", str(tmp_path)])
     solver = read_json(tmp_path / "spectrum_manifest.json")["solver"]
-    assert set(solver) == {"method", "blocks", "block_dimension", "k_per_block", "shift", "kept"}
+    assert set(solver) == {
+        "method", "blocks", "block_dimension", "bandwidth", "k_per_block", "shift", "tol",
+        "operator_applications", "kept",
+    }
+    assert len(solver["operator_applications"]) == solver["blocks"]
     assert "solver" not in read_json(tmp_path / "spectrum.json")
 
 
@@ -76,6 +87,8 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
         ["density", "--nphi", "2", "--n", "0", "--grid", "15"],
         ["verify", "--nphi", "1", "--nphi-override", "nan"],
         ["verify", "--nphi", "1", "--nphi-override", "inf"],
+        # hx far above the magnetic length: the chain is singular in doubles
+        ["spectrum", "--nphi", "1", "--grid", "32", "--lx", "1e8"],
     ],
 )
 def test_invalid_input_exits_2(tmp_path, args):
@@ -303,6 +316,21 @@ def test_spectrum_output_deterministic_through_eigensolver(tmp_path):
     run_cli(flags + ["--out-dir", str(dir_a)])
     run_cli(flags + ["--out-dir", str(dir_b)])
     assert (dir_a / "spectrum.json").read_bytes() == (dir_b / "spectrum.json").read_bytes()
+
+
+def test_spectrum_output_independent_of_blas_threads(tmp_path):
+    # one chain of 16384 sites, large enough for a threaded BLAS to split its
+    # vector operations; one and two threads must write the same bytes
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from landau.cli import main; sys.exit(main())",
+             "spectrum", "--nphi", "1", "--grid", "128", "--out-dir", str(tmp_path / threads)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+    assert (tmp_path / "1" / "spectrum.json").read_bytes() == (tmp_path / "2" / "spectrum.json").read_bytes()
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -100,19 +100,46 @@ def test_shift_invert_matches_dense_oracle():
     assert np.allclose(vec.conj().T @ vec, np.eye(6), atol=1e-12)
 
 
+def unfold_band(band):
+    """Dense chain in site order from the folded upper band storage: position
+    2t holds site t, position 2t+1 site D-1-t."""
+    dim = band.shape[1]
+    upper = sum(np.diag(band[2 - off, off:], off) for off in (1, 2))
+    folded = upper + upper.conj().T + np.diag(band[2])
+    sites = np.empty(dim, dtype=int)
+    sites[0::2] = np.arange((dim + 1) // 2)
+    sites[1::2] = dim - 1 - np.arange(dim // 2)
+    chain = np.empty_like(folded)
+    chain[np.ix_(sites, sites)] = folded
+    return chain
+
+
+def fourier_chain(cfg, full, nx, ny, m0):
+    """The oracle matrix on the chain's basis: site s*nx + j is column x_j
+    times the plane wave exp(i q_m k)/sqrt(ny) of the s-th orbit momentum."""
+    ms = (m0 + cfg.n_phi * np.arange(ny // math.gcd(cfg.n_phi, ny))) % ny
+    waves = np.exp(1j * np.outer(np.arange(ny), 2.0 * np.pi * ms + cfg.theta_y) / ny) / np.sqrt(ny)
+    basis = np.einsum("jJ,ks->jksJ", np.eye(nx), waves).reshape(nx * ny, nx * len(ms))
+    return basis.conj().T @ full @ basis
+
+
 @pytest.mark.parametrize(
     "n_phi, nx, ny, lx, ly",
     [(2, 20, 18, 1.1, 0.9), (3, 27, 25, 1.0, 1.0)],
 )
 def test_bloch_chains_are_unitarily_equivalent_to_full_matrix(n_phi, nx, ny, lx, ly):
-    # every eigenvalue of the nx*ny matrix, chain by chain; 27x25 at
-    # n_phi = 3 has ny not a multiple of n_phi, so one chain holds them all
+    # entry by entry, each unfolded band is the oracle matrix on that chain's
+    # Fourier basis, and together the chains hold every eigenvalue of it;
+    # 20x18 gives an even ring dimension, and 27x25 at n_phi = 3 (ny not a
+    # multiple of n_phi) an odd one holding the whole spectrum in one chain
     cfg = make_cfg(n_phi, lx=lx, ly=ly)
-    chains = [bloch_chain(cfg, nx, ny, m0) for m0 in range(math.gcd(n_phi, ny))]
-    assert sum(chain.shape[0] for chain in chains) == nx * ny
-    stacked = np.sort(np.concatenate([np.linalg.eigvalsh(chain.toarray()) for chain in chains]))
-    full = np.linalg.eigvalsh(build_hamiltonian(cfg, nx, ny).matrix.toarray())
-    assert np.max(np.abs(stacked - full) / full) < 1e-10
+    full = build_hamiltonian(cfg, nx, ny).matrix.toarray()
+    chains = [unfold_band(bloch_chain(cfg, nx, ny, m0)) for m0 in range(math.gcd(n_phi, ny))]
+    for m0, chain in enumerate(chains):
+        assert np.max(np.abs(chain - fourier_chain(cfg, full, nx, ny, m0))) < 1e-13 * np.max(np.abs(full))
+    stacked = np.sort(np.concatenate([np.linalg.eigvalsh(chain) for chain in chains]))
+    exact = np.linalg.eigvalsh(full)
+    assert np.max(np.abs(stacked - exact) / exact) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -134,8 +161,9 @@ def test_block_solve_matches_full_matrix_solve(n_phi, ny):
 def test_degeneracy_as_identical_chains(n_phi, grid):
     # n_phi divides both sides: one chain per Ty label, all with one spectrum
     cfg = make_cfg(n_phi)
-    spectra = chain_spectra(cfg, grid, grid, 3)
+    spectra, applications = chain_spectra(cfg, grid, grid, 3)
     assert spectra.shape == (n_phi, 3)
+    assert len(applications) == n_phi
     assert np.max(np.ptp(spectra, axis=0)) < 1e-10 * cfg.omega
 
 
@@ -182,6 +210,18 @@ def test_second_order_convergence_of_cluster_means():
         errors[grid] = [abs(c.mean - c.target) for c in report.clusters]
     for e64, e128 in zip(errors[64], errors[128]):
         assert 3.5 < e64 / e128 < 4.5
+
+
+def test_spectrum_independent_of_units():
+    # the chains are scaled by an exact power of four before the solve, so
+    # masses near the ends of the double range give the mass-1 deviations
+    def deviations(mass):
+        cfg = TorusConfig(mass, 1.0, lx=1.0, ly=1.0, n_phi=1)
+        return np.array([c.relative_deviation for c in low_spectrum(cfg, 32, 32, 2).clusters])
+
+    reference = deviations(1.0)
+    for mass in (1e-300, 1e300):
+        assert np.max(np.abs(deviations(mass) - reference)) < 1e-12
 
 
 def test_spectrum_independent_of_theta():
