@@ -14,7 +14,6 @@ from landau import (
     FockLabel,
     InfiniteConfig,
     classical_orbit_trace,
-    cyclotron_frequency,
     fock_energy_and_angular_momentum,
     ladder_apply,
     landau_energy,
@@ -23,7 +22,7 @@ from landau import (
 )
 
 cfg = InfiniteConfig(mass=1.0, charge=1.0, b_field=2.0)
-omega = cyclotron_frequency(cfg)
+omega = cfg.omega
 print(f"cyclotron frequency w = eB/M = {omega}")
 
 ###############################################################################

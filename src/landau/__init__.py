@@ -8,9 +8,6 @@ __version__ = "0.1.0"
 from .config import (
     InfiniteConfig,
     TorusConfig,
-    cyclotron_frequency,
-    elementary_steps,
-    torus_config_from_file,
     torus_config_from_mapping,
 )
 from .gauge import (
@@ -36,11 +33,8 @@ from .maggroup import (
     weyl_deviation,
 )
 from .oscillator import (
-    OscillatorBasis,
     hermite_eigenfunction,
     hermite_functions,
-    oscillator_grid,
-    quadrature_inner_product,
 )
 from .plane import (
     ClassicalOrbit,
@@ -63,7 +57,6 @@ from .plane import (
 from .spectral import SpectrumReport, cluster_eigenvalues, low_spectrum
 from .torus import (
     DensityMap,
-    LatticeSumPolicy,
     SampledState,
     TorusLabel,
     apply_operator,
@@ -75,7 +68,6 @@ from .torus import (
     default_grid,
     density_map,
     eigenvalue_residual,
-    evolve_by_spectrum,
     expectation,
     gram_matrix,
     normalized,

@@ -20,7 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, maggroup
-from .config import parse_config_text, torus_config_from_mapping
+from .config import (
+    GRID_POINTS_PER_FLUX,
+    TORUS_DEFAULTS,
+    TORUS_KEYS,
+    commensurate,
+    parse_config_text,
+    torus_config_from_mapping,
+)
 from .plane import (
     ClassicalOrbit,
     CoherentLabel,
@@ -32,8 +39,6 @@ from .serialize import write_density_csv, write_json, write_pgm, write_table_csv
 from .spectral import low_spectrum
 from .torus import TorusLabel, density_map, torus_coherent, torus_eigenstate
 from .verify import run_verification
-
-CONFIG_KEYS = ("mass", "charge", "lx", "ly", "nphi", "theta_x", "theta_y")
 
 
 def _add_config_flags(parser):
@@ -51,14 +56,14 @@ def _add_config_flags(parser):
 def _merge_config(args, parser):
     """Defaults < config file < explicit flags; nphi is mandatory. Returns the
     merged values and the TorusConfig built from them."""
-    values = {"mass": 1.0, "charge": 1.0, "lx": 1.0, "ly": 1.0, "theta_x": 0.0, "theta_y": 0.0}
+    values = dict(TORUS_DEFAULTS)
     if args.config:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
             values.update(parse_config_text(text))
         except (OSError, ValueError) as exc:
             parser.error(f"bad config file: {exc}")
-    for key in CONFIG_KEYS:
+    for key in TORUS_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -84,7 +89,7 @@ def stage(stages: dict, name: str):
 def _manifest(command, values, outputs, started, out_dir, seed=None, extra=None):
     payload = {
         "command": command,
-        "config": {k: values.get(k) for k in CONFIG_KEYS if k in values},
+        "config": {k: values.get(k) for k in TORUS_KEYS if k in values},
         "seed": seed,
         "version": __version__,
         "outputs": sorted(str(Path(p).name) for p in outputs),
@@ -149,11 +154,12 @@ def cmd_spectrum(args, parser) -> int:
 def cmd_density(args, parser) -> int:
     started = time.perf_counter()
     values, cfg = _merge_config(args, parser)
-    if args.grid < 8 * cfg.n_phi:
-        parser.error(f"--grid must be >= 8 * nphi = {8 * cfg.n_phi}, got {args.grid}")
+    floor = GRID_POINTS_PER_FLUX * cfg.n_phi
+    if args.grid < floor:
+        parser.error(f"--grid must be >= {GRID_POINTS_PER_FLUX} * nphi = {floor}, got {args.grid}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = -(-args.grid // cfg.n_phi) * cfg.n_phi
+    grid = commensurate(args.grid, cfg.n_phi)
 
     eigen_selector = args.n is not None or args.l is not None
     coherent_selector = args.lam is not None or args.lam_prime is not None

@@ -95,21 +95,20 @@ class TorusConfig:
         return self.ly / self.n_phi
 
 
-def cyclotron_frequency(cfg) -> float:
-    """Orbital angular frequency e*B/M, independent of the orbit radius."""
-    return cfg.charge * cfg.b_field / cfg.mass
+# Grids have at least this many points per flux quantum along each axis.
+GRID_POINTS_PER_FLUX = 8
 
 
-def elementary_steps(cfg: TorusConfig) -> tuple[float, float]:
-    """Elementary translation steps (a_x, a_y) = (Lx, Ly)/n_phi.
-
-    These are the smallest shifts under which the holonomy phases around
-    the torus cycles are invariant.
-    """
-    return cfg.ax, cfg.ay
+def commensurate(n: int, n_phi: int) -> int:
+    """The least multiple of n_phi that is >= n: grids whose elementary
+    translations are whole grid shifts."""
+    return -(-n // n_phi) * n_phi
 
 
-_TORUS_KEYS = {
+# The keys of a torus configuration, in flags and config files alike, with
+# the type each parses to, and the default of every key but nphi, which a
+# configuration must always give.
+TORUS_KEYS = {
     "mass": float,
     "charge": float,
     "lx": float,
@@ -118,6 +117,7 @@ _TORUS_KEYS = {
     "theta_x": float,
     "theta_y": float,
 }
+TORUS_DEFAULTS = {"mass": 1.0, "charge": 1.0, "lx": 1.0, "ly": 1.0, "theta_x": 0.0, "theta_y": 0.0}
 
 
 def parse_config_text(text: str) -> dict:
@@ -136,24 +136,21 @@ def parse_config_text(text: str) -> dict:
         key = key.strip().lower().replace("-", "_")
         if key == "n_phi":
             key = "nphi"
-        if key not in _TORUS_KEYS:
+        if key not in TORUS_KEYS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        out[key] = _TORUS_KEYS[key](value.strip())
+        out[key] = TORUS_KEYS[key](value.strip())
     return out
 
 
 def torus_config_from_mapping(values: dict) -> TorusConfig:
+    """TorusConfig from config keys; every key but nphi may be left out."""
+    v = {**TORUS_DEFAULTS, **values}
     return TorusConfig(
-        mass=values.get("mass", 1.0),
-        charge=values.get("charge", 1.0),
-        lx=values.get("lx", 1.0),
-        ly=values.get("ly", 1.0),
-        n_phi=values.get("nphi", 1),
-        theta_x=values.get("theta_x", 0.0),
-        theta_y=values.get("theta_y", 0.0),
+        mass=v["mass"],
+        charge=v["charge"],
+        lx=v["lx"],
+        ly=v["ly"],
+        n_phi=v["nphi"],
+        theta_x=v["theta_x"],
+        theta_y=v["theta_y"],
     )
-
-
-def torus_config_from_file(path) -> TorusConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return torus_config_from_mapping(parse_config_text(fh.read()))

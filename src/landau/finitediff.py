@@ -25,8 +25,7 @@ algorithm, and negation is a full complex pass):
 Products with a complex factor (the ghost-cell twists, 2j eB x in H, +-1j y
 in b and bdag) stay numpy complex multiplies, whose rounding may differ from
 any hand-written form (a product of two complex scalars can differ from the
-same product done elementwise in an array by an ulp). A real array with
-twist None stays real, and its stencil divides by 12h as a real array does.
+same product done elementwise in an array by an ulp).
 """
 
 from __future__ import annotations
@@ -109,35 +108,13 @@ def _derivative(stencil, scale, planes, axis, twist):
     return tuple(out)
 
 
-def _apply(stencil, scale, values, axis, twist):
-    values = np.asarray(values)
-    if np.iscomplexobj(values):
-        planes = (values.real, values.imag)
-    elif twist is None:
-        (g,) = _ghosted((values,), axis, None)
-        return stencil(g, axis) / scale
-    else:
-        planes = (values, np.zeros_like(values))
-    return _merged(*_derivative(stencil, scale, planes, axis, twist))
-
-
-def d1(values, h, axis, twist=None):
-    """First derivative, 4th-order central stencil."""
-    return _apply(_d1_sum, 12.0 * h, values, axis, twist)
-
-
-def d2(values, h, axis, twist=None):
-    """Second derivative, 4th-order central stencil."""
-    return _apply(_d2_sum, 12.0 * h * h, values, axis, twist)
-
-
-def apply_fd_operator(op, values, xs, ys, cfg, twist_x=None, twist_y=None):
+def apply_fd_operator(op, values, xs, ys, hx, hy, cfg, twist_x=None, twist_y=None):
     """Apply one of the magnetic operators to sampled values.
 
     values is a complex array, or a (re, im) pair of real planes; the result
     takes the same form. xs, ys are the 1-D coordinate arrays of the
-    (uniform) grid; cfg supplies mass, charge and b_field. Landau gauge
-    A = (0, B x, 0) throughout:
+    uniform grid and hx, hy its spacings; cfg supplies mass, charge and
+    b_field. Landau gauge A = (0, B x, 0) throughout:
 
         Px = -i dx + e B y        Py = -i dy
         Rx =  i dy / (e B)        Ry = y - i dx / (e B)
@@ -151,16 +128,14 @@ def apply_fd_operator(op, values, xs, ys, cfg, twist_x=None, twist_y=None):
     if op not in OPERATORS:
         raise ValueError(f"unknown operator {op!r}; expected one of {OPERATORS}")
     if isinstance(values, tuple):
-        return _operator_planes(op, *values, xs, ys, cfg, twist_x, twist_y)
+        return _operator_planes(op, *values, xs, ys, hx, hy, cfg, twist_x, twist_y)
     values = np.asarray(values, dtype=complex)
-    return _merged(*_operator_planes(op, values.real, values.imag, xs, ys, cfg, twist_x, twist_y))
+    return _merged(*_operator_planes(op, values.real, values.imag, xs, ys, hx, hy, cfg, twist_x, twist_y))
 
 
-def _operator_planes(op, re, im, xs, ys, cfg, twist_x, twist_y):
+def _operator_planes(op, re, im, xs, ys, hx, hy, cfg, twist_x, twist_y):
     """apply_fd_operator on (re, im) planes. Each branch notes the complex
     expression it reproduces; numpy evaluates those left to right."""
-    hx = xs[1] - xs[0]
-    hy = ys[1] - ys[0]
     x = xs[:, None]
     y = ys[None, :]
     eb = cfg.mass_omega

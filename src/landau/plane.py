@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oscillator import POINTS_PER_LENGTH, OscillatorBasis, hermite_eigenfunction
+from .oscillator import POINTS_PER_LENGTH, hermite_eigenfunction
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +52,12 @@ def eigenstate_py(cfg, n: int, p_y: float):
     n = 0 the amplitude is real and positive at the origin, which fixes the
     otherwise arbitrary global phase.
     """
-    basis = OscillatorBasis(cfg.mass_omega, max_level=max(n, 1))
     shift = p_y / cfg.mass_omega
 
     def amplitude(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return hermite_eigenfunction(basis, n, x + shift) * np.exp(1j * p_y * y)
+        return hermite_eigenfunction(cfg.mass_omega, n, x + shift) * np.exp(1j * p_y * y)
 
     return amplitude
 
@@ -69,15 +68,14 @@ def eigenstate_px(cfg, n: int, p_x: float):
 
     amplitude(x, y) = psi_n(y - p_x/(M w)) * exp(i p_x x) * exp(-i e B x y).
     """
-    basis = OscillatorBasis(cfg.mass_omega, max_level=max(n, 1))
-    shift = p_x / cfg.mass_omega
     eb = cfg.mass_omega
+    shift = p_x / eb
 
     def amplitude(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         return (
-            hermite_eigenfunction(basis, n, y - shift)
+            hermite_eigenfunction(eb, n, y - shift)
             * np.exp(1j * p_x * x)
             * np.exp(-1j * eb * x * y)
         )

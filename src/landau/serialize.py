@@ -258,34 +258,20 @@ def _chunks(rows: int, values_per_row: int):
     return ((i, min(i + step, rows)) for i in range(0, rows, step))
 
 
-def _write_grid_csv(path, header, xs, ys, planes) -> None:
-    """Rows 'x,y,<planes...>' over the grid, x-major; the coordinates are
-    encoded once and gathered for each row."""
-    xs_f, ys_f = _compact(_encode(xs)), _compact(_encode(ys))
-    planes = [np.asarray(p, dtype=float).reshape(-1) for p in planes]
-    ny = len(ys)
-    with open(path, "wb") as fh:
-        fh.write(header.encode())
-        for i0, i1 in _chunks(len(xs) * ny, len(planes) + 1):
-            ix, iy = np.divmod(np.arange(i0, i1), ny)
-            pieces = [xs_f.take(ix, axis=0), _COMMA, ys_f.take(iy, axis=0)]
-            for p in planes:
-                pieces += [_COMMA, _encode(p[i0:i1])]
-            fh.write(_text(*pieces, _NEWLINE))
-
-
-def write_state_csv(state, path) -> None:
-    """Columns x, y, re, im over the closed grid."""
-    _check_finite(state.xs, state.ys, state.values)
-    values = state.values.reshape(-1)  # a view: the planes below are too
-    _write_grid_csv(path, "x,y,re,im\n", state.xs, state.ys, (values.real, values.imag))
-
-
 def write_density_csv(dmap, path) -> None:
-    """Columns x, y, density."""
+    """Columns x, y, density over the grid, x-major; the coordinates are
+    encoded once and gathered for each row."""
     density = np.asarray(dmap.density, dtype=float)
     _check_finite(dmap.xs, dmap.ys, density)
-    _write_grid_csv(path, "x,y,density\n", dmap.xs, dmap.ys, (density,))
+    xs_f, ys_f = _compact(_encode(dmap.xs)), _compact(_encode(dmap.ys))
+    density = density.reshape(-1)
+    ny = len(dmap.ys)
+    with open(path, "wb") as fh:
+        fh.write(b"x,y,density\n")
+        for i0, i1 in _chunks(len(dmap.xs) * ny, 2):
+            ix, iy = np.divmod(np.arange(i0, i1), ny)
+            pieces = (xs_f.take(ix, axis=0), _COMMA, ys_f.take(iy, axis=0), _COMMA, _encode(density[i0:i1]))
+            fh.write(_text(*pieces, _NEWLINE))
 
 
 def write_pgm(dmap, path) -> None:

@@ -58,7 +58,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
-from .config import TWO_PI
+from .config import GRID_POINTS_PER_FLUX, TWO_PI
 
 # Gaps below this, relative to the eigenvalue scale, are solver noise inside
 # one cluster.
@@ -173,10 +173,9 @@ def chain_spectra(cfg, nx: int, ny: int, k: int) -> tuple[np.ndarray, list]:
     chain m0 = 0..gcd(n_phi, ny)-1, and the number of times ARPACK applied
     each chain's inverse. ARPACK runs in regular mode on H^-1 (shift-invert
     at 0), applied through one banded Cholesky factor per chain."""
-    if nx < 8 * cfg.n_phi or ny < 8 * cfg.n_phi:
-        raise ValueError(
-            f"grid {nx}x{ny} too small; need at least {8 * cfg.n_phi} per direction"
-        )
+    floor = GRID_POINTS_PER_FLUX * cfg.n_phi
+    if nx < floor or ny < floor:
+        raise ValueError(f"grid {nx}x{ny} too small; need at least {floor} per direction")
     rows, applications = [], []
     for m0 in range(math.gcd(cfg.n_phi, ny)):
         band = bloch_chain(cfg, nx, ny, m0)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TWO_PI, TorusConfig
+from .config import GRID_POINTS_PER_FLUX, TWO_PI, TorusConfig, commensurate
 from .finitediff import apply_fd_operator
 from .gauge import boundary_residual, x_boundary_twist, y_boundary_twist
-from .oscillator import OscillatorBasis, hermite_eigenfunction
+from .oscillator import hermite_eigenfunction
 from .plane import CoherentLabel, coherent_center
 
 # Default grids keep h^2 * M w at or below this (the finite-difference
@@ -28,10 +28,9 @@ GRID_BUDGET = 1.0e-3
 # projector_distance rejects input families whose Gram matrix is further
 # than this from the identity.
 ORTHONORMAL_TOL = 1.0e-6
-
-
-class TruncationError(ValueError):
-    """A requested lattice-sum cutoff cannot meet the tail tolerance."""
+# The image sums keep every term whose Gaussian factor anywhere on the domain
+# exceeds this, relative to its peak.
+IMAGE_TOL = 1.0e-16
 
 
 @dataclass(frozen=True)
@@ -51,32 +50,19 @@ class TorusLabel:
             raise ValueError(f"basis must be 'ly' or 'lx', got {self.basis!r}")
 
 
-@dataclass(frozen=True)
-class LatticeSumPolicy:
-    """Truncation for the image sums: keep terms whose Gaussian factor at the
-    domain exceeds `tolerance` relative to the peak; `cutoff` optionally caps
-    the summation index and raises if the tail would then exceed tolerance."""
+def _reach(decay: float) -> float:
+    """Distance d at which the amplitude exp(-decay * d^2) falls to IMAGE_TOL."""
+    return math.sqrt(math.log(1.0 / IMAGE_TOL) / decay)
 
-    cutoff: int | None = None
-    tolerance: float = 1.0e-16
 
-    def reach(self, decay: float) -> float:
-        """Distance d with amplitude exp(-decay * d^2) = tolerance."""
-        return math.sqrt(math.log(1.0 / self.tolerance) / decay)
-
-    def indices(self, c0: float, step: float, lo: float, hi: float, width: float) -> range:
-        """Integer k with Gaussian center c0 + k*step inside [lo-width, hi+width]."""
-        a = (lo - width - c0) / step
-        b = (hi + width - c0) / step
-        if step < 0:
-            a, b = b, a
-        kmin, kmax = math.ceil(a), math.floor(b)
-        if self.cutoff is not None and (kmin < -self.cutoff or kmax > self.cutoff):
-            raise TruncationError(
-                f"cutoff {self.cutoff} leaves tail above tolerance "
-                f"{self.tolerance} (need indices [{kmin}, {kmax}])"
-            )
-        return range(kmin, kmax + 1)
+def _image_indices(c0: float, step: float, lo: float, hi: float, width: float) -> np.ndarray:
+    """Image indices k, as floats, whose Gaussian center c0 + k*step lies in
+    [lo - width, hi + width]."""
+    a = (lo - width - c0) / step
+    b = (hi + width - c0) / step
+    if step < 0:
+        a, b = b, a
+    return np.arange(math.ceil(a), math.floor(b) + 1, dtype=float)
 
 
 class SampledState:
@@ -139,20 +125,9 @@ def default_grid(cfg: TorusConfig) -> tuple[int, int]:
     h = math.sqrt(GRID_BUDGET / cfg.mass_omega)
 
     def round_up(n_target):
-        n = max(n_target, 8 * cfg.n_phi, 32)
-        return -(-n // cfg.n_phi) * cfg.n_phi
+        return commensurate(max(n_target, GRID_POINTS_PER_FLUX * cfg.n_phi, 32), cfg.n_phi)
 
     return round_up(math.ceil(cfg.lx / h)), round_up(math.ceil(cfg.ly / h))
-
-
-def _grid_or_default(cfg: TorusConfig, nx, ny) -> tuple[int, int]:
-    """(nx, ny) as given, except that when either is None, each of them that
-    is None or 0 comes from default_grid."""
-    if nx is None or ny is None:
-        dx, dy = default_grid(cfg)
-        nx = nx or dx
-        ny = ny or dy
-    return nx, ny
 
 
 def grid_axes(cfg: TorusConfig, nx: int, ny: int):
@@ -161,13 +136,11 @@ def grid_axes(cfg: TorusConfig, nx: int, ny: int):
     return xs, ys
 
 
-def sample_on_torus(cfg: TorusConfig, func, nx=None, ny=None, normalize=False) -> SampledState:
+def sample_on_torus(cfg: TorusConfig, func, nx: int, ny: int) -> SampledState:
     """Sample an arbitrary amplitude callable on the closed grid. No boundary
     condition is imposed; use gauge.boundary_residual to test it."""
-    xs, ys = grid_axes(cfg, *_grid_or_default(cfg, nx, ny))
-    values = np.asarray(func(xs[:, None], ys[None, :]), dtype=complex)
-    state = SampledState(cfg, values)
-    return normalized(state) if normalize else state
+    xs, ys = grid_axes(cfg, nx, ny)
+    return SampledState(cfg, np.asarray(func(xs[:, None], ys[None, :]), dtype=complex))
 
 
 def torus_inner(a: SampledState, b: SampledState) -> complex:
@@ -200,13 +173,7 @@ def normalized(state: SampledState) -> SampledState:
 # analytic state construction
 
 
-def torus_eigenstate(
-    cfg: TorusConfig,
-    label: TorusLabel,
-    policy: LatticeSumPolicy | None = None,
-    nx: int | None = None,
-    ny: int | None = None,
-) -> SampledState:
+def torus_eigenstate(cfg: TorusConfig, label: TorusLabel, nx: int, ny: int) -> SampledState:
     """Simultaneous eigenstate of H (energy omega*(n+1/2)) and of Ty
     (basis 'ly', eigenvalue exp(2 pi i l / n_phi)) or Tx (basis 'lx').
 
@@ -230,42 +197,33 @@ def torus_eigenstate(
     with kval_k = n_phi k + l + theta_y/2pi, qval_k = n_phi k + l + theta_x/2pi
     and cross = exp(-2 pi i n_phi x y / (Lx Ly)).
     """
-    policy = policy or LatticeSumPolicy()
-    xs, ys = grid_axes(cfg, *_grid_or_default(cfg, nx, ny))
-    basis = OscillatorBasis(cfg.mass_omega, max_level=max(label.n, 1))
+    xs, ys = grid_axes(cfg, nx, ny)
+    mw = cfg.mass_omega
     # oscillator amplitude ~ exp(-M w u^2 / 2) beyond the turning point
-    width = math.sqrt(2.0 * label.n + 1.0) / math.sqrt(cfg.mass_omega) + policy.reach(
-        cfg.mass_omega / 2.0
-    )
+    width = math.sqrt(2.0 * label.n + 1.0) / math.sqrt(mw) + _reach(mw / 2.0)
 
     if label.basis == "ly":
         # Gaussian centers in x at -(l + theta_y/2pi) a_x - k Lx
         c0 = -(label.l + cfg.theta_y / TWO_PI) * cfg.ax
-        k = np.array(policy.indices(c0, -cfg.lx, 0.0, cfg.lx, width), dtype=float)
+        k = _image_indices(c0, -cfg.lx, 0.0, cfg.lx, width)
         kval = cfg.n_phi * k + label.l + cfg.theta_y / TWO_PI
-        profile = hermite_eigenfunction(basis, label.n, xs[:, None] + kval * cfg.ax)
+        profile = hermite_eigenfunction(mw, label.n, xs[:, None] + kval * cfg.ax)
         wave = np.exp(TWO_PI * 1j * ys[:, None] * kval / cfg.ly - 1j * cfg.theta_x * k)
         values = profile @ wave.T
     else:
         # Gaussian centers in y at (l + theta_x/2pi) a_y + k Ly
         c0 = (label.l + cfg.theta_x / TWO_PI) * cfg.ay
         cross = np.exp(-TWO_PI * 1j * cfg.n_phi * xs[:, None] * ys[None, :] / (cfg.lx * cfg.ly))
-        k = np.array(policy.indices(c0, cfg.ly, 0.0, cfg.ly, width), dtype=float)
+        k = _image_indices(c0, cfg.ly, 0.0, cfg.ly, width)
         qval = cfg.n_phi * k + label.l + cfg.theta_x / TWO_PI
-        profile = hermite_eigenfunction(basis, label.n, ys[:, None] - qval * cfg.ay)
+        profile = hermite_eigenfunction(mw, label.n, ys[:, None] - qval * cfg.ay)
         wave = np.exp(TWO_PI * 1j * xs[:, None] * qval / cfg.lx + 1j * cfg.theta_y * k)
         values = cross * (wave @ profile.T)
 
     return normalized(SampledState(cfg, values))
 
 
-def torus_coherent(
-    cfg: TorusConfig,
-    c: CoherentLabel,
-    policy: LatticeSumPolicy | None = None,
-    nx: int | None = None,
-    ny: int | None = None,
-) -> SampledState:
+def torus_coherent(cfg: TorusConfig, c: CoherentLabel, nx: int, ny: int) -> SampledState:
     """Torus coherent state: the image sum over full-period magnetic
     translations of the infinite-volume coherent amplitude f,
 
@@ -289,18 +247,17 @@ def torus_coherent(
 
     and the whole sum is exp(-i Mw xy / 2) * (F @ G^T): one grid-sized
     exponential and one matrix product instead of one per image term."""
-    policy = policy or LatticeSumPolicy()
-    xs, ys = grid_axes(cfg, *_grid_or_default(cfg, nx, ny))
+    xs, ys = grid_axes(cfg, nx, ny)
     mw = cfg.mass_omega
     pre = math.sqrt(mw / 2.0)
     s2 = math.sqrt(2.0 / mw)
     cx = s2 * (c.lam + c.lam_prime).real
     cy = s2 * (c.lam_prime.imag - c.lam.imag)
     # coherent amplitude ~ exp(-M w d^2 / 4) around the packet center
-    width = policy.reach(mw / 4.0)
+    width = _reach(mw / 4.0)
 
-    kxs = np.array(policy.indices(cx, -cfg.lx, 0.0, cfg.lx, width), dtype=float)
-    kys = np.array(policy.indices(cy, -cfg.ly, 0.0, cfg.ly, width), dtype=float)
+    kxs = _image_indices(cx, -cfg.lx, 0.0, cfg.lx, width)
+    kys = _image_indices(cy, -cfg.ly, 0.0, cfg.ly, width)
     kx, ky = (k.ravel() for k in np.meshgrid(kxs, kys, indexing="ij"))
     u = xs[:, None] + kx * cfg.lx
     v = ys[:, None] + ky * cfg.ly
@@ -411,6 +368,8 @@ def apply_operator(op: str, state: SampledState) -> SampledState:
         core,
         xs,
         ys,
+        state.hx,
+        state.hy,
         cfg,
         twist_x=x_boundary_twist(cfg, ys),
         twist_y=y_boundary_twist(cfg),
@@ -423,14 +382,10 @@ def expectation(op: str, state: SampledState) -> complex:
     return torus_inner(state, apply_operator(op, state))
 
 
-def eigenvalue_residual(op: str, state: SampledState, value: complex, margin: int = 0) -> float:
-    """Relative L2 residual |(O - value) Psi| / |Psi| over the core grid,
-    optionally trimmed by `margin` cells per edge."""
+def eigenvalue_residual(op: str, state: SampledState, value: complex) -> float:
+    """Relative L2 residual |(O - value) Psi| / |Psi| over the core grid."""
     applied = apply_operator(op, state).core
     base = state.core
-    if margin:
-        applied = applied[margin:-margin, margin:-margin]
-        base = base[margin:-margin, margin:-margin]
     num = np.linalg.norm(applied - value * base)
     den = np.linalg.norm(base)
     return float(num / den)
@@ -510,7 +465,7 @@ def coherent_prefactor(cfg: TorusConfig, c: CoherentLabel, l: int, direction: st
 
 
 # ---------------------------------------------------------------------------
-# subspace comparison, densities, spectral evolution
+# subspace comparison and densities
 
 
 def projector_distance(set_a, set_b) -> float:
@@ -567,27 +522,3 @@ def density_map(state: SampledState) -> DensityMap:
         argmax_x=float(state.xs[ix]),
         argmax_y=float(state.ys[iy]),
     )
-
-
-def eigenbasis_coefficients(state: SampledState, n_max: int) -> dict:
-    """Coefficients <n l | Psi> for n <= n_max, all l, in the 'ly' basis."""
-    cfg = state.config
-    coeffs = {}
-    for n in range(n_max + 1):
-        for l in range(cfg.n_phi):
-            basis_state = torus_eigenstate(
-                cfg, TorusLabel(n, l), nx=state.nx, ny=state.ny
-            )
-            coeffs[(n, l)] = (torus_inner(basis_state, state), basis_state)
-    return coeffs
-
-
-def evolve_by_spectrum(state: SampledState, t: float, n_max: int) -> SampledState:
-    """Time evolution through the eigenbasis expansion: each |n l> component
-    picks up exp(-i omega (n + 1/2) t). Accurate when the state's weight
-    above n_max is negligible."""
-    cfg = state.config
-    out = np.zeros_like(state.values)
-    for (n, _l), (amp, basis_state) in eigenbasis_coefficients(state, n_max).items():
-        out = out + amp * np.exp(-1j * cfg.omega * (n + 0.5) * t) * basis_state.values
-    return SampledState(cfg, out)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import maggroup, spectral
-from .config import TWO_PI, TorusConfig
+from .config import TWO_PI, TorusConfig, commensurate
 from .finitediff import apply_fd_operator
 from .gauge import (
     cocycle_defect,
@@ -101,19 +101,19 @@ def _commutator_blocks(cfg, amp, xs, ys):
     the one the full-grid evaluation gives there, bit for bit. The operators
     work on the block as two real planes (re, im), which give the complex
     evaluation's values and cost about half as much."""
+    # the spacings of the whole grid: first differences of the rounded
+    # coordinates inside a block can be an ulp off them
+    hx = xs[1] - xs[0]
+    hy = ys[1] - ys[0]
 
     def op(name, g, bx):
-        return apply_fd_operator(name, g, bx, ys, cfg)
+        return apply_fd_operator(name, g, bx, ys, hx, hy, cfg)
 
     n = len(xs)
-    keep = (slice(2 + _HALO, -_HALO), slice(_MARGIN, -_MARGIN))
+    keep = (slice(_HALO, -_HALO), slice(_MARGIN, -_MARGIN))
     for r0 in range(_MARGIN, n - _MARGIN, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, n - _MARGIN)
-        # apply_fd_operator reads the x-spacing as xs[1] - xs[0], and other
-        # first differences of the rounded coordinates can be an ulp off it.
-        # So each block carries the grid's first two rows in front; the
-        # stencils that reach across that gap land only on discarded rows.
-        bx = np.concatenate((xs[:2], xs[r0 - _HALO : r1 + _HALO]))
+        bx = xs[r0 - _HALO : r1 + _HALO]
         values = sample_plane(amp, bx, ys)
         planes = (values.real, values.imag)
         rx_ry = op("Rx", op("Ry", planes, bx), bx)
@@ -277,8 +277,7 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     add("heisenberg_center_commutator", _heisenberg_residual(cfg), 1.0e-6)
 
     # discrete spectrum: multiplicities n_phi, means near omega*(n+1/2)
-    grid = max(48, 16 * n)
-    grid = -(-grid // n) * n
+    grid = commensurate(max(48, 16 * n), n)
     report = spectral.low_spectrum(cfg, grid, grid, 2 * n)
     dev = 0.0
     for cluster in report.clusters:

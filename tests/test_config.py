@@ -5,40 +5,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landau import (
-    InfiniteConfig,
-    TorusConfig,
-    cyclotron_frequency,
-    elementary_steps,
-)
+from landau import InfiniteConfig, TorusConfig
 from landau.config import parse_config_text, torus_config_from_mapping
 
 TWO_PI = 2.0 * math.pi
 
 
 def test_cyclotron_frequency_unit_inputs():
-    assert cyclotron_frequency(InfiniteConfig(mass=1, charge=1, b_field=1)) == 1.0
+    assert InfiniteConfig(mass=1, charge=1, b_field=1).omega == 1.0
 
 
 def test_cyclotron_frequency_linear():
-    assert cyclotron_frequency(InfiniteConfig(mass=2, charge=1, b_field=6)) == 3.0
+    assert InfiniteConfig(mass=2, charge=1, b_field=6).omega == 3.0
 
 
 def test_torus_flux_fixes_field():
     cfg = TorusConfig(mass=1, charge=1, lx=1, ly=1, n_phi=2)
     assert cfg.b_field == pytest.approx(4 * math.pi, abs=1e-14)
-    assert cyclotron_frequency(cfg) == pytest.approx(12.566370614359172, abs=1e-12)
+    assert cfg.omega == pytest.approx(12.566370614359172, abs=1e-12)
 
 
 def test_elementary_steps_basic():
-    assert elementary_steps(TorusConfig(1, 1, lx=1, ly=1, n_phi=2))[0] == 0.5
-    assert elementary_steps(TorusConfig(1, 1, lx=3, ly=1, n_phi=1))[0] == 3.0
+    assert TorusConfig(1, 1, lx=1, ly=1, n_phi=2).ax == 0.5
+    assert TorusConfig(1, 1, lx=3, ly=1, n_phi=1).ax == 3.0
 
 
 def test_elementary_steps_both_identities():
     # a_x = Lx/n_phi must equal 2 pi / (e B Ly), evaluated independently
     cfg = TorusConfig(mass=1, charge=1, lx=1, ly=2, n_phi=4)
-    ax, ay = elementary_steps(cfg)
+    ax, ay = cfg.ax, cfg.ay
     assert ax == pytest.approx(0.25, abs=1e-15)
     assert ax == pytest.approx(TWO_PI / (cfg.charge * cfg.b_field * cfg.ly), rel=1e-14)
     assert ay == pytest.approx(TWO_PI / (cfg.charge * cfg.b_field * cfg.lx), rel=1e-14)
@@ -105,11 +100,9 @@ def test_config_file_parsing():
 
 
 def test_config_from_file(tmp_path):
-    from landau import torus_config_from_file
-
     path = tmp_path / "torus.cfg"
     path.write_text("mass=2.0\ncharge=0.5\nlx=1.5\nly=1.0\nnphi=4\ntheta_y=1.25\n")
-    cfg = torus_config_from_file(path)
+    cfg = torus_config_from_mapping(parse_config_text(path.read_text(encoding="utf-8")))
     assert cfg.mass == 2.0
     assert cfg.charge == 0.5
     assert cfg.n_phi == 4

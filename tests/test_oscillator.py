@@ -2,34 +2,40 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from landau import (
-    OscillatorBasis,
-    hermite_eigenfunction,
-    hermite_functions,
-    oscillator_grid,
-    quadrature_inner_product,
-)
+from landau import hermite_eigenfunction, hermite_functions
 from oracles import independent_psi_n
 
 
+def trapezoid_gram(mass_omega, levels):
+    """Trapezoid inner products <psi_m|psi_n> for m, n < levels, on a uniform
+    grid reaching 8 oscillator lengths past the top level's turning point at
+    16 samples per oscillator length (spectrally accurate for these
+    Gaussian-decaying integrands)."""
+    s = np.sqrt(mass_omega)
+    du = 1.0 / (16 * s)
+    m = int(np.ceil((np.sqrt(2.0 * levels - 1.0) + 8.0) / s / du))
+    u = du * np.arange(-m, m + 1)
+    psis = np.array([hermite_eigenfunction(mass_omega, n, u) for n in range(levels)])
+    weights = np.full(u.size, du)
+    weights[[0, -1]] *= 0.5
+    return (psis * weights) @ psis.T
+
+
 def test_odd_level_vanishes_at_origin():
-    basis = OscillatorBasis(mass_omega=1.0)
-    assert hermite_eigenfunction(basis, 1, 0.0) == 0.0
+    assert hermite_eigenfunction(1.0, 1, 0.0) == 0.0
 
 
 def test_ground_state_peaks_at_origin():
-    basis = OscillatorBasis(mass_omega=2.0)
     u = np.linspace(-5, 5, 1001)
-    psi0 = np.abs(hermite_eigenfunction(basis, 0, u))
+    psi0 = np.abs(hermite_eigenfunction(2.0, 0, u))
     assert np.argmax(psi0) == 500
 
 
 @pytest.mark.parametrize("n", range(0, 11))
 def test_matches_independent_hermite_route(n):
     # oracle: raw Hermite polynomial + explicit normalization (safe n <= 12)
-    basis = OscillatorBasis(mass_omega=1.7)
     u = np.linspace(-6, 6, 301)
-    mine = hermite_eigenfunction(basis, n, u)
+    mine = hermite_eigenfunction(1.7, n, u)
     ref = independent_psi_n(1.7, n, u)
     assert np.max(np.abs(mine - ref)) < 1e-13
 
@@ -37,27 +43,19 @@ def test_matches_independent_hermite_route(n):
 @pytest.mark.parametrize("n", range(0, 11))
 def test_unit_norm_by_adaptive_quadrature(n):
     # scipy.integrate.quad on [-12, 12] as the independent integrator
-    basis = OscillatorBasis(mass_omega=1.0)
-    val, err = quad(lambda u: hermite_eigenfunction(basis, n, u) ** 2, -12, 12, limit=200)
+    val, err = quad(lambda u: hermite_eigenfunction(1.0, n, u) ** 2, -12, 12, limit=200)
     assert abs(val - 1.0) < 1e-10
 
 
 def test_trapezoid_inner_product_normalization_and_parity():
-    basis = OscillatorBasis(mass_omega=1.0)
-    u, du = oscillator_grid(basis, 2)
-    psi0 = hermite_eigenfunction(basis, 0, u)
-    psi1 = hermite_eigenfunction(basis, 1, u)
-    psi2 = hermite_eigenfunction(basis, 2, u)
-    assert quadrature_inner_product(psi0, psi0, du) == pytest.approx(1.0, abs=1e-10)
-    assert abs(quadrature_inner_product(psi0, psi1, du)) < 1e-10
-    assert quadrature_inner_product(psi2, psi2, du) == pytest.approx(1.0, abs=1e-10)
+    gram = trapezoid_gram(1.0, 3)
+    assert gram[0, 0] == pytest.approx(1.0, abs=1e-10)
+    assert abs(gram[0, 1]) < 1e-10
+    assert gram[2, 2] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_gram_matrix_is_identity():
-    basis = OscillatorBasis(mass_omega=0.8)
-    u, du = oscillator_grid(basis, 8)
-    psis = [hermite_eigenfunction(basis, n, u) for n in range(9)]
-    gram = np.array([[quadrature_inner_product(a, b, du) for b in psis] for a in psis])
+    gram = trapezoid_gram(0.8, 9)
     assert np.max(np.abs(gram - np.eye(9))) < 1e-8
 
 
@@ -69,20 +67,11 @@ def test_recurrence_intermediates_bounded():
 
 
 def test_no_overflow_far_out():
-    basis = OscillatorBasis(mass_omega=1.0, max_level=64)
     for n in (0, 1, 32, 64):
-        v = hermite_eigenfunction(basis, n, np.array([-40.0, 40.0]))
+        v = hermite_eigenfunction(1.0, n, np.array([-40.0, 40.0]))
         assert np.all(np.isfinite(v))
 
 
 def test_level_out_of_range():
-    basis = OscillatorBasis(mass_omega=1.0, max_level=4)
     with pytest.raises(ValueError):
-        hermite_eigenfunction(basis, 5, 0.0)
-    with pytest.raises(ValueError):
-        hermite_eigenfunction(basis, -1, 0.0)
-
-
-def test_inner_product_grid_mismatch():
-    with pytest.raises(ValueError):
-        quadrature_inner_product(np.zeros(5), np.zeros(6), 0.1)
+        hermite_eigenfunction(1.0, -1, 0.0)

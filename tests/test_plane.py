@@ -24,7 +24,6 @@ from landau import (
 )
 from landau import plane
 from landau.finitediff import apply_fd_operator
-from landau.oscillator import OscillatorBasis
 from oracles import PlaneOperators, coherent_moments_by_quadrature, interior, plane_box
 
 CFG = InfiniteConfig(mass=1.0, charge=1.0, b_field=4.0)
@@ -79,8 +78,7 @@ def test_eigenstate_py_phase_convention():
     val = complex(state(0.0, 0.0))
     assert val.imag == 0.0
     assert val.real > 0
-    basis = OscillatorBasis(CFG.mass_omega, 1)
-    assert val.real == pytest.approx(float(hermite_eigenfunction(basis, 0, 0.0)), rel=1e-14)
+    assert val.real == pytest.approx(float(hermite_eigenfunction(CFG.mass_omega, 0, 0.0)), rel=1e-14)
 
 
 def test_eigenstate_py_shift_property():
@@ -99,7 +97,7 @@ def test_eigenstate_py_shift_property():
 def test_eigenstate_py_energy_residual(n, p_y):
     xs, ys = plane_box(CFG, -p_y / CFG.mass_omega, 0.0, half_width_units=9 + math.sqrt(2 * n + 1))
     values = sample_plane(eigenstate_py(CFG, n, p_y), xs, ys)
-    h_values = apply_fd_operator("H", values, xs, ys, CFG)
+    h_values = apply_fd_operator("H", values, xs, ys, xs[1] - xs[0], ys[1] - ys[0], CFG)
     res = interior(h_values - landau_energy(CFG, n) * values, 4)
     assert np.linalg.norm(res) / np.linalg.norm(interior(values, 4)) < 1e-6
 
@@ -116,16 +114,15 @@ def test_eigenstate_px_energy_residual(n, p_x):
         half_width_units_y=9 + math.sqrt(2 * n + 1),
     )
     values = sample_plane(eigenstate_px(CFG, n, p_x), xs, ys)
-    h_values = apply_fd_operator("H", values, xs, ys, CFG)
+    h_values = apply_fd_operator("H", values, xs, ys, xs[1] - xs[0], ys[1] - ys[0], CFG)
     res = interior(h_values - landau_energy(CFG, n) * values, 4)
     assert np.linalg.norm(res) / np.linalg.norm(interior(values, 4)) < 1e-6
 
 
 def test_eigenstate_px_at_origin():
     state = eigenstate_px(CFG, 0, 0.0)
-    basis = OscillatorBasis(CFG.mass_omega, 1)
     assert complex(state(0.0, 0.0)).real == pytest.approx(
-        float(hermite_eigenfunction(basis, 0, 0.0)), rel=1e-14
+        float(hermite_eigenfunction(CFG.mass_omega, 0, 0.0)), rel=1e-14
     )
 
 
@@ -251,7 +248,7 @@ def test_coherent_is_joint_ladder_eigenstate(lam, lamp):
     xs, ys = plane_box(CFG, cx, cy)
     values = sample_plane(amp, xs, ys)
     for op, eig in (("a", lam), ("b", lamp)):
-        applied = apply_fd_operator(op, values, xs, ys, CFG)
+        applied = apply_fd_operator(op, values, xs, ys, xs[1] - xs[0], ys[1] - ys[0], CFG)
         res = interior(applied - eig * values, 4)
         assert np.linalg.norm(res) / np.linalg.norm(interior(values, 4)) < 1e-6
 

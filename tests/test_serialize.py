@@ -23,7 +23,6 @@ from landau.serialize import (
     write_density_csv,
     write_json,
     write_pgm,
-    write_state_csv,
     write_table_csv,
     write_trace_csv,
 )
@@ -31,15 +30,6 @@ from landau.serialize import (
 
 def _fmt(v) -> str:
     return format(float(v), ".17g")
-
-
-def reference_state_csv(state, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y,re,im\n")
-        for i, x in enumerate(state.xs):
-            for j, y in enumerate(state.ys):
-                v = state.values[i, j]
-                fh.write(f"{_fmt(x)},{_fmt(y)},{_fmt(v.real)},{_fmt(v.imag)}\n")
 
 
 def reference_density_csv(dmap, path):
@@ -103,9 +93,8 @@ def _same_bytes(tmp_path, write, reference, *args):
 
 
 ROWS_PER_CHUNK_2 = serialize.CHUNK_FIELDS // 2  # density CSV: 'x,y' and the value
-ROWS_PER_CHUNK_3 = serialize.CHUNK_FIELDS // 3  # state and trace CSV
+ROWS_PER_CHUNK_3 = serialize.CHUNK_FIELDS // 3  # trace CSV
 SHAPES_2 = [(1, 1), (3, 5), (5, 3)] + [(1, ROWS_PER_CHUNK_2 + d) for d in (-1, 0, 1)]
-SHAPES_3 = [(1, 1), (3, 5), (5, 3)] + [(1, ROWS_PER_CHUNK_3 + d) for d in (-1, 0, 1)]
 
 
 @pytest.mark.parametrize("shape", SHAPES_2)
@@ -113,14 +102,6 @@ def test_density_csv_matches_reference(tmp_path, shape):
     xs, ys = _grid(*shape, seed=sum(shape))
     dmap = SimpleNamespace(xs=xs, ys=ys, density=np.abs(_values(shape, seed=sum(shape))))
     _same_bytes(tmp_path, write_density_csv, reference_density_csv, dmap)
-
-
-@pytest.mark.parametrize("shape", SHAPES_3)
-def test_state_csv_matches_reference(tmp_path, shape):
-    xs, ys = _grid(*shape, seed=sum(shape))
-    values = _values(shape, seed=sum(shape)) + 1j * _values(shape, seed=sum(shape) + 7)
-    state = SimpleNamespace(xs=xs, ys=ys, values=values)
-    _same_bytes(tmp_path, write_state_csv, reference_state_csv, state)
 
 
 @pytest.mark.parametrize("rows", [1, 5, ROWS_PER_CHUNK_3 - 1, ROWS_PER_CHUNK_3, ROWS_PER_CHUNK_3 + 1])
@@ -163,13 +144,11 @@ def test_writers_refuse_non_finite_values(tmp_path, bad):
     density = np.ones((2, 3))
     density[1, 2] = bad
     dmap = SimpleNamespace(xs=xs, ys=ys, density=density)
-    state = SimpleNamespace(xs=xs, ys=ys, values=density * (1 + 1j))
     positions = np.ones((3, 2))
     positions[1, 0] = bad
     calls = [
         (write_density_csv, (dmap,)),
         (write_pgm, (dmap,)),
-        (write_state_csv, (state,)),
         (write_trace_csv, (np.arange(3.0), positions)),
         (write_table_csv, (("t", "v"), (np.arange(3.0), positions[:, 0]))),
     ]

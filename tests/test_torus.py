@@ -7,7 +7,6 @@ from hypothesis import strategies
 
 from landau import (
     CoherentLabel,
-    LatticeSumPolicy,
     TorusConfig,
     TorusLabel,
     apply_operator,
@@ -18,7 +17,6 @@ from landau import (
     coherent_translation_series,
     density_map,
     eigenvalue_residual,
-    evolve_by_spectrum,
     expectation,
     gram_matrix,
     projector_distance,
@@ -28,11 +26,20 @@ from landau import (
     torus_inner,
     translation_expectation,
 )
-from landau.oscillator import OscillatorBasis, hermite_eigenfunction
-from landau.plane import _coherent_raw
-from landau.torus import SampledState, TruncationError, grid_axes, normalized, torus_norm
+from landau.oscillator import hermite_eigenfunction
+from landau.plane import _coherent_raw, evolve_coherent
+from landau.torus import SampledState, grid_axes, normalized, torus_norm
 
 TWO_PI = 2.0 * math.pi
+
+
+def image_range(c0, step, lo, hi, decay, extra=0.0):
+    """Image indices k of the Gaussians exp(-decay (u - c0 - k step)^2) that
+    exceed 1e-16 of their peak somewhere in [lo - extra, hi + extra], and
+    one more on each side (whose terms must be negligible)."""
+    width = extra + math.sqrt(math.log(1e16) / decay)
+    ends = ((lo - width - c0) / step, (hi + width - c0) / step)
+    return range(math.ceil(min(ends)) - 1, math.floor(max(ends)) + 2)
 
 
 def make_cfg(n_phi, theta_x=1.0, theta_y=2.0, lx=1.0, ly=1.0):
@@ -66,26 +73,23 @@ def test_degenerate_level_is_orthonormal(n_phi):
 def reference_eigenstate(cfg, label, nx, ny):
     """The per-image loop that the one-product sum replaced: one outer
     product (times the gauge factor, for 'lx') per image term k."""
-    policy = LatticeSumPolicy()
+    mw = cfg.mass_omega
     xs, ys = grid_axes(cfg, nx, ny)
-    basis = OscillatorBasis(cfg.mass_omega, max_level=max(label.n, 1))
-    width = math.sqrt(2.0 * label.n + 1.0) / math.sqrt(cfg.mass_omega) + policy.reach(
-        cfg.mass_omega / 2.0
-    )
+    turning = math.sqrt(2.0 * label.n + 1.0) / math.sqrt(mw)
     values = np.zeros((nx + 1, ny + 1), dtype=complex)
     if label.basis == "ly":
         c0 = -(label.l + cfg.theta_y / TWO_PI) * cfg.ax
-        for k in policy.indices(c0, -cfg.lx, 0.0, cfg.lx, width):
+        for k in image_range(c0, -cfg.lx, 0.0, cfg.lx, mw / 2.0, turning):
             kval = cfg.n_phi * k + label.l + cfg.theta_y / TWO_PI
-            profile = hermite_eigenfunction(basis, label.n, xs + kval * cfg.ax)
+            profile = hermite_eigenfunction(mw, label.n, xs + kval * cfg.ax)
             wave = np.exp(TWO_PI * 1j * ys * kval / cfg.ly - 1j * cfg.theta_x * k)
             values += profile[:, None] * wave[None, :]
     else:
         c0 = (label.l + cfg.theta_x / TWO_PI) * cfg.ay
         cross = np.exp(-TWO_PI * 1j * cfg.n_phi * xs[:, None] * ys[None, :] / (cfg.lx * cfg.ly))
-        for k in policy.indices(c0, cfg.ly, 0.0, cfg.ly, width):
+        for k in image_range(c0, cfg.ly, 0.0, cfg.ly, mw / 2.0, turning):
             qval = cfg.n_phi * k + label.l + cfg.theta_x / TWO_PI
-            profile = hermite_eigenfunction(basis, label.n, ys - qval * cfg.ay)
+            profile = hermite_eigenfunction(mw, label.n, ys - qval * cfg.ay)
             wave = np.exp(TWO_PI * 1j * xs * qval / cfg.lx + 1j * cfg.theta_y * k)
             values += wave[:, None] * profile[None, :] * cross
     return normalized(SampledState(cfg, values))
@@ -179,19 +183,6 @@ def test_label_periodic_in_degeneracy_index():
     b = torus_eigenstate(cfg, TorusLabel(0, 2), nx=48, ny=48)
     ov = torus_inner(a, b)
     assert abs(abs(ov) - 1.0) < 1e-10
-
-
-def test_policy_cutoff_error():
-    cfg = make_cfg(1)
-    with pytest.raises(TruncationError):
-        torus_eigenstate(cfg, TorusLabel(0, 0), policy=LatticeSumPolicy(cutoff=0), nx=32, ny=32)
-    with pytest.raises(TruncationError):
-        torus_coherent(cfg, CoherentLabel(0.0, 0.0), policy=LatticeSumPolicy(cutoff=0), nx=32, ny=32)
-    # a generous cutoff works
-    st = torus_eigenstate(cfg, TorusLabel(0, 0), policy=LatticeSumPolicy(cutoff=12), nx=32, ny=32)
-    assert st.boundary_residual() < 1e-8
-    coh = torus_coherent(cfg, CoherentLabel(0.0, 0.0), policy=LatticeSumPolicy(cutoff=12), nx=32, ny=32)
-    assert coh.boundary_residual() < 1e-8
 
 
 def test_grid_commensurability_enforced():
@@ -378,18 +369,17 @@ def test_unknown_operator_rejected():
 def reference_coherent(cfg, c, nx, ny):
     """The per-image double loop that the separable sum replaced: one
     full-grid complex exponential per (kx, ky) image term."""
-    policy = LatticeSumPolicy()
     xs, ys = grid_axes(cfg, nx, ny)
     raw = _coherent_raw(cfg, c)
     s2 = math.sqrt(2.0 / cfg.mass_omega)
     cx = s2 * (c.lam + c.lam_prime).real
     cy = s2 * (c.lam_prime.imag - c.lam.imag)
-    width = policy.reach(cfg.mass_omega / 4.0)
+    decay = cfg.mass_omega / 4.0
     values = np.zeros((nx + 1, ny + 1), dtype=complex)
     x2 = xs[:, None]
     y2 = ys[None, :]
-    for kx in policy.indices(cx, -cfg.lx, 0.0, cfg.lx, width):
-        for ky in policy.indices(cy, -cfg.ly, 0.0, cfg.ly, width):
+    for kx in image_range(cx, -cfg.lx, 0.0, cfg.lx, decay):
+        for ky in image_range(cy, -cfg.ly, 0.0, cfg.ly, decay):
             phase = np.exp(
                 TWO_PI * 1j * cfg.n_phi * kx * y2 / cfg.ly
                 - 1j * (kx * cfg.theta_x + ky * cfg.theta_y)
@@ -466,9 +456,15 @@ def test_time_evolution_stays_coherent_vs_eigenbasis():
     nx = ny = 96
     start = torus_coherent(cfg, lab, nx=nx, ny=ny)
     t = 0.6 * TWO_PI / cfg.omega
-    evolved_exact = evolve_by_spectrum(start, t, n_max=10)
-    from landau.plane import evolve_coherent
-
+    # each |n l> component with n <= 10 picks up exp(-i omega (n + 1/2) t);
+    # the weight above n = 10 is negligible at |lambda| = 0.45
+    evolved = np.zeros_like(start.values)
+    for n in range(11):
+        for l in range(cfg.n_phi):
+            basis_state = torus_eigenstate(cfg, TorusLabel(n, l), nx=nx, ny=ny)
+            amp = torus_inner(basis_state, start)
+            evolved += amp * np.exp(-1j * cfg.omega * (n + 0.5) * t) * basis_state.values
+    evolved_exact = SampledState(cfg, evolved)
     rebuilt = torus_coherent(cfg, evolve_coherent(cfg, lab, t), nx=nx, ny=ny)
     ov = torus_inner(evolved_exact, rebuilt)
     assert abs(abs(ov) - 1.0) < 1e-5
@@ -577,28 +573,22 @@ def test_projector_distance_requires_orthonormal_input():
 
 
 def test_state_and_density_files(tmp_path):
-    from landau.serialize import write_density_csv, write_pgm, write_state_csv
+    from landau.serialize import write_density_csv, write_pgm
 
     cfg = make_cfg(1)
     st = torus_eigenstate(cfg, TorusLabel(0, 0), nx=8, ny=8)
     dm = density_map(st)
-    state_csv = tmp_path / "state.csv"
     density_csv = tmp_path / "density.csv"
     pgm = tmp_path / "density.pgm"
-    write_state_csv(st, state_csv)
     write_density_csv(dm, density_csv)
     write_pgm(dm, pgm)
-
-    lines = state_csv.read_text().splitlines()
-    assert lines[0] == "x,y,re,im"
-    assert len(lines) == 1 + 9 * 9
-    x, y, re, im = map(float, lines[1].split(","))
-    assert (x, y) == (0.0, 0.0)
-    assert complex(re, im) == pytest.approx(complex(st.values[0, 0]), abs=1e-15)
 
     dlines = density_csv.read_text().splitlines()
     assert dlines[0] == "x,y,density"
     assert len(dlines) == 1 + 9 * 9
+    x, y, d = map(float, dlines[1].split(","))
+    assert (x, y) == (0.0, 0.0)
+    assert d == dm.density[0, 0]
 
     plines = pgm.read_text().splitlines()
     assert plines[0] == "P2"

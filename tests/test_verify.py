@@ -62,7 +62,7 @@ def full_commutator(cfg, amp, xs, ys):
     values = sample_plane(amp, xs, ys)
 
     def op(name, g):
-        return apply_fd_operator(name, g, xs, ys, cfg)
+        return apply_fd_operator(name, g, xs, ys, xs[1] - xs[0], ys[1] - ys[0], cfg)
 
     return values, op("Rx", op("Ry", values)) - op("Ry", op("Rx", values))
 
