@@ -42,13 +42,8 @@ from .verify import run_verification
 
 
 def _add_config_flags(parser):
-    parser.add_argument("--mass", type=float, default=None)
-    parser.add_argument("--charge", type=float, default=None)
-    parser.add_argument("--lx", type=float, default=None)
-    parser.add_argument("--ly", type=float, default=None)
-    parser.add_argument("--nphi", type=int, default=None)
-    parser.add_argument("--theta-x", dest="theta_x", type=float, default=None)
-    parser.add_argument("--theta-y", dest="theta_y", type=float, default=None)
+    for key, kind in TORUS_KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, default=None)
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
     parser.add_argument("--out-dir", dest="out_dir", type=str, default=".")
 
@@ -272,6 +267,8 @@ def cmd_verify(args, parser) -> int:
     values, cfg = _merge_config(args, parser)
     if args.nphi_override is not None and not math.isfinite(args.nphi_override):
         parser.error(f"--nphi-override must be finite, got {args.nphi_override}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stages = {}
@@ -353,21 +350,20 @@ def cmd_coherent(args, parser) -> int:
     stages = {}
     with stage(stages, "evolve"):
         ex = coherent_expectations(cfg, evolve_coherent(cfg, label, times))
+        columns = (
+            times,
+            ex.center_x + ex.rel_x,
+            ex.center_y + ex.rel_y,
+            ex.energy,
+            math.hypot(ex.spread_center_x, ex.spread_rel_x),
+            math.hypot(ex.spread_center_y, ex.spread_rel_y),
+            ex.spread_energy,
+        )
+    if not all(np.isfinite(c).all() for c in columns):
+        parser.error("the coherent state's moments are not finite; choose a smaller label")
     path = out_dir / "coherent.csv"
     with stage(stages, "csv"):
-        write_table_csv(
-            ("t", "x", "y", "energy", "delta_x", "delta_y", "delta_energy"),
-            (
-                times,
-                ex.center_x + ex.rel_x,
-                ex.center_y + ex.rel_y,
-                ex.energy,
-                math.hypot(ex.spread_center_x, ex.spread_rel_x),
-                math.hypot(ex.spread_center_y, ex.spread_rel_y),
-                ex.spread_energy,
-            ),
-            path,
-        )
+        write_table_csv(("t", "x", "y", "energy", "delta_x", "delta_y", "delta_energy"), columns, path)
     _manifest("coherent", values, [path], started, out_dir, extra={"stages": stages})
     print(f"wrote {args.periods * args.samples + 1} steps over {args.periods} period(s)")
     return 0

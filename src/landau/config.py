@@ -97,6 +97,15 @@ class TorusConfig:
 
 # Grids have at least this many points per flux quantum along each axis.
 GRID_POINTS_PER_FLUX = 8
+# The finite-difference resolution rule: every grid the package picks for
+# itself keeps h^2 * M*w at or below this on each axis, i.e. a spacing of
+# about l_B / 32 in magnetic lengths l_B = 1/sqrt(M*w).
+GRID_BUDGET = 1.0e-3
+
+
+def grid_spacing(cfg) -> float:
+    """The largest spacing the resolution rule allows at cfg's M*w."""
+    return math.sqrt(GRID_BUDGET / cfg.mass_omega)
 
 
 def commensurate(n: int, n_phi: int) -> int:

@@ -1,6 +1,12 @@
 """Fourth-order finite-difference realizations of the magnetic operators.
 
-Grids are uniform, values[ix, iy].
+Grids are uniform, values[ix, iy]. In Landau gauge a state carries the phase
+exp(i eB x y), whose y-wavenumber eB x reaches 2 pi n_phi / Ly on a torus, so
+H, a and adag, which hold Pi_y = -i dy + eB x, difference y covariantly: the
+value s cells along y is multiplied by the link exp(i eB x s hy) before the
+stencil sums it. That is the stencil of g psi divided by g, g = exp(i eB x y),
+and the continuum form of the Peierls links of `spectral.bloch_chain`; the
+stencil then sees only the smooth envelope of the state.
 
 Ghost cells. Each stencil pads its axis once with 2 ghost cells per side and
 reads its five points as shifted slices of the padded array. The ghost cells
@@ -22,10 +28,10 @@ algorithm, and negation is a full complex pass):
                                         part is a multiply by 1/c
     1j * z = (-im, re)      -1j * z = (im, -re)
 
-Products with a complex factor (the ghost-cell twists, 2j eB x in H, +-1j y
-in b and bdag) stay numpy complex multiplies, whose rounding may differ from
-any hand-written form (a product of two complex scalars can differ from the
-same product done elementwise in an array by an ulp).
+Products with a complex factor (the ghost-cell twists, the links, +-1j y in
+b and bdag) stay numpy complex multiplies, whose rounding may differ from any
+hand-written form (a product of two complex scalars can differ from the same
+product done elementwise in an array by an ulp).
 """
 
 from __future__ import annotations
@@ -74,10 +80,17 @@ def _ghosted(planes, axis, twist):
         yield g
 
 
-def _d1_sum(g, axis):
-    """12h * first derivative on a ghosted plane: -f(+2) + 8f(+1) - 8f(-1) + f(-2)."""
+def _shifted(g, axis, links):
+    """f(k): the ghosted array g read k - 2 cells ahead along axis, times the
+    link links[k - 2] of that shift when links are given."""
     n = g.shape[axis] - 4
-    f = lambda k: g[_along(axis, slice(k, k + n))]  # noqa: E731  (f(k): shift k - 2)
+    f = lambda k: g[_along(axis, slice(k, k + n))]  # noqa: E731
+    return f if links is None else lambda k: f(k) if k == 2 else f(k) * links[k - 2]
+
+
+def _d1_sum(g, axis, links=None):
+    """12h * first derivative on a ghosted plane: -f(+2) + 8f(+1) - 8f(-1) + f(-2)."""
+    f = _shifted(g, axis, links)
     out = 8.0 * f(3)
     out -= f(4)
     out -= 8.0 * f(1)
@@ -85,10 +98,9 @@ def _d1_sum(g, axis):
     return out
 
 
-def _d2_sum(g, axis):
+def _d2_sum(g, axis, links=None):
     """12h^2 * second derivative: -f(+2) + 16f(+1) - 30f + 16f(-1) - f(-2)."""
-    n = g.shape[axis] - 4
-    f = lambda k: g[_along(axis, slice(k, k + n))]  # noqa: E731
+    f = _shifted(g, axis, links)
     out = 16.0 * f(3)
     out -= f(4)
     out -= 30.0 * f(2)
@@ -114,14 +126,15 @@ def apply_fd_operator(op, values, xs, ys, hx, hy, cfg, twist_x=None, twist_y=Non
     values is a complex array, or a (re, im) pair of real planes; the result
     takes the same form. xs, ys are the 1-D coordinate arrays of the
     uniform grid and hx, hy its spacings; cfg supplies mass, charge and
-    b_field. Landau gauge A = (0, B x, 0) throughout:
+    b_field. Landau gauge A = (0, B x, 0) throughout, with D = dy + i e B x
+    differenced covariantly (module docstring):
 
         Px = -i dx + e B y        Py = -i dy
         Rx =  i dy / (e B)        Ry = y - i dx / (e B)
-        H  = (-dx^2 - dy^2 - 2 i e B x dy + (e B x)^2) / (2 M)
+        H  = -(dx^2 + D^2) / (2 M)
         L  = x (-i dy + e B x / 2) - y (-i dx + e B y / 2)
-        a    = sqrt(M w / 2) [ x + (dx - i dy)/(e B) ]
-        adag = sqrt(M w / 2) [ x - (dx + i dy)/(e B) ]
+        a    = ( dx - i D) / sqrt(2 e B)
+        adag = (-dx - i D) / sqrt(2 e B)
         b    = sqrt(M w / 2) [ i y + (dx + i dy)/(e B) ]
         bdag = sqrt(M w / 2) [ -i y - (dx - i dy)/(e B) ]
     """
@@ -147,6 +160,13 @@ def _operator_planes(op, re, im, xs, ys, hx, hy, cfg, twist_x, twist_y):
     def dy():
         return _derivative(_d1_sum, 12.0 * hy, (re, im), 1, twist_y)
 
+    def covariant_dy(stencil, scale):
+        # complex arithmetic throughout, returned as (re, im) views
+        links = {k: np.exp(1j * (k * eb * hy) * x) for k in (-2, -1, 1, 2)}
+        out = stencil(_merged(*_ghosted((re, im), 1, twist_y)), 1, links)
+        out *= 1.0 / scale
+        return out.real, out.imag
+
     if op == "Py":  # -1j dy
         dr, di = dy()
         return di, np.negative(dr, out=dr)
@@ -170,22 +190,22 @@ def _operator_planes(op, re, im, xs, ys, hx, hy, cfg, twist_x, twist_y):
         out_im = y * im
         out_im -= dr
         return di, out_im
-    if op == "H":  # (-dxx - dyy - 2j eb x dy + (eb x)^2 psi) / (2 M)
+    if op == "H":  # (-dxx - Dyy) / (2 M)
         dxx = _derivative(_d2_sum, 12.0 * hx * hx, (re, im), 0, twist_x)
-        dyy = _derivative(_d2_sum, 12.0 * hy * hy, (re, im), 1, twist_y)
-        cross = 2j * eb * x * _merged(*dy())
-        q = (eb * x) ** 2
+        dyy = covariant_dy(_d2_sum, 12.0 * hy * hy)
         inv_2m = 1.0 / (2.0 * cfg.mass)
-        out = []
-        for a, b, c, v in zip(dxx, dyy, (cross.real, cross.imag), (re, im)):
-            s = np.negative(a, out=a)
-            s -= b
-            s -= c
-            s += q * v
-            s *= inv_2m
-            out.append(s)
-        return tuple(out)
+        for a, b in zip(dxx, dyy):
+            np.negative(a, out=a)
+            a -= b
+            a *= inv_2m
+        return dxx
     dx_r, dx_i = dx()
+    if op in ("a", "adag"):  # (dx - 1j Dy) / sqrt(2 eb), adag with -dx
+        if op == "adag":
+            dx_r, dx_i = -dx_r, -dx_i
+        dy_r, dy_i = covariant_dy(_d1_sum, 12.0 * hy)
+        inv_norm = 1.0 / np.sqrt(2.0 * eb)
+        return (dx_r + dy_i) * inv_norm, (dx_i - dy_r) * inv_norm
     dy_r, dy_i = dy()
     if op == "L":  # x (-1j dy + eb x psi / 2) - y (-1j dx + eb y psi / 2)
         ax = 0.5 * eb * x
@@ -194,13 +214,7 @@ def _operator_planes(op, re, im, xs, ys, hx, hy, cfg, twist_x, twist_y):
         out_im = x * (ax * im - dy_r) - y * (ay * im - dx_r)
         return out_re, out_im
     scale = np.sqrt(eb / 2.0)
-    if op == "a":  # scale (x psi + (dx - 1j dy) / eb)
-        out_re = x * re + (dx_r + dy_i) * inv_eb
-        out_im = x * im + (dx_i - dy_r) * inv_eb
-    elif op == "adag":  # scale (x psi - (dx + 1j dy) / eb)
-        out_re = x * re - (dx_r - dy_i) * inv_eb
-        out_im = x * im - (dx_i + dy_r) * inv_eb
-    elif op == "b":  # scale (1j y psi + (dx + 1j dy) / eb)
+    if op == "b":  # scale (1j y psi + (dx + 1j dy) / eb)
         c = 1j * y * _merged(re, im)
         out_re = c.real + (dx_r - dy_i) * inv_eb
         out_im = c.imag + (dx_i + dy_r) * inv_eb

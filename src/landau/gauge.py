@@ -90,16 +90,9 @@ def boundary_residual(state) -> float:
     """
     cfg = state.config
     values = state.values
-    if values.ndim != 2:
-        raise ValueError("state values must be a 2-d grid")
     peak = float(np.max(np.abs(values)))
     if peak == 0.0:
         return 0.0
-    ys = state.ys
-    xleft = values[0, :]
-    xright = values[-1, :]
-    mis_x = np.max(np.abs(xright - x_boundary_twist(cfg, ys) * xleft))
-    ybottom = values[:, 0]
-    ytop = values[:, -1]
-    mis_y = np.max(np.abs(ytop - y_boundary_twist(cfg) * ybottom))
+    mis_x = np.max(np.abs(values[-1, :] - x_boundary_twist(cfg, state.ys) * values[0, :]))
+    mis_y = np.max(np.abs(values[:, -1] - y_boundary_twist(cfg) * values[:, 0]))
     return float(max(mis_x, mis_y) / peak)

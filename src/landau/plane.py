@@ -326,6 +326,9 @@ class ClassicalOrbit:
     omega: float
 
     def __post_init__(self):
+        for name in ("center_x", "center_y", "radius", "phase0", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.radius < 0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
 

@@ -52,7 +52,7 @@ failed factorisation is reported as a ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -124,16 +124,7 @@ class SpectrumReport:
         return {
             "eigenvalues": [float(e) for e in self.eigenvalues],
             "omega": self.omega,
-            "clusters": [
-                {
-                    "mean": c.mean,
-                    "spread": c.spread,
-                    "multiplicity": c.multiplicity,
-                    "target": c.target,
-                    "relative_deviation": c.relative_deviation,
-                }
-                for c in self.clusters
-            ],
+            "clusters": [asdict(c) for c in self.clusters],
             "well_separated": self.well_separated,
         }
 

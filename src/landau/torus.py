@@ -16,15 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import GRID_POINTS_PER_FLUX, TWO_PI, TorusConfig, commensurate
+from .config import GRID_POINTS_PER_FLUX, TWO_PI, TorusConfig, commensurate, grid_spacing
 from .finitediff import apply_fd_operator
 from .gauge import boundary_residual, x_boundary_twist, y_boundary_twist
 from .oscillator import hermite_eigenfunction
 from .plane import CoherentLabel, coherent_center
 
-# Default grids keep h^2 * M w at or below this (the finite-difference
-# accuracy rule).
-GRID_BUDGET = 1.0e-3
 # projector_distance rejects input families whose Gram matrix is further
 # than this from the identity.
 ORTHONORMAL_TOL = 1.0e-6
@@ -120,9 +117,9 @@ class SampledState:
 
 
 def default_grid(cfg: TorusConfig) -> tuple[int, int]:
-    """Grid dimensions: multiples of n_phi with spacing h satisfying
-    h^2 * M*w <= GRID_BUDGET."""
-    h = math.sqrt(GRID_BUDGET / cfg.mass_omega)
+    """Grid dimensions: multiples of n_phi whose spacing keeps the
+    resolution rule of `config.grid_spacing` on each axis."""
+    h = grid_spacing(cfg)
 
     def round_up(n_target):
         return commensurate(max(n_target, GRID_POINTS_PER_FLUX * cfg.n_phi, 32), cfg.n_phi)
@@ -473,10 +470,7 @@ def projector_distance(set_a, set_b) -> float:
     orthonormal families of SampledStates (grid inner products)."""
 
     def stack(states):
-        cols = []
-        for s in states:
-            cols.append(s.core.ravel() * math.sqrt(s.hx * s.hy))
-        return np.array(cols).T
+        return np.array([s.core.ravel() * math.sqrt(s.hx * s.hy) for s in states]).T
 
     va = stack(set_a)
     vb = stack(set_b)

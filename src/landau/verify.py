@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import maggroup, spectral
-from .config import TWO_PI, TorusConfig, commensurate
+from .config import TWO_PI, TorusConfig, grid_spacing
 from .finitediff import apply_fd_operator
 from .gauge import (
     cocycle_defect,
@@ -69,9 +69,7 @@ class Check:
 
 def _fock_commutator_residual(rng) -> float:
     labels = [FockLabel(int(n), int(m)) for n, m in rng.integers(0, 6, size=(20, 2))]
-    coeffs = {}
-    for lab in labels:
-        coeffs[lab] = complex(rng.normal(), rng.normal())
+    coeffs = {lab: complex(rng.normal(), rng.normal()) for lab in labels}
 
     def comm(p, q, state):
         ab = ladder_apply(p, ladder_apply(q, state))
@@ -126,10 +124,11 @@ def _commutator_blocks(cfg, amp, xs, ys):
 
 
 def _heisenberg_residual(cfg) -> float:
+    """|<[Rx, Ry]> - i/(M w)| in units of l_B^2 = 1/(M w), on the square
+    plane grid of the resolution rule reaching 9 l_B from the origin."""
     mw = cfg.mass_omega
-    h = math.sqrt(2.5e-4 / mw)
-    half = 9.0 / math.sqrt(mw)
-    m = int(math.ceil(half / h))
+    h = grid_spacing(cfg)
+    m = int(math.ceil(9.0 / math.sqrt(mw) / h))
     xs = h * np.arange(-m, m + 1)
     ys = h * np.arange(-m, m + 1)
     amp = coherent_amplitude(cfg, CoherentLabel(0.3 + 0.2j, -0.1 + 0.4j))
@@ -137,7 +136,7 @@ def _heisenberg_residual(cfg) -> float:
     for fw, w in _commutator_blocks(cfg, amp, xs, ys):
         num += np.vdot(fw, w)
         den += np.vdot(fw, fw)
-    return float(abs(num / den - 1j / mw))
+    return float(abs(num / den - 1j / mw) * mw)
 
 
 def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed: int = 0):
@@ -277,8 +276,7 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     add("heisenberg_center_commutator", _heisenberg_residual(cfg), 1.0e-6)
 
     # discrete spectrum: multiplicities n_phi, means near omega*(n+1/2)
-    grid = commensurate(max(48, 16 * n), n)
-    report = spectral.low_spectrum(cfg, grid, grid, 2 * n)
+    report = spectral.low_spectrum(cfg, nx, ny, 2 * n)
     dev = 0.0
     for cluster in report.clusters:
         if cluster.multiplicity != n:

@@ -7,9 +7,12 @@ expectation values come from finite-difference operator applications plus
 quadrature on plane grids. The finite differences are this module's own: the
 np.roll stencils and complex operator expressions that `landau.finitediff`
 replaced with ghost cells and real planes, kept as the reference that module
-is checked against bit for bit. The lattice spectrum has its own route too:
-the assembled nx*ny Peierls matrix, solved whole, which the Bloch-chain
-solver of `landau.spectral` must reproduce.
+is checked against bit for bit (its covariant H, a and adag against
+`covariant_fd_operator`, the rest against `reference_fd_operator`). The plain
+Landau-gauge H, a and adag of `reference_fd_operator` stay as the independent
+operators the covariant ones must converge to. The lattice spectrum has its
+own route too: the assembled nx*ny Peierls matrix, solved whole, which the
+Bloch-chain solver of `landau.spectral` must reproduce.
 """
 
 import math
@@ -141,6 +144,43 @@ def reference_fd_operator(op, values, xs, ys, cfg, twist_x=None, twist_y=None):
             return scale * (1j * y * values + (dx + 1j * dy) / eb)
         return scale * (-1j * y * values - (dx - 1j * dy) / eb)
     raise ValueError(f"unknown operator {op!r}")
+
+
+def _linked(values, s, x, eb, hy, twist):
+    """values advanced by s along y, times the Peierls link exp(i eB x s hy)
+    that carries them back to the point they are differenced at."""
+    return _rolled(values, s, 1, twist) * np.exp(1j * (s * eb * hy) * x)
+
+
+def covariant_fd_operator(op, values, xs, ys, cfg, twist_x=None, twist_y=None):
+    """H, a and adag with the gauge-covariant y-difference: the 4th-order
+    stencils of g psi, divided by g, for g = exp(i eB x y). With
+    D = that first difference and Dyy the second,
+
+        H    = (-dxx - Dyy) / (2 M)
+        a    = ( dx - i D) / sqrt(2 e B)
+        adag = (-dx - i D) / sqrt(2 e B)
+
+    which equal the Landau-gauge forms of reference_fd_operator in the
+    continuum."""
+    values = np.asarray(values, dtype=complex)
+    hx = xs[1] - xs[0]
+    hy = ys[1] - ys[0]
+    x = xs[:, None]
+    eb = cfg.mass_omega
+
+    def r(s):
+        return _linked(values, s, x, eb, hy, twist_y)
+
+    if op == "H":
+        dxx = reference_d2(values, hx, 0, twist_x)
+        dyy = (-r(2) + 16.0 * r(1) - 30.0 * values + 16.0 * r(-1) - r(-2)) / (12.0 * hy * hy)
+        return (-dxx - dyy) / (2.0 * cfg.mass)
+    if op in ("a", "adag"):
+        dx = reference_d1(values, hx, 0, twist_x)
+        dy = (-r(2) + 8.0 * r(1) - 8.0 * r(-1) + r(-2)) / (12.0 * hy)
+        return ((dx if op == "a" else -dx) - 1j * dy) / np.sqrt(2.0 * eb)
+    raise ValueError(f"no covariant form of {op!r}")
 
 
 class PlaneOperators:

@@ -21,9 +21,23 @@ def run_cli(args):
     return main(args)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def read_json(path):
+    """json.load that rejects NaN, Infinity and -Infinity, which json.load
+    accepts but no strict JSON parser does."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
+
+
+def test_read_json_rejects_non_finite_constants(tmp_path):
+    path = tmp_path / "x.json"
+    for text in ('{"residual": NaN}', "[Infinity]", "[-Infinity]"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError):
+            read_json(path)
 
 
 def test_spectrum_command(tmp_path):
@@ -89,6 +103,13 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
         ["verify", "--nphi", "1", "--nphi-override", "inf"],
         # hx far above the magnetic length: the chain is singular in doubles
         ["spectrum", "--nphi", "1", "--grid", "32", "--lx", "1e8"],
+        ["orbit", "--nphi", "1", "--radius", "nan"],
+        ["orbit", "--nphi", "1", "--radius", "inf"],
+        ["orbit", "--nphi", "1", "--radius", "0.1", "--center-x", "nan"],
+        ["orbit", "--nphi", "1", "--radius", "0.1", "--phase0", "inf"],
+        # the energy column |lam|^2 + 1/2 overflows
+        ["coherent", "--nphi", "1", "--lam", "1e200", "--lam-prime", "0"],
+        ["verify", "--nphi", "1", "--seed", "-1"],
     ],
 )
 def test_invalid_input_exits_2(tmp_path, args):

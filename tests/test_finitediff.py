@@ -1,11 +1,13 @@
 """The ghost-cell, real-plane operators of landau.finitediff against the
-np.roll, complex-arithmetic reference in tests/oracles.py.
+np.roll, complex-arithmetic references in tests/oracles.py: the covariant
+forms for H, a and adag, the plain Landau-gauge forms for the rest.
 
 Outputs may differ only in the sign of an exact zero (numpy's complex
 multiply by a real or imaginary factor adds a signed 0 * part term that the
 real-plane form does not). Each stencil is checked through the operators
 that apply it: the first derivative through Px (x) and Py (y), the second
-through H."""
+through H (x plain, y covariant). The covariant and plain forms are also
+checked to converge to one operator under refinement."""
 
 import itertools
 
@@ -16,8 +18,8 @@ from hypothesis import strategies as st
 
 from landau import TorusConfig
 from landau.finitediff import OPERATORS, apply_fd_operator
-from landau.torus import x_boundary_twist, y_boundary_twist
-from oracles import reference_fd_operator
+from landau.torus import TorusLabel, torus_eigenstate, x_boundary_twist, y_boundary_twist
+from oracles import covariant_fd_operator, reference_fd_operator
 
 SHORT = range(2, 10)
 CFGS = [
@@ -58,6 +60,12 @@ def twist_for(kind, shape, axis, seed):
     return phases if axis == 0 else phases[:, None]
 
 
+def reference(op, *args):
+    """The oracle form that landau.finitediff must reproduce bit for bit."""
+    oracle = covariant_fd_operator if op in ("H", "a", "adag") else reference_fd_operator
+    return oracle(op, *args)
+
+
 def grid(cfg, nx, ny):
     xs = cfg.lx * np.arange(nx) / nx - 0.3
     ys = cfg.ly * np.arange(ny) / ny + 0.2
@@ -76,7 +84,7 @@ def assert_stencil_matches_reference(stencil, axis, values, twist):
     xs, ys = grid(cfg, *values.shape)
     twists = (twist, None) if axis == 0 else (None, twist)
     op = STENCIL_OPS[stencil, axis]
-    want = reference_fd_operator(op, values, xs, ys, cfg, *twists)
+    want = reference(op, values, xs, ys, cfg, *twists)
     got = apply_fd_operator(op, values, xs, ys, xs[1] - xs[0], ys[1] - ys[0], cfg, *twists)
     assert_same_up_to_zero_sign(got, want)
 
@@ -98,7 +106,7 @@ def test_stencils_match_roll_reference_on_short_axes(stencil, axis, twist_kind, 
 @pytest.mark.parametrize("twist_kind", (None, "array", "scalar"))
 def test_stencils_match_roll_reference_on_a_verify_block(stencil, axis, twist_kind):
     # the shape of one block of verify's streamed plane check
-    values = sample((70, 1141), 7)
+    values = sample((68, 571), 7)
     twist = twist_for(twist_kind, values.shape, axis, 7)
     assert_stencil_matches_reference(stencil, axis, values, twist)
 
@@ -141,7 +149,7 @@ def test_operators_match_complex_reference(op, cfg, twisted, complex_values):
         xs, ys = grid(cfg, nx, ny)
         values = sample((nx, ny), nx + ny, complex_values)
         twists = (x_boundary_twist(cfg, ys), y_boundary_twist(cfg)) if twisted else (None, None)
-        want = reference_fd_operator(op, values, xs, ys, cfg, *twists)
+        want = reference(op, values, xs, ys, cfg, *twists)
         hx, hy = xs[1] - xs[0], ys[1] - ys[0]
         got = apply_fd_operator(op, values, xs, ys, hx, hy, cfg, *twists)
         assert_same_up_to_zero_sign(got, want)
@@ -150,3 +158,20 @@ def test_operators_match_complex_reference(op, cfg, twisted, complex_values):
         assert_same_up_to_zero_sign(re, want.real.copy())
         assert_same_up_to_zero_sign(im, want.imag.copy())
 
+
+
+@pytest.mark.parametrize("op", ("H", "a", "adag"))
+def test_covariant_operators_converge_to_plain_reference(op):
+    # both routes are 4th order, so their gap on a torus eigenstate should
+    # drop 16x per halving of h; from h^2 Mw = 1.6e-2 down to 2.5e-4
+    cfg = TorusConfig(1.0, 1.0, lx=1.1, ly=0.9, n_phi=2, theta_x=0.6, theta_y=1.2)
+    gaps = []
+    for n in (28, 56, 112, 224):
+        st = torus_eigenstate(cfg, TorusLabel(1, 0), nx=n, ny=n)
+        xs, ys = st.xs[:-1], st.ys[:-1]
+        twists = (x_boundary_twist(cfg, ys), y_boundary_twist(cfg))
+        got = apply_fd_operator(op, st.core, xs, ys, st.hx, st.hy, cfg, *twists)
+        want = reference_fd_operator(op, st.core, xs, ys, cfg, *twists)
+        gaps.append(np.linalg.norm(got - want) / np.linalg.norm(want))
+    drops = [a / b for a, b in zip(gaps, gaps[1:])]
+    assert min(drops) >= 12.0, (gaps, drops)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from landau import TorusConfig
+from landau.config import GRID_BUDGET
 from landau.finitediff import apply_fd_operator
 from landau.plane import CoherentLabel, coherent_amplitude, sample_plane
+from landau.torus import TorusLabel, default_grid, eigenvalue_residual, torus_eigenstate
 from landau.verify import _commutator_blocks, _heisenberg_residual, run_verification
 from oracles import interior
 
@@ -53,7 +55,7 @@ def test_checks_serialize():
 
 def plane_axes(cfg):
     mw = cfg.mass_omega
-    h = math.sqrt(2.5e-4 / mw)
+    h = math.sqrt(GRID_BUDGET / mw)
     m = int(math.ceil(9.0 / math.sqrt(mw) / h))
     return h * np.arange(-m, m + 1), h * np.arange(-m, m + 1)
 
@@ -69,13 +71,14 @@ def full_commutator(cfg, amp, xs, ys):
 
 def reference_heisenberg(cfg):
     """The full-grid check that the row blocks replaced: the whole plane
-    grid sampled and differentiated at once, interior margin 6."""
+    grid sampled and differentiated at once, interior margin 6, in units of
+    l_B^2 = 1/(M w)."""
     xs, ys = plane_axes(cfg)
     amp = coherent_amplitude(cfg, CoherentLabel(0.3 + 0.2j, -0.1 + 0.4j))
     values, comm = full_commutator(cfg, amp, xs, ys)
     fw = interior(values, 6)
     val = np.vdot(fw, interior(comm, 6)) / np.vdot(fw, fw)
-    return float(abs(val - 1j / cfg.mass_omega))
+    return float(abs(val - 1j / cfg.mass_omega) * cfg.mass_omega)
 
 
 @pytest.mark.parametrize(
@@ -106,14 +109,9 @@ def test_commutator_blocks_equal_full_grid_bit_for_bit():
     assert np.array_equal(got_comm, interior(comm, 6))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the 4th-order stencil differentiates the Landau-gauge "
-    "y-phase of the state, whose error the h^2*Mw grid rule does not see; here "
-    "hamiltonian_eigen_residual reads 1.029e-3 against its 1e-3 tolerance",
-)
 def test_hamiltonian_eigen_residual_passes_on_a_seeded_two_flux_torus():
-    # `landau verify --nphi 2` at these flags (benchmark verify seed 932, op 1)
+    # `landau verify --nphi 2` at these flags (benchmark verify seed 932, op 1),
+    # where the plain y-difference of the Landau-gauge phase read 1.029e-3
     cfg = TorusConfig(
         1.0, 1.0, lx=1.113314977482712, ly=0.8982184020025262, n_phi=2,
         theta_x=2.360440378967398, theta_y=5.803988116644421,
@@ -121,3 +119,33 @@ def test_hamiltonian_eigen_residual_passes_on_a_seeded_two_flux_torus():
     checks, _ = run_verification(cfg, seed=973363690)
     check = {c.name: c for c in checks}["hamiltonian_eigen_residual"]
     assert check.passed, check.residual
+
+
+# ---------------------------------------------------------------------------
+# every check passes on tori of any shape and flux, and the Hamiltonian check
+# still tells a wrong level from the right one
+
+PASS_MATRIX = {f"nphi{n}": TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=n) for n in range(1, 9)} | {
+    "30x0.1-nphi2": TorusConfig(1.0, 1.0, lx=30.0, ly=0.1, n_phi=2),
+    "5x0.2-nphi3": TorusConfig(1.0, 1.0, lx=5.0, ly=0.2, n_phi=3),
+    "20x20-nphi1": TorusConfig(1.0, 1.0, lx=20.0, ly=20.0, n_phi=1),
+}
+# the tolerance of run_verification's hamiltonian_eigen_residual check
+H_TOL = 1.0e-3
+
+
+@pytest.mark.parametrize("cfg", PASS_MATRIX.values(), ids=PASS_MATRIX.keys())
+def test_every_check_passes(cfg):
+    checks, ok = run_verification(cfg)
+    assert ok, [(c.name, c.residual, c.tolerance) for c in checks if not c.passed]
+    assert {c.name: c.tolerance for c in checks}["hamiltonian_eigen_residual"] == H_TOL
+
+
+@pytest.mark.parametrize("name", ("nphi1", "nphi8", "30x0.1-nphi2", "5x0.2-nphi3"))
+def test_hamiltonian_check_fails_a_wrong_level(name):
+    cfg = PASS_MATRIX[name]
+    nx, ny = default_grid(cfg)
+    level0, level1 = (torus_eigenstate(cfg, TorusLabel(n, 0), nx=nx, ny=ny) for n in (0, 1))
+    assert eigenvalue_residual("H", level1, 1.5 * cfg.omega) <= H_TOL
+    assert eigenvalue_residual("H", level1, 2.5 * cfg.omega) > H_TOL
+    assert eigenvalue_residual("H", level0, 1.5 * cfg.omega) > H_TOL
