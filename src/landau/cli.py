@@ -174,7 +174,8 @@ def cmd_density(args, parser) -> int:
         lam = _parse_complex(args.lam or "0", parser, "--lam")
         lam_prime = _parse_complex(args.lam_prime or "0", parser, "--lam-prime")
         try:
-            with stage(stages, "state"):
+            # a huge label overflows the amplitude to NaN; the check below rejects it
+            with stage(stages, "state"), np.errstate(over="ignore", invalid="ignore"):
                 state = torus_coherent(cfg, CoherentLabel(lam, lam_prime), nx=grid, ny=grid)
         except ValueError as exc:
             parser.error(str(exc))
@@ -348,7 +349,8 @@ def cmd_coherent(args, parser) -> int:
     period = 2.0 * math.pi / cfg.omega
     times = _trace_times(args, parser, period)
     stages = {}
-    with stage(stages, "evolve"):
+    # a huge label overflows the moments, which the check below rejects
+    with stage(stages, "evolve"), np.errstate(over="ignore", invalid="ignore"):
         ex = coherent_expectations(cfg, evolve_coherent(cfg, label, times))
         columns = (
             times,

@@ -82,8 +82,14 @@ def bloch_chain(cfg, nx: int, ny: int, m0: int) -> np.ndarray:
     entry (i, j), i <= j, of the folded matrix is stored at [2 - (j - i), j]."""
     hx = cfg.lx / nx
     hy = cfg.ly / ny
-    kx = 1.0 / (2.0 * cfg.mass * hx * hx)
-    ky = 1.0 / (2.0 * cfg.mass * hy * hy)
+    two_m_h2 = (2.0 * cfg.mass * hx * hx, 2.0 * cfg.mass * hy * hy)
+    # the largest band entry, 2 kx + 4 ky, is at most 6 / min(two_m_h2)
+    if not min(two_m_h2) > 6.0 / np.finfo(float).max:
+        raise ValueError(
+            f"the hop amplitudes 1/(2 M h^2) of grid {nx}x{ny} (hx={hx:.3g}, hy={hy:.3g}) "
+            "are not finite doubles; the spacing or the mass is too small"
+        )
+    kx, ky = 1.0 / two_m_h2[0], 1.0 / two_m_h2[1]
     ms = (m0 + cfg.n_phi * np.arange(ny // math.gcd(cfg.n_phi, ny))) % ny
     qs = (TWO_PI * ms + cfg.theta_y) / ny
     xs = hx * np.arange(nx)

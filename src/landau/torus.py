@@ -345,16 +345,15 @@ def apply_translation_power(state: SampledState, direction: str, power: int) -> 
 
 
 def apply_operator(op: str, state: SampledState) -> SampledState:
-    """Apply a magnetic operator (H, L, Px, Py, Rx, Ry, a, adag, b, bdag) by
-    4th-order finite differences.
+    """Apply H, Rx or Ry (`finitediff.OPERATORS`) by 4th-order finite
+    differences.
 
     Derivative stencils reaching across the domain edges use the twisted
-    periodic extension, which is exact for boundary-compliant states. For
-    operators that do not commute with the full-period magnetic translations
-    (L, Px, Py, Rx, Ry, b, bdag) the cells within 2 of an edge inherit the
-    extension mismatch on second applications; compare on an interior margin
-    in that case. The closed boundary lines of the result are rebuilt from
-    the twist relation.
+    periodic extension, which is exact for boundary-compliant states. Rx and
+    Ry do not commute with the full-period magnetic translations, so the
+    cells within 2 of an edge inherit the extension mismatch on second
+    applications; compare on an interior margin in that case. The closed
+    boundary lines of the result are rebuilt from the twist relation.
     """
     cfg = state.config
     core = state.values[:-1, :-1]

@@ -96,9 +96,7 @@ _HALO = 2
 def _commutator_blocks(cfg, amp, xs, ys):
     """(psi, [Rx, Ry] psi) on the kept interior of the plane grid xs x ys,
     one block of at most _BLOCK_ROWS x-rows at a time, in order. Every value is
-    the one the full-grid evaluation gives there, bit for bit. The operators
-    work on the block as two real planes (re, im), which give the complex
-    evaluation's values and cost about half as much."""
+    the one the full-grid evaluation gives there, bit for bit."""
     # the spacings of the whole grid: first differences of the rounded
     # coordinates inside a block can be an ulp off them
     hx = xs[1] - xs[0]
@@ -113,14 +111,9 @@ def _commutator_blocks(cfg, amp, xs, ys):
         r1 = min(r0 + _BLOCK_ROWS, n - _MARGIN)
         bx = xs[r0 - _HALO : r1 + _HALO]
         values = sample_plane(amp, bx, ys)
-        planes = (values.real, values.imag)
-        rx_ry = op("Rx", op("Ry", planes, bx), bx)
-        ry_rx = op("Ry", op("Rx", planes, bx), bx)
-        fw = values[keep]
-        comm = np.empty(fw.shape, dtype=complex)
-        np.subtract(rx_ry[0][keep], ry_rx[0][keep], out=comm.real)
-        np.subtract(rx_ry[1][keep], ry_rx[1][keep], out=comm.imag)
-        yield fw, comm
+        rx_ry = op("Rx", op("Ry", values, bx), bx)
+        ry_rx = op("Ry", op("Rx", values, bx), bx)
+        yield values[keep], rx_ry[keep] - ry_rx[keep]
 
 
 def _heisenberg_residual(cfg) -> float:

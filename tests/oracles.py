@@ -6,11 +6,13 @@ polynomials with explicit normalization constants (safe for n <= 12), and
 expectation values come from finite-difference operator applications plus
 quadrature on plane grids. The finite differences are this module's own: the
 np.roll stencils and complex operator expressions that `landau.finitediff`
-replaced with ghost cells and real planes, kept as the reference that module
-is checked against bit for bit (its covariant H, a and adag against
-`covariant_fd_operator`, the rest against `reference_fd_operator`). The plain
-Landau-gauge H, a and adag of `reference_fd_operator` stay as the independent
-operators the covariant ones must converge to. The lattice spectrum has its
+replaced with ghost cells, kept as the reference that module is checked
+against bit for bit (its covariant H against `covariant_fd_operator`, Rx and
+Ry against `reference_fd_operator`). The other operators (L, Px, Py and the
+ladders a, adag, b, bdag) live only here, for the tests that apply them; the
+plain Landau-gauge H, a and adag of `reference_fd_operator` stay as the
+independent operators the covariant ones must converge to. The lattice
+spectrum has its
 own route too: the assembled nx*ny Peierls matrix, solved whole, which the
 Bloch-chain solver of `landau.spectral` must reproduce.
 """
@@ -103,8 +105,17 @@ def reference_d2(values, h, axis, twist=None):
 
 
 def reference_fd_operator(op, values, xs, ys, cfg, twist_x=None, twist_y=None):
-    """The magnetic operators in Landau gauge as complex numpy expressions
-    (see `landau.finitediff.apply_fd_operator` for the formulas)."""
+    """The magnetic operators in Landau gauge as complex numpy expressions:
+
+        Px = -i dx + e B y        Py = -i dy
+        Rx =  i dy / (e B)        Ry = y - i dx / (e B)
+        H  = ((-i dx)^2 + (-i dy + e B x)^2) / (2 M)
+        L  = x (-i dy + e B x / 2) - y (-i dx + e B y / 2)
+        a    = sqrt(M w / 2) [ x + (dx - i dy)/(e B) ]
+        adag = sqrt(M w / 2) [ x - (dx + i dy)/(e B) ]
+        b    = sqrt(M w / 2) [ i y + (dx + i dy)/(e B) ]
+        bdag = sqrt(M w / 2) [ -i y - (dx - i dy)/(e B) ]
+    """
     values = np.asarray(values, dtype=complex)
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
@@ -181,6 +192,15 @@ def covariant_fd_operator(op, values, xs, ys, cfg, twist_x=None, twist_y=None):
         dy = (-r(2) + 8.0 * r(1) - 8.0 * r(-1) + r(-2)) / (12.0 * hy)
         return ((dx if op == "a" else -dx) - 1j * dy) / np.sqrt(2.0 * eb)
     raise ValueError(f"no covariant form of {op!r}")
+
+
+def covariant_eigen_residual(op, state, value, twist_x, twist_y):
+    """|(O - value) psi| / |psi| on the half-open grid of a sampled torus
+    state, O the covariant `op` with the state's boundary twists (evaluated
+    on state.ys[:-1] for twist_x)."""
+    xs, ys = state.xs[:-1], state.ys[:-1]
+    applied = covariant_fd_operator(op, state.core, xs, ys, state.config, twist_x, twist_y)
+    return float(np.linalg.norm(applied - value * state.core) / np.linalg.norm(state.core))
 
 
 class PlaneOperators:

@@ -25,7 +25,6 @@ from landau import (
     coherent_prefactor,
     density_map,
     eigenstate_py,
-    eigenvalue_residual,
     evolve_coherent,
     landau_energy,
     low_spectrum,
@@ -38,9 +37,16 @@ from landau import (
     torus_inner,
     translation_expectation,
 )
+from landau.gauge import x_boundary_twist, y_boundary_twist
 from landau.plane import FockLabel, ladder_apply
 from landau.serialize import write_pgm
-from oracles import PlaneOperators, coherent_moments_by_quadrature, interior, plane_box
+from oracles import (
+    PlaneOperators,
+    coherent_moments_by_quadrature,
+    covariant_eigen_residual,
+    interior,
+    plane_box,
+)
 
 TWO_PI = 2.0 * math.pi
 THETA_PAIRS = [(math.pi, math.pi), (0.7, 1.9), (0.0, 0.0)]
@@ -298,7 +304,8 @@ def test_criterion_08_coherent_state_suite():
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         lab_t = evolve_coherent(tcfg, label, frac * period)
         st = torus_coherent(tcfg, lab_t, nx=128, ny=128)
-        res = eigenvalue_residual("a", st, lab_t.lam)
+        twists = (x_boundary_twist(tcfg, st.ys[:-1]), y_boundary_twist(tcfg))
+        res = covariant_eigen_residual("a", st, lab_t.lam, *twists)
         assert res < 1e-5
         worst_a = max(worst_a, res)
 

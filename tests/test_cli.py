@@ -110,6 +110,11 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
         # the energy column |lam|^2 + 1/2 overflows
         ["coherent", "--nphi", "1", "--lam", "1e200", "--lam-prime", "0"],
         ["verify", "--nphi", "1", "--seed", "-1"],
+        # hx^2 (hy^2) underflows: the chain's hop amplitudes are not finite
+        ["spectrum", "--nphi", "1", "--lx", "1e-160"],
+        ["spectrum", "--nphi", "1", "--ly", "1e-300"],
+        ["spectrum", "--nphi", "1", "--lx", "1e-200", "--ly", "1e-200"],
+        ["density", "--nphi", "1", "--lam-prime", "1e100", "--grid", "16"],
     ],
 )
 def test_invalid_input_exits_2(tmp_path, args):

@@ -26,9 +26,11 @@ from landau import (
     torus_inner,
     translation_expectation,
 )
+from landau.gauge import x_boundary_twist, y_boundary_twist
 from landau.oscillator import hermite_eigenfunction
 from landau.plane import _coherent_raw, evolve_coherent
 from landau.torus import SampledState, grid_axes, normalized, torus_norm
+from oracles import covariant_eigen_residual
 
 TWO_PI = 2.0 * math.pi
 
@@ -352,14 +354,17 @@ def test_annihilation_eigenvalue_on_coherent():
     cfg = make_cfg(1)
     lab = CoherentLabel(0.4 + 0.3j, 0.2 - 0.5j)
     st = torus_coherent(cfg, lab, nx=128, ny=128)
-    assert eigenvalue_residual("a", st, lab.lam) < 1e-6
+    twists = (x_boundary_twist(cfg, st.ys[:-1]), y_boundary_twist(cfg))
+    assert covariant_eigen_residual("a", st, lab.lam, *twists) < 1e-6
 
 
-def test_unknown_operator_rejected():
+# "Q" and the operators that only tests/oracles.py implements
+@pytest.mark.parametrize("op", ("Q", "L", "Px", "Py", "a", "adag", "b", "bdag"))
+def test_unknown_operator_rejected(op):
     cfg = make_cfg(1)
     st = torus_eigenstate(cfg, TorusLabel(0, 0), nx=32, ny=32)
     with pytest.raises(ValueError):
-        apply_operator("Q", st)
+        apply_operator(op, st)
 
 
 # ---------------------------------------------------------------------------
