@@ -2,9 +2,12 @@
 
 Subcommands: spectrum, density, group, verify, orbit, coherent. Physical
 parameters come from flags or from a key=value config file (--config), with
-flags taking precedence. Every command writes its outputs plus a run
-manifest (<command>_manifest.json) listing them; outputs themselves are
-deterministic, so identical flags give byte-identical files.
+flags taking precedence. Outputs are deterministic, so identical flags give
+byte-identical files. One runner, `Run`, owns what every command shares: it
+makes the out-dir when the first output is written, times the stages and
+writes the run manifest (<command>_manifest.json) listing the outputs once
+the command returns. Input is validated before anything is written, so a
+usage error (exit 2) creates no files.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .plane import (
     coherent_expectations,
     evolve_coherent,
 )
-from .serialize import write_density_csv, write_json, write_pgm, write_table_csv, write_trace_csv
+from .serialize import write_density_csv, write_json, write_pgm, write_table_csv
 from .spectral import low_spectrum
 from .torus import TorusLabel, density_map, torus_coherent, torus_eigenstate
 from .verify import run_verification
@@ -48,9 +51,9 @@ def _add_config_flags(parser):
     parser.add_argument("--out-dir", dest="out_dir", type=str, default=".")
 
 
-def _merge_config(args, parser):
-    """Defaults < config file < explicit flags; nphi is mandatory. Returns the
-    merged values and the TorusConfig built from them."""
+def _merge_config(args, parser, run):
+    """Defaults < config file < explicit flags; nphi is mandatory. Records the
+    merged values in the manifest and returns the TorusConfig built from them."""
     values = dict(TORUS_DEFAULTS)
     if args.config:
         try:
@@ -68,33 +71,41 @@ def _merge_config(args, parser):
         cfg = torus_config_from_mapping(values)
     except ValueError as exc:
         parser.error(f"bad configuration: {exc}")
-    return values, cfg
+    run.manifest["config"] = {k: values[k] for k in TORUS_KEYS if k in values}
+    return cfg
 
 
-@contextmanager
-def stage(stages: dict, name: str):
-    """Store the wall time of the block in stages[name], for the manifest."""
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        stages[name] = time.perf_counter() - start
+class Run:
+    """The plumbing every command shares. `output(name)` makes the out-dir on
+    first use and lists the file, `stage(name)` times a block, and `manifest`
+    takes the command's own fields (config, seed, grid, solver, ...). `main`
+    makes one per run and calls `write_manifest` once the command returns;
+    every command writes an output first, so the out-dir exists by then."""
 
+    def __init__(self, command: str, out_dir: str):
+        self.started = time.perf_counter()
+        self.command, self.out_dir = command, Path(out_dir)
+        self.outputs, self.stages = [], {}
+        self.manifest = {"config": {}, "seed": None}
 
-def _manifest(command, values, outputs, started, out_dir, seed=None, extra=None):
-    payload = {
-        "command": command,
-        "config": {k: values.get(k) for k in TORUS_KEYS if k in values},
-        "seed": seed,
-        "version": __version__,
-        "outputs": sorted(str(Path(p).name) for p in outputs),
-        "wall_time_s": time.perf_counter() - started,
-    }
-    if extra:
-        payload.update(extra)
-    path = Path(out_dir) / f"{command}_manifest.json"
-    write_json(payload, path)
-    return path
+    def output(self, name: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(name)
+        return self.out_dir / name
+
+    @contextmanager
+    def stage(self, name: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stages[name] = time.perf_counter() - start
+
+    def write_manifest(self) -> None:
+        payload = {**self.manifest, "command": self.command, "version": __version__}
+        payload.update(outputs=sorted(self.outputs), stages=self.stages)
+        payload["wall_time_s"] = time.perf_counter() - self.started
+        write_json(payload, self.out_dir / f"{self.command}_manifest.json")
 
 
 def _parse_complex(text: str, parser, flag: str) -> complex:
@@ -116,28 +127,20 @@ def _trace_times(args, parser, period: float) -> np.ndarray:
     return np.linspace(0.0, args.periods * period, args.periods * args.samples + 1)
 
 
-def cmd_spectrum(args, parser) -> int:
-    started = time.perf_counter()
-    values, cfg = _merge_config(args, parser)
+def cmd_spectrum(args, parser, run) -> int:
+    cfg = _merge_config(args, parser, run)
     grid = args.grid
-    stages = {}
     try:
-        with stage(stages, "solve"):
+        with run.stage("solve"):
             report = low_spectrum(cfg, grid, grid, args.levels * cfg.n_phi)
     except ValueError as exc:
         parser.error(str(exc))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = report.as_dict()
     payload["grid"] = grid
     payload["analytic_levels"] = [cfg.omega * (n + 0.5) for n in range(args.levels)]
-    path = out_dir / "spectrum.json"
-    with stage(stages, "json"):
-        write_json(payload, path)
-    _manifest(
-        "spectrum", values, [path], started, out_dir,
-        extra={"grid": grid, "levels": args.levels, "solver": report.solver, "stages": stages},
-    )
+    with run.stage("json"):
+        write_json(payload, run.output("spectrum.json"))
+    run.manifest.update(grid=grid, levels=args.levels, solver=report.solver)
     for c in report.clusters:
         print(
             f"cluster mean={c.mean:.8g} multiplicity={c.multiplicity} "
@@ -146,24 +149,20 @@ def cmd_spectrum(args, parser) -> int:
     return 0
 
 
-def cmd_density(args, parser) -> int:
-    started = time.perf_counter()
-    values, cfg = _merge_config(args, parser)
+def cmd_density(args, parser, run) -> int:
+    cfg = _merge_config(args, parser, run)
     floor = GRID_POINTS_PER_FLUX * cfg.n_phi
     if args.grid < floor:
         parser.error(f"--grid must be >= {GRID_POINTS_PER_FLUX} * nphi = {floor}, got {args.grid}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid = commensurate(args.grid, cfg.n_phi)
 
     eigen_selector = args.n is not None or args.l is not None
     coherent_selector = args.lam is not None or args.lam_prime is not None
     if eigen_selector and coherent_selector:
         parser.error("choose either an eigenstate (--n/--l) or a coherent state (--lam/--lam-prime)")
-    stages = {}
     if eigen_selector:
         try:
-            with stage(stages, "state"):
+            with run.stage("state"):
                 state = torus_eigenstate(
                     cfg, TorusLabel(args.n or 0, args.l or 0, args.basis), nx=grid, ny=grid
                 )
@@ -175,7 +174,7 @@ def cmd_density(args, parser) -> int:
         lam_prime = _parse_complex(args.lam_prime or "0", parser, "--lam-prime")
         try:
             # a huge label overflows the amplitude to NaN; the check below rejects it
-            with stage(stages, "state"), np.errstate(over="ignore", invalid="ignore"):
+            with run.stage("state"), np.errstate(over="ignore", invalid="ignore"):
                 state = torus_coherent(cfg, CoherentLabel(lam, lam_prime), nx=grid, ny=grid)
         except ValueError as exc:
             parser.error(str(exc))
@@ -186,22 +185,18 @@ def cmd_density(args, parser) -> int:
         }
     else:
         parser.error("no state selected: pass --n/--l or --lam/--lam-prime")
-        return 2
 
-    with stage(stages, "density"):
+    with run.stage("density"):
         dmap = density_map(state)
         finite = np.isfinite(dmap.density).all()
     if not finite:
         parser.error("the state's density is not finite; choose a smaller label")
-    csv_path = out_dir / "density.csv"
-    pgm_path = out_dir / "density.pgm"
-    argmax_path = out_dir / "argmax.json"
-    with stage(stages, "csv"):
-        write_density_csv(dmap, csv_path)
-    with stage(stages, "pgm"):
-        write_pgm(dmap, pgm_path)
+    with run.stage("csv"):
+        write_density_csv(dmap, run.output("density.csv"))
+    with run.stage("pgm"):
+        write_pgm(dmap, run.output("density.pgm"))
     integral = float(dmap.density[:-1, :-1].sum() * state.hx * state.hy)
-    with stage(stages, "json"):
+    with run.stage("json"):
         write_json(
             {
                 "argmax_x": dmap.argmax_x,
@@ -210,28 +205,22 @@ def cmd_density(args, parser) -> int:
                 "integral": integral,
                 "selector": selector,
             },
-            argmax_path,
+            run.output("argmax.json"),
         )
-    _manifest(
-        "density", values, [csv_path, pgm_path, argmax_path], started, out_dir,
-        extra={"grid": grid, "stages": stages},
-    )
+    run.manifest["grid"] = grid
     print(f"density argmax at ({dmap.argmax_x:.6g}, {dmap.argmax_y:.6g}), integral {integral:.12g}")
     return 0
 
 
-def cmd_group(args, parser) -> int:
-    started = time.perf_counter()
+def cmd_group(args, parser, run) -> int:
     if args.nphi is None:
         parser.error("--nphi is required")
     n = args.nphi
     if not 1 <= n <= 12:
         parser.error(f"--nphi must be in [1, 12] for a full table dump, got {n}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    run.manifest["config"] = {"nphi": n}
 
-    stages = {}
-    with stage(stages, "group"):
+    with run.stage("group"):
         # element i is g(nx, ny, m) with i = (nx*n + ny)*n + m, as in maggroup
         elements = np.indices((n, n, n)).reshape(3, -1).T.tolist()
         classes = maggroup.conjugacy_class_indices(n)
@@ -250,12 +239,10 @@ def cmd_group(args, parser) -> int:
         "ty": mat_to_list(rep.ty),
         "weyl_deviation": maggroup.weyl_deviation(rep),
     }
-    path = out_dir / "group.json"
-    with stage(stages, "table"):
+    with run.stage("table"):
         table = maggroup.multiplication_indices(n)
-    with stage(stages, "json"):
-        write_json(payload, path, tables={"multiplication_table": table})
-    _manifest("group", {"nphi": n}, [path], started, out_dir, extra={"stages": stages})
+    with run.stage("json"):
+        write_json(payload, run.output("group.json"), tables={"multiplication_table": table})
     print(
         f"group of order {len(elements)}: {len(classes)} conjugacy classes, "
         f"center size {n}, weyl deviation {payload['weyl_deviation']:.2e}"
@@ -263,41 +250,30 @@ def cmd_group(args, parser) -> int:
     return 0
 
 
-def cmd_verify(args, parser) -> int:
-    started = time.perf_counter()
-    values, cfg = _merge_config(args, parser)
+def cmd_verify(args, parser, run) -> int:
+    cfg = _merge_config(args, parser, run)
     if args.nphi_override is not None and not math.isfinite(args.nphi_override):
         parser.error(f"--nphi-override must be finite, got {args.nphi_override}")
     if args.seed < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stages = {}
-    with stage(stages, "checks"):
+    with run.stage("checks"):
         checks, ok = run_verification(cfg, nphi_override=args.nphi_override, seed=args.seed)
     payload = {
         "all_passed": bool(ok),
         "checks": [c.as_dict() for c in checks],
         "nphi_override": args.nphi_override,
     }
-    path = out_dir / "verify.json"
-    with stage(stages, "json"):
-        write_json(payload, path)
-    _manifest(
-        "verify", values, [path], started, out_dir, seed=args.seed,
-        extra={"checks": [{"name": c.name, "time_s": c.time_s} for c in checks], "stages": stages},
-    )
+    with run.stage("json"):
+        write_json(payload, run.output("verify.json"))
+    run.manifest.update(seed=args.seed, checks=[{"name": c.name, "time_s": c.time_s} for c in checks])
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: residual {c.residual:.3e} (tol {c.tolerance:.1e})")
     print("verification:", "all passed" if ok else "FAILURES above")
     return 0 if ok else 1
 
 
-def cmd_orbit(args, parser) -> int:
-    started = time.perf_counter()
-    values, cfg = _merge_config(args, parser)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_orbit(args, parser, run) -> int:
+    cfg = _merge_config(args, parser, run)
     try:
         orbit = ClassicalOrbit(
             center_x=args.center_x,
@@ -312,17 +288,14 @@ def cmd_orbit(args, parser) -> int:
         parser.error(f"--periods must be >= 1 for an orbit, got {args.periods}")
     period = 2.0 * math.pi / cfg.omega
     times = _trace_times(args, parser, period)
-    stages = {}
-    with stage(stages, "trace"):
+    with run.stage("trace"):
         wrapped = classical_orbit_trace(orbit, times, wrap=(cfg.lx, cfg.ly))
         free = classical_orbit_trace(orbit, times)
         closure = float(np.max(np.abs(free[-1] - free[0])))
         wraps = bool(np.any(np.abs(np.diff(wrapped, axis=0)) > orbit.radius * cfg.omega * period / args.samples * 4 + 1e-12))
-    csv_path = out_dir / "orbit.csv"
-    with stage(stages, "csv"):
-        write_trace_csv(times, wrapped, csv_path)
-    info_path = out_dir / "orbit.json"
-    with stage(stages, "json"):
+    with run.stage("csv"):
+        write_table_csv(("t", "x", "y"), (times, wrapped[:, 0], wrapped[:, 1]), run.output("orbit.csv"))
+    with run.stage("json"):
         write_json(
             {
                 "closure_residual": closure,
@@ -331,26 +304,21 @@ def cmd_orbit(args, parser) -> int:
                 "period": period,
                 "radius": args.radius,
             },
-            info_path,
+            run.output("orbit.json"),
         )
-    _manifest("orbit", values, [csv_path, info_path], started, out_dir, extra={"stages": stages})
     print(f"orbit closure residual {closure:.2e}; crosses boundary: {wraps}")
     return 0
 
 
-def cmd_coherent(args, parser) -> int:
-    started = time.perf_counter()
-    values, cfg = _merge_config(args, parser)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_coherent(args, parser, run) -> int:
+    cfg = _merge_config(args, parser, run)
     lam = _parse_complex(args.lam, parser, "--lam")
     lam_prime = _parse_complex(args.lam_prime, parser, "--lam-prime")
     label = CoherentLabel(lam, lam_prime)
     period = 2.0 * math.pi / cfg.omega
     times = _trace_times(args, parser, period)
-    stages = {}
     # a huge label overflows the moments, which the check below rejects
-    with stage(stages, "evolve"), np.errstate(over="ignore", invalid="ignore"):
+    with run.stage("evolve"), np.errstate(over="ignore", invalid="ignore"):
         ex = coherent_expectations(cfg, evolve_coherent(cfg, label, times))
         columns = (
             times,
@@ -363,10 +331,8 @@ def cmd_coherent(args, parser) -> int:
         )
     if not all(np.isfinite(c).all() for c in columns):
         parser.error("the coherent state's moments are not finite; choose a smaller label")
-    path = out_dir / "coherent.csv"
-    with stage(stages, "csv"):
-        write_table_csv(("t", "x", "y", "energy", "delta_x", "delta_y", "delta_energy"), columns, path)
-    _manifest("coherent", values, [path], started, out_dir, extra={"stages": stages})
+    with run.stage("csv"):
+        write_table_csv(("t", "x", "y", "energy", "delta_x", "delta_y", "delta_energy"), columns, run.output("coherent.csv"))
     print(f"wrote {args.periods * args.samples + 1} steps over {args.periods} period(s)")
     return 0
 
@@ -430,7 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    run = Run(args.command, args.out_dir)
+    code = args.func(args, parser, run)
+    run.write_manifest()
+    return code
 
 
 if __name__ == "__main__":

@@ -314,12 +314,6 @@ def write_table_csv(header, columns, path) -> None:
             fh.write(_text(*pieces[1:], _NEWLINE))
 
 
-def write_trace_csv(times, positions, path) -> None:
-    """Columns t, x, y for an orbit trace."""
-    positions = np.asarray(positions, dtype=float)
-    write_table_csv(("t", "x", "y"), (times, positions[:, 0], positions[:, 1]), path)
-
-
 def _write_int_table(fh, table) -> None:
     """A non-empty 2-D integer array in the layout json.dump(indent=2) gives
     a list of int lists that is the value of a top-level key."""

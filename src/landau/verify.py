@@ -200,9 +200,9 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     rep = maggroup.clock_and_shift(max(n, 2))
     add("weyl_matrix_relation", maggroup.weyl_deviation(rep), 1.0e-14)
     hom = 0.0
+    rep_n = maggroup.clock_and_shift(nn)
     for _ in range(100):
         g, h = (els[rng.integers(len(els))] for _ in range(2))
-        rep_n = maggroup.clock_and_shift(nn)
         lhs = maggroup.represent(rep_n, maggroup.multiply(g, h))
         rhs = maggroup.represent(rep_n, g) @ maggroup.represent(rep_n, h)
         hom = max(hom, float(np.max(np.abs(lhs - rhs))))

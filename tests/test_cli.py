@@ -118,9 +118,11 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
     ],
 )
 def test_invalid_input_exits_2(tmp_path, args):
+    out_dir = tmp_path / "out"
     with pytest.raises(SystemExit) as err:
-        run_cli(args + ["--out-dir", str(tmp_path)])
+        run_cli(args + ["--out-dir", str(out_dir)])
     assert err.value.code == 2
+    assert not out_dir.exists()  # a usage error writes nothing
 
 
 def test_density_fig2_reproduction(tmp_path):
@@ -314,7 +316,10 @@ def test_outputs_are_deterministic(tmp_path):
 )
 def test_export_stage_timings_only_in_manifest(tmp_path, argv, stages):
     assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 0
-    manifest = read_json(tmp_path / f"{argv[0]}_manifest.json")
+    manifest_name = f"{argv[0]}_manifest.json"
+    manifest = read_json(tmp_path / manifest_name)
+    assert {"command", "config", "seed", "version", "outputs", "stages", "wall_time_s"} <= set(manifest)
+    assert manifest["outputs"] == sorted(p.name for p in tmp_path.iterdir() if p.name != manifest_name)
     assert set(manifest["stages"]) == stages
     assert all(isinstance(s, float) and s >= 0.0 for s in manifest["stages"].values())
     for name in manifest["outputs"]:

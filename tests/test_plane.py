@@ -281,8 +281,8 @@ def test_coherent_zero_orbit_amplitude_is_ground_state():
     "lam,lamp,mw", [(0.3 + 0.2j, -0.1 + 0.4j, 1.0), (-0.8 + 0.05j, 0.6 - 0.7j, 6.283185307179586), (0.0, 0.0, 2.5)]
 )
 def test_coherent_raw_matches_complex_expression_bit_for_bit(lam, lamp, mw):
-    # the exponent is built in real planes; numpy's complex evaluation of the
-    # same expression must give the same bits, up to the sign of a zero
+    # pins the bits of numpy's complex evaluation of the exponent, up to the
+    # sign of a zero, against any rewrite of _coherent_raw
     cfg = InfiniteConfig(mass=1.0, charge=1.0, b_field=mw)
     pre = math.sqrt(mw / 2.0)
     rng = np.random.default_rng(4)

@@ -24,7 +24,6 @@ from landau.serialize import (
     write_json,
     write_pgm,
     write_table_csv,
-    write_trace_csv,
 )
 
 
@@ -108,7 +107,10 @@ def test_density_csv_matches_reference(tmp_path, shape):
 def test_trace_csv_matches_reference(tmp_path, rows):
     times = np.linspace(0.0, 3.0, rows)
     positions = _values((rows, 2), seed=rows)
-    _same_bytes(tmp_path, write_trace_csv, reference_trace_csv, times, positions)
+    ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+    write_table_csv(("t", "x", "y"), (times, positions[:, 0], positions[:, 1]), ours)
+    reference_trace_csv(times, positions, theirs)
+    assert ours.read_bytes() == theirs.read_bytes()
 
 
 def _pgm_shapes():
@@ -149,7 +151,7 @@ def test_writers_refuse_non_finite_values(tmp_path, bad):
     calls = [
         (write_density_csv, (dmap,)),
         (write_pgm, (dmap,)),
-        (write_trace_csv, (np.arange(3.0), positions)),
+        (write_table_csv, (("t", "x", "y"), (np.arange(3.0), positions[:, 0], positions[:, 1]))),
         (write_table_csv, (("t", "v"), (np.arange(3.0), positions[:, 0]))),
     ]
     for k, (write, args) in enumerate(calls):
