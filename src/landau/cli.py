@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 import time
@@ -337,7 +338,10 @@ def cmd_coherent(args, parser, run) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: `parse_args` reads it and never changes
+    it, so repeated in-process `main` calls share it."""
     parser = argparse.ArgumentParser(
         prog="landau",
         description="Charged particle in a uniform magnetic field on plane and torus",

@@ -162,6 +162,13 @@ def represent(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
     )
 
 
+def homomorphism_defect(rep: UnitaryRep, g: GroupElement, h: GroupElement) -> float:
+    """max |D(g h) - D(g) D(h)|: zero for a true representation."""
+    lhs = represent(rep, multiply(g, h))
+    rhs = represent(rep, g) @ represent(rep, h)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
 def weyl_deviation(rep: UnitaryRep) -> float:
     """max |Ty Tx - exp(2 pi i / n_phi) Tx Ty|: zero for a true representation."""
     lhs = rep.ty @ rep.tx

@@ -7,6 +7,19 @@ domain [0, Lx] x [0, Ly] including both boundary lines, so the twisted
 boundary condition can be checked rather than imposed. Grid dimensions are
 multiples of n_phi in both directions, which makes the elementary steps
 (a_x, a_y) exact grid shifts: apply_tx / apply_ty involve no interpolation.
+
+No grid-sized BLAS or LAPACK call here or in `verify` (a test scans for
+them). Inner products, Gram matrices and norms are numpy's pairwise
+reductions of conj(a) * b (`grid_vdot`), the image sums are
+`einsum(..., optimize=False)` over the image index, and only matrices of side
+n_phi reach LAPACK. Two reasons. The order of a pairwise sum is fixed by the
+array shape, so `verify.json` is the same at every BLAS thread count. And a
+`verify` run then uses one OpenBLAS, scipy's, in the lattice eigensolver:
+numpy and scipy ship separate OpenBLAS copies, and at two threads each
+copy's spinning workers take the CPUs from the other. On a 2-CPU Xeon at
+OPENBLAS_NUM_THREADS=2, one numpy `vdot` on a 160^2 grid just before each
+n_phi = 4 lattice solve on that grid made the solve take 69 ms instead of
+37 ms (median of 5); at one thread, 38 ms either way.
 """
 
 from __future__ import annotations
@@ -140,19 +153,27 @@ def sample_on_torus(cfg: TorusConfig, func, nx: int, ny: int) -> SampledState:
     return SampledState(cfg, np.asarray(func(xs[:, None], ys[None, :]), dtype=complex))
 
 
+def grid_vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """np.vdot(a, b) for arrays of one shape, as numpy's pairwise sum of
+    conj(a) * b, whose order is fixed by the shape alone (module docstring).
+    One temporary the size of a, where np.vdot copies both strided inputs."""
+    p = np.conjugate(a, dtype=complex)
+    p *= b
+    return complex(np.add.reduce(p.ravel()))
+
+
 def torus_inner(a: SampledState, b: SampledState) -> complex:
     """Trapezoid inner product <a|b> over the fundamental domain (the
     duplicated boundary lines are excluded, i.e. periodic trapezoid)."""
     if a.values.shape != b.values.shape:
         raise ValueError(f"grid mismatch: {a.values.shape} vs {b.values.shape}")
-    return complex(np.vdot(a.core, b.core) * a.hx * a.hy)
+    return grid_vdot(a.core, b.core) * (a.hx * a.hy)
 
 
 def gram_matrix(states) -> np.ndarray:
     """All inner products G[i, j] = <states[i]|states[j]> of states on one
-    grid, as one matrix product (torus_inner's quadrature for every pair)."""
-    v = np.stack([s.core.ravel() for s in states], axis=1)
-    return (v.conj().T @ v) * (states[0].hx * states[0].hy)
+    grid."""
+    return np.array([[torus_inner(a, b) for b in states] for a in states])
 
 
 def torus_norm(a: SampledState) -> float:
@@ -184,12 +205,12 @@ def torus_eigenstate(cfg: TorusConfig, label: TorusLabel, nx: int, ny: int) -> S
     positive real by unit normalization; term phases stay as written.
 
     Every image term is a product of a function of x and a function of y,
-    so the sum is one matrix product over the image index k:
+    so the sum is one contraction over the image index k:
 
-        'ly':  P @ W^T,            P[x, k] = psi_n(x + kval_k a_x),
-                                   W[y, k] = exp(2 pi i y kval_k / Ly - i theta_x k)
-        'lx':  cross * (W @ P^T),  W[x, k] = exp(2 pi i x qval_k / Lx + i theta_y k),
-                                   P[y, k] = psi_n(y - qval_k a_y)
+        'ly':  sum_k P[x, k] W[y, k],          P[x, k] = psi_n(x + kval_k a_x),
+                                               W[y, k] = exp(2 pi i y kval_k / Ly - i theta_x k)
+        'lx':  cross * sum_k W[x, k] P[y, k],  W[x, k] = exp(2 pi i x qval_k / Lx + i theta_y k),
+                                               P[y, k] = psi_n(y - qval_k a_y)
 
     with kval_k = n_phi k + l + theta_y/2pi, qval_k = n_phi k + l + theta_x/2pi
     and cross = exp(-2 pi i n_phi x y / (Lx Ly)).
@@ -206,7 +227,7 @@ def torus_eigenstate(cfg: TorusConfig, label: TorusLabel, nx: int, ny: int) -> S
         kval = cfg.n_phi * k + label.l + cfg.theta_y / TWO_PI
         profile = hermite_eigenfunction(mw, label.n, xs[:, None] + kval * cfg.ax)
         wave = np.exp(TWO_PI * 1j * ys[:, None] * kval / cfg.ly - 1j * cfg.theta_x * k)
-        values = profile @ wave.T
+        values = np.einsum("xk,yk->xy", profile, wave, optimize=False)
     else:
         # Gaussian centers in y at (l + theta_x/2pi) a_y + k Ly
         c0 = (label.l + cfg.theta_x / TWO_PI) * cfg.ay
@@ -215,7 +236,7 @@ def torus_eigenstate(cfg: TorusConfig, label: TorusLabel, nx: int, ny: int) -> S
         qval = cfg.n_phi * k + label.l + cfg.theta_x / TWO_PI
         profile = hermite_eigenfunction(mw, label.n, ys[:, None] - qval * cfg.ay)
         wave = np.exp(TWO_PI * 1j * xs[:, None] * qval / cfg.lx + 1j * cfg.theta_y * k)
-        values = cross * (wave @ profile.T)
+        values = cross * np.einsum("xk,yk->xy", wave, profile, optimize=False)
 
     return normalized(SampledState(cfg, values))
 
@@ -235,15 +256,23 @@ def torus_coherent(cfg: TorusConfig, c: CoherentLabel, nx: int, ny: int) -> Samp
 
         uv = xy + x ky Ly + kx Lx y + kx ky Lx Ly,
 
-    so each image term j = (kx, ky) is exp(-i Mw xy / 2) F[x, j] G[y, j] with
+    and since eB Lx Ly = 2 pi n_phi the last term is exp(-i pi n_phi kx ky) =
+    (-1)^(n_phi kx ky). Each image term is then exp(-i Mw xy / 2) times
 
-        F[x, j] = exp[-(Mw/4) u^2 + sqrt(Mw/2) u (lam + lam') - i (Mw/2) x ky Ly]
-        G[y, j] = exp[-(Mw/4) v^2 + i sqrt(Mw/2) v (lam - lam')
-                      - i (Mw/2)(kx Lx y + kx ky Lx Ly)
-                      + 2 pi i n_phi kx y / Ly - i kx theta_x - i ky theta_y],
+        X[x, kx] D[y, kx] B[x, ky] Y[y, ky] (-1)^(n_phi kx ky),
 
-    and the whole sum is exp(-i Mw xy / 2) * (F @ G^T): one grid-sized
-    exponential and one matrix product instead of one per image term."""
+        X[x, kx] = exp[-(Mw/4) u^2 + sqrt(Mw/2) u (lam + lam')]
+        D[y, kx] = exp[-i (Mw/2) kx Lx y + 2 pi i n_phi kx y / Ly - i kx theta_x]
+        B[x, ky] = exp[-i (Mw/2) x ky Ly]
+        Y[y, ky] = exp[-(Mw/4) v^2 + i sqrt(Mw/2) v (lam - lam') - i ky theta_y].
+
+    The sign is -1 only where n_phi kx and ky are both odd. With E and O the
+    sums of X D over the kx where n_phi kx is even and odd, and S_e and S_o
+    the sums of B Y over even and odd ky, the double sum separates:
+
+        (E + O) * S_e + (E - O) * S_o,
+
+    Kx + Ky rank-1 passes over the grid in place of Kx Ky."""
     xs, ys = grid_axes(cfg, nx, ny)
     mw = cfg.mass_omega
     pre = math.sqrt(mw / 2.0)
@@ -253,25 +282,32 @@ def torus_coherent(cfg: TorusConfig, c: CoherentLabel, nx: int, ny: int) -> Samp
     # coherent amplitude ~ exp(-M w d^2 / 4) around the packet center
     width = _reach(mw / 4.0)
 
-    kxs = _image_indices(cx, -cfg.lx, 0.0, cfg.lx, width)
-    kys = _image_indices(cy, -cfg.ly, 0.0, cfg.ly, width)
-    kx, ky = (k.ravel() for k in np.meshgrid(kxs, kys, indexing="ij"))
+    kx = _image_indices(cx, -cfg.lx, 0.0, cfg.lx, width)
+    ky = _image_indices(cy, -cfg.ly, 0.0, cfg.ly, width)
     u = xs[:, None] + kx * cfg.lx
     v = ys[:, None] + ky * cfg.ly
-    f = np.exp(
-        -0.25 * mw * u * u
-        + pre * u * (c.lam + c.lam_prime)
-        - 0.5j * mw * xs[:, None] * (ky * cfg.ly)
+    x_part = np.exp(-0.25 * mw * u * u + pre * u * (c.lam + c.lam_prime))
+    d_part = np.exp(
+        1j * (TWO_PI * cfg.n_phi / cfg.ly - 0.5 * mw * cfg.lx) * kx * ys[:, None]
+        - 1j * kx * cfg.theta_x
     )
-    g = np.exp(
-        -0.25 * mw * v * v
-        + 1j * pre * v * (c.lam - c.lam_prime)
-        - 0.5j * mw * (kx * cfg.lx) * v
-        + 1j * (TWO_PI * cfg.n_phi / cfg.ly) * kx * ys[:, None]
-        - 1j * (kx * cfg.theta_x + ky * cfg.theta_y)
-    )
-    common = np.exp(-0.5j * mw * xs[:, None] * ys[None, :])
-    return normalized(SampledState(cfg, common * (f @ g.T)))
+    b_part = np.exp(-0.5j * mw * cfg.ly * xs[:, None] * ky)
+    y_part = np.exp(-0.25 * mw * v * v + 1j * pre * v * (c.lam - c.lam_prime) - 1j * ky * cfg.theta_y)
+
+    def image_sum(p, q):
+        return np.einsum("xk,yk->xy", p, q, optimize=False)
+
+    odd_kx = (kx % 2 == 1) & (cfg.n_phi % 2 == 1)
+    if odd_kx.any():
+        odd_ky = ky % 2 == 1
+        e = image_sum(x_part[:, ~odd_kx], d_part[:, ~odd_kx])
+        o = image_sum(x_part[:, odd_kx], d_part[:, odd_kx])
+        values = (e + o) * image_sum(b_part[:, ~odd_ky], y_part[:, ~odd_ky])
+        values += (e - o) * image_sum(b_part[:, odd_ky], y_part[:, odd_ky])
+    else:
+        values = image_sum(x_part, d_part) * image_sum(b_part, y_part)
+    values *= np.exp(-0.5j * mw * xs[:, None] * ys[None, :])
+    return normalized(SampledState(cfg, values))
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +414,21 @@ def expectation(op: str, state: SampledState) -> complex:
     return torus_inner(state, apply_operator(op, state))
 
 
+def _l2_norm(z: np.ndarray) -> float:
+    """Euclidean norm of z, scaled by max|z| before the pairwise sum of
+    squares so that no square overflows or underflows."""
+    scale = float(np.max(np.abs(z)))
+    if scale == 0.0:
+        return 0.0
+    z = z / scale
+    return scale * math.sqrt(float(np.add.reduce((z.real * z.real + z.imag * z.imag).ravel())))
+
+
 def eigenvalue_residual(op: str, state: SampledState, value: complex) -> float:
     """Relative L2 residual |(O - value) Psi| / |Psi| over the core grid."""
     applied = apply_operator(op, state).core
     base = state.core
-    num = np.linalg.norm(applied - value * base)
-    den = np.linalg.norm(base)
-    return float(num / den)
+    return _l2_norm(applied - value * base) / _l2_norm(base)
 
 
 def translation_expectation(state: SampledState, direction: str, power: int) -> complex:
@@ -466,24 +510,31 @@ def coherent_prefactor(cfg: TorusConfig, c: CoherentLabel, l: int, direction: st
 
 def projector_distance(set_a, set_b) -> float:
     """Operator norm of P_A - P_B for the projectors onto the spans of two
-    orthonormal families of SampledStates (grid inner products)."""
+    orthonormal families of SampledStates (grid inner products).
+
+    That norm is max(|(I - P_A) V_B|, |(I - P_B) V_A|) for orthonormal
+    columns V_A, V_B. Each residual R = V_B - V_A (V_A^H V_B) is built on the
+    grid, since forming I - M^H M instead would lose every digit below 1e-8
+    to cancellation, and |R|^2 is the top eigenvalue of the small matrix
+    R^H R."""
 
     def stack(states):
-        return np.array([s.core.ravel() * math.sqrt(s.hx * s.hy) for s in states]).T
+        return np.stack([s.core.ravel() * math.sqrt(s.hx * s.hy) for s in states])
+
+    def gram(u, v):
+        return np.array([[grid_vdot(a, b) for b in v] for a in u])
 
     va = stack(set_a)
     vb = stack(set_b)
     for name, v in (("A", va), ("B", vb)):
-        gram = v.conj().T @ v
-        if np.max(np.abs(gram - np.eye(v.shape[1]))) > ORTHONORMAL_TOL:
+        if np.max(np.abs(gram(v, v) - np.eye(len(v)))) > ORTHONORMAL_TOL:
             raise ValueError(f"input set {name} is not orthonormal within {ORTHONORMAL_TOL}")
-    w = np.hstack([va, vb])
-    q, _ = np.linalg.qr(w)
-    ma = q.conj().T @ va
-    mb = q.conj().T @ vb
-    diff = ma @ ma.conj().T - mb @ mb.conj().T
-    eigs = np.linalg.eigvalsh(diff)
-    return float(np.max(np.abs(eigs)))
+
+    def residual_norm(u, v):
+        r = v - np.einsum("ij,in->jn", gram(u, v), u, optimize=False)
+        return math.sqrt(max(float(np.max(np.linalg.eigvalsh(gram(r, r)))), 0.0))
+
+    return max(residual_norm(va, vb), residual_norm(vb, va))
 
 
 @dataclass(frozen=True)

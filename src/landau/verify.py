@@ -36,6 +36,7 @@ from .torus import (
     eigenvalue_residual,
     expectation,
     gram_matrix,
+    grid_vdot,
     projector_distance,
     torus_coherent,
     torus_eigenstate,
@@ -127,8 +128,8 @@ def _heisenberg_residual(cfg) -> float:
     amp = coherent_amplitude(cfg, CoherentLabel(0.3 + 0.2j, -0.1 + 0.4j))
     num = den = 0.0
     for fw, w in _commutator_blocks(cfg, amp, xs, ys):
-        num += np.vdot(fw, w)
-        den += np.vdot(fw, fw)
+        num += grid_vdot(fw, w)
+        den += grid_vdot(fw, fw)
     return float(abs(num / den - 1j / mw) * mw)
 
 
@@ -203,9 +204,7 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     rep_n = maggroup.clock_and_shift(nn)
     for _ in range(100):
         g, h = (els[rng.integers(len(els))] for _ in range(2))
-        lhs = maggroup.represent(rep_n, maggroup.multiply(g, h))
-        rhs = maggroup.represent(rep_n, g) @ maggroup.represent(rep_n, h)
-        hom = max(hom, float(np.max(np.abs(lhs - rhs))))
+        hom = max(hom, maggroup.homomorphism_defect(rep_n, g, h))
     add("representation_homomorphism", hom, 1.0e-12)
 
     # torus states: boundary condition, orthonormality, translation actions

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landau.cli import main
+from landau.cli import build_parser, main
 from landau.config import TorusConfig
 from landau.maggroup import GroupElement, multiply
 from landau.plane import CoherentLabel, coherent_expectations, evolve_coherent
@@ -202,6 +202,17 @@ def test_verify_detects_non_integer_flux(tmp_path):
     assert any(c["name"] == "boundary_shift_consistency" for c in failed)
 
 
+def test_verify_tiny_mass_writes_strict_json(tmp_path):
+    # the H residual carries 1/mass = 1e300; its norm is taken scaled by the
+    # largest entry, so it neither overflows (the suite turns numpy's
+    # RuntimeWarning into an error) nor reads Infinity. It still fails: the
+    # check is in energy units
+    code = run_cli(["verify", "--nphi", "1", "--mass", "1e-300", "--out-dir", str(tmp_path)])
+    assert code == 1
+    failed = [c["name"] for c in read_json(tmp_path / "verify.json")["checks"] if not c["passed"]]
+    assert failed == ["hamiltonian_eigen_residual"]
+
+
 def test_orbit_small_radius_no_wrap(tmp_path):
     code = run_cli(
         ["orbit", "--nphi", "1", "--center-x", "0.5", "--center-y", "0.5", "--radius", "0.2", "--out-dir", str(tmp_path)]
@@ -362,6 +373,46 @@ def test_spectrum_output_independent_of_blas_threads(tmp_path):
             env=env, check=True, capture_output=True, timeout=120,
         )
     assert (tmp_path / "1" / "spectrum.json").read_bytes() == (tmp_path / "2" / "spectrum.json").read_bytes()
+
+
+VERIFY_THREAD_CASES = {
+    "nphi1": "verify --nphi 1",
+    "nphi2": "verify --nphi 2",
+    "nphi4": "verify --nphi 4",
+    "1.1x0.91": f"verify --nphi 2 --lx 1.1 --ly {1 / 1.1!r} --theta-x 0.7 --theta-y 2.1 --seed 3",
+}
+
+
+def test_verify_output_independent_of_blas_threads(tmp_path):
+    # every residual is a pairwise numpy sum, whose order the thread count
+    # does not change; only spectrum_clusters comes from ARPACK
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    script = "import sys; from landau.cli import main\nfor argv in sys.argv[1:]: main(argv.split())"
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+        argvs = [f"{flags} --out-dir {tmp_path / threads / case}" for case, flags in VERIFY_THREAD_CASES.items()]
+        subprocess.run([sys.executable, "-c", script, *argvs], env=env, check=True, capture_output=True, timeout=300)
+    for case in VERIFY_THREAD_CASES:
+        one, two = (read_json(tmp_path / threads / case / "verify.json") for threads in ("1", "2"))
+        a, b = (next(c for c in p["checks"] if c["name"] == "spectrum_clusters") for p in (one, two))
+        assert abs(a.pop("residual") - b.pop("residual")) <= 1e-12, case
+        assert one == two, case
+
+
+def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path):
+    assert build_parser() is build_parser()
+    spectrum = ["spectrum", "--nphi", "2", "--grid", "48", "--levels", "2"]
+    density = ["density", "--nphi", "3", "--lx", "1.3", "--ly", "0.8", "--theta-x", "1.5", "--n", "1", "--grid", "48"]
+    run_cli(density + ["--out-dir", str(tmp_path / "density")])
+    after = vars(build_parser().parse_args(spectrum))
+    run_cli(spectrum + ["--out-dir", str(tmp_path / "after")])
+    build_parser.cache_clear()
+    assert vars(build_parser().parse_args(spectrum)) == after
+    run_cli(spectrum + ["--out-dir", str(tmp_path / "fresh")])
+    assert (tmp_path / "after" / "spectrum.json").read_bytes() == (tmp_path / "fresh" / "spectrum.json").read_bytes()
+    configs = [read_json(tmp_path / d / "spectrum_manifest.json")["config"] for d in ("after", "fresh")]
+    assert configs[0] == configs[1]
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import landau
 from landau import TorusConfig
 from landau.config import GRID_BUDGET
 from landau.finitediff import apply_fd_operator
@@ -149,3 +152,57 @@ def test_hamiltonian_check_fails_a_wrong_level(name):
     assert eigenvalue_residual("H", level1, 1.5 * cfg.omega) <= H_TOL
     assert eigenvalue_residual("H", level1, 2.5 * cfg.omega) > H_TOL
     assert eigenvalue_residual("H", level0, 1.5 * cfg.omega) > H_TOL
+
+
+# ---------------------------------------------------------------------------
+# no grid-sized BLAS or LAPACK call on the analytic side (torus.py docstring)
+
+ANALYTIC_MODULES = ("torus.py", "verify.py", "finitediff.py", "plane.py")
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot"}
+LINALG_NAMES = {"norm", "qr", "svd"}
+
+
+def blas_calls(source):
+    """Line and text of every BLAS route in source: the @ operator, the
+    products in BLAS_NAMES, np.linalg's norm, qr and svd, and einsum without
+    optimize=False (which may hand the contraction to tensordot)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        bad = False
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            bad = isinstance(node.op, ast.MatMult)
+        elif isinstance(node, ast.Attribute):
+            bad = node.attr in BLAS_NAMES or (
+                node.attr in LINALG_NAMES and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+            )
+        elif isinstance(node, ast.Name):
+            bad = node.id in BLAS_NAMES
+        elif isinstance(node, ast.ImportFrom):
+            bad = any(a.name in BLAS_NAMES | LINALG_NAMES for a in node.names)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "einsum":
+            bad = not any(
+                k.arg == "optimize" and isinstance(k.value, ast.Constant) and k.value.value is False
+                for k in node.keywords
+            )
+        if bad:
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_blas_guard_flags_every_route():
+    routes = [
+        "a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "np.vdot(a, b)", "np.inner(a, b)",
+        "np.matmul(a, b)", "np.tensordot(a, b)", "np.linalg.norm(a)", "np.linalg.qr(a)",
+        "np.linalg.svd(a)", "from numpy import vdot", "np.einsum('ij,jk', a, b)",
+        "np.einsum('ij,jk', a, b, optimize=True)",
+    ]
+    for line in routes:
+        assert blas_calls(line), line
+    allowed = "np.einsum('ij,jk', a, b, optimize=False)\nnp.linalg.eigvalsh(a)\ntorus_inner(a, b)"
+    assert blas_calls(allowed) == []
+
+
+@pytest.mark.parametrize("module", ANALYTIC_MODULES)
+def test_analytic_modules_call_no_blas(module):
+    source = (Path(landau.__file__).parent / module).read_text(encoding="utf-8")
+    assert blas_calls(source) == []
