@@ -34,7 +34,7 @@ from landau.serialize import write_pgm
 cfg1 = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=1, theta_x=math.pi, theta_y=math.pi)
 ground = torus_eigenstate(cfg1, TorusLabel(0, 0), nx=160, ny=160)
 print(f"boundary-condition residual: {ground.boundary_residual():.2e}")
-print(f"energy residual against w/2: {eigenvalue_residual('H', ground, cfg1.omega / 2):.2e}")
+print(f"energy residual against 1/2 (units of hbar*w): {eigenvalue_residual('H', ground, 0.5):.2e}")
 dm = density_map(ground)
 print(f"density maximum at ({dm.argmax_x:.3f}, {dm.argmax_y:.3f}); expected (0.5, 0.5)")
 write_pgm(dm, "ground_density.pgm")
@@ -57,10 +57,11 @@ for l in range(3):
 
 ###############################################################################
 # Torus coherent states: an image sum of plane coherent packets. At small
-# |lambda| the energy sits close to the ground level.
+# |lambda| the energy sits close to the ground level. Energies are in units
+# of hbar*omega.
 
 lab = CoherentLabel(0.4 + 0.2j, 0.3 - 0.1j)
 coh = torus_coherent(cfg3, lab, nx=96, ny=96)
 e = expectation("H", coh).real
-target = cfg3.omega * (abs(lab.lam) ** 2 + 0.5)
+target = abs(lab.lam) ** 2 + 0.5
 print(f"\ncoherent <H> = {e:.6f}, closed form {target:.6f}")

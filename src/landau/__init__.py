@@ -34,7 +34,6 @@ from .maggroup import (
 )
 from .oscillator import (
     hermite_eigenfunction,
-    hermite_functions,
 )
 from .plane import (
     ClassicalOrbit,

@@ -71,6 +71,9 @@ class TorusConfig:
         if int(self.n_phi) != self.n_phi:
             raise ValueError(f"n_phi must be a positive integer, got {self.n_phi}")
         object.__setattr__(self, "n_phi", int(self.n_phi))
+        if self.charge * self.lx * self.ly == 0.0:
+            raise ValueError("charge * lx * ly underflows to 0, so B = 2 pi n_phi / (e Lx Ly) is not finite")
+        _check_values({"B": self.b_field, "eB": self.mass_omega, "omega": self.omega})
         object.__setattr__(self, "theta_x", self.theta_x % TWO_PI)
         object.__setattr__(self, "theta_y", self.theta_y % TWO_PI)
 

@@ -1,6 +1,7 @@
 """Fourth-order finite-difference realizations of the magnetic operators that
-`verify` applies: the Hamiltonian H and the cyclotron-center coordinates Rx,
-Ry, in numpy complex arithmetic.
+`verify` applies: the Hamiltonian H, in units of hbar*omega, and the
+cyclotron-center coordinates Rx, Ry, in numpy complex arithmetic. In those
+units H = Pi^2 / (2 eB) holds no mass.
 
 Grids are uniform, values[ix, iy]. In Landau gauge a state carries the phase
 exp(i eB x y), whose y-wavenumber eB x reaches 2 pi n_phi / Ly on a torus, so
@@ -80,11 +81,11 @@ def apply_fd_operator(op, values, xs, ys, hx, hy, cfg, twist_x=None, twist_y=Non
     """Apply H, Rx or Ry to the sampled values, returning a complex array.
 
     xs, ys are the 1-D coordinate arrays of the uniform grid and hx, hy its
-    spacings; cfg supplies mass, charge and b_field. Landau gauge
-    A = (0, B x, 0) throughout, with Dyy the covariant second y-difference
-    (module docstring):
+    spacings; cfg supplies eB (`mass_omega`). Landau gauge A = (0, B x, 0)
+    throughout, with Dyy the covariant second y-difference (module
+    docstring), and H in units of hbar*omega:
 
-        H  = -(dx^2 + Dyy) / (2 M)
+        H  = -(dx^2 + Dyy) / (2 e B)
         Rx =  i dy / (e B)        Ry = y - i dx / (e B)
     """
     if op not in OPERATORS:
@@ -95,7 +96,7 @@ def apply_fd_operator(op, values, xs, ys, hx, hy, cfg, twist_x=None, twist_y=Non
         links = {s: np.exp(1j * (s * eb * hy) * xs[:, None]) for s in (-2, -1, 1, 2)}
         out = _d2(values, hx, 0, twist_x)
         out += _d2(values, hy, 1, twist_y, links)
-        out *= -1.0 / (2.0 * cfg.mass)
+        out *= -1.0 / (2.0 * eb)
         return out
     if op == "Rx":
         out = _d1(values, hy, 1, twist_y)

@@ -21,30 +21,21 @@ import numpy as np
 POINTS_PER_LENGTH = 16
 
 
-def hermite_functions(nmax: int, xi) -> np.ndarray:
-    """All normalized Hermite functions h_0..h_nmax at points xi.
-
-    Returns an array of shape (nmax+1,) + xi.shape. Intermediate values are
-    bounded (|h_n| < 1), so there is no overflow at any level.
-    """
-    xi = np.asarray(xi, dtype=float)
-    out = np.empty((nmax + 1,) + xi.shape, dtype=float)
-    out[0] = math.pi ** (-0.25) * np.exp(-0.5 * xi * xi)
-    if nmax >= 1:
-        out[1] = math.sqrt(2.0) * xi * out[0]
-    for n in range(2, nmax + 1):
-        out[n] = math.sqrt(2.0 / n) * xi * out[n - 1] - math.sqrt((n - 1) / n) * out[n - 2]
-    return out
-
-
 def hermite_eigenfunction(mass_omega: float, n: int, u) -> np.ndarray:
     """L2-normalized oscillator eigenfunction psi_n at coordinate u.
 
     psi_n(u) = (M w)^(1/4) h_n(sqrt(M w) u), normalized so that
-    integral |psi_n|^2 du = 1.
+    integral |psi_n|^2 du = 1. The recurrence holds only h_(k-1) and h_k, so
+    memory stays a few arrays of u's shape at any level, and the values are
+    bounded (|h_k| < 1), so nothing overflows.
     """
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")
     s = math.sqrt(mass_omega)
     xi = s * np.asarray(u, dtype=float)
-    return math.sqrt(s) * hermite_functions(n, xi)[n]
+    h = math.pi ** (-0.25) * np.exp(-0.5 * xi * xi)
+    if n >= 1:
+        prev, h = h, math.sqrt(2.0) * xi * h
+    for k in range(2, n + 1):
+        prev, h = h, math.sqrt(2.0 / k) * xi * h - math.sqrt((k - 1) / k) * prev
+    return math.sqrt(s) * h

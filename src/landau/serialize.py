@@ -329,7 +329,8 @@ def _write_int_table(fh, table) -> None:
 
 
 def write_json(obj, path, tables=None) -> None:
-    """json.dump(obj, indent=2, sort_keys=True) plus a newline.
+    """json.dump(obj, indent=2, sort_keys=True) plus a newline. NaN and
+    +-Infinity raise ValueError before the file is opened.
 
     `tables` maps further top-level keys to non-empty 2-D integer arrays.
     They are written by the vectorised encoder, with the bytes json gives
@@ -341,7 +342,7 @@ def write_json(obj, path, tables=None) -> None:
         raise ValueError("tables must be non-empty and keyed apart from obj")
     # json encodes each table as this placeholder string; splice at each
     marks = {key: f"@table {key}@" for key in tables}
-    text = json.dumps({**obj, **marks}, indent=2, sort_keys=True)
+    text = json.dumps({**obj, **marks}, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "wb") as fh:
         for key in sorted(tables):
             head, text = text.split(json.dumps(marks[key]), 1)

@@ -8,9 +8,12 @@ wraparound links carry the boundary twist exp(i theta_x - 2 pi i n_phi y/Ly)
 in x and exp(i theta_y) in y. Peierls phases keep the discrete magnetic
 translations exact symmetries, so the Landau degeneracy survives
 discretization exactly. The assembled nx*ny matrix lives in the test oracle
-(tests/oracles.py), which the block solver is compared against.
+(tests/oracles.py), which the block solver is compared against. Energies are
+in units of hbar*omega: the hops are 1/(2 eB h^2), and the mass enters only
+through the omega that `low_spectrum` multiplies the eigenvalues by before
+it clusters them.
 
-`low_spectrum` never assembles it. Away from the x-wrap the stencil is
+`low_spectrum` never assembles that matrix. Away from the x-wrap the stencil is
 invariant under y-translations, so a Fourier transform in y with momenta
 q_m = (2 pi m + theta_y)/ny (m = 0..ny-1) diagonalizes the y-hops into the
 on-site term -2 ky cos(e B x_j hy + q_m). The x-wrap twist
@@ -44,9 +47,9 @@ eigenvalues are 1/mu for the largest Ritz values mu. ARPACK stops at a
 relative residual of ARPACK_TOL = 1e-12 rather than machine epsilon: a
 Hermitian Ritz value is off by at most its residual, which keeps the
 eigenvalues 1000x inside DEGENERACY_TOL, and the restarts machine epsilon
-asks for come after the values have stopped moving. Where the grid does
-not resolve the magnetic length the chain is singular in doubles, and the
-failed factorisation is reported as a ValueError.
+asks for come after the values have stopped moving. `chain_spectra` takes
+only grids that resolve the magnetic length, max(hx, hy) <= l_B = 1/sqrt(eB);
+there every hop is at least 1/2 and finite, whatever the units.
 """
 
 from __future__ import annotations
@@ -80,20 +83,14 @@ def bloch_chain(cfg, nx: int, ny: int, m0: int) -> np.ndarray:
     hop from j = nx-1 onto the next momentum carries the x twist
     exp(i theta_x). Site t sits at position 2t and site D-1-t at 2t+1, and
     entry (i, j), i <= j, of the folded matrix is stored at [2 - (j - i), j]."""
+    eb = cfg.mass_omega
     hx = cfg.lx / nx
     hy = cfg.ly / ny
-    two_m_h2 = (2.0 * cfg.mass * hx * hx, 2.0 * cfg.mass * hy * hy)
-    # the largest band entry, 2 kx + 4 ky, is at most 6 / min(two_m_h2)
-    if not min(two_m_h2) > 6.0 / np.finfo(float).max:
-        raise ValueError(
-            f"the hop amplitudes 1/(2 M h^2) of grid {nx}x{ny} (hx={hx:.3g}, hy={hy:.3g}) "
-            "are not finite doubles; the spacing or the mass is too small"
-        )
-    kx, ky = 1.0 / two_m_h2[0], 1.0 / two_m_h2[1]
+    kx, ky = 1.0 / (2.0 * eb * hx * hx), 1.0 / (2.0 * eb * hy * hy)
     ms = (m0 + cfg.n_phi * np.arange(ny // math.gcd(cfg.n_phi, ny))) % ny
     qs = (TWO_PI * ms + cfg.theta_y) / ny
     xs = hx * np.arange(nx)
-    diag = 2.0 * kx + 2.0 * ky - 2.0 * ky * np.cos(cfg.mass_omega * xs[None, :] * hy + qs[:, None])
+    diag = 2.0 * kx + 2.0 * ky - 2.0 * ky * np.cos(eb * xs[None, :] * hy + qs[:, None])
     dim = diag.size
     # hop[s] is the entry (s, s + 1 mod D), the last one closing the ring
     hop = np.full(dim, -kx, dtype=complex)
@@ -166,29 +163,29 @@ def clusters_well_separated(clusters) -> bool:
 
 
 def chain_spectra(cfg, nx: int, ny: int, k: int) -> tuple[np.ndarray, list]:
-    """The k smallest eigenvalues of each Bloch chain, one sorted row per
-    chain m0 = 0..gcd(n_phi, ny)-1, and the number of times ARPACK applied
-    each chain's inverse. ARPACK runs in regular mode on H^-1 (shift-invert
-    at 0), applied through one banded Cholesky factor per chain."""
+    """The k smallest eigenvalues of each Bloch chain in units of hbar*omega,
+    one sorted row per chain m0 = 0..gcd(n_phi, ny)-1, and the number of
+    times ARPACK applied each chain's inverse. ARPACK runs in regular mode on
+    H^-1 (shift-invert at 0), applied through one banded Cholesky factor per
+    chain. The grid must have GRID_POINTS_PER_FLUX * n_phi points per side
+    and resolve the magnetic length l_B = 1/sqrt(eB)."""
     floor = GRID_POINTS_PER_FLUX * cfg.n_phi
     if nx < floor or ny < floor:
         raise ValueError(f"grid {nx}x{ny} too small; need at least {floor} per direction")
+    hx, hy = cfg.lx / nx, cfg.ly / ny
+    if not max(hx, hy) * math.sqrt(cfg.mass_omega) <= 1.0:
+        raise ValueError(
+            f"grid {nx}x{ny} (hx={hx:.3g}, hy={hy:.3g}) does not resolve the magnetic length "
+            f"l_B = 1/sqrt(eB) = {1.0 / math.sqrt(cfg.mass_omega):.3g}; need max(hx, hy) <= l_B"
+        )
     rows, applications = [], []
     for m0 in range(math.gcd(cfg.n_phi, ny)):
         band = bloch_chain(cfg, nx, ny, m0)
-        # scale by an exact power of four so the largest diagonal entry lies
-        # in [1/2, 2): the factor scales by an exact power of two, and
-        # nothing the solve touches nears underflow or overflow, whatever
-        # the units
-        exponent = 2 * (math.frexp(band[2].real.max())[1] // 2)
         try:
-            factor = cholesky_banded(band * math.ldexp(1.0, -exponent), check_finite=False)
+            factor = cholesky_banded(band, check_finite=False)
         except LinAlgError as exc:
-            hx, hy = cfg.lx / nx, cfg.ly / ny
             raise ValueError(
-                f"the lattice chain of grid {nx}x{ny} (hx={hx:.3g}, hy={hy:.3g}) is not "
-                f"numerically positive definite ({exc}); the grid must resolve the "
-                f"magnetic length 1/sqrt(eB) = {1.0 / math.sqrt(cfg.mass_omega):.3g}"
+                f"the lattice chain of grid {nx}x{ny} is not numerically positive definite ({exc})"
             ) from None
         dim = band.shape[1]
         count = [0]
@@ -201,7 +198,7 @@ def chain_spectra(cfg, nx: int, ny: int, k: int) -> tuple[np.ndarray, list]:
         # fixed ARPACK start so repeated solves are bit-identical
         start = np.random.default_rng(0).standard_normal(dim)
         mu = spla.eigsh(inverse, k=k, which="LM", v0=start, tol=ARPACK_TOL, return_eigenvectors=False)
-        rows.append(np.ldexp(np.sort(1.0 / mu), exponent))
+        rows.append(np.sort(1.0 / mu))
         applications.append(count[0])
     return np.array(rows), applications
 
@@ -219,8 +216,8 @@ def low_spectrum(cfg, nx: int, ny: int, k: int) -> SpectrumReport:
     blocks = math.gcd(cfg.n_phi, ny)
     per_block = -(-k // blocks)
     spectra, applications = chain_spectra(cfg, nx, ny, per_block)
-    ev = np.sort(spectra.ravel())[:k]
     omega = cfg.omega
+    ev = omega * np.sort(spectra.ravel())[:k]
     groups = cluster_eigenvalues(ev)
     clusters = []
     for i, group in enumerate(groups):

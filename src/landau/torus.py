@@ -192,7 +192,7 @@ def normalized(state: SampledState) -> SampledState:
 
 
 def torus_eigenstate(cfg: TorusConfig, label: TorusLabel, nx: int, ny: int) -> SampledState:
-    """Simultaneous eigenstate of H (energy omega*(n+1/2)) and of Ty
+    """Simultaneous eigenstate of H (energy (n + 1/2) hbar*omega) and of Ty
     (basis 'ly', eigenvalue exp(2 pi i l / n_phi)) or Tx (basis 'lx').
 
     In the 'ly' basis the amplitude is the image sum over k of
@@ -382,7 +382,7 @@ def apply_translation_power(state: SampledState, direction: str, power: int) -> 
 
 def apply_operator(op: str, state: SampledState) -> SampledState:
     """Apply H, Rx or Ry (`finitediff.OPERATORS`) by 4th-order finite
-    differences.
+    differences, H in units of hbar*omega.
 
     Derivative stencils reaching across the domain edges use the twisted
     periodic extension, which is exact for boundary-compliant states. Rx and
@@ -410,7 +410,8 @@ def apply_operator(op: str, state: SampledState) -> SampledState:
 
 
 def expectation(op: str, state: SampledState) -> complex:
-    """Quadrature expectation <Psi|O Psi> (state assumed unit-normalized)."""
+    """Quadrature expectation <Psi|O Psi> (state assumed unit-normalized),
+    in units of hbar*omega for H."""
     return torus_inner(state, apply_operator(op, state))
 
 
@@ -425,7 +426,8 @@ def _l2_norm(z: np.ndarray) -> float:
 
 
 def eigenvalue_residual(op: str, state: SampledState, value: complex) -> float:
-    """Relative L2 residual |(O - value) Psi| / |Psi| over the core grid."""
+    """Relative L2 residual |(O - value) Psi| / |Psi| over the core grid;
+    for H, value and residual are in units of hbar*omega."""
     applied = apply_operator(op, state).core
     base = state.core
     return _l2_norm(applied - value * base) / _l2_norm(base)

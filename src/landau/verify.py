@@ -1,6 +1,7 @@
 """Invariant suite behind the `verify` command: one measured residual per
 module-level property, with the tolerance it is held to. Residuals are
-reported as numbers, not just booleans, so regressions show up as drift."""
+reported as numbers, not just booleans, so regressions show up as drift.
+Every residual is unit-free; energies are in units of hbar*omega."""
 
 from __future__ import annotations
 
@@ -166,12 +167,12 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
         1.0e-12,
     )
 
-    # cocycle condition, constant in (x, y)
+    # cocycle condition, constant in (x, y), relative to 2 pi n_phi / e
     tf = standard_transition_functions(cfg)
     target = TWO_PI * cfg.n_phi / e
-    pts = rng.uniform(-2.0, 2.0, size=(10, 2))
-    cdef = max(abs(cocycle_defect(tf, cfg, x, y) - target) for x, y in pts)
-    add("cocycle_defect_constant", cdef, 1.0e-9 * max(1.0, target))
+    pts = rng.uniform(-2.0, 2.0, size=(10, 2)) * (cfg.lx, cfg.ly)
+    cdef = max(abs(cocycle_defect(tf, cfg, x, y) / target - 1.0) for x, y in pts)
+    add("cocycle_defect_constant", cdef, 1.0e-9)
 
     # Polyakov phases periodic under elementary steps
     ys = rng.uniform(0.0, cfg.ly, size=8)
@@ -228,8 +229,8 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     st = states[(1, 0)]
     add(
         "hamiltonian_eigen_residual",
-        eigenvalue_residual("H", st, cfg.omega * 1.5),
-        1.0e-3,
+        eigenvalue_residual("H", st, 1.5),
+        1.0e-5,
     )
 
     s0 = states[(0, 0)]
@@ -253,7 +254,7 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     lab = CoherentLabel(0.35 + 0.2j, 0.3 - 0.4j)
     coh = torus_coherent(cfg, lab, nx=nx, ny=ny)
     add("coherent_boundary_residual", coh.boundary_residual(), 1.0e-8)
-    e_target = cfg.omega * (abs(lab.lam) ** 2 + 0.5)
+    e_target = abs(lab.lam) ** 2 + 0.5
     add(
         "coherent_energy_expectation",
         abs(expectation("H", coh) - e_target) / e_target,

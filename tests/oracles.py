@@ -166,14 +166,14 @@ def _linked(values, s, x, eb, hy, twist):
 def covariant_fd_operator(op, values, xs, ys, cfg, twist_x=None, twist_y=None):
     """H, a and adag with the gauge-covariant y-difference: the 4th-order
     stencils of g psi, divided by g, for g = exp(i eB x y). With
-    D = that first difference and Dyy the second,
+    D = that first difference and Dyy the second, and H in units of hbar*w,
 
-        H    = (-dxx - Dyy) / (2 M)
+        H    = (-dxx - Dyy) / (2 e B)
         a    = ( dx - i D) / sqrt(2 e B)
         adag = (-dx - i D) / sqrt(2 e B)
 
     which equal the Landau-gauge forms of reference_fd_operator in the
-    continuum."""
+    continuum, that H divided by w."""
     values = np.asarray(values, dtype=complex)
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
@@ -186,7 +186,7 @@ def covariant_fd_operator(op, values, xs, ys, cfg, twist_x=None, twist_y=None):
     if op == "H":
         dxx = reference_d2(values, hx, 0, twist_x)
         dyy = (-r(2) + 16.0 * r(1) - 30.0 * values + 16.0 * r(-1) - r(-2)) / (12.0 * hy * hy)
-        return (-dxx - dyy) / (2.0 * cfg.mass)
+        return (-dxx - dyy) * (1.0 / (2.0 * eb))
     if op in ("a", "adag"):
         dx = reference_d1(values, hx, 0, twist_x)
         dy = (-r(2) + 8.0 * r(1) - 8.0 * r(-1) + r(-2)) / (12.0 * hy)

@@ -101,7 +101,7 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
         ["density", "--nphi", "2", "--n", "0", "--grid", "15"],
         ["verify", "--nphi", "1", "--nphi-override", "nan"],
         ["verify", "--nphi", "1", "--nphi-override", "inf"],
-        # hx far above the magnetic length: the chain is singular in doubles
+        # hx far above the magnetic length l_B
         ["spectrum", "--nphi", "1", "--grid", "32", "--lx", "1e8"],
         ["orbit", "--nphi", "1", "--radius", "nan"],
         ["orbit", "--nphi", "1", "--radius", "inf"],
@@ -110,11 +110,21 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
         # the energy column |lam|^2 + 1/2 overflows
         ["coherent", "--nphi", "1", "--lam", "1e200", "--lam-prime", "0"],
         ["verify", "--nphi", "1", "--seed", "-1"],
-        # hx^2 (hy^2) underflows: the chain's hop amplitudes are not finite
+        # hy (hx) far above l_B on a torus of tiny area
         ["spectrum", "--nphi", "1", "--lx", "1e-160"],
         ["spectrum", "--nphi", "1", "--ly", "1e-300"],
+        # e Lx Ly underflows to 0: B is not a finite double
         ["spectrum", "--nphi", "1", "--lx", "1e-200", "--ly", "1e-200"],
         ["density", "--nphi", "1", "--lam-prime", "1e100", "--grid", "16"],
+        ["verify", "--nphi", "1", "--lx", "1e-200", "--ly", "1e-200"],
+        ["density", "--nphi", "1", "--n", "0", "--lx", "1e-200", "--ly", "1e-200"],
+        ["orbit", "--nphi", "1", "--radius", "0.1", "--lx", "1e-200", "--ly", "1e-200"],
+        ["coherent", "--nphi", "1", "--lam", "0", "--lam-prime", "0", "--lx", "1e-200", "--ly", "1e-200"],
+        # B = 2 pi / 1e-320 overflows
+        ["verify", "--nphi", "1", "--charge", "1e-320"],
+        # the default 96^2 grid does not resolve l_B
+        ["spectrum", "--nphi", "1", "--lx", "100", "--ly", "0.01"],
+        ["spectrum", "--nphi", "1", "--lx", "1e-306"],
     ],
 )
 def test_invalid_input_exits_2(tmp_path, args):
@@ -123,6 +133,23 @@ def test_invalid_input_exits_2(tmp_path, args):
         run_cli(args + ["--out-dir", str(out_dir)])
     assert err.value.code == 2
     assert not out_dir.exists()  # a usage error writes nothing
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--lx", "100", "--ly", "0.01"],
+        ["--lx", "1e-306"],
+        ["--lx", "1e8", "--grid", "32"],
+        ["--lx", "1e-160"],
+        ["--ly", "1e-300"],
+    ],
+)
+def test_spectrum_unresolved_grid_names_the_magnetic_length(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["spectrum", "--nphi", "1", *flags, "--out-dir", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "does not resolve the magnetic length l_B" in capsys.readouterr().err
 
 
 def test_density_fig2_reproduction(tmp_path):
@@ -203,14 +230,13 @@ def test_verify_detects_non_integer_flux(tmp_path):
 
 
 def test_verify_tiny_mass_writes_strict_json(tmp_path):
-    # the H residual carries 1/mass = 1e300; its norm is taken scaled by the
-    # largest entry, so it neither overflows (the suite turns numpy's
-    # RuntimeWarning into an error) nor reads Infinity. It still fails: the
-    # check is in energy units
-    code = run_cli(["verify", "--nphi", "1", "--mass", "1e-300", "--out-dir", str(tmp_path)])
-    assert code == 1
-    failed = [c["name"] for c in read_json(tmp_path / "verify.json")["checks"] if not c["passed"]]
-    assert failed == ["hamiltonian_eigen_residual"]
+    # every check is unit-free (energies in hbar*omega), so in magnetic units
+    # each of these is the unit torus: all checks pass and the JSON is finite
+    for k, flags in enumerate((["--mass", "1e-300"], ["--mass", "1e-3"], ["--lx", "1e-3", "--ly", "1e-3"])):
+        out = tmp_path / str(k)
+        assert run_cli(["verify", "--nphi", "1", *flags, "--out-dir", str(out)]) == 0, flags
+        payload = read_json(out / "verify.json")
+        assert payload["all_passed"] and all(c["passed"] for c in payload["checks"]), flags
 
 
 def test_orbit_small_radius_no_wrap(tmp_path):

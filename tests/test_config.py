@@ -86,6 +86,25 @@ def test_torus_config_validation():
         TorusConfig(1, 1, lx=1, ly=1, n_phi=1, theta_x=math.inf)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        # e Lx Ly underflows to 0
+        dict(mass=1, charge=1, lx=1e-200, ly=1e-200),
+        # B = 2 pi / 1e-320 overflows
+        dict(mass=1, charge=1e-320, lx=1, ly=1),
+        # B = 2 pi / 1e-10 is finite, eB = 1e300 B overflows
+        dict(mass=1, charge=1e300, lx=1e-155, ly=1e-155),
+        # omega = eB / M overflows, then underflows
+        dict(mass=1e-320, charge=1, lx=1, ly=1),
+        dict(mass=1e300, charge=1, lx=1e100, ly=1e100),
+    ],
+)
+def test_torus_config_rejects_derived_values_outside_doubles(kwargs):
+    with pytest.raises(ValueError):
+        TorusConfig(n_phi=1, **kwargs)
+
+
 def test_config_file_parsing():
     text = "# comment\nmass = 1.5\ncharge=2\nlx=1\nly=2\nnphi=3\ntheta_x=0.25\n"
     values = parse_config_text(text)

@@ -1,8 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from landau import hermite_eigenfunction, hermite_functions
+from landau import hermite_eigenfunction
 from oracles import independent_psi_n
 
 
@@ -59,11 +62,39 @@ def test_gram_matrix_is_identity():
     assert np.max(np.abs(gram - np.eye(9))) < 1e-8
 
 
+def hermite_table(nmax, xi):
+    """h_0..h_nmax stored level by level: the full-table recurrence that
+    hermite_eigenfunction replaced with two rolling levels, same operations
+    in the same order."""
+    out = np.empty((nmax + 1,) + xi.shape, dtype=float)
+    out[0] = math.pi ** (-0.25) * np.exp(-0.5 * xi * xi)
+    out[1] = math.sqrt(2.0) * xi * out[0]
+    for n in range(2, nmax + 1):
+        out[n] = math.sqrt(2.0 / n) * xi * out[n - 1] - math.sqrt((n - 1) / n) * out[n - 2]
+    return out
+
+
 def test_recurrence_intermediates_bounded():
-    # three-term recurrence on normalized functions stays O(1) up to n = 50
+    # three-term recurrence on normalized functions stays O(1) up to n = 50,
+    # and each level (M w = 1, so psi_n = h_n) is the table's, bit for bit
     xi = np.linspace(-15, 15, 2001)
-    all_levels = hermite_functions(50, xi)
+    all_levels = np.array([hermite_eigenfunction(1.0, n, xi) for n in range(51)])
+    assert np.array_equal(all_levels, hermite_table(50, xi))
     assert np.max(np.abs(all_levels)) < 10.0
+
+
+def test_high_level_holds_a_few_arrays():
+    # the full table at n = 2000 on 10^4 points would be 2001 arrays (160 MB)
+    u = np.linspace(-70.0, 70.0, 10_000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        psi = hermite_eigenfunction(1.0, 2000, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(psi))
+    assert peak <= 8 * u.nbytes
 
 
 def test_no_overflow_far_out():

@@ -104,9 +104,10 @@ def test_eigenstate_py_shift_property():
 def test_eigenstate_py_energy_residual(n, p_y):
     xs, ys = plane_box(CFG, -p_y / CFG.mass_omega, 0.0, half_width_units=9 + math.sqrt(2 * n + 1))
     values = sample_plane(eigenstate_py(CFG, n, p_y), xs, ys)
+    # H in units of hbar*omega: E/omega = n + 1/2
     h_values = apply_fd_operator("H", values, xs, ys, xs[1] - xs[0], ys[1] - ys[0], CFG)
-    res = interior(h_values - landau_energy(CFG, n) * values, 4)
-    assert np.linalg.norm(res) / np.linalg.norm(interior(values, 4)) < 1e-6
+    res = interior(h_values - landau_energy(CFG, n) / CFG.omega * values, 4)
+    assert np.linalg.norm(res) / np.linalg.norm(interior(values, 4)) < 1e-6 / CFG.omega
 
 
 @pytest.mark.parametrize("n,p_x", [(0, 0.0), (2, 0.6)])
@@ -122,8 +123,8 @@ def test_eigenstate_px_energy_residual(n, p_x):
     )
     values = sample_plane(eigenstate_px(CFG, n, p_x), xs, ys)
     h_values = apply_fd_operator("H", values, xs, ys, xs[1] - xs[0], ys[1] - ys[0], CFG)
-    res = interior(h_values - landau_energy(CFG, n) * values, 4)
-    assert np.linalg.norm(res) / np.linalg.norm(interior(values, 4)) < 1e-6
+    res = interior(h_values - landau_energy(CFG, n) / CFG.omega * values, 4)
+    assert np.linalg.norm(res) / np.linalg.norm(interior(values, 4)) < 1e-6 / CFG.omega
 
 
 def test_eigenstate_px_at_origin():

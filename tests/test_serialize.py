@@ -161,6 +161,14 @@ def test_writers_refuse_non_finite_values(tmp_path, bad):
         assert not path.exists()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_non_finite_values(tmp_path, bad):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json({"ok": 0.5, "nested": {"values": [1.0, bad]}}, path, tables={"t": np.ones((2, 2), dtype=int)})
+    assert not path.exists()
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -131,9 +131,10 @@ def test_bloch_chains_are_unitarily_equivalent_to_full_matrix(n_phi, nx, ny, lx,
     # entry by entry, each unfolded band is the oracle matrix on that chain's
     # Fourier basis, and together the chains hold every eigenvalue of it;
     # 20x18 gives an even ring dimension, and 27x25 at n_phi = 3 (ny not a
-    # multiple of n_phi) an odd one holding the whole spectrum in one chain
+    # multiple of n_phi) an odd one holding the whole spectrum in one chain.
+    # The chains are in units of hbar*omega, the oracle matrix in energy
     cfg = make_cfg(n_phi, lx=lx, ly=ly)
-    full = build_hamiltonian(cfg, nx, ny).matrix.toarray()
+    full = build_hamiltonian(cfg, nx, ny).matrix.toarray() / cfg.omega
     chains = [unfold_band(bloch_chain(cfg, nx, ny, m0)) for m0 in range(math.gcd(n_phi, ny))]
     for m0, chain in enumerate(chains):
         assert np.max(np.abs(chain - fourier_chain(cfg, full, nx, ny, m0))) < 1e-13 * np.max(np.abs(full))
@@ -164,7 +165,7 @@ def test_degeneracy_as_identical_chains(n_phi, grid):
     spectra, applications = chain_spectra(cfg, grid, grid, 3)
     assert spectra.shape == (n_phi, 3)
     assert len(applications) == n_phi
-    assert np.max(np.ptp(spectra, axis=0)) < 1e-10 * cfg.omega
+    assert np.max(np.ptp(spectra, axis=0)) < 1e-10
 
 
 def test_free_twisted_torus_matches_closed_form():
@@ -213,8 +214,8 @@ def test_second_order_convergence_of_cluster_means():
 
 
 def test_spectrum_independent_of_units():
-    # the chains are scaled by an exact power of four before the solve, so
-    # masses near the ends of the double range give the mass-1 deviations
+    # the chains are in units of hbar*omega and hold no mass, so masses near
+    # the ends of the double range give the mass-1 deviations
     def deviations(mass):
         cfg = TorusConfig(mass, 1.0, lx=1.0, ly=1.0, n_phi=1)
         return np.array([c.relative_deviation for c in low_spectrum(cfg, 32, 32, 2).clusters])

@@ -318,11 +318,11 @@ def test_tx_eigenvalue_in_lx_basis():
 def test_hamiltonian_eigen_residual_level_one():
     cfg = make_cfg(1)
     st = torus_eigenstate(cfg, TorusLabel(1, 0), nx=256, ny=256)
-    assert eigenvalue_residual("H", st, cfg.omega * 1.5) < 1e-6
+    assert eigenvalue_residual("H", st, 1.5) < 1e-6 / cfg.omega
 
 
 def test_energy_independent_of_degeneracy_label():
-    # the Rayleigh quotient <H> must hit omega*(n + 1/2) for every l at the
+    # the Rayleigh quotient <H> must hit n + 1/2 (hbar*omega) for every l at the
     # same tolerance; any genuine l-dependence would show up as a spread
     # beyond the measurement accuracy
     cfg = make_cfg(3)
@@ -330,7 +330,7 @@ def test_energy_independent_of_degeneracy_label():
     for l in range(3):
         st = torus_eigenstate(cfg, TorusLabel(0, l), nx=144, ny=144)
         energies.append(expectation("H", st).real)
-    target = cfg.omega * 0.5
+    target = 0.5
     assert max(abs(e - target) for e in energies) < 2e-4 * target
     assert max(energies) - min(energies) < 2e-4 * target
 
@@ -442,7 +442,7 @@ def test_coherent_energy_expectation():
     cfg = make_cfg(1)
     lab = CoherentLabel(0.3 + 0.2j, 0.1 + 0.1j)
     st = torus_coherent(cfg, lab, nx=128, ny=128)
-    target = cfg.omega * (abs(lab.lam) ** 2 + 0.5)
+    target = abs(lab.lam) ** 2 + 0.5
     assert abs(expectation("H", st) - target) < 1e-5 * target
 
 

@@ -133,8 +133,9 @@ PASS_MATRIX = {f"nphi{n}": TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=n) for n 
     "5x0.2-nphi3": TorusConfig(1.0, 1.0, lx=5.0, ly=0.2, n_phi=3),
     "20x20-nphi1": TorusConfig(1.0, 1.0, lx=20.0, ly=20.0, n_phi=1),
 }
-# the tolerance of run_verification's hamiltonian_eigen_residual check
-H_TOL = 1.0e-3
+# the tolerance of run_verification's hamiltonian_eigen_residual check, in
+# units of hbar*omega
+H_TOL = 1.0e-5
 
 
 @pytest.mark.parametrize("cfg", PASS_MATRIX.values(), ids=PASS_MATRIX.keys())
@@ -149,9 +150,25 @@ def test_hamiltonian_check_fails_a_wrong_level(name):
     cfg = PASS_MATRIX[name]
     nx, ny = default_grid(cfg)
     level0, level1 = (torus_eigenstate(cfg, TorusLabel(n, 0), nx=nx, ny=ny) for n in (0, 1))
-    assert eigenvalue_residual("H", level1, 1.5 * cfg.omega) <= H_TOL
-    assert eigenvalue_residual("H", level1, 2.5 * cfg.omega) > H_TOL
-    assert eigenvalue_residual("H", level0, 1.5 * cfg.omega) > H_TOL
+    assert eigenvalue_residual("H", level1, 1.5) <= H_TOL
+    assert eigenvalue_residual("H", level1, 2.5) > H_TOL
+    assert eigenvalue_residual("H", level0, 1.5) > H_TOL
+
+
+@pytest.mark.parametrize("n_phi", (1, 2))
+def test_verify_is_independent_of_units(n_phi):
+    # energies are in units of hbar*omega, so mass and charge leave the H
+    # check bit for bit; a 1e-3 x 1e-3 torus is the unit torus in l_B, on a
+    # grid that differs from it by rounding
+    def h_residual(mass=1.0, charge=1.0, side=1.0):
+        checks, ok = run_verification(TorusConfig(mass, charge, lx=side, ly=side, n_phi=n_phi))
+        assert ok, [(c.name, c.residual, c.tolerance) for c in checks if not c.passed]
+        return {c.name: c.residual for c in checks}["hamiltonian_eigen_residual"]
+
+    reference = h_residual()
+    for kwargs in (dict(mass=1e-300), dict(mass=1e-3), dict(mass=1e300), dict(charge=4.0)):
+        assert h_residual(**kwargs) == reference, kwargs
+    assert h_residual(side=1e-3) == pytest.approx(reference, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
