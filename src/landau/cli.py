@@ -130,6 +130,8 @@ def _trace_times(args, parser, period: float) -> np.ndarray:
 
 def cmd_spectrum(args, parser, run) -> int:
     cfg = _merge_config(args, parser, run)
+    if args.levels < 1:
+        parser.error(f"--levels must be >= 1, got {args.levels}")
     grid = args.grid
     try:
         with run.stage("solve"):
@@ -293,7 +295,9 @@ def cmd_orbit(args, parser, run) -> int:
         wrapped = classical_orbit_trace(orbit, times, wrap=(cfg.lx, cfg.ly))
         free = classical_orbit_trace(orbit, times)
         closure = float(np.max(np.abs(free[-1] - free[0])))
-        wraps = bool(np.any(np.abs(np.diff(wrapped, axis=0)) > orbit.radius * cfg.omega * period / args.samples * 4 + 1e-12))
+        with np.errstate(over="ignore"):  # a cell index beyond doubles reads inf
+            cells = np.floor(free / (cfg.lx, cfg.ly))  # the torus cell of each sample
+        wraps = bool((cells != cells[0]).any())
     with run.stage("csv"):
         write_table_csv(("t", "x", "y"), (times, wrapped[:, 0], wrapped[:, 1]), run.output("orbit.csv"))
     with run.stage("json"):

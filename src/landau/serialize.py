@@ -36,7 +36,9 @@ which the product meets to within its error bound, far inside the margin);
 larger ones, and powers of ten, go to '%d'.
 A writer lays the fields of a chunk of rows side by side with the separators
 in one uint8 matrix, drops its NULs and writes the bytes, so it never holds
-the whole text. The writers refuse non-finite values.
+the whole text. A small alphabet (grid coordinates, PGM levels, a repeated
+CSV column, a group table's n**3 distinct entries) is encoded once by `_words`
+and gathered by index for each row. The writers refuse non-finite values.
 """
 
 from __future__ import annotations
@@ -215,13 +217,6 @@ def _encode(values) -> np.ndarray:
     return out
 
 
-def _compact(fields: np.ndarray) -> np.ndarray:
-    """Left-align each field and trim the matrix to the longest one: for
-    small tables formatted once and gathered for every row."""
-    text = [row.replace(b"\0", b"") for row in fields.view(f"S{fields.shape[1]}").ravel().tolist()]
-    return np.array(text, dtype=bytes).view(np.uint8).reshape(len(text), -1)
-
-
 def _lay(*pieces) -> np.ndarray:
     """Lay uint8 pieces of shape (..., width) side by side, broadcasting
     them against each other."""
@@ -247,10 +242,18 @@ def _b(text: str) -> np.ndarray:
 _COMMA, _NEWLINE = _b(","), _b("\n")
 
 
+def _words(values, before: str = "", after: str = "") -> np.ndarray:
+    """Each value's text between `before` and `after`, right-aligned in a
+    NUL-padded uint8 row, so that `after` ends every row at the same columns."""
+    t = _lay(_b(before), _encode(values), _b(after))
+    text = t != 0
+    t = np.take_along_axis(t, np.argsort(text, axis=1, kind="stable"), axis=1)  # NULs first
+    return t[:, t.shape[1] - text.sum(axis=1).max() :]
+
+
 def _check_finite(*arrays) -> None:
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise ValueError("refusing to write non-finite values")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("refusing to write non-finite values")
 
 
 def _chunks(rows: int, values_per_row: int):
@@ -261,17 +264,14 @@ def _chunks(rows: int, values_per_row: int):
 def write_density_csv(dmap, path) -> None:
     """Columns x, y, density over the grid, x-major; the coordinates are
     encoded once and gathered for each row."""
-    density = np.asarray(dmap.density, dtype=float)
+    density = np.asarray(dmap.density, dtype=float).reshape(-1)
     _check_finite(dmap.xs, dmap.ys, density)
-    xs_f, ys_f = _compact(_encode(dmap.xs)), _compact(_encode(dmap.ys))
-    density = density.reshape(-1)
-    ny = len(dmap.ys)
+    xs_w, ys_w = _words(dmap.xs, after=","), _words(dmap.ys, after=",")
     with open(path, "wb") as fh:
         fh.write(b"x,y,density\n")
-        for i0, i1 in _chunks(len(dmap.xs) * ny, 2):
-            ix, iy = np.divmod(np.arange(i0, i1), ny)
-            pieces = (xs_f.take(ix, axis=0), _COMMA, ys_f.take(iy, axis=0), _COMMA, _encode(density[i0:i1]))
-            fh.write(_text(*pieces, _NEWLINE))
+        for i0, i1 in _chunks(density.size, 2):
+            ix, iy = np.divmod(np.arange(i0, i1), len(dmap.ys))
+            fh.write(_text(xs_w.take(ix, axis=0), ys_w.take(iy, axis=0), _encode(density[i0:i1]), _NEWLINE))
 
 
 def write_pgm(dmap, path) -> None:
@@ -283,18 +283,13 @@ def write_pgm(dmap, path) -> None:
     scaled = np.zeros_like(d, dtype=np.intp) if peak == 0 else np.rint(d / peak * 255).astype(np.intp)
     width, height = d.shape
     image = scaled.T[::-1]
-    # each level's digits and its separator in one uint32 word: ' ' inside a
-    # row, '\n' at its end
-    words = np.zeros((2, 256, 4), dtype=np.uint8)
-    words[:, :, :3] = _compact(_encode(np.arange(256)))
-    words[0, :, 3], words[1, :, 3] = ord(" "), ord("\n")
-    inner, last = words.view(np.uint32)[..., 0]
+    levels = _words(np.arange(256), after=" ")
     with open(path, "wb") as fh:
         fh.write(f"P2\n{width} {height}\n255\n".encode())
         for i0, i1 in _chunks(height, width):
-            rows = inner.take(image[i0:i1])
-            rows[:, -1] = last.take(image[i0:i1, -1])
-            fh.write(_text(rows.view(np.uint8)))
+            rows = levels.take(image[i0:i1], axis=0)
+            rows[:, -1, -1] = ord("\n")  # ' ' inside a row, '\n' at its end
+            fh.write(_text(rows))
 
 
 def write_table_csv(header, columns, path) -> None:
@@ -302,9 +297,8 @@ def write_table_csv(header, columns, path) -> None:
     scalars, which repeat on every row), under the given header names."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     _check_finite(*columns)
-    shape = np.broadcast_shapes(*(c.shape for c in columns))
-    rows = shape[0] if shape else 1
-    repeated = {i: _encode(c) for i, c in enumerate(columns) if c.size == 1}
+    rows = (np.broadcast_shapes(*(c.shape for c in columns)) or (1,))[0]
+    repeated = {i: _words(c) for i, c in enumerate(columns) if c.size == 1}
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for i0, i1 in _chunks(rows, len(columns)):
@@ -318,10 +312,12 @@ def _write_int_table(fh, table) -> None:
     """A non-empty 2-D integer array in the layout json.dump(indent=2) gives
     a list of int lists that is the value of a top-level key."""
     rows, cols = table.shape
-    indent, comma = _b("      "), _b(",\n")
+    keys = np.sort(table, axis=None)  # the distinct entries (np.unique hashes: slower)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    entries = _words(keys, "      ", ",\n")
     fh.write(b"[\n")
     for i0, i1 in _chunks(rows, cols):
-        lines = _lay(indent, _encode(table[i0:i1]), comma).reshape(i1 - i0, cols, -1)
+        lines = entries.take(np.searchsorted(keys, table[i0:i1]), axis=0)
         lines[:, -1, -2] = 0  # no comma after the last entry of a row
         text = _text(_b("    [\n"), lines.reshape(i1 - i0, -1), _b("    ],\n"))
         fh.write(text[:-2] if i1 == rows else text)  # nor after the last row
@@ -333,9 +329,9 @@ def write_json(obj, path, tables=None) -> None:
     +-Infinity raise ValueError before the file is opened.
 
     `tables` maps further top-level keys to non-empty 2-D integer arrays.
-    They are written by the vectorised encoder, with the bytes json gives
-    the same tables as lists of int lists, but without json's pure-Python
-    indent encoder (about 0.8 s for a 10^6-entry table).
+    They are gathered from the entry lines of their distinct values, with
+    the bytes json gives the same tables as lists of int lists, but without
+    json's pure-Python indent encoder (about 0.8 s for a 10^6-entry table).
     """
     tables = tables or {}
     if any(key in obj for key in tables) or any(np.size(t) == 0 for t in tables.values()):

@@ -152,6 +152,15 @@ def test_spectrum_unresolved_grid_names_the_magnetic_length(tmp_path, capsys, fl
     assert "does not resolve the magnetic length l_B" in capsys.readouterr().err
 
 
+def test_spectrum_levels_below_one_names_the_flag(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run_cli(["spectrum", "--nphi", "1", "--grid", "16", "--levels", "0", "--out-dir", str(out_dir)])
+    assert err.value.code == 2
+    assert "--levels must be >= 1, got 0" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_density_fig2_reproduction(tmp_path):
     pi = repr(math.pi)
     code = run_cli(
@@ -260,6 +269,15 @@ def test_orbit_large_radius_wraps_and_closes(tmp_path):
     assert trace[0] == "t,x,y"
     xs = [float(line.split(",")[1]) for line in trace[1:]]
     assert all(0 <= x < 1 for x in xs)
+
+
+def test_orbit_wider_than_the_torus_crosses(tmp_path):
+    # a circle of radius 100 on the unit torus: one sample per 2.45 torus
+    # lengths of arc, so consecutive wrapped samples need not jump far
+    assert run_cli(["orbit", "--nphi", "1", "--radius", "100", "--out-dir", str(tmp_path)]) == 0
+    info = read_json(tmp_path / "orbit.json")
+    assert info["crosses_boundary"] is True
+    assert info["closes"] is True
 
 
 def test_coherent_time_series(tmp_path):

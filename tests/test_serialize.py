@@ -316,6 +316,36 @@ def test_json_tables_in_key_order_with_chunk_boundaries(tmp_path):
     assert path.read_text(encoding="utf-8") == want
 
 
+INT64 = np.iinfo(np.int64)
+# 0, the edges of '%d' fallback at 2**53 and the int64 extremes
+EDGE_INTS = [0, 1, -1, 2**53 - 1, 2**53, 2**53 + 1, INT64.min, INT64.max]
+EDGE_INTS += [-v for v in EDGE_INTS[3:6]] + [INT64.min + 1, 10**16, -(10**17)]
+table_values = st.one_of(st.sampled_from(EDGE_INTS), st.integers(-20, 20), st.integers(INT64.min, INT64.max))
+table_shapes = st.one_of(
+    st.just((1, 1)),
+    st.tuples(st.integers(1, 9), st.just(1)),
+    st.tuples(st.just(1), st.integers(1, 9)),
+    st.tuples(st.integers(1, 9), st.integers(1, 9)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=table_shapes, pool=st.lists(table_values, min_size=1, max_size=30), data=st.data(), chunk=st.integers(1, 3))
+def test_json_table_matches_json_dumps_property(tmp_path_factory, shape, pool, data, chunk):
+    # entries drawn from a small pool repeat heavily, from a large one rarely
+    entries = data.draw(st.lists(st.sampled_from(pool), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    table = np.array(entries, dtype=np.int64).reshape(shape)
+    payload = {"a": 1, "z": [0.5, -2]}
+    path = tmp_path_factory.mktemp("table") / "t.json"
+    old = serialize.CHUNK_FIELDS
+    serialize.CHUNK_FIELDS = chunk  # a chunk boundary every 1-3 rows
+    try:
+        write_json(payload, path, tables={"m": table})
+    finally:
+        serialize.CHUNK_FIELDS = old
+    assert path.read_text(encoding="utf-8") == reference_json({**payload, "m": table.tolist()})
+
+
 def test_json_tables_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_json({"t": 1}, tmp_path / "a.json", tables={"t": np.ones((2, 2), dtype=int)})
