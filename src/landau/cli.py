@@ -6,8 +6,10 @@ flags taking precedence. Outputs are deterministic, so identical flags give
 byte-identical files. One runner, `Run`, owns what every command shares: it
 makes the out-dir when the first output is written, times the stages and
 writes the run manifest (<command>_manifest.json) listing the outputs once
-the command returns. Input is validated before anything is written, so a
-usage error (exit 2) creates no files.
+the command returns. One rule decides usage errors, in `main`: a ValueError
+raised before the command names its first output is a usage error (exit 2,
+and no files, not even the out-dir); after that it propagates unchanged.
+Commands and the library raise ValueError and never exit themselves.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import numpy as np
 
 from . import __version__, maggroup
 from .config import (
-    GRID_POINTS_PER_FLUX,
     TORUS_DEFAULTS,
     TORUS_KEYS,
+    check_grid,
     commensurate,
     parse_config_text,
     torus_config_from_mapping,
@@ -52,7 +54,7 @@ def _add_config_flags(parser):
     parser.add_argument("--out-dir", dest="out_dir", type=str, default=".")
 
 
-def _merge_config(args, parser, run):
+def _merge_config(args, run):
     """Defaults < config file < explicit flags; nphi is mandatory. Records the
     merged values in the manifest and returns the TorusConfig built from them."""
     values = dict(TORUS_DEFAULTS)
@@ -61,17 +63,17 @@ def _merge_config(args, parser, run):
             text = Path(args.config).read_text(encoding="utf-8")
             values.update(parse_config_text(text))
         except (OSError, ValueError) as exc:
-            parser.error(f"bad config file: {exc}")
+            raise ValueError(f"bad config file: {exc}") from None
     for key in TORUS_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
     if "nphi" not in values or values["nphi"] is None:
-        parser.error("--nphi is required (flag or config file)")
+        raise ValueError("--nphi is required (flag or config file)")
     try:
         cfg = torus_config_from_mapping(values)
     except ValueError as exc:
-        parser.error(f"bad configuration: {exc}")
+        raise ValueError(f"bad configuration: {exc}") from None
     run.manifest["config"] = {k: values[k] for k in TORUS_KEYS if k in values}
     return cfg
 
@@ -109,35 +111,32 @@ class Run:
         write_json(payload, self.out_dir / f"{self.command}_manifest.json")
 
 
-def _parse_complex(text: str, parser, flag: str) -> complex:
+def _parse_complex(text: str, flag: str) -> complex:
     try:
         value = complex(text)
     except ValueError:
-        parser.error(f"{flag} expects a complex literal like 0.5+0.3j, got {text!r}")
+        raise ValueError(f"{flag} expects a complex literal like 0.5+0.3j, got {text!r}") from None
     if not cmath.isfinite(value):
-        parser.error(f"{flag} must be finite, got {text!r}")
+        raise ValueError(f"{flag} must be finite, got {text!r}")
     return value
 
 
-def _trace_times(args, parser, period: float) -> np.ndarray:
+def _trace_times(args, period: float) -> np.ndarray:
     """Sample times for --periods periods at --samples steps each."""
     if args.periods < 0:
-        parser.error(f"--periods must be >= 0, got {args.periods}")
+        raise ValueError(f"--periods must be >= 0, got {args.periods}")
     if args.samples < 1:
-        parser.error(f"--samples must be >= 1, got {args.samples}")
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     return np.linspace(0.0, args.periods * period, args.periods * args.samples + 1)
 
 
-def cmd_spectrum(args, parser, run) -> int:
-    cfg = _merge_config(args, parser, run)
+def cmd_spectrum(args, run) -> int:
+    cfg = _merge_config(args, run)
     if args.levels < 1:
-        parser.error(f"--levels must be >= 1, got {args.levels}")
+        raise ValueError(f"--levels must be >= 1, got {args.levels}")
     grid = args.grid
-    try:
-        with run.stage("solve"):
-            report = low_spectrum(cfg, grid, grid, args.levels * cfg.n_phi)
-    except ValueError as exc:
-        parser.error(str(exc))
+    with run.stage("solve"):
+        report = low_spectrum(cfg, grid, grid, args.levels * cfg.n_phi)
     payload = report.as_dict()
     payload["grid"] = grid
     payload["analytic_levels"] = [cfg.omega * (n + 0.5) for n in range(args.levels)]
@@ -152,48 +151,40 @@ def cmd_spectrum(args, parser, run) -> int:
     return 0
 
 
-def cmd_density(args, parser, run) -> int:
-    cfg = _merge_config(args, parser, run)
-    floor = GRID_POINTS_PER_FLUX * cfg.n_phi
-    if args.grid < floor:
-        parser.error(f"--grid must be >= {GRID_POINTS_PER_FLUX} * nphi = {floor}, got {args.grid}")
+def cmd_density(args, run) -> int:
+    cfg = _merge_config(args, run)
+    check_grid(cfg, args.grid, args.grid)
     grid = commensurate(args.grid, cfg.n_phi)
 
     eigen_selector = args.n is not None or args.l is not None
     coherent_selector = args.lam is not None or args.lam_prime is not None
     if eigen_selector and coherent_selector:
-        parser.error("choose either an eigenstate (--n/--l) or a coherent state (--lam/--lam-prime)")
+        raise ValueError("choose either an eigenstate (--n/--l) or a coherent state (--lam/--lam-prime)")
     if eigen_selector:
-        try:
-            with run.stage("state"):
-                state = torus_eigenstate(
-                    cfg, TorusLabel(args.n or 0, args.l or 0, args.basis), nx=grid, ny=grid
-                )
-        except ValueError as exc:
-            parser.error(str(exc))
+        with run.stage("state"):
+            state = torus_eigenstate(
+                cfg, TorusLabel(args.n or 0, args.l or 0, args.basis), nx=grid, ny=grid
+            )
         selector = {"kind": "eigenstate", "n": args.n or 0, "l": args.l or 0, "basis": args.basis}
     elif coherent_selector:
-        lam = _parse_complex(args.lam or "0", parser, "--lam")
-        lam_prime = _parse_complex(args.lam_prime or "0", parser, "--lam-prime")
-        try:
-            # a huge label overflows the amplitude to NaN; the check below rejects it
-            with run.stage("state"), np.errstate(over="ignore", invalid="ignore"):
-                state = torus_coherent(cfg, CoherentLabel(lam, lam_prime), nx=grid, ny=grid)
-        except ValueError as exc:
-            parser.error(str(exc))
+        lam = _parse_complex(args.lam or "0", "--lam")
+        lam_prime = _parse_complex(args.lam_prime or "0", "--lam-prime")
+        # a huge label overflows the amplitude to NaN; the check below rejects it
+        with run.stage("state"), np.errstate(over="ignore", invalid="ignore"):
+            state = torus_coherent(cfg, CoherentLabel(lam, lam_prime), nx=grid, ny=grid)
         selector = {
             "kind": "coherent",
             "lam": [lam.real, lam.imag],
             "lam_prime": [lam_prime.real, lam_prime.imag],
         }
     else:
-        parser.error("no state selected: pass --n/--l or --lam/--lam-prime")
+        raise ValueError("no state selected: pass --n/--l or --lam/--lam-prime")
 
     with run.stage("density"):
         dmap = density_map(state)
         finite = np.isfinite(dmap.density).all()
     if not finite:
-        parser.error("the state's density is not finite; choose a smaller label")
+        raise ValueError("the state's density is not finite; choose a smaller label")
     with run.stage("csv"):
         write_density_csv(dmap, run.output("density.csv"))
     with run.stage("pgm"):
@@ -215,12 +206,10 @@ def cmd_density(args, parser, run) -> int:
     return 0
 
 
-def cmd_group(args, parser, run) -> int:
-    if args.nphi is None:
-        parser.error("--nphi is required")
+def cmd_group(args, run) -> int:
     n = args.nphi
     if not 1 <= n <= 12:
-        parser.error(f"--nphi must be in [1, 12] for a full table dump, got {n}")
+        raise ValueError(f"--nphi must be in [1, 12] for a full table dump, got {n}")
     run.manifest["config"] = {"nphi": n}
 
     with run.stage("group"):
@@ -253,12 +242,12 @@ def cmd_group(args, parser, run) -> int:
     return 0
 
 
-def cmd_verify(args, parser, run) -> int:
-    cfg = _merge_config(args, parser, run)
+def cmd_verify(args, run) -> int:
+    cfg = _merge_config(args, run)
     if args.nphi_override is not None and not math.isfinite(args.nphi_override):
-        parser.error(f"--nphi-override must be finite, got {args.nphi_override}")
+        raise ValueError(f"--nphi-override must be finite, got {args.nphi_override}")
     if args.seed < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     with run.stage("checks"):
         checks, ok = run_verification(cfg, nphi_override=args.nphi_override, seed=args.seed)
     payload = {
@@ -275,25 +264,22 @@ def cmd_verify(args, parser, run) -> int:
     return 0 if ok else 1
 
 
-def cmd_orbit(args, parser, run) -> int:
-    cfg = _merge_config(args, parser, run)
-    try:
-        orbit = ClassicalOrbit(
-            center_x=args.center_x,
-            center_y=args.center_y,
-            radius=args.radius,
-            phase0=args.phase0,
-            omega=cfg.omega,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_orbit(args, run) -> int:
+    cfg = _merge_config(args, run)
+    orbit = ClassicalOrbit(
+        center_x=args.center_x,
+        center_y=args.center_y,
+        radius=args.radius,
+        phase0=args.phase0,
+        omega=cfg.omega,
+    )
     if args.periods < 1:
-        parser.error(f"--periods must be >= 1 for an orbit, got {args.periods}")
+        raise ValueError(f"--periods must be >= 1 for an orbit, got {args.periods}")
     period = 2.0 * math.pi / cfg.omega
-    times = _trace_times(args, parser, period)
+    times = _trace_times(args, period)
     with run.stage("trace"):
-        wrapped = classical_orbit_trace(orbit, times, wrap=(cfg.lx, cfg.ly))
         free = classical_orbit_trace(orbit, times)
+        wrapped = np.mod(free, (cfg.lx, cfg.ly))  # folded into [0, lx) x [0, ly)
         closure = float(np.max(np.abs(free[-1] - free[0])))
         with np.errstate(over="ignore"):  # a cell index beyond doubles reads inf
             cells = np.floor(free / (cfg.lx, cfg.ly))  # the torus cell of each sample
@@ -315,13 +301,13 @@ def cmd_orbit(args, parser, run) -> int:
     return 0
 
 
-def cmd_coherent(args, parser, run) -> int:
-    cfg = _merge_config(args, parser, run)
-    lam = _parse_complex(args.lam, parser, "--lam")
-    lam_prime = _parse_complex(args.lam_prime, parser, "--lam-prime")
+def cmd_coherent(args, run) -> int:
+    cfg = _merge_config(args, run)
+    lam = _parse_complex(args.lam, "--lam")
+    lam_prime = _parse_complex(args.lam_prime, "--lam-prime")
     label = CoherentLabel(lam, lam_prime)
     period = 2.0 * math.pi / cfg.omega
-    times = _trace_times(args, parser, period)
+    times = _trace_times(args, period)
     # a huge label overflows the moments, which the check below rejects
     with run.stage("evolve"), np.errstate(over="ignore", invalid="ignore"):
         ex = coherent_expectations(cfg, evolve_coherent(cfg, label, times))
@@ -335,7 +321,7 @@ def cmd_coherent(args, parser, run) -> int:
             ex.spread_energy,
         )
     if not all(np.isfinite(c).all() for c in columns):
-        parser.error("the coherent state's moments are not finite; choose a smaller label")
+        raise ValueError("the coherent state's moments are not finite; choose a smaller label")
     with run.stage("csv"):
         write_table_csv(("t", "x", "y", "energy", "delta_x", "delta_y", "delta_energy"), columns, run.output("coherent.csv"))
     print(f"wrote {args.periods * args.samples + 1} steps over {args.periods} period(s)")
@@ -370,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("group", help="magnetic translation group tables and representation")
-    p.add_argument("--nphi", type=int, default=None)
+    p.add_argument("--nphi", type=int, required=True)
     p.add_argument("--out-dir", dest="out_dir", type=str, default=".")
     p.set_defaults(func=cmd_group)
 
@@ -405,7 +391,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     run = Run(args.command, args.out_dir)
-    code = args.func(args, parser, run)
+    try:
+        code = args.func(args, run)
+    except ValueError as exc:
+        if run.outputs:
+            raise
+        parser.error(str(exc))
     run.write_manifest()
     return code
 

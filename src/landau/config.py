@@ -3,6 +3,8 @@
 Two settings: the infinite plane, where the magnetic field B is a free
 parameter, and a rectangular torus, where flux quantization fixes
 B = 2*pi*n_phi / (e*Lx*Ly) once the number of flux quanta n_phi is chosen.
+The grid rules live here too: `check_grid` for a grid the caller gives,
+`grid_spacing` for the grids the package picks itself.
 """
 
 from __future__ import annotations
@@ -109,6 +111,22 @@ GRID_BUDGET = 1.0e-3
 def grid_spacing(cfg) -> float:
     """The largest spacing the resolution rule allows at cfg's M*w."""
     return math.sqrt(GRID_BUDGET / cfg.mass_omega)
+
+
+def check_grid(cfg, nx: int, ny: int) -> None:
+    """The one validity rule of a given grid, for the lattice spectrum and
+    `density --grid` alike: raise ValueError unless the nx x ny grid has
+    GRID_POINTS_PER_FLUX * n_phi points per side and resolves the magnetic
+    length, max(hx, hy) <= l_B = 1/sqrt(eB)."""
+    floor = GRID_POINTS_PER_FLUX * cfg.n_phi
+    if nx < floor or ny < floor:
+        raise ValueError(f"grid {nx}x{ny} too small; need at least {floor} per direction")
+    hx, hy = cfg.lx / nx, cfg.ly / ny
+    if not max(hx, hy) * math.sqrt(cfg.mass_omega) <= 1.0:
+        raise ValueError(
+            f"grid {nx}x{ny} (hx={hx:.3g}, hy={hy:.3g}) does not resolve the magnetic length "
+            f"l_B = 1/sqrt(eB) = {1.0 / math.sqrt(cfg.mass_omega):.3g}; need max(hx, hy) <= l_B"
+        )
 
 
 def commensurate(n: int, n_phi: int) -> int:

@@ -313,19 +313,14 @@ class ClassicalOrbit:
         return 0.5 * mass * self.omega**2 * self.radius**2
 
 
-def classical_orbit_trace(orbit: ClassicalOrbit, times, wrap=None) -> np.ndarray:
-    """Positions (len(times), 2) along the orbit; wrap=(Lx, Ly) folds the
-    trace into the fundamental domain [0, Lx) x [0, Ly)."""
+def classical_orbit_trace(orbit: ClassicalOrbit, times) -> np.ndarray:
+    """Positions (len(times), 2) along the orbit in the plane."""
     times = np.asarray(times, dtype=float)
     phase = orbit.omega * times + orbit.phase0
-    pos = np.stack(
+    return np.stack(
         [
             orbit.center_x + orbit.radius * np.cos(phase),
             orbit.center_y + orbit.radius * np.sin(phase),
         ],
         axis=-1,
     )
-    if wrap is not None:
-        lx, ly = wrap
-        pos = np.stack([np.mod(pos[..., 0], lx), np.mod(pos[..., 1], ly)], axis=-1)
-    return pos

@@ -48,8 +48,9 @@ relative residual of ARPACK_TOL = 1e-12 rather than machine epsilon: a
 Hermitian Ritz value is off by at most its residual, which keeps the
 eigenvalues 1000x inside DEGENERACY_TOL, and the restarts machine epsilon
 asks for come after the values have stopped moving. `chain_spectra` takes
-only grids that resolve the magnetic length, max(hx, hy) <= l_B = 1/sqrt(eB);
-there every hop is at least 1/2 and finite, whatever the units.
+only grids that pass `config.check_grid`, the package's one grid rule: they
+resolve the magnetic length, max(hx, hy) <= l_B = 1/sqrt(eB), and there
+every hop is at least 1/2 and finite, whatever the units.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
-from .config import GRID_POINTS_PER_FLUX, TWO_PI
+from .config import TWO_PI, check_grid
 
 # Gaps below this, relative to the eigenvalue scale, are solver noise inside
 # one cluster.
@@ -167,17 +168,8 @@ def chain_spectra(cfg, nx: int, ny: int, k: int) -> tuple[np.ndarray, list]:
     one sorted row per chain m0 = 0..gcd(n_phi, ny)-1, and the number of
     times ARPACK applied each chain's inverse. ARPACK runs in regular mode on
     H^-1 (shift-invert at 0), applied through one banded Cholesky factor per
-    chain. The grid must have GRID_POINTS_PER_FLUX * n_phi points per side
-    and resolve the magnetic length l_B = 1/sqrt(eB)."""
-    floor = GRID_POINTS_PER_FLUX * cfg.n_phi
-    if nx < floor or ny < floor:
-        raise ValueError(f"grid {nx}x{ny} too small; need at least {floor} per direction")
-    hx, hy = cfg.lx / nx, cfg.ly / ny
-    if not max(hx, hy) * math.sqrt(cfg.mass_omega) <= 1.0:
-        raise ValueError(
-            f"grid {nx}x{ny} (hx={hx:.3g}, hy={hy:.3g}) does not resolve the magnetic length "
-            f"l_B = 1/sqrt(eB) = {1.0 / math.sqrt(cfg.mass_omega):.3g}; need max(hx, hy) <= l_B"
-        )
+    chain. The grid must pass `config.check_grid`, the one grid rule."""
+    check_grid(cfg, nx, ny)
     rows, applications = [], []
     for m0 in range(math.gcd(cfg.n_phi, ny)):
         band = bloch_chain(cfg, nx, ny, m0)

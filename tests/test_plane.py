@@ -432,17 +432,4 @@ def test_orbit_closes_after_one_period():
     period = 2 * math.pi / orbit.omega
     pos = classical_orbit_trace(orbit, [0.0, period])
     assert np.max(np.abs(pos[1] - pos[0])) < 1e-12
-
-
-def test_wrapped_orbit_crosses_boundary_and_closes():
-    # radius larger than the torus: the circle wraps around and still closes
-    lx = ly = 1.0
-    orbit = ClassicalOrbit(0.5, 0.5, 1.4, 0.0, omega=1.0)
-    period = 2 * math.pi
-    times = np.linspace(0.0, period, 257)
-    wrapped = classical_orbit_trace(orbit, times, wrap=(lx, ly))
-    assert np.all(wrapped >= 0.0) and np.all(wrapped < 1.0)
-    jumps = np.abs(np.diff(wrapped, axis=0)).max(axis=1)
-    assert np.max(jumps) > 0.5  # at least one wraparound
-    assert np.max(np.abs(wrapped[-1] - wrapped[0])) < 1e-12
-    assert orbit.energy(mass=1.0) == pytest.approx(0.5 * 1.4**2)
+    assert orbit.energy(mass=1.0) == pytest.approx(0.5 * 3.0**2 * 1.7**2)
