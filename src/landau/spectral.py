@@ -32,23 +32,46 @@ solved on its own, so that equality stays a check. A grid with ny not a
 multiple of n_phi stays accepted: its chains close after ny/g steps, and
 each holds n_phi/g near-degenerate copies of every level.
 
-Each chain is a ring of D sites, so it is folded before the solve: site t
-goes to position 2t and site D-1-t to 2t+1. Every link, the closing one
-included, then spans at most two positions, and `bloch_chain` returns the
-chain as a Hermitian band of half-bandwidth 2 in LAPACK upper band storage.
-The chain is positive definite. The lattice Hamiltonian is a sum over links
-of kx |psi_a - U_ab psi_b|^2 (and ky alike), so a zero mode would need
-psi_a = U_ab psi_b on every link, hence a trivial phase around every
-plaquette; the plaquette flux is 2 pi n_phi/(nx ny), and the grid's floor of
-8 n_phi sites per side keeps it strictly between 0 and 2 pi. So each chain
-is factored once by a banded Cholesky (zpbtrf), and ARPACK runs in regular
-mode on H^-1 applied through that factor, which is shift-invert at 0: the
-eigenvalues are 1/mu for the largest Ritz values mu. ARPACK stops at a
-relative residual of ARPACK_TOL = 1e-12 rather than machine epsilon: a
-Hermitian Ritz value is off by at most its residual, which keeps the
-eigenvalues 1000x inside DEGENERACY_TOL, and the restarts machine epsilon
-asks for come after the values have stopped moving. `chain_spectra` takes
-only grids that pass `config.check_grid`, the package's one grid rule: they
+Each chain is a ring of D = nx*ny/g sites, and its on-site term depends on
+the ring position t = s*nx + j alone: 2kx + 2ky(1 - cos(2 pi n_phi t/(nx ny)
++ c)), with c = (2 pi m0 + theta_y)/ny. That is the lattice form of the
+harmonic well (eB/2)(x - X0)^2 around a cyclotron centre X0, the paper's
+conserved centre (its Runge-Lenz analogue). The ring holds n_phi/g periods of
+it, so n_phi/g wells, one per centre position, and neighbouring wells meet at
+barriers of 4 ky = 2/(eB hy^2) hbar*omega. A level n state lives near the
+bottom of its well and decays like exp(-V) (V in hbar*omega) past its turning
+point, so `chain_spectra` cuts each ring at the maxima of its diagonal into
+its wells and solves every well on its own:
+
+- the well is cropped to the sites whose potential lies at most WELL_MARGIN
+  hbar*omega above the top Landau level it must resolve (a few hundred sites
+  where the ring has thousands);
+- an open segment's hop phases gauge away (a diagonal unitary removes every
+  phase of an open chain), so the segment is the real symmetric tridiagonal
+  matrix (diag, -kx), and LAPACK bisection gives its lowest eigenpairs
+  (`scipy.linalg.eigh_tridiagonal`, stebz and stein);
+- theta_x sits on hops, so it enters only through the hops that were cut:
+  through tunnelling between wells, or around the ring when n_phi/g = 1.
+  The edge bound below caps that, which is why the spectrum does not depend
+  on theta_x to within it.
+
+The edge bound. Padding a segment eigenvector v (eigenvalue lambda) with
+zeros to the whole ring leaves a residual under the ring matrix only on the
+two sites just past the segment's ends, of norm r = kx |(v_first, v_last)|,
+and a Hermitian matrix has an eigenvalue within r of lambda. The cut hops
+reach the segment only through those two components, so the eigenvalue
+itself moves at second order, about r^2 over the hbar*omega level spacing.
+Every eigenpair `low_spectrum` keeps must have r/lambda <= EDGE_TOL = 1e-6,
+which holds that move near 1e-12 relative, 1000x inside DEGENERACY_TOL
+(measured: at r/lambda = 6e-5 the eigenvalues sit 6e-10 from the full
+matrix's). A crop whose kept pair fails is widened to its whole
+barrier-to-barrier segment; if that fails too, the wells overlap and
+`chain_spectra` raises ValueError naming hy*sqrt(eB). Measured, that happens
+from hy*sqrt(eB) = 0.44 at three levels (0.47 at two, 0.50 at one) up to the
+grid rule's 1, barriers of 10 hbar*omega and less. On those grids the ARPACK
+ring solve this replaced put the clusters 1.6% (one level at 0.50) to 18%
+(three levels at 0.91) off the Landau targets. `chain_spectra` takes only
+grids that pass `config.check_grid`, the package's one grid rule: they
 resolve the magnetic length, max(hx, hy) <= l_B = 1/sqrt(eB), and there
 every hop is at least 1/2 and finite, whatever the units.
 """
@@ -59,8 +82,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+import scipy.linalg
 
 from .config import TWO_PI, check_grid
 
@@ -70,20 +92,26 @@ DEGENERACY_TOL = 1.0e-9
 # Clusters count as well separated when every gap between them is at least
 # this many times the widest cluster.
 SEPARATION_RATIO = 10.0
-# ARPACK stops once each Ritz residual is below this fraction of its Ritz
-# value. A Hermitian Ritz value is off by at most its residual, so the
-# eigenvalues stay 1000x inside DEGENERACY_TOL; tol=0 (machine epsilon) only
-# adds restarts after they have stopped moving.
-ARPACK_TOL = 1.0e-12
+# A well is cropped to the sites whose potential is at most this many
+# hbar*omega above the top Landau level it must resolve. Measured on the
+# benchmark grids and up to 1000^2 at three levels, the kept pairs' edge
+# bound is 1e-11 to 4e-11 here (1e-7 at 20, 1e-15 at 40), 10^5 inside EDGE_TOL.
+WELL_MARGIN = 30.0
+# Every kept eigenpair's padded residual r = kx |(v_first, v_last)| is at most
+# this fraction of its eigenvalue; the eigenvalue moves at second order in r.
+EDGE_TOL = 1.0e-6
+# LAPACK's most accurate bisection setting, twice the safe minimum: each
+# eigenvalue converges to a few ulps of its own size.
+BISECTION_TOL = 2.0 * np.finfo(float).tiny
 
 
-def bloch_chain(cfg, nx: int, ny: int, m0: int) -> np.ndarray:
+def bloch_chain(cfg, nx: int, ny: int, m0: int) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic chain of the y-momentum orbit m0, m0 + n_phi, ... (mod ny),
-    0 <= m0 < gcd(n_phi, ny), folded into LAPACK upper band storage of shape
-    (3, D). Site s*nx + j is column x_j at the s-th momentum of the orbit; the
-    hop from j = nx-1 onto the next momentum carries the x twist
-    exp(i theta_x). Site t sits at position 2t and site D-1-t at 2t+1, and
-    entry (i, j), i <= j, of the folded matrix is stored at [2 - (j - i), j]."""
+    0 <= m0 < gcd(n_phi, ny), as (diag, hop) over its D sites. Site
+    t = s*nx + j is column x_j at the s-th momentum of the orbit; diag[t] is
+    its on-site term and hop[t] the entry (t, t+1 mod D), -kx, times the x
+    twist exp(i theta_x) on each hop from j = nx-1 onto the next momentum
+    (the last of them closes the ring)."""
     eb = cfg.mass_omega
     hx = cfg.lx / nx
     hy = cfg.ly / ny
@@ -92,17 +120,22 @@ def bloch_chain(cfg, nx: int, ny: int, m0: int) -> np.ndarray:
     qs = (TWO_PI * ms + cfg.theta_y) / ny
     xs = hx * np.arange(nx)
     diag = 2.0 * kx + 2.0 * ky - 2.0 * ky * np.cos(eb * xs[None, :] * hy + qs[:, None])
-    dim = diag.size
-    # hop[s] is the entry (s, s + 1 mod D), the last one closing the ring
-    hop = np.full(dim, -kx, dtype=complex)
+    hop = np.full(diag.size, -kx, dtype=complex)
     hop[nx - 1 :: nx] *= np.exp(1j * cfg.theta_x)
-    half = (dim + 1) // 2
-    pos = np.concatenate([2 * np.arange(half), 2 * np.arange(dim // 2)[::-1] + 1])
-    row, col = pos, np.roll(pos, -1)
-    band = np.zeros((3, dim), dtype=complex)
-    band[2, pos] = diag.ravel()
-    band[2 - np.abs(col - row), np.maximum(row, col)] = np.where(row < col, hop, hop.conj())
-    return band
+    return diag.ravel(), hop
+
+
+def _well_pairs(diag, links, lo: int, hi: int, k: int):
+    """The lowest k eigenvalues of the open segment lo..hi-1 of a ring, with
+    diagonal diag and hop moduli links (links[t] joins t and t+1, links[-1]
+    closes the ring), and the edge bound r/lambda of each eigenpair."""
+    k = min(k, hi - lo)
+    values, vectors = scipy.linalg.eigh_tridiagonal(
+        diag[lo:hi], -links[lo : hi - 1], select="i", select_range=(0, k - 1),
+        check_finite=False, tol=BISECTION_TOL,
+    )
+    edge = np.hypot(links[lo - 1] * vectors[0], links[hi - 1] * vectors[-1])
+    return values, edge / values
 
 
 @dataclass
@@ -163,36 +196,56 @@ def clusters_well_separated(clusters) -> bool:
     return True
 
 
-def chain_spectra(cfg, nx: int, ny: int, k: int) -> tuple[np.ndarray, list]:
+def chain_spectra(cfg, nx: int, ny: int, k: int) -> tuple[np.ndarray, dict]:
     """The k smallest eigenvalues of each Bloch chain in units of hbar*omega,
-    one sorted row per chain m0 = 0..gcd(n_phi, ny)-1, and the number of
-    times ARPACK applied each chain's inverse. ARPACK runs in regular mode on
-    H^-1 (shift-invert at 0), applied through one banded Cholesky factor per
-    chain. The grid must pass `config.check_grid`, the one grid rule."""
+    one sorted row per chain m0 = 0..gcd(n_phi, ny)-1, and the solve's
+    telemetry: wells per chain, each well's size as solved, the eigenpairs
+    taken per well and the largest edge bound of a kept pair. Each ring is
+    cut at the maxima of its diagonal into its n_phi/g centre wells, and
+    each well, cropped, gives its k lowest eigenpairs; a well whose kept
+    pair fails EDGE_TOL is solved again whole, and if it fails whole the
+    wells overlap (ValueError). The grid must pass `config.check_grid`."""
     check_grid(cfg, nx, ny)
-    rows, applications = [], []
+    wells = cfg.n_phi // math.gcd(cfg.n_phi, ny)
+    # the potential cut, WELL_MARGIN above the ceil(k/wells)-th Landau level,
+    # the top one each well holds when the wells share the cluster structure
+    cut = -(-k // wells) + WELL_MARGIN
+    rows, sizes, worst = [], [], 0.0
     for m0 in range(math.gcd(cfg.n_phi, ny)):
-        band = bloch_chain(cfg, nx, ny, m0)
-        try:
-            factor = cholesky_banded(band, check_finite=False)
-        except LinAlgError as exc:
-            raise ValueError(
-                f"the lattice chain of grid {nx}x{ny} is not numerically positive definite ({exc})"
-            ) from None
-        dim = band.shape[1]
-        count = [0]
-
-        def solve(v):
-            count[0] += 1
-            return cho_solve_banded((factor, False), v, check_finite=False)
-
-        inverse = spla.LinearOperator((dim, dim), matvec=solve, dtype=complex)
-        # fixed ARPACK start so repeated solves are bit-identical
-        start = np.random.default_rng(0).standard_normal(dim)
-        mu = spla.eigsh(inverse, k=k, which="LM", v0=start, tol=ARPACK_TOL, return_eigenvectors=False)
-        rows.append(np.sort(1.0 / mu))
-        applications.append(count[0])
-    return np.array(rows), applications
+        diag, hop = bloch_chain(cfg, nx, ny, m0)
+        start = int(np.argmax(diag))
+        diag, links = np.roll(diag, -start), np.roll(np.abs(hop), -start)
+        bounds = (np.arange(wells + 1) * diag.size) // wells
+        segments = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        spans = []
+        for lo, hi in segments:
+            inside = np.flatnonzero(diag[lo:hi] <= diag[lo:hi].min() + cut)
+            crop = (lo + int(inside[0]), lo + int(inside[-1]) + 1)
+            spans.append(crop if crop[1] - crop[0] >= k else (lo, hi))
+        pairs = [_well_pairs(diag, links, lo, hi, k) for lo, hi in spans]
+        while True:
+            values = np.concatenate([v for v, _ in pairs])
+            edges = np.concatenate([e for _, e in pairs])
+            owner = np.repeat(np.arange(wells), [v.size for v, _ in pairs])
+            kept = np.argsort(values, kind="stable")[:k]
+            failing = np.unique(owner[kept[edges[kept] > EDGE_TOL]]).tolist()
+            if not failing:
+                break
+            if any(spans[w] == segments[w] for w in failing):
+                root = cfg.ly / ny * math.sqrt(cfg.mass_omega)
+                raise ValueError(
+                    f"the Landau wells of grid {nx}x{ny} overlap: hy*sqrt(eB) = {root:.3g} leaves "
+                    f"barriers of {2.0 / root**2:.3g} hbar*omega between cyclotron centres, and a kept "
+                    f"level's edge bound is {edges[kept].max():.1e} > {EDGE_TOL:g}; refine the grid in y"
+                )
+            for w in failing:
+                spans[w] = segments[w]
+                pairs[w] = _well_pairs(diag, links, *segments[w], k)
+        rows.append(values[kept])
+        sizes.extend(hi - lo for lo, hi in spans)
+        worst = max(worst, float(edges[kept].max()))
+    telemetry = {"wells_per_block": wells, "well_sizes": sizes, "k_per_well": k, "edge_bound": worst}
+    return np.array(rows), telemetry
 
 
 def low_spectrum(cfg, nx: int, ny: int, k: int) -> SpectrumReport:
@@ -207,7 +260,7 @@ def low_spectrum(cfg, nx: int, ny: int, k: int) -> SpectrumReport:
         raise ValueError(f"k={k} outside [1, {nx * ny // 4}] for dimension {nx * ny}")
     blocks = math.gcd(cfg.n_phi, ny)
     per_block = -(-k // blocks)
-    spectra, applications = chain_spectra(cfg, nx, ny, per_block)
+    spectra, telemetry = chain_spectra(cfg, nx, ny, per_block)
     omega = cfg.omega
     ev = omega * np.sort(spectra.ravel())[:k]
     groups = cluster_eigenvalues(ev)
@@ -231,14 +284,10 @@ def low_spectrum(cfg, nx: int, ny: int, k: int) -> SpectrumReport:
         omega=omega,
         well_separated=clusters_well_separated(groups),
         solver={
-            "method": "bloch_chains_banded_cholesky",
+            "method": "centre_wells_tridiagonal",
             "blocks": blocks,
-            "block_dimension": nx * ny // blocks,
-            "bandwidth": 2,
-            "k_per_block": per_block,
-            "shift": 0.0,
-            "tol": ARPACK_TOL,
-            "operator_applications": applications,
+            **telemetry,
+            "edge_tol": EDGE_TOL,
             "kept": k,
         },
     )

@@ -65,14 +65,54 @@ def _reach(decay: float) -> float:
     return math.sqrt(math.log(1.0 / IMAGE_TOL) / decay)
 
 
-def _image_indices(c0: float, step: float, lo: float, hi: float, width: float) -> np.ndarray:
-    """Image indices k, as floats, whose Gaussian center c0 + k*step lies in
-    [lo - width, hi + width]."""
+def _image_bounds(c0: float, step: float, lo: float, hi: float, width: float) -> tuple[int, int]:
+    """First and last image index k whose Gaussian center c0 + k*step lies in
+    [lo - width, hi + width]; last < first when there is none."""
     a = (lo - width - c0) / step
     b = (hi + width - c0) / step
     if step < 0:
         a, b = b, a
-    return np.arange(math.ceil(a), math.floor(b) + 1, dtype=float)
+    return math.ceil(a), math.floor(b)
+
+
+def _image_indices(c0: float, step: float, lo: float, hi: float, width: float) -> np.ndarray:
+    """Image indices k, as floats, whose Gaussian center c0 + k*step lies in
+    [lo - width, hi + width]."""
+    first, last = _image_bounds(c0, step, lo, hi, width)
+    return np.arange(first, last + 1, dtype=float)
+
+
+def _eigenstate_images(cfg: TorusConfig, label: TorusLabel) -> tuple:
+    """The image sum of `torus_eigenstate`'s label as _image_bounds'
+    arguments (c0, step, lo, hi, width)."""
+    mw = cfg.mass_omega
+    # oscillator amplitude ~ exp(-M w u^2 / 2) beyond the turning point
+    width = math.sqrt(2.0 * label.n + 1.0) / math.sqrt(mw) + _reach(mw / 2.0)
+    if label.basis == "ly":
+        # Gaussian centers in x at -(l + theta_y/2pi) a_x - k Lx
+        return -(label.l + cfg.theta_y / TWO_PI) * cfg.ax, -cfg.lx, 0.0, cfg.lx, width
+    # Gaussian centers in y at (l + theta_x/2pi) a_y + k Ly
+    return (label.l + cfg.theta_x / TWO_PI) * cfg.ay, cfg.ly, 0.0, cfg.ly, width
+
+
+def _coherent_images(cfg: TorusConfig, c: CoherentLabel) -> tuple:
+    """The x and y image sums of `torus_coherent`'s label, each as
+    _image_bounds' arguments (c0, step, lo, hi, width)."""
+    mw = cfg.mass_omega
+    s2 = math.sqrt(2.0 / mw)
+    cx = s2 * (c.lam + c.lam_prime).real
+    cy = s2 * (c.lam_prime.imag - c.lam.imag)
+    # coherent amplitude ~ exp(-M w d^2 / 4) around the packet center
+    width = _reach(mw / 4.0)
+    return (cx, -cfg.lx, 0.0, cfg.lx, width), (cy, -cfg.ly, 0.0, cfg.ly, width)
+
+
+def image_count(cfg: TorusConfig, label) -> int:
+    """Number of images summed for the state of `label`, a TorusLabel or a
+    CoherentLabel, counted without building them: each image adds one column
+    of nx + 1 and one of ny + 1 values to the sum's factor matrices."""
+    sums = _coherent_images(cfg, label) if isinstance(label, CoherentLabel) else [_eigenstate_images(cfg, label)]
+    return sum(max(0, last - first + 1) for first, last in (_image_bounds(*args) for args in sums))
 
 
 class SampledState:
@@ -217,22 +257,15 @@ def torus_eigenstate(cfg: TorusConfig, label: TorusLabel, nx: int, ny: int) -> S
     """
     xs, ys = grid_axes(cfg, nx, ny)
     mw = cfg.mass_omega
-    # oscillator amplitude ~ exp(-M w u^2 / 2) beyond the turning point
-    width = math.sqrt(2.0 * label.n + 1.0) / math.sqrt(mw) + _reach(mw / 2.0)
+    k = _image_indices(*_eigenstate_images(cfg, label))
 
     if label.basis == "ly":
-        # Gaussian centers in x at -(l + theta_y/2pi) a_x - k Lx
-        c0 = -(label.l + cfg.theta_y / TWO_PI) * cfg.ax
-        k = _image_indices(c0, -cfg.lx, 0.0, cfg.lx, width)
         kval = cfg.n_phi * k + label.l + cfg.theta_y / TWO_PI
         profile = hermite_eigenfunction(mw, label.n, xs[:, None] + kval * cfg.ax)
         wave = np.exp(TWO_PI * 1j * ys[:, None] * kval / cfg.ly - 1j * cfg.theta_x * k)
         values = np.einsum("xk,yk->xy", profile, wave, optimize=False)
     else:
-        # Gaussian centers in y at (l + theta_x/2pi) a_y + k Ly
-        c0 = (label.l + cfg.theta_x / TWO_PI) * cfg.ay
         cross = np.exp(-TWO_PI * 1j * cfg.n_phi * xs[:, None] * ys[None, :] / (cfg.lx * cfg.ly))
-        k = _image_indices(c0, cfg.ly, 0.0, cfg.ly, width)
         qval = cfg.n_phi * k + label.l + cfg.theta_x / TWO_PI
         profile = hermite_eigenfunction(mw, label.n, ys[:, None] - qval * cfg.ay)
         wave = np.exp(TWO_PI * 1j * xs[:, None] * qval / cfg.lx + 1j * cfg.theta_y * k)
@@ -276,14 +309,7 @@ def torus_coherent(cfg: TorusConfig, c: CoherentLabel, nx: int, ny: int) -> Samp
     xs, ys = grid_axes(cfg, nx, ny)
     mw = cfg.mass_omega
     pre = math.sqrt(mw / 2.0)
-    s2 = math.sqrt(2.0 / mw)
-    cx = s2 * (c.lam + c.lam_prime).real
-    cy = s2 * (c.lam_prime.imag - c.lam.imag)
-    # coherent amplitude ~ exp(-M w d^2 / 4) around the packet center
-    width = _reach(mw / 4.0)
-
-    kx = _image_indices(cx, -cfg.lx, 0.0, cfg.lx, width)
-    ky = _image_indices(cy, -cfg.ly, 0.0, cfg.ly, width)
+    kx, ky = (_image_indices(*args) for args in _coherent_images(cfg, c))
     u = xs[:, None] + kx * cfg.lx
     v = ys[:, None] + ky * cfg.ly
     x_part = np.exp(-0.25 * mw * u * u + pre * u * (c.lam + c.lam_prime))

@@ -38,6 +38,7 @@ from .torus import (
     expectation,
     gram_matrix,
     grid_vdot,
+    image_count,
     projector_distance,
     torus_coherent,
     torus_eigenstate,
@@ -134,13 +135,42 @@ def _heisenberg_residual(cfg) -> float:
     return float(abs(num / den - 1j / mw) * mw)
 
 
+# The most complex values the torus checks may hold: 64 times the largest
+# benchmark op, the 1026^2 density grid, or about 1 GiB of complex128.
+WORK_BUDGET = 64 * 1026 * 1026
+
+
+def _work_elements(cfg, nx: int, ny: int, labels) -> int:
+    """Complex values the torus checks hold at most on the nx x ny grid:
+    every state of `labels` at once plus one grid for the operator and
+    translation results, and the largest image sum's factor matrices."""
+    images = max(image_count(cfg, label) for label in labels)
+    return (len(labels) + 1) * (nx + 1) * (ny + 1) + images * (nx + ny + 2)
+
+
 def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed: int = 0):
     """All module invariants at the given config. Returns (checks, all_pass).
 
     nphi_override (possibly non-integer) recomputes the flux-consistency
     check with that flux instead of cfg.n_phi, which demonstrates how a
-    non-quantized flux breaks the boundary-condition consistency.
+    non-quantized flux breaks the boundary-condition consistency. The torus
+    checks' work is sized before anything is built: ValueError above
+    WORK_BUDGET.
     """
+    n = cfg.n_phi
+    nx, ny = default_grid(cfg)
+    ly_labels = [TorusLabel(lev, l) for lev in range(3) for l in range(n)]
+    lx_labels = [TorusLabel(0, l, "lx") for l in range(n)]
+    lab = CoherentLabel(0.35 + 0.2j, 0.3 - 0.4j)
+    work = _work_elements(cfg, nx, ny, [*ly_labels, *lx_labels, lab])
+    if work > WORK_BUDGET:
+        # capped: on an absurdly thin torus the count exceeds the largest float
+        times = min(work, 10**300) / WORK_BUDGET
+        raise ValueError(
+            f"verify's torus checks on the {nx}x{ny} grid would hold {times:.3g} times the work budget of "
+            f"{WORK_BUDGET} complex values (64 times the 1026^2 density grid); choose a torus closer to square or a "
+            "smaller n_phi"
+        )
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
     mark = time.perf_counter()
@@ -184,7 +214,6 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     add("polyakov_step_periodicity", float(p), 1.0e-12)
 
     # group axioms and representation
-    n = cfg.n_phi
     els = maggroup.elements(min(n, 4)) if n > 1 else maggroup.elements(2)
     nn = els[0].n_phi
     worst = 0.0
@@ -209,12 +238,7 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     add("representation_homomorphism", hom, 1.0e-12)
 
     # torus states: boundary condition, orthonormality, translation actions
-    nx, ny = default_grid(cfg)
-    states = {
-        (lev, l): torus_eigenstate(cfg, TorusLabel(lev, l), nx=nx, ny=ny)
-        for lev in range(3)
-        for l in range(n)
-    }
+    states = {(label.n, label.l): torus_eigenstate(cfg, label, nx=nx, ny=ny) for label in ly_labels}
     add(
         "torus_boundary_residual",
         max(s.boundary_residual() for s in states.values()),
@@ -247,11 +271,10 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
 
     # the two degeneracy bases span the same subspace
     set_ly = [states[(0, l)] for l in range(n)]
-    set_lx = [torus_eigenstate(cfg, TorusLabel(0, l, "lx"), nx=nx, ny=ny) for l in range(n)]
+    set_lx = [torus_eigenstate(cfg, label, nx=nx, ny=ny) for label in lx_labels]
     add("basis_projector_distance", projector_distance(set_ly, set_lx), 1.0e-8)
 
     # coherent states on the torus
-    lab = CoherentLabel(0.35 + 0.2j, 0.3 - 0.4j)
     coh = torus_coherent(cfg, lab, nx=nx, ny=ny)
     add("coherent_boundary_residual", coh.boundary_residual(), 1.0e-8)
     e_target = abs(lab.lam) ** 2 + 0.5

@@ -340,9 +340,10 @@ def build_hamiltonian(cfg, nx: int, ny: int, include_flux: bool = True) -> Discr
 
 def lowest_eigenpairs(ham: DiscreteHamiltonian, k: int):
     """k smallest eigenpairs, sorted ascending, by ARPACK in shift-invert mode
-    around zero (H is positive definite), from the same fixed start vector as
-    the chain solver. Eigenvectors are re-orthonormalized by QR since ARPACK
-    may return a skewed basis inside exactly degenerate clusters."""
+    around zero (H is positive definite), from a fixed start vector so that
+    repeated solves are bit-identical. Eigenvectors are re-orthonormalized by
+    QR since ARPACK may return a skewed basis inside exactly degenerate
+    clusters."""
     if not 1 <= k <= ham.dimension // 4:
         raise ValueError(f"k={k} outside [1, {ham.dimension // 4}] for dimension {ham.dimension}")
     start = np.random.default_rng(0).standard_normal(ham.dimension)

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from landau import TorusConfig, TorusLabel, low_spectrum, projector_distance, torus_eigenstate
+from landau import TorusConfig, TorusLabel, low_spectrum, projector_distance, spectral, torus_eigenstate
 from landau.spectral import bloch_chain, chain_spectra, cluster_eigenvalues, clusters_well_separated
 from landau.torus import SampledState, normalized
 from landau.gauge import x_boundary_twist, y_boundary_twist
@@ -100,18 +102,16 @@ def test_shift_invert_matches_dense_oracle():
     assert np.allclose(vec.conj().T @ vec, np.eye(6), atol=1e-12)
 
 
-def unfold_band(band):
-    """Dense chain in site order from the folded upper band storage: position
-    2t holds site t, position 2t+1 site D-1-t."""
-    dim = band.shape[1]
-    upper = sum(np.diag(band[2 - off, off:], off) for off in (1, 2))
-    folded = upper + upper.conj().T + np.diag(band[2])
-    sites = np.empty(dim, dtype=int)
-    sites[0::2] = np.arange((dim + 1) // 2)
-    sites[1::2] = dim - 1 - np.arange(dim // 2)
-    chain = np.empty_like(folded)
-    chain[np.ix_(sites, sites)] = folded
-    return chain
+def ring_matrix(chain):
+    """Dense chain in site order from bloch_chain's (diag, hop): hop[t] is the
+    entry (t, t+1 mod D), the last one closing the ring."""
+    diag, hop = chain
+    dim = diag.size
+    ring = np.diag(diag).astype(complex)
+    sites = np.arange(dim)
+    ring[sites, (sites + 1) % dim] = hop
+    ring[(sites + 1) % dim, sites] = hop.conj()
+    return ring
 
 
 def fourier_chain(cfg, full, nx, ny, m0):
@@ -128,14 +128,14 @@ def fourier_chain(cfg, full, nx, ny, m0):
     [(2, 20, 18, 1.1, 0.9), (3, 27, 25, 1.0, 1.0)],
 )
 def test_bloch_chains_are_unitarily_equivalent_to_full_matrix(n_phi, nx, ny, lx, ly):
-    # entry by entry, each unfolded band is the oracle matrix on that chain's
+    # entry by entry, each ring is the oracle matrix on that chain's
     # Fourier basis, and together the chains hold every eigenvalue of it;
-    # 20x18 gives an even ring dimension, and 27x25 at n_phi = 3 (ny not a
-    # multiple of n_phi) an odd one holding the whole spectrum in one chain.
+    # 20x18 gives two rings, and 27x25 at n_phi = 3 (ny not a multiple of
+    # n_phi) one ring holding the whole spectrum.
     # The chains are in units of hbar*omega, the oracle matrix in energy
     cfg = make_cfg(n_phi, lx=lx, ly=ly)
     full = build_hamiltonian(cfg, nx, ny).matrix.toarray() / cfg.omega
-    chains = [unfold_band(bloch_chain(cfg, nx, ny, m0)) for m0 in range(math.gcd(n_phi, ny))]
+    chains = [ring_matrix(bloch_chain(cfg, nx, ny, m0)) for m0 in range(math.gcd(n_phi, ny))]
     for m0, chain in enumerate(chains):
         assert np.max(np.abs(chain - fourier_chain(cfg, full, nx, ny, m0))) < 1e-13 * np.max(np.abs(full))
     stacked = np.sort(np.concatenate([np.linalg.eigvalsh(chain) for chain in chains]))
@@ -158,13 +158,57 @@ def test_block_solve_matches_full_matrix_solve(n_phi, ny):
     assert np.max(np.abs(blocks - full) / full) < 1e-10
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n_phi=st.integers(1, 4),
+    log_aspect=st.floats(-math.log(4.0), math.log(4.0)),
+    theta=st.tuples(st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 2.0 * np.pi)),
+    extra=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    levels=st.integers(1, 3),
+)
+@example(n_phi=3, log_aspect=0.0, theta=(0.7, 1.9), extra=(1, 1), levels=3)
+@example(n_phi=1, log_aspect=-math.log(4.0), theta=(0.7, 2.1), extra=(0, 0), levels=3)  # overlapping wells
+def test_well_solver_matches_full_matrix(n_phi, log_aspect, theta, extra, levels):
+    # from the 8 n_phi floor up, ny often not a multiple of n_phi; whenever
+    # low_spectrum returns, its values are the full matrix's lowest
+    lx = math.exp(0.5 * log_aspect)
+    cfg = make_cfg(n_phi, theta_x=theta[0], theta_y=theta[1], lx=lx, ly=1.0 / lx)
+    nx, ny = (8 * n_phi + e for e in extra)
+    k = levels * n_phi
+    try:
+        report = low_spectrum(cfg, nx, ny, k)
+    except ValueError as exc:
+        # the grid rule, or wells that overlap, measured from hy*sqrt(eB) = 0.44
+        overlap = "Landau wells" in str(exc)
+        assert not overlap or cfg.ly / ny * math.sqrt(cfg.mass_omega) > 0.4, exc
+        return
+    assert report.solver["edge_bound"] <= report.solver["edge_tol"]
+    full = np.linalg.eigvalsh(build_hamiltonian(cfg, nx, ny).matrix.toarray())[:k]
+    assert np.max(np.abs(report.eigenvalues - full) / full) < 1e-10
+
+
+def test_failed_crop_widens_to_the_whole_well(monkeypatch):
+    # with no margin the crop ends at 2 hbar*omega, inside the level-1 state's
+    # tail, so its edge bound fails and each well is solved from barrier to
+    # barrier: 48 * 50 / 3 sites
+    cfg = make_cfg(3)
+    reference = low_spectrum(cfg, 48, 50, 6)
+    monkeypatch.setattr(spectral, "WELL_MARGIN", 0.0)
+    widened = low_spectrum(cfg, 48, 50, 6)
+    assert reference.solver["well_sizes"] == [181, 181, 181]
+    assert widened.solver["well_sizes"] == [800, 800, 800]
+    assert widened.solver["edge_bound"] <= spectral.EDGE_TOL
+    assert np.max(np.abs(widened.eigenvalues - reference.eigenvalues) / reference.eigenvalues) < 1e-12
+
+
 @pytest.mark.parametrize("n_phi, grid", [(2, 64), (3, 96), (4, 96)])
 def test_degeneracy_as_identical_chains(n_phi, grid):
     # n_phi divides both sides: one chain per Ty label, all with one spectrum
     cfg = make_cfg(n_phi)
-    spectra, applications = chain_spectra(cfg, grid, grid, 3)
+    spectra, telemetry = chain_spectra(cfg, grid, grid, 3)
     assert spectra.shape == (n_phi, 3)
-    assert len(applications) == n_phi
+    assert telemetry["wells_per_block"] == 1
+    assert len(telemetry["well_sizes"]) == n_phi
     assert np.max(np.ptp(spectra, axis=0)) < 1e-10
 
 
