@@ -44,7 +44,7 @@ from .plane import (
 from .serialize import write_density_csv, write_json, write_pgm, write_table_csv
 from .spectral import low_spectrum
 from .torus import TorusLabel, density_map, torus_coherent, torus_eigenstate
-from .verify import run_verification
+from .verify import heisenberg_grid, run_verification
 
 
 def _add_config_flags(parser):
@@ -257,7 +257,11 @@ def cmd_verify(args, run) -> int:
     }
     with run.stage("json"):
         write_json(payload, run.output("verify.json"))
-    run.manifest.update(seed=args.seed, checks=[{"name": c.name, "time_s": c.time_s} for c in checks])
+    run.manifest.update(
+        seed=args.seed,
+        checks=[{"name": c.name, "time_s": c.time_s} for c in checks],
+        heisenberg_grid=heisenberg_grid(cfg),
+    )
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: residual {c.residual:.3e} (tol {c.tolerance:.1e})")
     print("verification:", "all passed" if ok else "FAILURES above")

@@ -21,13 +21,7 @@ from .gauge import (
     polyakov_phase_y,
     standard_transition_functions,
 )
-from .plane import (
-    CoherentLabel,
-    FockLabel,
-    coherent_amplitude,
-    ladder_apply,
-    sample_plane,
-)
+from .plane import CoherentLabel, FockLabel, ladder_apply
 from .torus import (
     TorusLabel,
     apply_tx,
@@ -87,19 +81,84 @@ def _fock_commutator_residual(rng) -> float:
     return worst
 
 
-# The center-commutator check keeps the grid interior [MARGIN, N - MARGIN) in
-# both axes and walks its rows (x) in blocks of BLOCK_ROWS, which bounds the
-# memory it holds at once. Each block is sampled with HALO extra rows per
-# side: the reach of the one x-stencil (Ry) in each product.
+# The center-commutator check samples the unnormalised coherent packet
+# _PACKET row by row (`_packet_rows`) on the square plane grid x = h*i,
+# y = h*j, |i|, |j| <= m, of the resolution rule (`_plane_grid`). It keeps the
+# grid interior [MARGIN, N - MARGIN) in both axes, clear of the values the
+# stencils wrap around the grid's edges, and walks its rows (x) in blocks of
+# BLOCK_ROWS, which bounds the memory it holds at once. Each block is sampled
+# with HALO extra rows per side: the reach of the one x-stencil (Ry) in each
+# product.
 _MARGIN = 6
 _BLOCK_ROWS = 64
 _HALO = 2
+_PACKET = CoherentLabel(0.3 + 0.2j, -0.1 + 0.4j)
 
 
-def _commutator_blocks(cfg, amp, xs, ys):
+def _plane_grid(cfg) -> tuple[float, int]:
+    """(h, m): the spacing of the resolution rule and the half-width in cells
+    of the check's plane grid, which reaches 9 l_B from the origin."""
+    h = grid_spacing(cfg)
+    return h, int(math.ceil(9.0 / math.sqrt(cfg.mass_omega) / h))
+
+
+def heisenberg_grid(cfg) -> dict:
+    """The center-commutator check's plane grid, for the run manifest."""
+    h, m = _plane_grid(cfg)
+    n = 2 * m + 1
+    return {
+        "points_per_side": n,
+        "h_over_lB": h * math.sqrt(cfg.mass_omega),
+        "margin": _MARGIN,
+        "block_rows": _BLOCK_ROWS,
+        "blocks": len(range(_MARGIN, n - _MARGIN, _BLOCK_ROWS)),
+    }
+
+
+def _packet_rows(cfg, c: CoherentLabel, h: float, m: int):
+    """rows(i0, i1): `plane._coherent_raw`'s packet on the x-rows i0..i1 - 1
+    of the grid x = h*i, y = h*j, i and j in -m..m, as (i1 - i0, 2m + 1).
+
+    On that grid the exponent k (x^2 + 2i x y + y^2) + pre (x s + i y d)
+    splits into a row part k x^2 + pre x s, a column part k y^2 + i pre y d
+    and the cross phase 2i k x y = i theta (i j), theta = 2 k h^2. So the
+    packet is row[i] * col[j] * T[|i j|], T[p] = exp(i theta p), with T
+    conjugated where i j < 0: two exponentials per axis, one table over
+    p = 0..m^2, and a gather and two multiplies per point. The table is the
+    outer product of exp(i theta (m + 1) q) and exp(i theta r) at
+    p = (m + 1) q + r: 2m + 1 exponentials in place of m^2 + 1."""
+    mw = cfg.mass_omega
+    pre = math.sqrt(mw / 2.0)
+    k = -0.25 * mw
+    s, d = c.lam + c.lam_prime, c.lam - c.lam_prime
+    idx = np.arange(-m, m + 1)
+    x = h * idx
+    row = np.exp(k * x * x + pre * s * x)
+    col = np.exp(k * x * x + 1j * pre * d * x)
+    theta = 2.0 * k * h * h
+    q = np.arange(m + 1)
+    table = np.multiply.outer(np.exp(1j * (theta * (m + 1)) * q[:m]), np.exp(1j * theta * q)).ravel()
+    mag = np.abs(idx)
+
+    def rows(i0, i1):
+        out = table[mag[i0:i1, None] * mag[None, :]]
+        # the rows with i < 0 come first; i j < 0 on their columns j > 0 and
+        # on the columns j < 0 of the rest
+        neg = max(m - i0, 0)
+        for part in (out[:neg, m + 1 :], out[neg:, :m]):
+            np.conjugate(part, out=part)
+        out *= row[i0:i1, None]
+        out *= col
+        return out
+
+    return rows
+
+
+def _commutator_blocks(cfg, rows, xs, ys):
     """(psi, [Rx, Ry] psi) on the kept interior of the plane grid xs x ys,
-    one block of at most _BLOCK_ROWS x-rows at a time, in order. Every value is
-    the one the full-grid evaluation gives there, bit for bit."""
+    one block of at most _BLOCK_ROWS x-rows at a time, in order. rows(i0, i1)
+    samples psi on the x-rows i0..i1 - 1. Every value is the one the full-grid
+    evaluation of the same samples gives there, bit for bit."""
     # the spacings of the whole grid: first differences of the rounded
     # coordinates inside a block can be an ulp off them
     hx = xs[1] - xs[0]
@@ -113,23 +172,21 @@ def _commutator_blocks(cfg, amp, xs, ys):
     for r0 in range(_MARGIN, n - _MARGIN, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, n - _MARGIN)
         bx = xs[r0 - _HALO : r1 + _HALO]
-        values = sample_plane(amp, bx, ys)
+        values = rows(r0 - _HALO, r1 + _HALO)
         rx_ry = op("Rx", op("Ry", values, bx), bx)
         ry_rx = op("Ry", op("Rx", values, bx), bx)
         yield values[keep], rx_ry[keep] - ry_rx[keep]
 
 
 def _heisenberg_residual(cfg) -> float:
-    """|<[Rx, Ry]> - i/(M w)| in units of l_B^2 = 1/(M w), on the square
-    plane grid of the resolution rule reaching 9 l_B from the origin."""
+    """|<[Rx, Ry]> - i/(M w)| in units of l_B^2 = 1/(M w), on the plane grid
+    of `_plane_grid`. <.> is the ratio of two sums over the same samples, so
+    the packet needs no normalisation constant."""
     mw = cfg.mass_omega
-    h = grid_spacing(cfg)
-    m = int(math.ceil(9.0 / math.sqrt(mw) / h))
+    h, m = _plane_grid(cfg)
     xs = h * np.arange(-m, m + 1)
-    ys = h * np.arange(-m, m + 1)
-    amp = coherent_amplitude(cfg, CoherentLabel(0.3 + 0.2j, -0.1 + 0.4j))
     num = den = 0.0
-    for fw, w in _commutator_blocks(cfg, amp, xs, ys):
+    for fw, w in _commutator_blocks(cfg, _packet_rows(cfg, _PACKET, h, m), xs, xs):
         num += grid_vdot(fw, w)
         den += grid_vdot(fw, fw)
     return float(abs(num / den - 1j / mw) * mw)

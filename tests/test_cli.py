@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landau.cli import build_parser, main
-from landau.config import TorusConfig
+from landau.config import GRID_BUDGET, TorusConfig
 from landau.maggroup import GroupElement, multiply
 from landau.plane import CoherentLabel, coherent_expectations, evolve_coherent
 
@@ -470,6 +470,14 @@ def test_verify_timing_only_in_manifest(tmp_path):
     timed = read_json(dirs[0] / "verify_manifest.json")["checks"]
     assert [c["name"] for c in timed] == names
     assert all(set(c) == {"name", "time_s"} and c["time_s"] >= 0.0 for c in timed)
+    grid = read_json(dirs[0] / "verify_manifest.json")["heisenberg_grid"]
+    assert grid == {
+        "points_per_side": 571,
+        "h_over_lB": pytest.approx(math.sqrt(GRID_BUDGET)),
+        "margin": 6,
+        "block_rows": 64,
+        "blocks": 9,
+    }
 
 
 def test_spectrum_output_deterministic_through_eigensolver(tmp_path):

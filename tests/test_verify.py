@@ -9,9 +9,19 @@ import landau
 from landau import TorusConfig
 from landau.config import GRID_BUDGET
 from landau.finitediff import apply_fd_operator
-from landau.plane import CoherentLabel, coherent_amplitude, sample_plane
+from landau.plane import CoherentLabel, _coherent_raw, coherent_amplitude, sample_plane
 from landau.torus import TorusLabel, default_grid, eigenvalue_residual, torus_eigenstate
-from landau.verify import _commutator_blocks, _heisenberg_residual, run_verification
+from landau.verify import (
+    _BLOCK_ROWS,
+    _HALO,
+    _MARGIN,
+    _PACKET,
+    _commutator_blocks,
+    _heisenberg_residual,
+    _packet_rows,
+    _plane_grid,
+    run_verification,
+)
 from oracles import interior
 
 
@@ -103,13 +113,64 @@ def test_commutator_blocks_equal_full_grid_bit_for_bit():
     ys = 0.04 * np.arange(-60, 61)
     amp = coherent_amplitude(cfg, CoherentLabel(0.3 + 0.2j, -0.1 + 0.4j))
     values, comm = full_commutator(cfg, amp, xs, ys)
-    blocks = list(_commutator_blocks(cfg, amp, xs, ys))
+    blocks = list(_commutator_blocks(cfg, lambda i0, i1: sample_plane(amp, xs[i0:i1], ys), xs, ys))
     assert [len(v) for v, _ in blocks] == [64, 64, 11]
     got_values = np.concatenate([v for v, _ in blocks])
     got_comm = np.concatenate([c for _, c in blocks])
     assert got_values.shape == got_comm.shape == (139, 121 - 12)
     assert np.array_equal(got_values, interior(values, 6))
     assert np.array_equal(got_comm, interior(comm, 6))
+
+
+def sampler_error(cfg, mutate=None):
+    """max |rows - _coherent_raw| / max |raw| over the x-row ranges the
+    check requests and over the whole grid at once; mutate(values, x, y)
+    stands in for a wrong sampler built from the right one."""
+    h, m = _plane_grid(cfg)
+    xs = h * np.arange(-m, m + 1)
+    rows = _packet_rows(cfg, _PACKET, h, m)
+    raw = _coherent_raw(cfg, _PACKET)
+    n = 2 * m + 1
+    spans = [(r0 - _HALO, min(r0 + _BLOCK_ROWS, n - _MARGIN) + _HALO) for r0 in range(_MARGIN, n - _MARGIN, _BLOCK_ROWS)]
+    spans.append((0, n))
+    worst = scale = 0.0
+    for i0, i1 in spans:
+        got = rows(i0, i1)
+        if mutate is not None:
+            got = mutate(got, xs[i0:i1, None], xs[None, :])
+        want = raw(xs[i0:i1, None], xs[None, :])
+        worst = max(worst, float(np.max(np.abs(got - want))))
+        scale = max(scale, float(np.max(np.abs(want))))
+    return worst / scale
+
+
+SAMPLER_CONFIGS = {
+    "eB-2pi": TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=1),
+    "eB-8pi": TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=4),
+    "mass2-charge0.7": TorusConfig(2.0, 0.7, lx=1.3, ly=0.8, n_phi=2, theta_x=0.6, theta_y=1.2),
+    "mass1e-300": TorusConfig(1e-300, 1.0, lx=1.0, ly=1.0, n_phi=1),
+}
+
+
+@pytest.mark.parametrize("cfg", SAMPLER_CONFIGS.values(), ids=SAMPLER_CONFIGS.keys())
+def test_packet_rows_match_coherent_raw(cfg):
+    # [Rx, Ry] = i/eB holds for any smooth state, so the check passes on a
+    # wrong sampler too; this pins the factorised rows to the closed form
+    assert sampler_error(cfg) <= 2e-15
+
+
+@pytest.mark.parametrize("where", ["everywhere", "where-ij-negative"])
+def test_packet_rows_check_sees_a_wrong_cross_phase(where):
+    # a flipped cross-phase sign, everywhere or (a missing conjugation) only
+    # where i j < 0: row * col * exp(-2i k x y) in place of exp(2i k x y)
+    cfg = SAMPLER_CONFIGS["eB-2pi"]
+    k = -0.25 * cfg.mass_omega
+
+    def mutate(values, x, y):
+        flipped = values * np.exp(-4j * k * x * y)
+        return flipped if where == "everywhere" else np.where(x * y < 0, flipped, values)
+
+    assert sampler_error(cfg, mutate) > 1e-2
 
 
 def test_hamiltonian_eigen_residual_passes_on_a_seeded_two_flux_torus():
