@@ -30,6 +30,7 @@ from .config import (
     TORUS_DEFAULTS,
     TORUS_KEYS,
     check_grid,
+    check_work,
     commensurate,
     parse_config_text,
     torus_config_from_mapping,
@@ -43,7 +44,7 @@ from .plane import (
 )
 from .serialize import write_density_csv, write_json, write_pgm, write_table_csv
 from .spectral import low_spectrum
-from .torus import TorusLabel, density_map, torus_coherent, torus_eigenstate
+from .torus import TorusLabel, density_map, torus_coherent, torus_eigenstate, work_elements
 from .verify import heisenberg_grid, run_verification
 
 
@@ -161,17 +162,12 @@ def cmd_density(args, run) -> int:
     if eigen_selector and coherent_selector:
         raise ValueError("choose either an eigenstate (--n/--l) or a coherent state (--lam/--lam-prime)")
     if eigen_selector:
-        with run.stage("state"):
-            state = torus_eigenstate(
-                cfg, TorusLabel(args.n or 0, args.l or 0, args.basis), nx=grid, ny=grid
-            )
+        label = TorusLabel(args.n or 0, args.l or 0, args.basis)
         selector = {"kind": "eigenstate", "n": args.n or 0, "l": args.l or 0, "basis": args.basis}
     elif coherent_selector:
         lam = _parse_complex(args.lam or "0", "--lam")
         lam_prime = _parse_complex(args.lam_prime or "0", "--lam-prime")
-        # a huge label overflows the amplitude to NaN; the check below rejects it
-        with run.stage("state"), np.errstate(over="ignore", invalid="ignore"):
-            state = torus_coherent(cfg, CoherentLabel(lam, lam_prime), nx=grid, ny=grid)
+        label = CoherentLabel(lam, lam_prime)
         selector = {
             "kind": "coherent",
             "lam": [lam.real, lam.imag],
@@ -179,6 +175,16 @@ def cmd_density(args, run) -> int:
         }
     else:
         raise ValueError("no state selected: pass --n/--l or --lam/--lam-prime")
+    # five grids: the coherent image sum's peak, the most of any state here
+    work = work_elements(cfg, grid, grid, [label], 5)
+    check_work(work, f"density on the {grid}x{grid} grid", "choose a smaller --grid")
+    with run.stage("state"):
+        if coherent_selector:
+            # a huge label overflows the amplitude to NaN; the check below rejects it
+            with np.errstate(over="ignore", invalid="ignore"):
+                state = torus_coherent(cfg, label, nx=grid, ny=grid)
+        else:
+            state = torus_eigenstate(cfg, label, nx=grid, ny=grid)
 
     with run.stage("density"):
         dmap = density_map(state)

@@ -4,7 +4,9 @@ Two settings: the infinite plane, where the magnetic field B is a free
 parameter, and a rectangular torus, where flux quantization fixes
 B = 2*pi*n_phi / (e*Lx*Ly) once the number of flux quanta n_phi is chosen.
 The grid rules live here too: `check_grid` for a grid the caller gives,
-`grid_spacing` for the grids the package picks itself.
+`grid_spacing` for the grids the package picks itself, and `check_work`,
+which sizes a command's arrays against one memory budget before it builds
+them.
 """
 
 from __future__ import annotations
@@ -126,6 +128,23 @@ def check_grid(cfg, nx: int, ny: int) -> None:
         raise ValueError(
             f"grid {nx}x{ny} (hx={hx:.3g}, hy={hy:.3g}) does not resolve the magnetic length "
             f"l_B = 1/sqrt(eB) = {1.0 / math.sqrt(cfg.mass_omega):.3g}; need max(hx, hy) <= l_B"
+        )
+
+
+# The most complex values one command may hold at once: 64 times the largest
+# benchmark op, the 1026^2 density grid, or about 1 GiB of complex128.
+WORK_BUDGET = 64 * 1026 * 1026
+
+
+def check_work(work: int, what: str, remedy: str) -> None:
+    """Raise ValueError naming WORK_BUDGET when `what` would hold more than it:
+    `work` complex values, counted before anything is allocated."""
+    if work > WORK_BUDGET:
+        # capped: on an absurdly thin torus the count exceeds the largest float
+        times = min(work, 10**300) / WORK_BUDGET
+        raise ValueError(
+            f"{what} would hold {times:.3g} times the work budget of {WORK_BUDGET} complex values "
+            f"(64 times the 1026^2 density grid); {remedy}"
         )
 
 

@@ -11,6 +11,7 @@ matrices appear only in the representation checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -162,11 +163,14 @@ def represent(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
     )
 
 
-def homomorphism_defect(rep: UnitaryRep, g: GroupElement, h: GroupElement) -> float:
-    """max |D(g h) - D(g) D(h)|: zero for a true representation."""
-    lhs = represent(rep, multiply(g, h))
-    rhs = represent(rep, g) @ represent(rep, h)
-    return float(np.max(np.abs(lhs - rhs)))
+def homomorphism_defect(rep: UnitaryRep, pairs) -> float:
+    """max |D(g h) - D(g) D(h)| over the (g, h) in pairs: zero for a true
+    representation. Each distinct element's matrix is built once."""
+    d = functools.cache(lambda g: represent(rep, g))
+    return max(
+        (float(np.max(np.abs(d(multiply(g, h)) - d(g) @ d(h)))) for g, h in pairs),
+        default=0.0,
+    )
 
 
 def weyl_deviation(rep: UnitaryRep) -> float:

@@ -84,7 +84,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .config import TWO_PI, check_grid
+from .config import TWO_PI, check_grid, check_work
 
 # Gaps below this, relative to the eigenvalue scale, are solver noise inside
 # one cluster.
@@ -204,14 +204,18 @@ def chain_spectra(cfg, nx: int, ny: int, k: int) -> tuple[np.ndarray, dict]:
     cut at the maxima of its diagonal into its n_phi/g centre wells, and
     each well, cropped, gives its k lowest eigenpairs; a well whose kept
     pair fails EDGE_TOL is solved again whole, and if it fails whole the
-    wells overlap (ValueError). The grid must pass `config.check_grid`."""
+    wells overlap (ValueError). The grid must pass `config.check_grid`, and
+    the chains must fit `config.WORK_BUDGET`."""
     check_grid(cfg, nx, ny)
-    wells = cfg.n_phi // math.gcd(cfg.n_phi, ny)
+    # a chain's diagonal, hops and their rolled copies: three complex values per site
+    blocks = math.gcd(cfg.n_phi, ny)
+    check_work(3 * (nx * ny // blocks), f"the lattice spectrum on the {nx}x{ny} grid", "choose a coarser grid")
+    wells = cfg.n_phi // blocks
     # the potential cut, WELL_MARGIN above the ceil(k/wells)-th Landau level,
     # the top one each well holds when the wells share the cluster structure
     cut = -(-k // wells) + WELL_MARGIN
     rows, sizes, worst = [], [], 0.0
-    for m0 in range(math.gcd(cfg.n_phi, ny)):
+    for m0 in range(blocks):
         diag, hop = bloch_chain(cfg, nx, ny, m0)
         start = int(np.argmax(diag))
         diag, links = np.roll(diag, -start), np.roll(np.abs(hop), -start)

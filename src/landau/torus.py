@@ -115,6 +115,14 @@ def image_count(cfg: TorusConfig, label) -> int:
     return sum(max(0, last - first + 1) for first, last in (_image_bounds(*args) for args in sums))
 
 
+def work_elements(cfg: TorusConfig, nx: int, ny: int, labels, grids: int) -> int:
+    """Complex values held at most on the nx x ny grid while `grids` closed
+    grids are alive at once, plus the largest image sum's factor matrices
+    over the states of `labels`, counted without building anything."""
+    images = max(image_count(cfg, label) for label in labels)
+    return grids * (nx + 1) * (ny + 1) + images * (nx + ny + 2)
+
+
 class SampledState:
     """Complex amplitudes on the closed grid of the fundamental domain.
 
@@ -210,10 +218,35 @@ def torus_inner(a: SampledState, b: SampledState) -> complex:
     return grid_vdot(a.core, b.core) * (a.hx * a.hy)
 
 
+def _gram(rows, cols=None) -> np.ndarray:
+    """G[i, j] = grid_vdot(rows[i], cols[j]) for arrays of one shape, each
+    row conjugated once. Without cols, G = grid_vdot(rows[i], rows[j]) is
+    Hermitian, and its lower triangle is filled with the conjugate of the
+    upper one. Summed directly, a lower entry can differ from that in the
+    last bit of its imaginary part: numpy's complex multiply may fuse a
+    multiply and an add, so conj(b) * a is conj(conj(a) * b) only up to
+    rounding."""
+    hermitian = cols is None
+    cols = rows if hermitian else cols
+    g = np.empty((len(rows), len(cols)), dtype=complex)
+    for i, a in enumerate(rows):
+        conj_a = np.conjugate(a, dtype=complex)
+        for j in range(i if hermitian else 0, len(cols)):
+            value = np.add.reduce((conj_a * cols[j]).ravel())
+            if hermitian:
+                # overwritten by the line below on the diagonal, j == i
+                g[j, i] = value.conjugate()
+            g[i, j] = value
+    return g
+
+
 def gram_matrix(states) -> np.ndarray:
     """All inner products G[i, j] = <states[i]|states[j]> of states on one
     grid."""
-    return np.array([[torus_inner(a, b) for b in states] for a in states])
+    shapes = {s.values.shape for s in states}
+    if len(shapes) > 1:
+        raise ValueError(f"grid mismatch: {sorted(shapes)}")
+    return _gram([s.core for s in states]) * (states[0].hx * states[0].hy)
 
 
 def torus_norm(a: SampledState) -> float:
@@ -549,18 +582,15 @@ def projector_distance(set_a, set_b) -> float:
     def stack(states):
         return np.stack([s.core.ravel() * math.sqrt(s.hx * s.hy) for s in states])
 
-    def gram(u, v):
-        return np.array([[grid_vdot(a, b) for b in v] for a in u])
-
     va = stack(set_a)
     vb = stack(set_b)
     for name, v in (("A", va), ("B", vb)):
-        if np.max(np.abs(gram(v, v) - np.eye(len(v)))) > ORTHONORMAL_TOL:
+        if np.max(np.abs(_gram(v) - np.eye(len(v)))) > ORTHONORMAL_TOL:
             raise ValueError(f"input set {name} is not orthonormal within {ORTHONORMAL_TOL}")
 
     def residual_norm(u, v):
-        r = v - np.einsum("ij,in->jn", gram(u, v), u, optimize=False)
-        return math.sqrt(max(float(np.max(np.linalg.eigvalsh(gram(r, r)))), 0.0))
+        r = v - np.einsum("ij,in->jn", _gram(u, v), u, optimize=False)
+        return math.sqrt(max(float(np.max(np.linalg.eigvalsh(_gram(r)))), 0.0))
 
     return max(residual_norm(va, vb), residual_norm(vb, va))
 

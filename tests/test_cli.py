@@ -205,10 +205,9 @@ def test_spectrum_overlapping_wells_exits_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_verify_sizes_its_work_before_allocating(tmp_path):
-    # lx = 1e-8 asks for a 32 x 1121000 grid and image sums of 903 GiB; under
-    # a 2 GiB address-space cap, set in the child process only, verify must
-    # refuse it as a usage error before it allocates
+def run_capped(args, out_dir):
+    """`landau args --out-dir out_dir` in a child process under a 2 GiB
+    address-space cap, set in the child only."""
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
@@ -217,13 +216,38 @@ def test_verify_sizes_its_work_before_allocating(tmp_path):
     )
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out_dir = tmp_path / "out"
-    done = subprocess.run(
-        [sys.executable, "-c", script, "verify", "--nphi", "2", "--lx", "1e-8", "--out-dir", str(out_dir)],
+    return subprocess.run(
+        [sys.executable, "-c", script, *args, "--out-dir", str(out_dir)],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_verify_sizes_its_work_before_allocating(tmp_path):
+    # lx = 1e-8 asks for a 32 x 1121000 grid and image sums of 903 GiB; under
+    # the cap verify must refuse it as a usage error before it allocates
+    out_dir = tmp_path / "out"
+    done = run_capped(["verify", "--nphi", "2", "--lx", "1e-8"], out_dir)
     assert done.returncode == 2, done.stderr
     assert "32x1121000 grid would hold 1.15e+03 times the work budget" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # its chain would hold a 20000 x 20000 float64 diagonal alone, 2.98 GiB
+        (["spectrum", "--nphi", "1", "--grid", "20000"], "the lattice spectrum on the 20000x20000 grid would hold 17.8"),
+        # its state would be 5.96 GiB of complex128
+        (["density", "--nphi", "1", "--n", "0", "--grid", "20000"], "density on the 20000x20000 grid would hold 29.7"),
+    ],
+    ids=["spectrum", "density"],
+)
+def test_export_commands_size_their_work_before_allocating(tmp_path, args, message):
+    out_dir = tmp_path / "out"
+    done = run_capped(args, out_dir)
+    assert done.returncode == 2, done.stderr
+    assert f"{message} times the work budget of 67371264 complex values" in done.stderr
     assert "Traceback" not in done.stderr
     assert not out_dir.exists()
 
@@ -472,11 +496,11 @@ def test_verify_timing_only_in_manifest(tmp_path):
     assert all(set(c) == {"name", "time_s"} and c["time_s"] >= 0.0 for c in timed)
     grid = read_json(dirs[0] / "verify_manifest.json")["heisenberg_grid"]
     assert grid == {
-        "points_per_side": 571,
+        "points_per_side": 381,
         "h_over_lB": pytest.approx(math.sqrt(GRID_BUDGET)),
         "margin": 6,
         "block_rows": 64,
-        "blocks": 9,
+        "blocks": 6,
     }
 
 

@@ -170,6 +170,32 @@ def test_representation_homomorphism_random_pairs(n_phi):
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize("n_phi", [2, 3, 4])
+def test_homomorphism_defect_builds_each_matrix_once(n_phi, monkeypatch):
+    rep = clock_and_shift(n_phi)
+    els = elements(n_phi)
+    pairs = list(itertools.product(els, repeat=2))
+    built = []
+
+    def counting(rep, g):
+        built.append(g)
+        return represent(rep, g)
+
+    monkeypatch.setattr(maggroup, "represent", counting)
+    assert maggroup.homomorphism_defect(rep, pairs) < 1e-12
+    assert sorted(built, key=repr) == sorted(els, key=repr)
+
+
+def test_homomorphism_defect_sees_a_wrong_phase():
+    # a clock matrix with the conjugate phases breaks the Weyl relation the
+    # group law of `multiply` encodes
+    rep = clock_and_shift(3)
+    wrong = maggroup.UnitaryRep(3, rep.tx, rep.ty.conj())
+    pairs = list(itertools.product(elements(3), repeat=2))
+    assert maggroup.homomorphism_defect(rep, pairs) < 1e-12
+    assert maggroup.homomorphism_defect(wrong, pairs) > 1.0
+
+
 def test_modulus_mismatch_errors():
     with pytest.raises(ValueError):
         multiply(GroupElement(0, 0, 0, 2), GroupElement(0, 0, 0, 3))

@@ -138,6 +138,19 @@ def test_gram_matrix_matches_pairwise_inner():
     gram = gram_matrix(states)
     pairwise = np.array([[torus_inner(a, b) for b in states] for a in states])
     assert np.max(np.abs(gram - pairwise)) <= 1e-14
+    # the upper triangle and diagonal are summed as torus_inner sums them, and
+    # the lower triangle is the upper one conjugated
+    upper = np.triu_indices(len(states))
+    assert np.array_equal(gram[upper], pairwise[upper])
+    lower = np.tril_indices(len(states), -1)
+    assert np.array_equal(gram[lower], gram.T[lower].conj())
+
+
+def test_gram_matrix_rejects_mixed_grids():
+    cfg = make_cfg(2)
+    a, b = (torus_eigenstate(cfg, TorusLabel(0, 0), nx=n, ny=32) for n in (32, 34))
+    with pytest.raises(ValueError, match="grid mismatch"):
+        gram_matrix([a, b])
 
 
 def test_fig2_density_peak():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import landau
-from landau import TorusConfig
-from landau.config import GRID_BUDGET
+from landau import TorusConfig, verify
+from landau.config import GRID_BUDGET, grid_spacing
 from landau.finitediff import apply_fd_operator
 from landau.plane import CoherentLabel, _coherent_raw, coherent_amplitude, sample_plane
 from landau.torus import TorusLabel, default_grid, eigenvalue_residual, torus_eigenstate
@@ -104,6 +104,17 @@ def test_heisenberg_blocks_match_full_grid(cfg):
     want = reference_heisenberg(cfg)
     assert _heisenberg_residual(cfg) == pytest.approx(want, rel=1e-5)
     assert want < 1e-6
+
+
+def test_full_grid_guard_fails_a_plane_grid_reaching_5_lB(monkeypatch):
+    # the check's grid reaches 6 l_B; at 5 l_B the packet's cut-off tail moves
+    # the residual by 1.4e-4 relative, which the guard above must catch
+    cfg = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=1)
+    want = reference_heisenberg(cfg)
+    assert _heisenberg_residual(cfg) == pytest.approx(want, rel=1e-5)
+    h = grid_spacing(cfg)
+    monkeypatch.setattr(verify, "_plane_grid", lambda cfg: (h, int(math.ceil(5.0 / math.sqrt(cfg.mass_omega) / h))))
+    assert _heisenberg_residual(cfg) != pytest.approx(want, rel=1e-5)
 
 
 def test_commutator_blocks_equal_full_grid_bit_for_bit():
