@@ -207,8 +207,8 @@ def chain_spectra(cfg, nx: int, ny: int, k: int) -> tuple[np.ndarray, dict]:
     wells overlap (ValueError). The grid must pass `config.check_grid`, and
     the chains must fit `config.WORK_BUDGET`."""
     check_grid(cfg, nx, ny)
-    # a chain's diagonal, hops and their rolled copies: three complex values per site
     blocks = math.gcd(cfg.n_phi, ny)
+    # a chain's diagonal, hops and their rolled copies: three complex values per site
     check_work(3 * (nx * ny // blocks), f"the lattice spectrum on the {nx}x{ny} grid", "choose a coarser grid")
     wells = cfg.n_phi // blocks
     # the potential cut, WELL_MARGIN above the ceil(k/wells)-th Landau level,
