@@ -74,6 +74,7 @@ from .torus import (
     sample_on_torus,
     torus_coherent,
     torus_eigenstate,
+    torus_eigenstates,
     torus_inner,
     translation_expectation,
 )

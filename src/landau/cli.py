@@ -152,6 +152,22 @@ def cmd_spectrum(args, run) -> int:
     return 0
 
 
+# Closed grids `density` holds at once (tracemalloc peaks at 512^2): building
+# a coherent state holds up to 5 (its image sums and their products, at odd
+# n_phi), an 'lx' state 3 (the cross phase, the sum and their product) and an
+# 'ly' state 2 (the sum and its normalised copy); the writers then hold the
+# state and its float density, 2.5.
+_BUILD_GRIDS = {"coherent": 5, "lx": 3, "ly": 2}
+_WRITE_GRIDS = 2.5
+
+
+def density_work(cfg, grid: int, label) -> int:
+    """Complex values `density` holds at most for the state of `label` on the
+    closed grid x grid grid, counted without building anything."""
+    kind = "coherent" if isinstance(label, CoherentLabel) else label.basis
+    return work_elements(cfg, grid, grid, [label], max(_BUILD_GRIDS[kind], _WRITE_GRIDS))
+
+
 def cmd_density(args, run) -> int:
     cfg = _merge_config(args, run)
     check_grid(cfg, args.grid, args.grid)
@@ -175,9 +191,7 @@ def cmd_density(args, run) -> int:
         }
     else:
         raise ValueError("no state selected: pass --n/--l or --lam/--lam-prime")
-    # five grids: the coherent image sum's peak, the most of any state here
-    work = work_elements(cfg, grid, grid, [label], 5)
-    check_work(work, f"density on the {grid}x{grid} grid", "choose a smaller --grid")
+    check_work(density_work(cfg, grid, label), f"density on the {grid}x{grid} grid", "choose a smaller --grid")
     with run.stage("state"):
         if coherent_selector:
             # a huge label overflows the amplitude to NaN; the check below rejects it

@@ -15,23 +15,35 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class _Element(NamedTuple):
     nx: int
     ny: int
     m: int
     n_phi: int
 
-    def __post_init__(self):
-        if self.n_phi < 1:
-            raise ValueError(f"n_phi must be >= 1, got {self.n_phi}")
-        object.__setattr__(self, "nx", self.nx % self.n_phi)
-        object.__setattr__(self, "ny", self.ny % self.n_phi)
-        object.__setattr__(self, "m", self.m % self.n_phi)
+
+class GroupElement(_Element):
+    """g(nx, ny, m) of the group of order n_phi^3, its components reduced mod
+    n_phi. An immutable tuple (nx, ny, m, n_phi): elements compare and hash
+    as those tuples, so an element also equals the plain tuple of its
+    reduced components."""
+
+    __slots__ = ()
+
+    def __new__(cls, nx: int, ny: int, m: int, n_phi: int):
+        if n_phi < 1:
+            raise ValueError(f"n_phi must be >= 1, got {n_phi}")
+        return tuple.__new__(cls, (nx % n_phi, ny % n_phi, m % n_phi, n_phi))
+
+    @classmethod
+    def _make(cls, iterable):
+        # reduces, like the constructor; _replace builds through it
+        return cls(*iterable)
 
     def __repr__(self):
         return f"g({self.nx},{self.ny},{self.m})"

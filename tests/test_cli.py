@@ -12,10 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from landau.cli import build_parser, main
-from landau.config import GRID_BUDGET, TorusConfig
+from landau.cli import build_parser, density_work, main
+from landau.config import GRID_BUDGET, TorusConfig, check_work
 from landau.maggroup import GroupElement, multiply
 from landau.plane import CoherentLabel, coherent_expectations, evolve_coherent
+from landau.torus import TorusLabel, image_count
+from landau.verify import _BLOCK_ROWS
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -238,8 +240,8 @@ def test_verify_sizes_its_work_before_allocating(tmp_path):
     [
         # its chain would hold a 20000 x 20000 float64 diagonal alone, 2.98 GiB
         (["spectrum", "--nphi", "1", "--grid", "20000"], "the lattice spectrum on the 20000x20000 grid would hold 17.8"),
-        # its state would be 5.96 GiB of complex128
-        (["density", "--nphi", "1", "--n", "0", "--grid", "20000"], "density on the 20000x20000 grid would hold 29.7"),
+        # its state would be 5.96 GiB of complex128, 2.5 grids with the writers
+        (["density", "--nphi", "1", "--n", "0", "--grid", "20000"], "density on the 20000x20000 grid would hold 14.8"),
     ],
     ids=["spectrum", "density"],
 )
@@ -250,6 +252,23 @@ def test_export_commands_size_their_work_before_allocating(tmp_path, args, messa
     assert f"{message} times the work budget of 67371264 complex values" in done.stderr
     assert "Traceback" not in done.stderr
     assert not out_dir.exists()
+
+
+def test_density_budget_follows_the_state_kind():
+    # arithmetic only: the measured peak of each kind's build, or the
+    # writers' 2.5 grids when that is larger, plus the image sum's factors
+    cfg = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=1)
+    closed = 20001**2
+    for label, grids in (
+        (TorusLabel(0, 0), 2.5),
+        (TorusLabel(0, 0, "lx"), 3),
+        (CoherentLabel(0.3, 0.2j), 5),
+    ):
+        assert density_work(cfg, 20000, label) == math.ceil(grids * closed) + image_count(cfg, label) * 40002
+    # a grid that an eigenstate fits and a coherent state does not
+    check_work(density_work(cfg, 4500, TorusLabel(3, 0, "lx")), "lx", "")
+    with pytest.raises(ValueError, match="work budget"):
+        check_work(density_work(cfg, 4500, CoherentLabel(0.3, 0.2j)), "coherent", "")
 
 
 def test_spectrum_levels_below_one_names_the_flag(tmp_path, capsys):
@@ -499,8 +518,8 @@ def test_verify_timing_only_in_manifest(tmp_path):
         "points_per_side": 381,
         "h_over_lB": pytest.approx(math.sqrt(GRID_BUDGET)),
         "margin": 6,
-        "block_rows": 64,
-        "blocks": 6,
+        "block_rows": _BLOCK_ROWS,
+        "blocks": math.ceil((381 - 12) / _BLOCK_ROWS),
     }
 
 

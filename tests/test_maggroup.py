@@ -203,6 +203,28 @@ def test_modulus_mismatch_errors():
         represent(clock_and_shift(3), GroupElement(0, 0, 0, 4))
 
 
+def test_group_element_value_semantics():
+    g = GroupElement(5, -1, 11, 4)
+    assert (g.nx, g.ny, g.m, g.n_phi) == (1, 3, 3, 4)
+    assert repr(g) == "g(1,3,3)"
+    # equal elements are equal and hash alike whatever components built them
+    same = GroupElement(1, 7, -1, 4)
+    assert g == same and hash(g) == hash(same)
+    assert len({g, same, GroupElement(1, 3, 3, 4)}) == 1
+    assert g != GroupElement(1, 3, 3, 5) and g != GroupElement(1, 3, 2, 4)
+    # an element is the tuple of its reduced components, so it equals that tuple
+    assert g == (1, 3, 3, 4) and tuple(g) == (1, 3, 3, 4)
+    # _replace builds through the constructor, so it reduces too
+    assert g._replace(m=6) == GroupElement(1, 3, 2, 4)
+    with pytest.raises(AttributeError):
+        g.nx = 2
+    with pytest.raises(AttributeError):
+        g.extra = 0
+    for n_phi in (0, -3):
+        with pytest.raises(ValueError, match="n_phi must be >= 1"):
+            GroupElement(0, 0, 0, n_phi)
+
+
 @pytest.mark.parametrize("n_phi", [2, 3, 4, 5])
 def test_quotient_by_center_is_translation_product(n_phi):
     # coset table must match componentwise addition mod n_phi

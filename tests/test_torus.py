@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,17 @@ from landau import (
 from landau.gauge import x_boundary_twist, y_boundary_twist
 from landau.oscillator import hermite_eigenfunction
 from landau.plane import _coherent_raw, evolve_coherent
-from landau.torus import SampledState, grid_axes, normalized, torus_norm
+from landau.torus import (
+    SampledState,
+    _eigenstate_images,
+    _image_indices,
+    _series_reach,
+    default_grid,
+    grid_axes,
+    normalized,
+    torus_eigenstates,
+    torus_norm,
+)
 from oracles import covariant_eigen_residual
 
 TWO_PI = 2.0 * math.pi
@@ -130,6 +141,69 @@ def test_eigenstate_product_sum_property(n_phi, angles, aspect, level, l, basis,
     assert_eigenstate_matches_reference(
         cfg, TorusLabel(level, l, basis), n_phi * cells[0], n_phi * cells[1]
     )
+
+
+def complex_sum_eigenstate(cfg, label, nx, ny):
+    """`torus_eigenstate` as one complex contraction over the image index,
+    factors stored y-major ('ly') or x-major ('lx'): the form the real-plane
+    'ly' sum replaced, which it must reproduce bit for bit."""
+    mw = cfg.mass_omega
+    xs, ys = grid_axes(cfg, nx, ny)
+    k = _image_indices(*_eigenstate_images(cfg, label))
+    if label.basis == "ly":
+        kval = cfg.n_phi * k + label.l + cfg.theta_y / TWO_PI
+        profile = hermite_eigenfunction(mw, label.n, xs[:, None] + kval * cfg.ax)
+        wave = np.exp(TWO_PI * 1j * ys[:, None] * kval / cfg.ly - 1j * cfg.theta_x * k)
+        values = np.einsum("xk,yk->xy", profile, wave, optimize=False)
+    else:
+        cross = np.exp(-TWO_PI * 1j * cfg.n_phi * xs[:, None] * ys[None, :] / (cfg.lx * cfg.ly))
+        qval = cfg.n_phi * k + label.l + cfg.theta_x / TWO_PI
+        profile = hermite_eigenfunction(mw, label.n, ys[:, None] - qval * cfg.ay)
+        wave = np.exp(TWO_PI * 1j * xs[:, None] * qval / cfg.lx + 1j * cfg.theta_y * k)
+        values = cross * np.einsum("xk,yk->xy", wave, profile, optimize=False)
+    return normalized(SampledState(cfg, values))
+
+
+# verify's grid for its seeded n_phi = 2 torus, and export-sized grids: the
+# 'lx' cross product is 256 KiB and more only on the latter, where numpy
+# multiplies in the other operand order (torus_eigenstates)
+LAYOUT_GRIDS = {
+    "verify-124x102": (make_cfg(2, 0.7, 2.1, lx=1.1, ly=1.0 / 1.1), 124, 102),
+    "export-513": (make_cfg(3, 0.7, 2.1), 513, 513),
+    "export-512": (make_cfg(2, 0.7, 2.1), 512, 512),
+}
+
+
+@pytest.mark.parametrize("basis", ["ly", "lx"])
+@pytest.mark.parametrize("grid", LAYOUT_GRIDS.values(), ids=LAYOUT_GRIDS.keys())
+def test_eigenstates_equal_complex_sum_bit_for_bit(grid, basis):
+    cfg, nx, ny = grid
+    labels = [TorusLabel(n, l, basis) for n in (0, 2) for l in range(cfg.n_phi)]
+    for label, got in zip(labels, torus_eigenstates(cfg, labels, nx, ny)):
+        want = complex_sum_eigenstate(cfg, label, nx, ny)
+        assert got.values.tobytes() == want.values.tobytes(), label
+        assert got.values.tobytes() == torus_eigenstate(cfg, label, nx, ny).values.tobytes(), label
+
+
+def test_sampled_state_values_are_c_contiguous():
+    # density_map's sums run in memory order, so every state is C-ordered
+    cfg = make_cfg(2)
+    ly, lx = torus_eigenstates(cfg, [TorusLabel(1, 1), TorusLabel(1, 1, "lx")], 32, 24)
+    coherent = torus_coherent(cfg, CoherentLabel(0.3 + 0.2j, -0.1 + 0.4j), nx=32, ny=24)
+    fortran = SampledState(cfg, np.asfortranarray(ly.values))
+    states = [ly, lx, coherent, fortran, apply_tx(ly), apply_ty(lx), apply_operator("H", ly), normalized(lx)]
+    for st in states:
+        assert st.values.flags.c_contiguous
+    assert np.array_equal(fortran.values, ly.values)
+
+
+def test_sampled_state_axes_are_built_once():
+    st = torus_eigenstate(make_cfg(2), TorusLabel(0, 1), nx=32, ny=24)
+    assert st.xs is st.xs and st.ys is st.ys
+    xs, ys = grid_axes(st.config, 32, 24)
+    assert np.array_equal(st.xs, xs) and np.array_equal(st.ys, ys)
+    with pytest.raises(ValueError):
+        st.xs[0] = 1.0
 
 
 def test_gram_matrix_matches_pairwise_inner():
@@ -523,6 +597,37 @@ def test_translation_expectation_matches_series(direction, l):
     assert abs(quad - series) < 1e-10
 
 
+def test_translation_series_equals_term_by_term_sum():
+    # the series with its per-term constants hoisted, against every term
+    # computed anew: the same floating-point operations, bit for bit
+    from landau.plane import coherent_center
+
+    for cfg, lab in (
+        (make_cfg(1), CoherentLabel(0.35 + 0.2j, 0.3 - 0.4j)),
+        (make_cfg(3, 0.7, 2.1, lx=1.3, ly=0.77), CoherentLabel(-0.2 + 0.5j, 0.1 + 0.1j)),
+    ):
+        mw = cfg.mass_omega
+
+        def term(lx, ly):
+            rx, ry = coherent_center(cfg, lab)
+            gauss = math.exp(-(math.pi**2 / mw) * (lx**2 / cfg.ly**2 + ly**2 / cfg.lx**2))
+            phase = (
+                -math.pi * lx * ly / cfg.n_phi
+                + (TWO_PI * ry / cfg.ly - cfg.theta_x / cfg.n_phi) * lx
+                - (TWO_PI * rx / cfg.lx + cfg.theta_y / cfg.n_phi) * ly
+            )
+            return gauss * complex(math.cos(phase), math.sin(phase))
+
+        n, mm = cfg.n_phi, _series_reach(cfg)
+        for lx, ly in ((1, 0), (0, 2), (1, 1)):
+            num = den = 0.0 + 0.0j
+            for mx in range(-mm, mm + 1):
+                for my in range(-mm, mm + 1):
+                    num += term(n * mx + lx, n * my + ly)
+                    den += term(n * mx, n * my)
+            assert coherent_translation_series(cfg, lab, lx=lx, ly=ly) == complex(num / den)
+
+
 def test_phase_recovers_center_modulo_periods():
     cfg = make_cfg(2, theta_x=0.9, theta_y=2.3)
     lab = CoherentLabel(0.25 + 0.15j, 0.5 - 0.3j)
@@ -576,6 +681,75 @@ def test_distinct_levels_are_orthogonal_subspaces():
     level0 = [torus_eigenstate(cfg, TorusLabel(0, l), nx=nx, ny=ny) for l in range(2)]
     level1 = [torus_eigenstate(cfg, TorusLabel(1, l), nx=nx, ny=ny) for l in range(2)]
     assert projector_distance(level0, level1) == pytest.approx(1.0, abs=1e-8)
+
+
+def random_family(cfg, rng, count, nx=24, ny=16, basis=None):
+    """count seeded random states on the nx x ny grid, orthonormal under the
+    grid inner product; with basis, its first columns span basis's span."""
+    h = math.sqrt(cfg.lx / nx * cfg.ly / ny)
+    cols = rng.normal(size=(nx * ny, count)) + 1j * rng.normal(size=(nx * ny, count))
+    if basis is not None:
+        cols[:, : len(basis)] = np.stack([s.core.ravel() * h for s in basis], axis=1)
+    q = np.linalg.qr(cols)[0] / h
+    states = []
+    for col in q.T:
+        values = np.zeros((nx + 1, ny + 1), dtype=complex)
+        values[:-1, :-1] = col.reshape(nx, ny)
+        states.append(SampledState(cfg, values))
+    return states
+
+
+def two_sided_distance(set_a, set_b):
+    """max(|(I - P_A) V_B|, |(I - P_B) V_A|) by SVD of the grid vectors."""
+    def matrix(states):
+        return np.stack([s.core.ravel() * math.sqrt(s.hx * s.hy) for s in states], axis=1)
+
+    va, vb = matrix(set_a), matrix(set_b)
+
+    def side(u, v):
+        return np.linalg.norm(v - u @ (u.conj().T @ v), 2)
+
+    return max(side(va, vb), side(vb, va))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_projector_distance_one_side_matches_two_sided(count):
+    cfg = make_cfg(2)
+    rng = np.random.default_rng(27 + count)
+    set_a = random_family(cfg, rng, count)
+    far = random_family(cfg, rng, count)
+    # set_a turned by a small random unitary, then mixed with a tiny
+    # component off its span: a distance of about 1e-3
+    near = random_family(cfg, rng, 2 * count, basis=set_a)
+    mixed = [SampledState(cfg, a.values + 1e-3 * b.values) for a, b in zip(set_a, near[count:])]
+    close = random_family(cfg, rng, count, basis=mixed)
+    for set_b in (far, close):
+        got = projector_distance(set_a, set_b)
+        assert got == pytest.approx(two_sided_distance(set_a, set_b), abs=1e-14)
+        assert got == pytest.approx(projector_distance(set_b, set_a), abs=1e-14)
+    assert 1e-4 < projector_distance(set_a, close) < 1e-2
+
+
+def test_projector_distance_of_unequal_families_takes_both_sides():
+    # span(small) lies inside span(large): (I - P_large) V_small = 0 but
+    # (I - P_small) V_large has norm 1, and the distance is the larger side
+    cfg = make_cfg(2)
+    rng = np.random.default_rng(5)
+    small = random_family(cfg, rng, 2)
+    large = random_family(cfg, rng, 3, basis=small)
+    assert projector_distance(small, large) == pytest.approx(1.0, abs=1e-12)
+    assert projector_distance(large, small) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_projector_distance_sees_a_dropped_theta_x():
+    # the 'lx' family of the torus with theta_x = 0 spans another subspace
+    cfg = make_cfg(2, theta_x=0.7, theta_y=2.1)
+    nx, ny = default_grid(cfg)
+    set_ly = torus_eigenstates(cfg, [TorusLabel(0, l) for l in range(2)], nx, ny)
+    lx_labels = [TorusLabel(0, l, "lx") for l in range(2)]
+    dropped = [SampledState(cfg, s.values) for s in torus_eigenstates(replace(cfg, theta_x=0.0), lx_labels, nx, ny)]
+    assert projector_distance(set_ly, torus_eigenstates(cfg, lx_labels, nx, ny)) < 1e-8
+    assert projector_distance(set_ly, dropped) > 0.1
 
 
 def test_projector_distance_requires_orthonormal_input():

@@ -118,14 +118,16 @@ def test_full_grid_guard_fails_a_plane_grid_reaching_5_lB(monkeypatch):
 
 
 def test_commutator_blocks_equal_full_grid_bit_for_bit():
-    # 151 x-rows keep 139 interior rows: two blocks of 64 and a partial one of 11
+    # 151 x-rows keep 139 interior rows: full blocks and one partial block
     cfg = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=2)
     xs = 0.035 * np.arange(-75, 76) + 0.1
     ys = 0.04 * np.arange(-60, 61)
     amp = coherent_amplitude(cfg, CoherentLabel(0.3 + 0.2j, -0.1 + 0.4j))
     values, comm = full_commutator(cfg, amp, xs, ys)
     blocks = list(_commutator_blocks(cfg, lambda i0, i1: sample_plane(amp, xs[i0:i1], ys), xs, ys))
-    assert [len(v) for v, _ in blocks] == [64, 64, 11]
+    full, rest = divmod(139, _BLOCK_ROWS)
+    assert rest > 0
+    assert [len(v) for v, _ in blocks] == [_BLOCK_ROWS] * full + [rest]
     got_values = np.concatenate([v for v, _ in blocks])
     got_comm = np.concatenate([c for _, c in blocks])
     assert got_values.shape == got_comm.shape == (139, 121 - 12)
