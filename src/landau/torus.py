@@ -278,11 +278,7 @@ def normalized(state: SampledState) -> SampledState:
     n = torus_norm(state)
     if n == 0.0:
         raise ValueError("cannot normalize the zero state")
-    # numpy divides a complex by a real n by Smith's method, which reduces to
-    # (re + im * 0) * (1/n) and (im - re * 0) * (1/n); the float view times
-    # 1/n gives every nonzero part bit for bit (an exact zero may come out -0
-    # in place of +0), 8x faster
-    return SampledState(state.config, (state.values.view(float) * (1.0 / n)).view(complex))
+    return SampledState(state.config, state.values / n)
 
 
 # ---------------------------------------------------------------------------
@@ -623,11 +619,14 @@ def projector_distance(set_a, set_b) -> float:
     orthonormal families of SampledStates on one grid (grid inner products).
 
     That norm is max(|(I - P_A) V_B|, |(I - P_B) V_A|) for orthonormal
-    columns V_A, V_B, and for families of one size the two sides are equal
-    (both are the sine of the largest principal angle), so only one is
-    built. Each residual R = V_B - V_A (V_A^H V_B) is built on the grid,
-    since forming I - M^H M instead would lose every digit below 1e-8 to
-    cancellation, and |R|^2 is the top eigenvalue of the small matrix
+    columns V_A, V_B, and one side always attains it: for families of one
+    size the two sides are equal (both are the sine of the largest principal
+    angle), and for families of different sizes the norm is 1, which the
+    smaller family's side reaches, since the larger span holds a unit vector
+    orthogonal to the smaller one. So only R = V - U (U^H V) is built, with U
+    the smaller family (set_a at equal sizes) and V the other. R is built on
+    the grid, since forming I - M^H M instead would lose every digit below
+    1e-8 to cancellation, and |R|^2 is the top eigenvalue of the small matrix
     R^H R. The grid vectors are the cores themselves, and the quadrature
     weight hx*hy scales the small matrices instead."""
     weight = set_a[0].hx * set_a[0].hy
@@ -637,22 +636,18 @@ def projector_distance(set_a, set_b) -> float:
         if np.max(np.abs(_gram(cores) * weight - np.eye(len(cores)))) > ORTHONORMAL_TOL:
             raise ValueError(f"input set {name} is not orthonormal within {ORTHONORMAL_TOL}")
 
-    def residual_norm(u, v):
-        m = _gram(u, v) * weight
-        r = []
-        # an axpy over one core per term; with no stacked, scaled copies of
-        # the families the distance took 1.8x less time than one einsum over
-        # such copies, at n_phi = 4 on 160^2
-        for j, vj in enumerate(v):
-            rj = vj - m[0, j] * u[0]
-            for i in range(1, len(u)):
-                rj -= m[i, j] * u[i]
-            r.append(rj)
-        return math.sqrt(max(float(np.max(np.linalg.eigvalsh(_gram(r) * weight))), 0.0))
-
-    if len(cores_a) == len(cores_b):
-        return residual_norm(cores_a, cores_b)
-    return max(residual_norm(cores_a, cores_b), residual_norm(cores_b, cores_a))
+    u, v = sorted((cores_a, cores_b), key=len)
+    m = _gram(u, v) * weight
+    r = []
+    # an axpy over one core per term; with no stacked, scaled copies of the
+    # families this took 3.5-5 ms against 7.5 ms for one einsum over such
+    # copies, at n_phi = 4 on 160^2 (2-CPU Xeon)
+    for j, vj in enumerate(v):
+        rj = vj - m[0, j] * u[0]
+        for i in range(1, len(u)):
+            rj -= m[i, j] * u[i]
+        r.append(rj)
+    return math.sqrt(max(float(np.max(np.linalg.eigvalsh(_gram(r) * weight))), 0.0))
 
 
 @dataclass(frozen=True)

@@ -315,6 +315,9 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     add("tx_ladder_overlap", ladder, 1.0e-8)
     ty_eig = abs(torus_inner(s0, ty0) - 1.0)
     add("ty_eigenvalue", ty_eig, 1.0e-8)
+    # released before the 'lx' family and the coherent state are built: the
+    # budget above counts one grid beyond the states
+    del tx0, ty0
 
     # the two degeneracy bases span the same subspace
     set_ly = [states[(0, l)] for l in range(n)]

@@ -730,15 +730,18 @@ def test_projector_distance_one_side_matches_two_sided(count):
     assert 1e-4 < projector_distance(set_a, close) < 1e-2
 
 
-def test_projector_distance_of_unequal_families_takes_both_sides():
+def test_projector_distance_of_unequal_families_is_one():
     # span(small) lies inside span(large): (I - P_large) V_small = 0 but
-    # (I - P_small) V_large has norm 1, and the distance is the larger side
+    # (I - P_small) V_large has norm 1, the distance, in either argument order
     cfg = make_cfg(2)
     rng = np.random.default_rng(5)
     small = random_family(cfg, rng, 2)
     large = random_family(cfg, rng, 3, basis=small)
-    assert projector_distance(small, large) == pytest.approx(1.0, abs=1e-12)
-    assert projector_distance(large, small) == pytest.approx(1.0, abs=1e-12)
+    # and for two unrelated families of sizes 1 and 4
+    one, four = random_family(cfg, rng, 1), random_family(cfg, rng, 4)
+    for set_a, set_b in ((small, large), (large, small), (one, four), (four, one)):
+        assert projector_distance(set_a, set_b) == pytest.approx(1.0, abs=1e-12)
+        assert two_sided_distance(set_a, set_b) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_projector_distance_sees_a_dropped_theta_x():
