@@ -11,7 +11,6 @@ matrices appear only in the representation checks.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,26 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class GroupElement:
     """g(nx, ny, m) of the group of order n_phi^3, its components reduced mod
-    n_phi. The constructor reduces and sets the fields itself, which built an
-    element in 0.8 us against 1.45 us for the generated __init__ and a
-    reducing __post_init__ (Python 3.11)."""
+    n_phi."""
 
     nx: int
     ny: int
     m: int
     n_phi: int
 
-    def __init__(self, nx: int, ny: int, m: int, n_phi: int):
-        if n_phi < 1:
-            raise ValueError(f"n_phi must be >= 1, got {n_phi}")
-        put = object.__setattr__
-        put(self, "nx", nx % n_phi)
-        put(self, "ny", ny % n_phi)
-        put(self, "m", m % n_phi)
-        put(self, "n_phi", n_phi)
+    def __post_init__(self):
+        if self.n_phi < 1:
+            raise ValueError(f"n_phi must be >= 1, got {self.n_phi}")
+        for name in ("nx", "ny", "m"):
+            object.__setattr__(self, name, getattr(self, name) % self.n_phi)
 
     def __repr__(self):
         return f"g({self.nx},{self.ny},{self.m})"
@@ -170,12 +164,14 @@ def represent(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
     )
 
 
-def homomorphism_defect(rep: UnitaryRep, pairs) -> float:
-    """max |D(g h) - D(g) D(h)| over the (g, h) in pairs: zero for a true
-    representation. Each distinct element's matrix is built once."""
-    d = functools.cache(lambda g: represent(rep, g))
+def homomorphism_defect(rep: UnitaryRep, table: np.ndarray, pairs) -> float:
+    """max |D(table[g, h]) - D(g) D(h)| over the index pairs (g, h) of
+    `elements(rep.n_phi)`, for a multiplication table on those indices (as
+    `multiplication_indices` gives): zero when rep represents that group law.
+    Each element's matrix is built once."""
+    d = [represent(rep, g) for g in elements(rep.n_phi)]
     return max(
-        (float(np.max(np.abs(d(multiply(g, h)) - d(g) @ d(h)))) for g, h in pairs),
+        (float(np.max(np.abs(d[table[g, h]] - d[g] @ d[h]))) for g, h in pairs),
         default=0.0,
     )
 

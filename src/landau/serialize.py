@@ -4,8 +4,10 @@ identical inputs give byte-identical files.
 
 Floats are written as '%.17g', which round-trips every double, and integers
 as '%d'. The bulk writers (CSV, PGM and the integer tables of `write_json`)
-share one vectorised text encoder, `_encode`, which gives exactly those bytes
-without a `%` conversion per value:
+share one text encoder, `_encode`. Integers reach it only as small alphabets
+(PGM levels, a group table's distinct entries) and take '%d' value by value;
+floats take a vectorised path that gives the bytes of '%.17g' without a `%`
+conversion per value:
 
 * Digits. For a finite nonzero double v let k = floor(log10|v|) and
   S = |v| * 10**(16-k). S is formed as a double-double: Dekker's exact
@@ -31,9 +33,6 @@ without a `%` conversion per value:
   otherwise, trailing zeros and a bare '.' stripped, 'e±dd' or 'e±ddd', '-0'
   kept. Each value becomes a NUL-padded field of _FIELD bytes.
 
-Integers below 2**53 in magnitude take the same path (their S is an integer,
-which the product meets to within its error bound, far inside the margin);
-larger ones, and powers of ten, go to '%d'.
 A writer lays the fields of a chunk of rows side by side with the separators
 in one uint8 matrix, drops its NULs and writes the bytes, so it never holds
 the whole text. A small alphabet (grid coordinates, PGM levels, a repeated
@@ -192,18 +191,22 @@ def _fields(n: np.ndarray, k: np.ndarray, neg: np.ndarray, t: _Tables) -> np.nda
     return out.view(np.uint8)
 
 
+def _percent(fmt: bytes, values: np.ndarray) -> np.ndarray:
+    """fmt % v of each value, as a (size, _FIELD) uint8 matrix of NUL-padded
+    fields."""
+    text = np.array([fmt % x for x in values.tolist()], dtype=f"S{_FIELD}")
+    return text.view(np.uint8).reshape(values.size, _FIELD)
+
+
 def _encode(values) -> np.ndarray:
     """'%.17g' (float arrays) or '%d' (integer arrays) of every value, as a
-    (size, _FIELD) uint8 matrix of NUL-padded fields."""
+    (size, _FIELD) uint8 matrix of NUL-padded fields (module docstring)."""
     v = np.asarray(values).ravel()
+    if v.dtype.kind in "iu":
+        return _percent(b"%d", v)
     t = _tables()
     a = np.abs(v, dtype=np.float64)
     n, k, ok = _float_digits(a, t)
-    if v.dtype.kind in "iu":
-        ok &= a < 2.0**53  # beyond, an integer need not equal its double
-        fmt = b"%d"
-    else:
-        fmt = b"%.17g"
     neg, zero = np.signbit(v), a == 0
     out = _fields(np.where(ok, n, _N_MIN), k, neg, t)
     if zero.any():
@@ -212,8 +215,7 @@ def _encode(values) -> np.ndarray:
         out[zero, 1] = _ASCII_ZERO
     rest = np.flatnonzero(~(ok | zero))
     if rest.size:
-        text = np.array([fmt % x for x in v[rest].tolist()], dtype=f"S{_FIELD}")
-        out[rest] = text.view(np.uint8).reshape(rest.size, _FIELD)
+        out[rest] = _percent(b"%.17g", v[rest])
     return out
 
 

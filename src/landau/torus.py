@@ -434,11 +434,10 @@ def apply_tx(state: SampledState) -> SampledState:
     unitary on the grid inner product for any input; the duplicated boundary
     lines of the result are rebuilt from the twist relation."""
     cfg = state.config
-    core = np.array(state.values[:-1, :-1])
     nx = state.nx
     s = nx // cfg.n_phi
     ys_core = state.ys[:-1]
-    shifted = np.roll(core, -s, axis=0)
+    shifted = np.roll(state.core, -s, axis=0)
     if s > 0:
         shifted[nx - s :, :] *= x_boundary_twist(cfg, ys_core)[None, :]
     gauge = np.exp(TWO_PI * 1j * ys_core / cfg.ly - 1j * cfg.theta_x / cfg.n_phi)
@@ -452,11 +451,10 @@ def apply_ty(state: SampledState) -> SampledState:
 
     an exact roll of the core with the y-twist on the wrapped block."""
     cfg = state.config
-    core = np.array(state.values[:-1, :-1])
     ny = state.ny
     s = ny // cfg.n_phi
     ys_core = state.ys[:-1]
-    shifted = np.roll(core, -s, axis=1)
+    shifted = np.roll(state.core, -s, axis=1)
     if s > 0:
         shifted[:, ny - s :] *= y_boundary_twist(cfg)
     out = np.exp(-1j * cfg.theta_y / cfg.n_phi) * shifted

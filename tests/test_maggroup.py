@@ -175,7 +175,7 @@ def test_representation_homomorphism_random_pairs(n_phi):
 def test_homomorphism_defect_builds_each_matrix_once(n_phi, monkeypatch):
     rep = clock_and_shift(n_phi)
     els = elements(n_phi)
-    pairs = list(itertools.product(els, repeat=2))
+    pairs = list(itertools.product(range(len(els)), repeat=2))
     built = []
 
     def counting(rep, g):
@@ -183,18 +183,19 @@ def test_homomorphism_defect_builds_each_matrix_once(n_phi, monkeypatch):
         return represent(rep, g)
 
     monkeypatch.setattr(maggroup, "represent", counting)
-    assert maggroup.homomorphism_defect(rep, pairs) < 1e-12
+    assert maggroup.homomorphism_defect(rep, maggroup.multiplication_indices(n_phi), pairs) < 1e-12
     assert sorted(built, key=repr) == sorted(els, key=repr)
 
 
 def test_homomorphism_defect_sees_a_wrong_phase():
     # a clock matrix with the conjugate phases breaks the Weyl relation the
-    # group law of `multiply` encodes
+    # group law of the multiplication table encodes
     rep = clock_and_shift(3)
     wrong = maggroup.UnitaryRep(3, rep.tx, rep.ty.conj())
-    pairs = list(itertools.product(elements(3), repeat=2))
-    assert maggroup.homomorphism_defect(rep, pairs) < 1e-12
-    assert maggroup.homomorphism_defect(wrong, pairs) > 1.0
+    table = maggroup.multiplication_indices(3)
+    pairs = list(itertools.product(range(27), repeat=2))
+    assert maggroup.homomorphism_defect(rep, table, pairs) < 1e-12
+    assert maggroup.homomorphism_defect(wrong, table, pairs) > 1.0
 
 
 def test_modulus_mismatch_errors():

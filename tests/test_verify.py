@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,80 @@ def test_checks_serialize():
     payload = checks[0].as_dict()
     assert set(payload) == {"name", "residual", "tolerance", "passed"}
     assert isinstance(payload["residual"], float)
+
+
+# ---------------------------------------------------------------------------
+# the group checks read the table `landau group` writes: a wrong table fails
+# them, whichever route it breaks
+
+
+def group_law(cocycle):
+    """maggroup.multiplication_indices with the cocycle term -nx ny' of the
+    group law scaled by `cocycle`."""
+
+    def table(n):
+        nx, ny, m = (a.ravel() for a in np.indices((n, n, n)))
+        gx, gy, gm = nx[:, None], ny[:, None], m[:, None]
+        return ((gx + nx) % n * n + (gy + ny) % n) * n + (gm + m - cocycle * gx * ny) % n
+
+    return table
+
+
+def permuted_identity_row(n):
+    t = group_law(1)(n)
+    t[0, [1, 2]] = t[0, [2, 1]]
+    return t
+
+
+@pytest.mark.parametrize(
+    "table, failing",
+    [
+        (group_law(1), set()),
+        # without the cocycle the law is still associative, with identity and
+        # inverses, but every element is central
+        (group_law(0), {"group_axioms", "representation_homomorphism"}),
+        # g(nx, ny, m) -> g(nx, ny, -m) maps this law onto the true one, so
+        # the axioms hold, but clock-and-shift does not represent it
+        (group_law(-1), {"representation_homomorphism"}),
+        (permuted_identity_row, {"group_axioms"}),
+    ],
+    ids=["true", "abelian", "flipped-cocycle", "permuted-identity-row"],
+)
+def test_group_checks_read_the_table(table, failing, monkeypatch):
+    monkeypatch.setattr(verify.maggroup, "multiplication_indices", table)
+    checks, _ = run_verification(TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=3))
+    assert {c.name for c in checks if not c.passed} == failing
+
+
+# ---------------------------------------------------------------------------
+# the torus checks hold no more than the work they are budgeted
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=n) for n in (1, 2, 4)]
+    + [TorusConfig(1.0, 1.0, lx=30.0, ly=0.1, n_phi=2)],
+    ids=["nphi1", "nphi2", "nphi4", "30x0.1-nphi2"],
+)
+def test_torus_checks_stay_within_their_work_budget(cfg, monkeypatch):
+    # the torus section ends where the Fock check begins; its complex values
+    # are 16 bytes each
+    budget, peak = [], []
+    fock = verify._fock_commutator_residual
+
+    def probe(rng):
+        peak.append(tracemalloc.get_traced_memory()[1])
+        return fock(rng)
+
+    monkeypatch.setattr(verify, "check_work", lambda work, what, remedy: budget.append(work))
+    monkeypatch.setattr(verify, "_fock_commutator_residual", probe)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_verification(cfg)
+    finally:
+        tracemalloc.stop()
+    assert peak[0] - start <= 16 * budget[0]
 
 
 # ---------------------------------------------------------------------------
