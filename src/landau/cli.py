@@ -122,13 +122,24 @@ def _parse_complex(text: str, flag: str) -> complex:
     return value
 
 
+# Complex values `orbit` and `coherent` hold per sample row, writer included:
+# tracemalloc read 4.5 and 5.0 per row at 262,145 and 524,289 rows, and 5.3
+# and 6.1 at 65,537 rows, where the writer's fixed chunk buffer weighs more.
+# Shorter traces hold more per row but stay far under the budget.
+_TRACE_ROW_VALUES = 6.1
+
+
 def _trace_times(args, period: float) -> np.ndarray:
-    """Sample times for --periods periods at --samples steps each."""
+    """Sample times for --periods periods at --samples steps each, sized
+    against the work budget before anything is allocated."""
     if args.periods < 0:
         raise ValueError(f"--periods must be >= 0, got {args.periods}")
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    return np.linspace(0.0, args.periods * period, args.periods * args.samples + 1)
+    rows = args.periods * args.samples + 1
+    work = math.ceil(rows * _TRACE_ROW_VALUES)
+    check_work(work, f"the {args.command} trace of {rows} samples", "choose fewer --periods or --samples")
+    return np.linspace(0.0, args.periods * period, rows)
 
 
 def cmd_spectrum(args, run) -> int:
@@ -152,20 +163,8 @@ def cmd_spectrum(args, run) -> int:
     return 0
 
 
-# Closed grids `density` holds at once (tracemalloc peaks at 512^2): building
-# a coherent state holds up to 5 (its image sums and their products, at odd
-# n_phi), an 'lx' state 3 (the cross phase, the sum and their product) and an
-# 'ly' state 2 (the sum and its normalised copy); the writers then hold the
-# state and its float density, 2.5.
-_BUILD_GRIDS = {"coherent": 5, "lx": 3, "ly": 2}
+# Closed grids the writers hold at once: the state and its float density.
 _WRITE_GRIDS = 2.5
-
-
-def density_work(cfg, grid: int, label) -> int:
-    """Complex values `density` holds at most for the state of `label` on the
-    closed grid x grid grid, counted without building anything."""
-    kind = "coherent" if isinstance(label, CoherentLabel) else label.basis
-    return work_elements(cfg, grid, grid, [label], max(_BUILD_GRIDS[kind], _WRITE_GRIDS))
 
 
 def cmd_density(args, run) -> int:
@@ -191,7 +190,8 @@ def cmd_density(args, run) -> int:
         }
     else:
         raise ValueError("no state selected: pass --n/--l or --lam/--lam-prime")
-    check_work(density_work(cfg, grid, label), f"density on the {grid}x{grid} grid", "choose a smaller --grid")
+    work = work_elements(cfg, grid, grid, [label], _WRITE_GRIDS)
+    check_work(work, f"density on the {grid}x{grid} grid", "choose a smaller --grid")
     with run.stage("state"):
         if coherent_selector:
             # a huge label overflows the amplitude to NaN; the check below rejects it

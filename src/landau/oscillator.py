@@ -17,10 +17,6 @@ import math
 
 import numpy as np
 
-# Quadrature grids keep this many samples per oscillator length 1/sqrt(M w).
-POINTS_PER_LENGTH = 16
-
-
 def hermite_eigenfunction(mass_omega: float, n: int, u) -> np.ndarray:
     """L2-normalized oscillator eigenfunction psi_n at coordinate u.
 

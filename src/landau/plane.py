@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oscillator import POINTS_PER_LENGTH, hermite_eigenfunction
+from .oscillator import hermite_eigenfunction
 
 
 # ---------------------------------------------------------------------------
@@ -181,35 +181,20 @@ def _coherent_raw(cfg, c: CoherentLabel):
     return raw
 
 
-def coherent_norm_constant(cfg, c: CoherentLabel) -> float:
-    """Normalization constant A for the coherent amplitude, by quadrature.
-
-    The closed form is deliberately not assumed; A is fixed so that the
-    sampled |A * raw|^2 integrates to 1 over a box of 9 decay lengths around
-    the packet center, with POINTS_PER_LENGTH samples per oscillator length.
-    """
-    mw = cfg.mass_omega
-    raw = _coherent_raw(cfg, c)
-    s2 = math.sqrt(2.0 / mw)
-    cx = s2 * (c.lam + c.lam_prime).real
-    cy = s2 * (c.lam_prime.imag - c.lam.imag)
-    half = 9.0 / math.sqrt(mw)
-    h = 1.0 / (POINTS_PER_LENGTH * math.sqrt(mw))
-    m = int(math.ceil(half / h))
-    xs = cx + h * np.arange(-m, m + 1)
-    ys = cy + h * np.arange(-m, m + 1)
-    density = np.abs(raw(xs[:, None], ys[None, :])) ** 2
-    norm_sq = density.sum() * h * h
-    return 1.0 / math.sqrt(norm_sq)
-
-
 def coherent_amplitude(cfg, c: CoherentLabel):
     """Unit-norm coherent-state amplitude with a positive real constant:
 
     A exp[-(Mw/4)(x^2 + 2ixy + y^2)
           + sqrt(Mw/2) (x (lam + lam') + i y (lam - lam'))]
+
+    |amplitude / A|^2 = exp[-(Mw/2)(x^2 + y^2) + sqrt(2 Mw)(x Re s - y Im d)]
+    with s = lam + lam' and d = lam - lam', which integrates, as two
+    Gaussian integrals, to (2 pi / Mw) exp((Re s)^2 + (Im d)^2), so
+
+        A = sqrt(Mw / 2 pi) exp(-((Re s)^2 + (Im d)^2) / 2).
     """
-    a = coherent_norm_constant(cfg, c)
+    s, d = c.lam + c.lam_prime, c.lam - c.lam_prime
+    a = math.sqrt(cfg.mass_omega / (2.0 * math.pi)) * math.exp(-0.5 * (s.real**2 + d.imag**2))
     raw = _coherent_raw(cfg, c)
 
     def amplitude(x, y):

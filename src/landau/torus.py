@@ -128,12 +128,15 @@ def image_count(cfg: TorusConfig, label) -> int:
 
 
 def work_elements(cfg: TorusConfig, nx: int, ny: int, labels, grids: float) -> int:
-    """Complex values held at most on the nx x ny grid while `grids` closed
-    grids are alive at once (a half grid is one of floats), plus the largest
-    image sum's factor matrices over the states of `labels`, counted without
-    building anything."""
+    """Complex values held at most on the nx x ny grid while the caller holds
+    `grids` closed grids of its own (a half grid is one of floats) and builds
+    the states of `labels`, counted without building anything: the larger of
+    `grids` and the costliest build's `_BUILD_GRIDS`, plus the largest image
+    sum's factor matrices twice, since a build holds each factor and the
+    exponent array it is evaluated from."""
+    build = max(_BUILD_GRIDS["coherent" if isinstance(label, CoherentLabel) else label.basis] for label in labels)
     images = max(image_count(cfg, label) for label in labels)
-    return math.ceil(grids * (nx + 1) * (ny + 1)) + images * (nx + ny + 2)
+    return math.ceil(max(grids, build) * (nx + 1) * (ny + 1)) + 2 * images * (nx + ny + 2)
 
 
 class SampledState:
@@ -283,6 +286,15 @@ def normalized(state: SampledState) -> SampledState:
 
 # ---------------------------------------------------------------------------
 # analytic state construction
+
+# Closed grids one state build holds at its peak (`work_elements`): the
+# highest tracemalloc peak of a build at 512^2 over n_phi = 1-4 and levels
+# 0-3, its few image factors included, which is above every peak at 1025^2
+# (the fixed-size arrays weigh less there). A coherent state holds its image
+# sums and their products (5.14, at odd n_phi), an 'lx' state the cross
+# phase, the sum and their product (3.07), an 'ly' state the sum and its
+# normalised copy (2.05).
+_BUILD_GRIDS = {"coherent": 5.14, "lx": 3.07, "ly": 2.05}
 
 
 def torus_eigenstate(cfg: TorusConfig, label: TorusLabel, nx: int, ny: int) -> SampledState:

@@ -2,9 +2,11 @@ import functools
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from landau.cli import build_parser, density_work, main
+from landau import cli
+from landau.cli import _WRITE_GRIDS, build_parser, main
 from landau.config import GRID_BUDGET, TorusConfig, check_work
 from landau.maggroup import GroupElement, multiply
 from landau.plane import CoherentLabel, coherent_expectations, evolve_coherent
-from landau.torus import TorusLabel, image_count
+from landau.torus import _BUILD_GRIDS, TorusLabel, image_count, work_elements
 from landau.verify import _BLOCK_ROWS
 
 
@@ -225,12 +228,13 @@ def run_capped(args, out_dir):
 
 
 def test_verify_sizes_its_work_before_allocating(tmp_path):
-    # lx = 1e-8 asks for a 32 x 1121000 grid and image sums of 903 GiB; under
-    # the cap verify must refuse it as a usage error before it allocates
+    # lx = 1e-8 asks for a 32 x 1121000 grid and 2.2 TiB of image factors
+    # (1.1 TiB, each held with its exponent array); under the cap verify must
+    # refuse it as a usage error before it allocates
     out_dir = tmp_path / "out"
     done = run_capped(["verify", "--nphi", "2", "--lx", "1e-8"], out_dir)
     assert done.returncode == 2, done.stderr
-    assert "32x1121000 grid would hold 1.15e+03 times the work budget" in done.stderr
+    assert "32x1121000 grid would hold 2.29e+03 times the work budget" in done.stderr
     assert "Traceback" not in done.stderr
     assert not out_dir.exists()
 
@@ -241,7 +245,7 @@ def test_verify_sizes_its_work_before_allocating(tmp_path):
         # its chain would hold a 20000 x 20000 float64 diagonal alone, 2.98 GiB
         (["spectrum", "--nphi", "1", "--grid", "20000"], "the lattice spectrum on the 20000x20000 grid would hold 17.8"),
         # its state would be 5.96 GiB of complex128, 2.5 grids with the writers
-        (["density", "--nphi", "1", "--n", "0", "--grid", "20000"], "density on the 20000x20000 grid would hold 14.8"),
+        (["density", "--nphi", "1", "--n", "0", "--grid", "20000"], "density on the 20000x20000 grid would hold 14.9"),
     ],
     ids=["spectrum", "density"],
 )
@@ -257,18 +261,69 @@ def test_export_commands_size_their_work_before_allocating(tmp_path, args, messa
 def test_density_budget_follows_the_state_kind():
     # arithmetic only: the measured peak of each kind's build, or the
     # writers' 2.5 grids when that is larger, plus the image sum's factors
+    # twice
     cfg = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=1)
-    closed = 20001**2
     for label, grids in (
         (TorusLabel(0, 0), 2.5),
-        (TorusLabel(0, 0, "lx"), 3),
-        (CoherentLabel(0.3, 0.2j), 5),
+        (TorusLabel(0, 0, "lx"), _BUILD_GRIDS["lx"]),
+        (CoherentLabel(0.3, 0.2j), _BUILD_GRIDS["coherent"]),
     ):
-        assert density_work(cfg, 20000, label) == math.ceil(grids * closed) + image_count(cfg, label) * 40002
+        want = math.ceil(grids * 20001 * 20001) + 2 * image_count(cfg, label) * 40002
+        assert work_elements(cfg, 20000, 20000, [label], _WRITE_GRIDS) == want
     # a grid that an eigenstate fits and a coherent state does not
-    check_work(density_work(cfg, 4500, TorusLabel(3, 0, "lx")), "lx", "")
+    check_work(work_elements(cfg, 4500, 4500, [TorusLabel(3, 0, "lx")], _WRITE_GRIDS), "lx", "")
     with pytest.raises(ValueError, match="work budget"):
-        check_work(density_work(cfg, 4500, CoherentLabel(0.3, 0.2j)), "coherent", "")
+        check_work(work_elements(cfg, 4500, 4500, [CoherentLabel(0.3, 0.2j)], _WRITE_GRIDS), "coherent", "")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--nphi", "1", "--n", "0", "--grid", "513"],
+        ["--nphi", "2", "--n", "1", "--l", "1", "--basis", "lx", "--grid", "512"],
+        ["--nphi", "1", "--lam", "0.3+0.2j", "--lam-prime=-0.1+0.4j", "--grid", "513"],
+        # 972 coherent and 766 'lx' images on a thin torus
+        ["--nphi", "1", "--lx", "100", "--ly", "0.01", "--lam", "0.35+0.2j", "--lam-prime", "0.3-0.4j", "--grid", "512"],
+        ["--nphi", "1", "--lx", "100", "--ly", "0.01", "--n", "0", "--basis", "lx", "--grid", "512"],
+    ],
+    ids=["ly", "lx", "coherent", "coherent-100x0.01", "lx-100x0.01"],
+)
+def test_density_holds_no_more_than_its_work_budget(tmp_path, monkeypatch, args):
+    # the whole run's tracemalloc peak against the work it passed to
+    # check_work; complex values are 16 bytes each
+    budget = []
+
+    def record(work, what, remedy):
+        budget.append(work)
+        check_work(work, what, remedy)
+
+    monkeypatch.setattr(cli, "check_work", record)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["density", *args, "--out-dir", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * budget[0]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["orbit", "--nphi", "1", "--radius", "1"],
+        ["coherent", "--nphi", "1", "--lam", "0.5", "--lam-prime", "0.2"],
+    ],
+    ids=["orbit", "coherent"],
+)
+def test_trace_commands_size_their_work_before_allocating(tmp_path, capsys, args):
+    # 10^12 + 1 rows: sampling the times alone would take 7.28 TiB
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run_cli([*args, "--periods", "1000000", "--samples", "1000000", "--out-dir", str(out_dir)])
+    assert err.value.code == 2
+    assert f"the {args[0]} trace of 1000000000001 samples would hold 9.05e+04 times the work budget" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_spectrum_levels_below_one_names_the_flag(tmp_path, capsys):
@@ -632,6 +687,24 @@ def test_verify_json_under_power_of_two_rescaling(kind, power):
             moved[a["name"]] = abs(a["residual"] - b["residual"])
     assert set(moved) <= LENGTH_ROUNDING_CHECKS, moved
     assert max(moved.values(), default=0.0) <= LENGTH_ROUNDING_BOUND, moved
+
+
+def readme_commands():
+    """The `landau ...` lines of README's "Command line" block, continuation
+    lines joined and comments dropped."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```\n", 2)[1]
+    return [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(argv[1:]))
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, argv):
+    # every documented line exits as documented: 0, or 1 for the
+    # non-integer flux that verify fails by design
+    assert argv[0] == "landau"
+    monkeypatch.chdir(tmp_path)
+    assert main(argv[1:]) == (1 if "--nphi-override" in argv else 0)
 
 
 def test_parser_is_built_once_and_keeps_no_parsed_state(tmp_path):

@@ -243,6 +243,17 @@ def test_coherent_ground_state_moments():
     assert var_x == pytest.approx(1.0 / CFG.mass_omega, rel=1e-8)
 
 
+@pytest.mark.parametrize("lam,lamp", [(0.45 + 0.25j, -0.3 + 0.5j), (1.5 - 0.8j, 0.9 + 1.2j)])
+def test_coherent_closed_form_constant_gives_unit_norm(lam, lamp):
+    # the sampled norm checks the closed-form constant, which away from
+    # lam = lam' = 0 carries the factor exp(-((Re s)^2 + (Im d)^2) / 2)
+    s2 = math.sqrt(2.0 / CFG.mass_omega)
+    xs, ys = plane_box(CFG, s2 * (lam + lamp).real, s2 * (lamp.imag - lam.imag))
+    values = sample_plane(coherent_amplitude(CFG, CoherentLabel(lam, lamp)), xs, ys)
+    h = xs[1] - xs[0]
+    assert (np.abs(values) ** 2).sum() * h * h == pytest.approx(1.0, abs=1e-8)
+
+
 @pytest.mark.parametrize(
     "lam,lamp",
     [(0.4 + 0.3j, -0.2 + 0.5j), (0.0, 0.7 - 0.1j)],

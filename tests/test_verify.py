@@ -113,8 +113,8 @@ def test_group_checks_read_the_table(table, failing, monkeypatch):
 @pytest.mark.parametrize(
     "cfg",
     [TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=n) for n in (1, 2, 4)]
-    + [TorusConfig(1.0, 1.0, lx=30.0, ly=0.1, n_phi=2)],
-    ids=["nphi1", "nphi2", "nphi4", "30x0.1-nphi2"],
+    + [TorusConfig(1.0, 1.0, lx=30.0, ly=0.1, n_phi=2), TorusConfig(1.0, 1.0, lx=60.0, ly=0.05, n_phi=2)],
+    ids=["nphi1", "nphi2", "nphi4", "30x0.1-nphi2", "60x0.05-nphi2"],
 )
 def test_torus_checks_stay_within_their_work_budget(cfg, monkeypatch):
     # the torus section ends where the Fock check begins; its complex values
