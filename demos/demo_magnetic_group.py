@@ -8,6 +8,8 @@ extension of Z(n_phi) x Z(n_phi) and acts irreducibly on each Landau level
 through clock and shift matrices.
 """
 
+import itertools
+
 import numpy as np
 
 from landau import maggroup
@@ -55,6 +57,8 @@ print(f"commutant dimension (1 = irreducible): {maggroup.commutant_dimension(rep
 ###############################################################################
 # Factoring out the center leaves the abelian group of physical translations.
 
-table = maggroup.quotient_by_center_table(N_PHI)
-ok = all(p == ((a[0] + b[0]) % N_PHI, (a[1] + b[1]) % N_PHI) for (a, b), p in table.items())
+ok = True
+for nx, ny, nxp, nyp in itertools.product(range(N_PHI), repeat=4):
+    p = maggroup.multiply(maggroup.GroupElement(nx, ny, 0, N_PHI), maggroup.GroupElement(nxp, nyp, 0, N_PHI))
+    ok = ok and (p.nx, p.ny) == ((nx + nxp) % N_PHI, (ny + nyp) % N_PHI)
 print(f"\nG / Z(n_phi) multiplies like Z(n_phi) x Z(n_phi): {ok}")

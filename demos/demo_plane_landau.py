@@ -7,6 +7,8 @@ degeneracy label. This script walks from the classical orbit through the
 semiclassical radii to the exact quantum spectrum and the ladder algebra.
 """
 
+import math
+
 import numpy as np
 
 from landau import (
@@ -14,11 +16,8 @@ from landau import (
     FockLabel,
     InfiniteConfig,
     classical_orbit_trace,
-    fock_energy_and_angular_momentum,
     ladder_apply,
     landau_energy,
-    semiclassical_energy,
-    semiclassical_radius,
 )
 
 cfg = InfiniteConfig(mass=1.0, charge=1.0, b_field=2.0)
@@ -43,8 +42,8 @@ for (x, y) in trace:
 print("\n n   r_n        E_semi    E_exact")
 for n in range(1, 6):
     print(
-        f" {n}   {semiclassical_radius(cfg, n):.6f}   "
-        f"{semiclassical_energy(cfg, n):.4f}    {landau_energy(cfg, n):.4f}"
+        f" {n}   {math.sqrt(2.0 * n / (cfg.charge * cfg.b_field)):.6f}   "
+        f"{n * omega:.4f}    {landau_energy(cfg, n):.4f}"
     )
 
 ###############################################################################
@@ -57,7 +56,7 @@ print("\nclimbing from the vacuum:")
 for step, op in enumerate(("adag", "adag", "bdag")):
     state = ladder_apply(op, state)
     (label, amp), = state.items()
-    e, m = fock_energy_and_angular_momentum(cfg, label)
+    e, m = landau_energy(cfg, label.n), label.angular_momentum
     print(f"   after {op:>4}: |{label.n} {label.n_prime}>  amp {amp:.4f}  E={e:.3f}  m={m}")
 
 lowered = ladder_apply("a", {FockLabel(0, 5): 1.0})

@@ -40,18 +40,12 @@ from .plane import (
     CoherentLabel,
     FockLabel,
     classical_orbit_trace,
-    coherent_amplitude,
     coherent_center,
     coherent_expectations,
-    eigenstate_px,
     eigenstate_py,
     evolve_coherent,
-    fock_energy_and_angular_momentum,
     ladder_apply,
     landau_energy,
-    sample_plane,
-    semiclassical_energy,
-    semiclassical_radius,
 )
 from .spectral import SpectrumReport, cluster_eigenvalues, low_spectrum
 from .torus import (
@@ -62,7 +56,6 @@ from .torus import (
     apply_translation_power,
     apply_tx,
     apply_ty,
-    coherent_prefactor,
     coherent_translation_series,
     default_grid,
     density_map,
@@ -71,7 +64,6 @@ from .torus import (
     gram_matrix,
     normalized,
     projector_distance,
-    sample_on_torus,
     torus_coherent,
     torus_eigenstate,
     torus_eigenstates,

@@ -29,6 +29,7 @@ from . import __version__, maggroup
 from .config import (
     TORUS_DEFAULTS,
     TORUS_KEYS,
+    TWO_PI,
     check_grid,
     check_work,
     commensurate,
@@ -41,6 +42,7 @@ from .plane import (
     classical_orbit_trace,
     coherent_expectations,
     evolve_coherent,
+    landau_energy,
 )
 from .serialize import write_density_csv, write_json, write_pgm, write_table_csv
 from .spectral import low_spectrum
@@ -151,7 +153,7 @@ def cmd_spectrum(args, run) -> int:
         report = low_spectrum(cfg, grid, grid, args.levels * cfg.n_phi)
     payload = report.as_dict()
     payload["grid"] = grid
-    payload["analytic_levels"] = [cfg.omega * (n + 0.5) for n in range(args.levels)]
+    payload["analytic_levels"] = [landau_energy(cfg, n) for n in range(args.levels)]
     with run.stage("json"):
         write_json(payload, run.output("spectrum.json"))
     run.manifest.update(grid=grid, levels=args.levels, solver=report.solver)
@@ -264,8 +266,6 @@ def cmd_group(args, run) -> int:
 
 def cmd_verify(args, run) -> int:
     cfg = _merge_config(args, run)
-    if args.nphi_override is not None and not math.isfinite(args.nphi_override):
-        raise ValueError(f"--nphi-override must be finite, got {args.nphi_override}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     with run.stage("checks"):
@@ -299,7 +299,7 @@ def cmd_orbit(args, run) -> int:
     )
     if args.periods < 1:
         raise ValueError(f"--periods must be >= 1 for an orbit, got {args.periods}")
-    period = 2.0 * math.pi / cfg.omega
+    period = TWO_PI / cfg.omega
     times = _trace_times(args, period)
     with run.stage("trace"):
         free = classical_orbit_trace(orbit, times)
@@ -330,7 +330,7 @@ def cmd_coherent(args, run) -> int:
     lam = _parse_complex(args.lam, "--lam")
     lam_prime = _parse_complex(args.lam_prime, "--lam-prime")
     label = CoherentLabel(lam, lam_prime)
-    period = 2.0 * math.pi / cfg.omega
+    period = TWO_PI / cfg.omega
     times = _trace_times(args, period)
     # a huge label overflows the moments, which the check below rejects
     with run.stage("evolve"), np.errstate(over="ignore", invalid="ignore"):

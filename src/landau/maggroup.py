@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TWO_PI
+
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -105,32 +107,6 @@ def center(n_phi: int) -> frozenset:
     return frozenset(GroupElement(0, 0, m, n_phi) for m in range(n_phi))
 
 
-def center_brute_force(n_phi: int) -> frozenset:
-    """Center by commuting every element against every element."""
-    els = elements(n_phi)
-    return frozenset(
-        g for g in els if all(multiply(g, h) == multiply(h, g) for h in els)
-    )
-
-
-def quotient_by_center_table(n_phi: int) -> dict:
-    """Multiplication table of G / Z(n_phi) by coset enumeration.
-
-    Cosets are labeled by (nx, ny); the table maps pairs of coset labels to
-    the product coset label. The group is a central extension, not a direct
-    or semidirect product, so the abelian quotient structure is established
-    here structurally rather than assumed.
-    """
-    table = {}
-    for nx, ny, nxp, nyp in itertools.product(range(n_phi), repeat=4):
-        g = GroupElement(nx, ny, 0, n_phi)
-        h = GroupElement(nxp, nyp, 0, n_phi)
-        prod = multiply(g, h)
-        key = ((nx, ny), (nxp, nyp))
-        table[key] = (prod.nx, prod.ny)
-    return table
-
-
 # ---------------------------------------------------------------------------
 # clock-and-shift representation
 
@@ -150,7 +126,7 @@ def clock_and_shift(n_phi: int) -> UnitaryRep:
     tx = np.zeros((n, n), dtype=complex)
     for l in range(n):
         tx[(l + 1) % n, l] = 1.0
-    ty = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    ty = np.diag(np.exp(TWO_PI * 1j * np.arange(n) / n))
     return UnitaryRep(n_phi=n, tx=tx, ty=ty)
 
 
@@ -158,7 +134,7 @@ def represent(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
     """Matrix exp(2 pi i m / n_phi) Ty^{n_y} Tx^{n_x} for g(n_x, n_y, m)."""
     if rep.n_phi != g.n_phi:
         raise ValueError(f"modulus mismatch: rep {rep.n_phi} vs element {g.n_phi}")
-    phase = np.exp(2j * np.pi * g.m / g.n_phi)
+    phase = np.exp(TWO_PI * 1j * g.m / g.n_phi)
     return phase * (
         np.linalg.matrix_power(rep.ty, g.ny) @ np.linalg.matrix_power(rep.tx, g.nx)
     )
@@ -179,10 +155,12 @@ def homomorphism_defect(rep: UnitaryRep, table: np.ndarray, pairs) -> float:
 def weyl_deviation(rep: UnitaryRep) -> float:
     """max |Ty Tx - exp(2 pi i / n_phi) Tx Ty|: zero for a true representation."""
     lhs = rep.ty @ rep.tx
-    rhs = np.exp(2j * np.pi / rep.n_phi) * rep.tx @ rep.ty
+    rhs = np.exp(TWO_PI * 1j / rep.n_phi) * rep.tx @ rep.ty
     return float(np.max(np.abs(lhs - rhs)))
 
 
+# No runtime caller yet: ROADMAP item 3 checks irreducibility of the lattice
+# levels' translation matrices with it.
 def commutant_dimension(rep: UnitaryRep, tol: float = 1.0e-10) -> int:
     """Dimension of {X : [X, Tx] = [X, Ty] = 0}; 1 means irreducible.
 

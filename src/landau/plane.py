@@ -1,5 +1,5 @@
 """Infinite-volume physics: spectrum, eigenstates, ladder algebra on Fock
-labels, coherent states, and classical / semiclassical cyclotron orbits.
+labels, coherent states, and classical cyclotron orbits.
 
 Analytic states are returned as callables amplitude(x, y) accepting
 broadcastable arrays; discretization happens only in the consumers
@@ -27,24 +27,12 @@ def landau_energy(cfg, n: int) -> float:
     return cfg.omega * (n + 0.5)
 
 
-def semiclassical_radius(cfg, n: int) -> float:
-    """Quantized orbit radius sqrt(2n/(eB)) from angular-momentum quantization."""
-    if n < 1:
-        raise ValueError(f"no semiclassical orbit for n < 1, got {n}")
-    return math.sqrt(2.0 * n / (cfg.charge * cfg.b_field))
-
-
-def semiclassical_energy(cfg, n: int) -> float:
-    """Semiclassical level energy n*omega (misses the zero-point omega/2)."""
-    if n < 1:
-        raise ValueError(f"no semiclassical orbit for n < 1, got {n}")
-    return n * cfg.omega
-
-
 # ---------------------------------------------------------------------------
 # eigenstates
 
 
+# No runtime caller yet: ROADMAP item 4 takes the plane state of its [H, R]
+# check from here.
 def eigenstate_py(cfg, n: int, p_y: float):
     """Landau level n as an eigenstate of the y-translation generator Py.
 
@@ -60,32 +48,6 @@ def eigenstate_py(cfg, n: int, p_y: float):
         return hermite_eigenfunction(cfg.mass_omega, n, x + shift) * np.exp(1j * p_y * y)
 
     return amplitude
-
-
-def eigenstate_px(cfg, n: int, p_x: float):
-    """Landau level n as an eigenstate of the gauge-covariant generator
-    Px = -i dx + e B y of x-translations.
-
-    amplitude(x, y) = psi_n(y - p_x/(M w)) * exp(i p_x x) * exp(-i e B x y).
-    """
-    eb = cfg.mass_omega
-    shift = p_x / eb
-
-    def amplitude(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return (
-            hermite_eigenfunction(eb, n, y - shift)
-            * np.exp(1j * p_x * x)
-            * np.exp(-1j * eb * x * y)
-        )
-
-    return amplitude
-
-
-def sample_plane(state, xs, ys) -> np.ndarray:
-    """Sample a callable state on the tensor grid xs x ys; values[ix, iy]."""
-    return np.asarray(state(xs[:, None], ys[None, :]), dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +101,6 @@ def ladder_apply(which: str, coeffs: dict) -> dict:
     return {k: v for k, v in out.items() if v != 0.0}
 
 
-def fock_energy_and_angular_momentum(cfg, label: FockLabel) -> tuple[float, int]:
-    """(E, m) = (omega*(n + 1/2), n - n') for the state |n n'>."""
-    return landau_energy(cfg, label.n), label.angular_momentum
-
-
 # ---------------------------------------------------------------------------
 # coherent states
 
@@ -164,45 +121,6 @@ def coherent_center(cfg, c: CoherentLabel) -> tuple[float, float]:
     """Expectation (<R_x>, <R_y>) of the orbit center."""
     s = math.sqrt(2.0 / cfg.mass_omega)
     return s * c.lam_prime.real, s * c.lam_prime.imag
-
-
-def _coherent_raw(cfg, c: CoherentLabel):
-    mw = cfg.mass_omega
-    pre = math.sqrt(mw / 2.0)
-    k = -0.25 * mw
-    s, d = c.lam + c.lam_prime, c.lam - c.lam_prime
-
-    def raw(x, y):
-        """exp(k (x^2 + 2i x y + y^2) + pre (x s + i y d))."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.exp(k * (x * x + 2j * x * y + y * y) + pre * (x * s + 1j * y * d))
-
-    return raw
-
-
-def coherent_amplitude(cfg, c: CoherentLabel):
-    """Unit-norm coherent-state amplitude with a positive real constant:
-
-    A exp[-(Mw/4)(x^2 + 2ixy + y^2)
-          + sqrt(Mw/2) (x (lam + lam') + i y (lam - lam'))]
-
-    |amplitude / A|^2 = exp[-(Mw/2)(x^2 + y^2) + sqrt(2 Mw)(x Re s - y Im d)]
-    with s = lam + lam' and d = lam - lam', which integrates, as two
-    Gaussian integrals, to (2 pi / Mw) exp((Re s)^2 + (Im d)^2), so
-
-        A = sqrt(Mw / 2 pi) exp(-((Re s)^2 + (Im d)^2) / 2).
-    """
-    s, d = c.lam + c.lam_prime, c.lam - c.lam_prime
-    a = math.sqrt(cfg.mass_omega / (2.0 * math.pi)) * math.exp(-0.5 * (s.real**2 + d.imag**2))
-    raw = _coherent_raw(cfg, c)
-
-    def amplitude(x, y):
-        out = raw(x, y)
-        out *= a
-        return out
-
-    return amplitude
 
 
 @dataclass(frozen=True)

@@ -218,13 +218,6 @@ def grid_axes(cfg: TorusConfig, nx: int, ny: int):
     return xs, ys
 
 
-def sample_on_torus(cfg: TorusConfig, func, nx: int, ny: int) -> SampledState:
-    """Sample an arbitrary amplitude callable on the closed grid. No boundary
-    condition is imposed; use gauge.boundary_residual to test it."""
-    xs, ys = grid_axes(cfg, nx, ny)
-    return SampledState(cfg, np.asarray(func(xs[:, None], ys[None, :]), dtype=complex))
-
-
 def grid_vdot(a: np.ndarray, b: np.ndarray) -> complex:
     """np.vdot(a, b) for arrays of one shape, as numpy's pairwise sum of
     conj(a) * b, whose order is fixed by the shape alone (module docstring).
@@ -599,25 +592,6 @@ def coherent_translation_series(cfg: TorusConfig, c: CoherentLabel, lx: int = 0,
             num += term(n * mx + lx, n * my + ly)
             den += term(n * mx, n * my)
     return complex(num / den)
-
-
-def coherent_prefactor(cfg: TorusConfig, c: CoherentLabel, l: int, direction: str) -> complex:
-    """Lattice-sum prefactor B_l: the translation expectation with the
-    center-and-angle phase stripped off,
-
-        <Tx^l> = B_l exp[ i (2 pi <R_y>/Ly - theta_x/n_phi) l]
-        <Ty^l> = B_l exp[-i (2 pi <R_x>/Lx + theta_y/n_phi) l].
-    """
-    rx, ry = coherent_center(cfg, c)
-    if direction == "x":
-        full = coherent_translation_series(cfg, c, lx=l)
-        phase = (TWO_PI * ry / cfg.ly - cfg.theta_x / cfg.n_phi) * l
-    elif direction == "y":
-        full = coherent_translation_series(cfg, c, ly=l)
-        phase = -(TWO_PI * rx / cfg.lx + cfg.theta_y / cfg.n_phi) * l
-    else:
-        raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
-    return full * complex(math.cos(phase), -math.sin(phase))
 
 
 # ---------------------------------------------------------------------------

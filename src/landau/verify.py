@@ -122,8 +122,9 @@ def heisenberg_grid(cfg) -> dict:
 
 
 def _packet_rows(cfg, c: CoherentLabel, h: float, m: int):
-    """rows(i0, i1): `plane._coherent_raw`'s packet on the x-rows i0..i1 - 1
-    of the grid x = h*i, y = h*j, i and j in -m..m, as (i1 - i0, 2m + 1).
+    """rows(i0, i1): the unnormalised coherent packet (`coherent_raw` in
+    tests/oracles.py) on the x-rows i0..i1 - 1 of the grid x = h*i, y = h*j,
+    i and j in -m..m, as (i1 - i0, 2m + 1).
 
     On that grid the exponent k (x^2 + 2i x y + y^2) + pre (x s + i y d)
     splits into a row part k x^2 + pre x s, a column part k y^2 + i pre y d
@@ -203,10 +204,15 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
 
     nphi_override (possibly non-integer) recomputes the flux-consistency
     check with that flux instead of cfg.n_phi, which demonstrates how a
-    non-quantized flux breaks the boundary-condition consistency. The torus
-    checks' work is sized before anything is built: ValueError above
-    config.WORK_BUDGET.
+    non-quantized flux breaks the boundary-condition consistency; ValueError
+    if the field of that flux is not finite. The torus checks' work is sized
+    before anything is built: ValueError above config.WORK_BUDGET.
     """
+    e = cfg.charge
+    flux = cfg.n_phi if nphi_override is None else nphi_override
+    b_used = TWO_PI * flux / (e * cfg.lx * cfg.ly)
+    if not math.isfinite(b_used):
+        raise ValueError(f"--nphi-override {nphi_override} gives a field B that is not finite")
     n = cfg.n_phi
     nx, ny = default_grid(cfg)
     ly_labels = [TorusLabel(lev, l) for lev in range(3) for l in range(n)]
@@ -230,16 +236,12 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
         checks.append(Check(name, residual, tolerance, now - mark))
         mark = now
 
-    e = cfg.charge
-
     # flux quantization and boundary-shift consistency
     add(
         "flux_quantization_integer",
         abs(e * cfg.b_field * cfg.lx * cfg.ly / TWO_PI - cfg.n_phi),
         1.0e-12,
     )
-    flux = cfg.n_phi if nphi_override is None else nphi_override
-    b_used = TWO_PI * flux / (e * cfg.lx * cfg.ly)
     add(
         "boundary_shift_consistency",
         flux_consistency_defect(e, b_used, cfg.lx, cfg.ly),

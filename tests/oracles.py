@@ -11,12 +11,24 @@ against bit for bit (its covariant H against `covariant_fd_operator`, Rx and
 Ry against `reference_fd_operator`). The other operators (L, Px, Py and the
 ladders a, adag, b, bdag) live only here, for the tests that apply them; the
 plain Landau-gauge H, a and adag of `reference_fd_operator` stay as the
-independent operators the covariant ones must converge to. The lattice
-spectrum has its
-own route too: the assembled nx*ny Peierls matrix, solved whole, which the
-Bloch-chain solver of `landau.spectral` must reproduce.
-"""
+independent operators the covariant ones must converge to.
 
+The references the package is compared against live here too:
+- the magnetic translation group's law on plain (nx, ny, m) tuples, with the
+  centre found by brute force and the quotient by the centre by coset
+  enumeration, against `landau.maggroup`;
+- the plane states the plane tests sample (`sample_plane`, the Px eigenstate
+  on `independent_psi_n`, the coherent amplitude in closed form, and its
+  unnormalised exponential `coherent_raw`, which `verify`'s factorised
+  packet rows must reproduce);
+- the torus coherent state's lattice-sum prefactor B_l, stripped from the
+  translation series by its centre-and-angle phase.
+
+The lattice spectrum has its own route too: the assembled nx*ny Peierls
+matrix, solved whole, which the Bloch-chain solver of `landau.spectral` must
+reproduce."""
+
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +53,117 @@ def independent_psi_n(mass_omega, n, u):
     coeffs[n] = 1.0
     norm = (mass_omega / math.pi) ** 0.25 / math.sqrt(2.0**n * math.factorial(n))
     return norm * hermval(xi, coeffs) * np.exp(-0.5 * xi * xi)
+
+
+def group_law(g, h, n_phi):
+    """Product of the magnetic translation group elements g = (nx, ny, m) and
+    h as plain integer tuples: (nx + nx', ny + ny', m + m' - nx ny') mod n_phi."""
+    return ((g[0] + h[0]) % n_phi, (g[1] + h[1]) % n_phi, (g[2] + h[2] - g[0] * h[1]) % n_phi)
+
+
+def center_brute_force(n_phi):
+    """The centre as (nx, ny, m) tuples, by commuting every element against
+    every element under `group_law`."""
+    els = list(itertools.product(range(n_phi), repeat=3))
+    return frozenset(
+        g for g in els if all(group_law(g, h, n_phi) == group_law(h, g, n_phi) for h in els)
+    )
+
+
+def quotient_by_center_table(n_phi):
+    """Multiplication table of G / Z(n_phi) by coset enumeration under
+    `group_law`: cosets are labelled by (nx, ny), and the table maps a pair of
+    labels to the label of the product of their m = 0 representatives. The
+    group is a central extension, not a direct or semidirect product, so the
+    abelian quotient is found here, not assumed."""
+    table = {}
+    for nx, ny, nxp, nyp in itertools.product(range(n_phi), repeat=4):
+        prod = group_law((nx, ny, 0), (nxp, nyp, 0), n_phi)
+        table[(nx, ny), (nxp, nyp)] = prod[:2]
+    return table
+
+
+def sample_plane(state, xs, ys):
+    """Sample a callable state on the tensor grid xs x ys; values[ix, iy]."""
+    return np.asarray(state(xs[:, None], ys[None, :]), dtype=complex)
+
+
+def eigenstate_px(cfg, n, p_x):
+    """Landau level n as an eigenstate of the gauge-covariant generator
+    Px = -i dx + e B y of x-translations (n <= 12, `independent_psi_n`):
+
+        amplitude(x, y) = psi_n(y - p_x/(M w)) * exp(i p_x x) * exp(-i e B x y).
+    """
+    eb = cfg.mass_omega
+    shift = p_x / eb
+
+    def amplitude(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        return independent_psi_n(eb, n, y - shift) * np.exp(1j * p_x * x) * np.exp(-1j * eb * x * y)
+
+    return amplitude
+
+
+def coherent_raw(cfg, c):
+    """The coherent state |lam lam'> of label c without its constant:
+    raw(x, y) = exp(k (x^2 + 2i x y + y^2) + pre (x s + i y d)) with
+    k = -Mw/4, pre = sqrt(Mw/2), s = lam + lam' and d = lam - lam'."""
+    mw = cfg.mass_omega
+    pre = math.sqrt(mw / 2.0)
+    k = -0.25 * mw
+    s, d = c.lam + c.lam_prime, c.lam - c.lam_prime
+
+    def raw(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        return np.exp(k * (x * x + 2j * x * y + y * y) + pre * (x * s + 1j * y * d))
+
+    return raw
+
+
+def coherent_amplitude(cfg, c):
+    """Unit-norm coherent-state amplitude with a positive real constant:
+
+    A exp[-(Mw/4)(x^2 + 2ixy + y^2)
+          + sqrt(Mw/2) (x (lam + lam') + i y (lam - lam'))]
+
+    |amplitude / A|^2 = exp[-(Mw/2)(x^2 + y^2) + sqrt(2 Mw)(x Re s - y Im d)]
+    with s = lam + lam' and d = lam - lam', which integrates, as two
+    Gaussian integrals, to (2 pi / Mw) exp((Re s)^2 + (Im d)^2), so
+
+        A = sqrt(Mw / 2 pi) exp(-((Re s)^2 + (Im d)^2) / 2).
+    """
+    s, d = c.lam + c.lam_prime, c.lam - c.lam_prime
+    a = math.sqrt(cfg.mass_omega / (2.0 * math.pi)) * math.exp(-0.5 * (s.real**2 + d.imag**2))
+    raw = coherent_raw(cfg, c)
+
+    def amplitude(x, y):
+        out = raw(x, y)
+        out *= a
+        return out
+
+    return amplitude
+
+
+def coherent_prefactor(cfg, c, l, direction, series):
+    """Lattice-sum prefactor B_l of the torus coherent state |lam lam'>: its
+    translation expectation `series` = <T_direction^l> with the
+    centre-and-angle phase stripped off,
+
+        <Tx^l> = B_l exp[ i (2 pi <R_y>/Ly - theta_x/n_phi) l]
+        <Ty^l> = B_l exp[-i (2 pi <R_x>/Lx + theta_y/n_phi) l],
+
+    with the centre (<R_x>, <R_y>) = sqrt(2/(M w)) (Re lam', Im lam')."""
+    s2 = math.sqrt(2.0 / cfg.mass_omega)
+    rx, ry = s2 * c.lam_prime.real, s2 * c.lam_prime.imag
+    if direction == "x":
+        phase = (2.0 * math.pi * ry / cfg.ly - cfg.theta_x / cfg.n_phi) * l
+    elif direction == "y":
+        phase = -(2.0 * math.pi * rx / cfg.lx + cfg.theta_y / cfg.n_phi) * l
+    else:
+        raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
+    return series * complex(math.cos(phase), -math.sin(phase))
 
 
 def plane_box(cfg, center_x, center_y, half_width_units=8.5, budget=2.5e-4, half_width_units_y=None):
@@ -252,7 +375,7 @@ def coherent_moments_by_quadrature(cfg, amplitude, label_center):
     Returns a dict keyed like plane.CoherentExpectations.
     """
     xs, ys = plane_box(cfg, *label_center)
-    values = np.asarray(amplitude(xs[:, None], ys[None, :]), dtype=complex)
+    values = sample_plane(amplitude, xs, ys)
     ops = PlaneOperators(cfg, xs, ys)
     pairs = {
         "center_x": "Rx",

@@ -19,10 +19,9 @@ from landau import (
     apply_operator,
     apply_tx,
     apply_ty,
-    coherent_amplitude,
     coherent_center,
     coherent_expectations,
-    coherent_prefactor,
+    coherent_translation_series,
     density_map,
     eigenstate_py,
     evolve_coherent,
@@ -30,8 +29,6 @@ from landau import (
     low_spectrum,
     maggroup,
     projector_distance,
-    sample_on_torus,
-    sample_plane,
     torus_coherent,
     torus_eigenstate,
     torus_inner,
@@ -40,12 +37,18 @@ from landau import (
 from landau.gauge import x_boundary_twist, y_boundary_twist
 from landau.plane import FockLabel, ladder_apply
 from landau.serialize import write_pgm
+from landau.torus import SampledState, grid_axes
 from oracles import (
     PlaneOperators,
+    center_brute_force,
+    coherent_amplitude,
     coherent_moments_by_quadrature,
+    coherent_prefactor,
     covariant_eigen_residual,
     interior,
     plane_box,
+    quotient_by_center_table,
+    sample_plane,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -161,10 +164,11 @@ def test_criterion_03_group_algebra():
             ref = vec_mul((a.nx, a.ny, a.m), (b.nx, b.ny, b.m))
             assert (prod.nx, prod.ny, prod.m) == ref
 
-        assert maggroup.center(n_phi) == maggroup.center_brute_force(n_phi)
-        table = maggroup.quotient_by_center_table(n_phi)
+        assert {(g.nx, g.ny, g.m) for g in maggroup.center(n_phi)} == center_brute_force(n_phi)
+        table = quotient_by_center_table(n_phi)
         for (a, b), prod in table.items():
-            assert prod == ((a[0] + b[0]) % n_phi, (a[1] + b[1]) % n_phi)
+            g = maggroup.multiply(maggroup.GroupElement(*a, 0, n_phi), maggroup.GroupElement(*b, 0, n_phi))
+            assert prod == (g.nx, g.ny) == ((a[0] + b[0]) % n_phi, (a[1] + b[1]) % n_phi)
 
     rep = maggroup.clock_and_shift(4)
     assert np.array_equal(
@@ -195,12 +199,9 @@ def test_criterion_04_boundary_conditions():
             count += 1
     # factorization ansatz f(x) exp(i p_y y) violates the twisted condition
     cfg = torus_cfg(1, (1.0, 2.0))
-    ansatz = sample_on_torus(
-        cfg,
-        lambda x, y: np.exp(-((x - 0.5) ** 2)) * np.exp(TWO_PI * 1j * y / cfg.ly),
-        nx=32,
-        ny=32,
-    )
+    xs, ys = grid_axes(cfg, 32, 32)
+    x, y = xs[:, None], ys[None, :]
+    ansatz = SampledState(cfg, np.exp(-((x - 0.5) ** 2)) * np.exp(TWO_PI * 1j * y / cfg.ly))
     fail_res = ansatz.boundary_residual()
     assert fail_res > 0.1
     report(
@@ -397,7 +398,7 @@ def test_criterion_10_translation_expectation_phases():
         rx, ry = coherent_center(cfg, lab)
         for l in (1, 2):
             tx = translation_expectation(st, "x", l)
-            bx = coherent_prefactor(cfg, lab, l, "x")
+            bx = coherent_prefactor(cfg, lab, l, "x", coherent_translation_series(cfg, lab, lx=l))
             if l == 1:
                 ry_rec = (np.angle(tx / bx) + cfg.theta_x / cfg.n_phi) * cfg.ly / TWO_PI
                 dev = abs((ry_rec - ry + cfg.ly / 2) % cfg.ly - cfg.ly / 2)
@@ -408,7 +409,7 @@ def test_criterion_10_translation_expectation_phases():
             worst_mod = max(worst_mod, mod_dev)
 
             ty = translation_expectation(st, "y", l)
-            by = coherent_prefactor(cfg, lab, l, "y")
+            by = coherent_prefactor(cfg, lab, l, "y", coherent_translation_series(cfg, lab, ly=l))
             if l == 1:
                 rx_rec = (-np.angle(ty / by) - cfg.theta_y / cfg.n_phi) * cfg.lx / TWO_PI
                 dev = abs((rx_rec - rx + cfg.lx / 2) % cfg.lx - cfg.lx / 2)

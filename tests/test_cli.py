@@ -110,6 +110,8 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
         ["density", "--nphi", "2", "--n", "0", "--grid", "15"],
         ["verify", "--nphi", "1", "--nphi-override", "nan"],
         ["verify", "--nphi", "1", "--nphi-override", "inf"],
+        # B = 2 pi 1e308 / (e Lx Ly) overflows
+        ["verify", "--nphi", "1", "--nphi-override", "1e308"],
         # hx far above the magnetic length l_B
         ["spectrum", "--nphi", "1", "--grid", "32", "--lx", "1e8"],
         ["orbit", "--nphi", "1", "--radius", "nan"],
@@ -410,6 +412,18 @@ def test_verify_detects_non_integer_flux(tmp_path):
     payload = read_json(tmp_path / "verify.json")
     failed = [c for c in payload["checks"] if not c["passed"]]
     assert any(c["name"] == "boundary_shift_consistency" for c in failed)
+
+
+@pytest.mark.parametrize("override", ["1.5", "1e300"])
+def test_verify_override_fails_only_the_flux_check(tmp_path, override):
+    assert run_cli(["verify", "--nphi", "1", "--out-dir", str(tmp_path / "base")]) == 0
+    code = run_cli(["verify", "--nphi", "1", "--nphi-override", override, "--out-dir", str(tmp_path / "over")])
+    assert code == 1
+    base = read_json(tmp_path / "base" / "verify.json")["checks"]
+    over = read_json(tmp_path / "over" / "verify.json")["checks"]
+    changed = [b["name"] for b, o in zip(base, over, strict=True) if b != o]
+    assert changed == ["boundary_shift_consistency"]
+    assert [c["name"] for c in over if not c["passed"]] == changed
 
 
 def test_verify_tiny_mass_writes_strict_json(tmp_path):

@@ -12,7 +12,7 @@ from landau import (
     polyakov_phase_y,
     standard_transition_functions,
 )
-from landau.torus import TorusLabel, sample_on_torus, torus_eigenstate
+from landau.torus import SampledState, TorusLabel, grid_axes, torus_eigenstate
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,13 +66,15 @@ def test_boundary_residual_analytic_state():
 def test_boundary_residual_plane_wave_fails():
     # f(x) exp(i p_y y) cannot satisfy the twisted boundary condition
     cfg = TorusConfig(1, 1, 1, 1, 1, theta_x=1.5, theta_y=0.0)
-    st = sample_on_torus(cfg, lambda x, y: np.exp(TWO_PI * 1j * x / cfg.lx) + 0 * y, nx=32, ny=32)
+    xs, ys = grid_axes(cfg, 32, 32)
+    st = SampledState(cfg, np.exp(TWO_PI * 1j * xs[:, None] / cfg.lx) + 0 * ys[None, :])
     assert boundary_residual(st) > 0.1
 
 
 def test_boundary_residual_zero_state():
     cfg = TorusConfig(1, 1, 1, 1, 1)
-    st = sample_on_torus(cfg, lambda x, y: 0.0 * x * y, nx=16, ny=16)
+    xs, ys = grid_axes(cfg, 16, 16)
+    st = SampledState(cfg, 0.0 * xs[:, None] * ys[None, :])
     assert boundary_residual(st) == 0.0
 
 

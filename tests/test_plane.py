@@ -9,28 +9,25 @@ from landau import (
     FockLabel,
     InfiniteConfig,
     classical_orbit_trace,
-    coherent_amplitude,
     coherent_expectations,
-    eigenstate_px,
     eigenstate_py,
     evolve_coherent,
-    fock_energy_and_angular_momentum,
     hermite_eigenfunction,
     ladder_apply,
     landau_energy,
-    sample_plane,
-    semiclassical_energy,
-    semiclassical_radius,
 )
-from landau import plane
 from landau.finitediff import apply_fd_operator
 from oracles import (
     PlaneOperators,
+    coherent_amplitude,
     coherent_moments_by_quadrature,
+    coherent_raw,
     covariant_fd_operator,
+    eigenstate_px,
     interior,
     plane_box,
     reference_fd_operator,
+    sample_plane,
 )
 
 CFG = InfiniteConfig(mass=1.0, charge=1.0, b_field=4.0)
@@ -52,28 +49,6 @@ def test_energy_spacing_is_omega():
         assert landau_energy(CFG, n + 1) - landau_energy(CFG, n) == pytest.approx(
             CFG.omega, rel=1e-15
         )
-
-
-def test_semiclassical_examples():
-    assert semiclassical_radius(InfiniteConfig(1, 1, 1), 2) == pytest.approx(2.0)
-    assert semiclassical_energy(InfiniteConfig(1, 1, 1), 5) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        semiclassical_radius(CFG, 0)
-
-
-def test_semiclassical_misses_zero_point():
-    for n in range(1, 6):
-        assert semiclassical_energy(CFG, n) - landau_energy(CFG, n) == pytest.approx(
-            -CFG.omega / 2, rel=1e-14
-        )
-
-
-def test_energy_from_radius_consistent():
-    # independent route: E = (M/2) w^2 r^2 with the quantized radius
-    for n in range(1, 8):
-        r = semiclassical_radius(CFG, n)
-        e_from_r = 0.5 * CFG.mass * CFG.omega**2 * r**2
-        assert e_from_r == pytest.approx(semiclassical_energy(CFG, n), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +169,11 @@ def test_ladder_commutators(p, q, expected):
 
 def test_fock_energy_and_angular_momentum():
     cfg1 = InfiniteConfig(1, 1, 1)
-    assert fock_energy_and_angular_momentum(cfg1, FockLabel(0, 3)) == (pytest.approx(0.5), -3)
-    e, m = fock_energy_and_angular_momentum(cfg1, FockLabel(2, 0))
-    assert e == pytest.approx(2.5)
-    assert m == 2
+    label = FockLabel(0, 3)
+    assert (landau_energy(cfg1, label.n), label.angular_momentum) == (pytest.approx(0.5), -3)
+    label = FockLabel(2, 0)
+    assert landau_energy(cfg1, label.n) == pytest.approx(2.5)
+    assert label.angular_momentum == 2
 
 
 def test_hamiltonian_splits_into_oscillator_plus_rotation():
@@ -205,22 +181,19 @@ def test_hamiltonian_splits_into_oscillator_plus_rotation():
     rng = np.random.default_rng(2)
     for _ in range(30):
         lab = FockLabel(int(rng.integers(0, 9)), int(rng.integers(0, 9)))
-        e, m = fock_energy_and_angular_momentum(CFG, lab)
         h0 = CFG.omega * (lab.n_prime + 0.5)
-        assert h0 + CFG.omega * m == pytest.approx(e, rel=1e-14)
+        assert h0 + CFG.omega * lab.angular_momentum == pytest.approx(landau_energy(CFG, lab.n), rel=1e-14)
 
 
 def test_ladders_shift_energy_and_angular_momentum():
     lab = FockLabel(2, 1)
     up = ladder_apply("adag", {lab: 1.0})
     (new_lab,) = up.keys()
-    e0, m0 = fock_energy_and_angular_momentum(CFG, lab)
-    e1, m1 = fock_energy_and_angular_momentum(CFG, new_lab)
-    assert m1 == m0 + 1 and e1 == pytest.approx(e0 + CFG.omega)
+    e0, m0 = landau_energy(CFG, lab.n), lab.angular_momentum
+    assert new_lab.angular_momentum == m0 + 1 and landau_energy(CFG, new_lab.n) == pytest.approx(e0 + CFG.omega)
     down_m = ladder_apply("bdag", {lab: 1.0})
     (new_lab,) = down_m.keys()
-    e2, m2 = fock_energy_and_angular_momentum(CFG, new_lab)
-    assert m2 == m0 - 1 and e2 == pytest.approx(e0)
+    assert new_lab.angular_momentum == m0 - 1 and landau_energy(CFG, new_lab.n) == pytest.approx(e0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +267,7 @@ def test_coherent_zero_orbit_amplitude_is_ground_state():
 )
 def test_coherent_raw_matches_complex_expression_bit_for_bit(lam, lamp, mw):
     # pins the bits of numpy's complex evaluation of the exponent, up to the
-    # sign of a zero, against any rewrite of _coherent_raw
+    # sign of a zero, against any rewrite of coherent_raw
     cfg = InfiniteConfig(mass=1.0, charge=1.0, b_field=mw)
     pre = math.sqrt(mw / 2.0)
     rng = np.random.default_rng(4)
@@ -302,7 +275,7 @@ def test_coherent_raw_matches_complex_expression_bit_for_bit(lam, lamp, mw):
     ys = np.concatenate((0.017 * np.arange(-30, 31), rng.uniform(-9.0, 9.0, 50)))
     x, y = xs[:, None], ys[None, :]
     want = np.exp(-0.25 * mw * (x * x + 2j * x * y + y * y) + pre * (x * (lam + lamp) + 1j * y * (lam - lamp)))
-    got = plane._coherent_raw(cfg, CoherentLabel(lam, lamp))(x, y)
+    got = coherent_raw(cfg, CoherentLabel(lam, lamp))(x, y)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal((got + 0.0).view(np.uint64), (want + 0.0).view(np.uint64))
     assert got[40, 30] == 1.0  # x = y = 0

@@ -14,14 +14,12 @@ from landau import (
     apply_translation_power,
     apply_tx,
     apply_ty,
-    coherent_prefactor,
     coherent_translation_series,
     density_map,
     eigenvalue_residual,
     expectation,
     gram_matrix,
     projector_distance,
-    sample_on_torus,
     torus_coherent,
     torus_eigenstate,
     torus_inner,
@@ -29,7 +27,7 @@ from landau import (
 )
 from landau.gauge import x_boundary_twist, y_boundary_twist
 from landau.oscillator import hermite_eigenfunction
-from landau.plane import _coherent_raw, evolve_coherent
+from landau.plane import evolve_coherent
 from landau.torus import (
     SampledState,
     _eigenstate_images,
@@ -41,7 +39,7 @@ from landau.torus import (
     torus_eigenstates,
     torus_norm,
 )
-from oracles import covariant_eigen_residual
+from oracles import coherent_prefactor, coherent_raw, covariant_eigen_residual
 
 TWO_PI = 2.0 * math.pi
 
@@ -254,6 +252,19 @@ def test_density_normalized_and_consistent():
     assert integral == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("n, coarse, fine", [(30, 16, 256), (200, 64, 512)])
+def test_density_grid_holds_exact_samples(n, coarse, fine):
+    # `density` applies no stencil, so a grid far coarser than the h^2 M w
+    # rule (about 1600^2 at n = 200) still holds exact samples of the image
+    # sum: 1.2e-15 (n = 30) and 4.8e-16 (n = 200) of the peak at the shared
+    # points on a 2-CPU Xeon
+    cfg = make_cfg(1, theta_x=0.7, theta_y=2.1)
+    a = density_map(torus_eigenstate(cfg, TorusLabel(n, 0), coarse, coarse)).density
+    b = density_map(torus_eigenstate(cfg, TorusLabel(n, 0), fine, fine)).density
+    step = fine // coarse
+    assert np.max(np.abs(a - b[::step, ::step])) < 1e-13 * np.max(b)
+
+
 def test_degeneracy_index_shift_moves_density():
     # l -> l+1 shifts the pattern by -a_x (same physics as theta_y -> theta_y + 2 pi)
     cfg = make_cfg(3)
@@ -462,7 +473,7 @@ def reference_coherent(cfg, c, nx, ny):
     """The per-image double loop that the separable sum replaced: one
     full-grid complex exponential per (kx, ky) image term."""
     xs, ys = grid_axes(cfg, nx, ny)
-    raw = _coherent_raw(cfg, c)
+    raw = coherent_raw(cfg, c)
     s2 = math.sqrt(2.0 / cfg.mass_omega)
     cx = s2 * (c.lam + c.lam_prime).real
     cy = s2 * (c.lam_prime.imag - c.lam.imag)
@@ -579,8 +590,6 @@ def test_translation_argument_validation():
         apply_translation_power(st, "x", -1)
     with pytest.raises(ValueError):
         apply_translation_power(st, "z", 1)
-    with pytest.raises(ValueError):
-        coherent_prefactor(cfg, CoherentLabel(0.0, 0.0), 1, "diagonal")
 
 
 @pytest.mark.parametrize("direction", ["x", "y"])
@@ -636,11 +645,11 @@ def test_phase_recovers_center_modulo_periods():
 
     rx, ry = coherent_center(cfg, lab)
     t1 = translation_expectation(st, "x", 1)
-    b1 = coherent_prefactor(cfg, lab, 1, "x")
+    b1 = coherent_prefactor(cfg, lab, 1, "x", coherent_translation_series(cfg, lab, lx=1))
     ry_rec = (np.angle(t1 / b1) + cfg.theta_x / cfg.n_phi) * cfg.ly / TWO_PI % cfg.ly
     assert ry_rec == pytest.approx(ry % cfg.ly, abs=1e-6)
     t1y = translation_expectation(st, "y", 1)
-    b1y = coherent_prefactor(cfg, lab, 1, "y")
+    b1y = coherent_prefactor(cfg, lab, 1, "y", coherent_translation_series(cfg, lab, ly=1))
     rx_rec = (-np.angle(t1y / b1y) - cfg.theta_y / cfg.n_phi) * cfg.lx / TWO_PI % cfg.lx
     assert rx_rec == pytest.approx(rx % cfg.lx, abs=1e-6)
 
@@ -651,7 +660,7 @@ def test_modulus_matches_prefactor():
     st = torus_coherent(cfg, lab, nx=128, ny=128)
     for l in (1, 2, 3):
         quad = translation_expectation(st, "x", l)
-        b = coherent_prefactor(cfg, lab, l, "x")
+        b = coherent_prefactor(cfg, lab, l, "x", coherent_translation_series(cfg, lab, lx=l))
         assert abs(abs(quad) - abs(b)) < 1e-8
 
 

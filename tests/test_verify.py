@@ -10,7 +10,7 @@ import landau
 from landau import TorusConfig, verify
 from landau.config import GRID_BUDGET, grid_spacing
 from landau.finitediff import apply_fd_operator
-from landau.plane import CoherentLabel, _coherent_raw, coherent_amplitude, sample_plane
+from landau.plane import CoherentLabel
 from landau.torus import TorusLabel, default_grid, eigenvalue_residual, torus_eigenstate
 from landau.verify import (
     _BLOCK_ROWS,
@@ -23,7 +23,7 @@ from landau.verify import (
     _plane_grid,
     run_verification,
 )
-from oracles import interior
+from oracles import coherent_amplitude, coherent_raw, interior, sample_plane
 
 
 def test_all_invariants_pass_at_two_flux_quanta():
@@ -211,13 +211,13 @@ def test_commutator_blocks_equal_full_grid_bit_for_bit():
 
 
 def sampler_error(cfg, mutate=None):
-    """max |rows - _coherent_raw| / max |raw| over the x-row ranges the
+    """max |rows - coherent_raw| / max |raw| over the x-row ranges the
     check requests and over the whole grid at once; mutate(values, x, y)
     stands in for a wrong sampler built from the right one."""
     h, m = _plane_grid(cfg)
     xs = h * np.arange(-m, m + 1)
     rows = _packet_rows(cfg, _PACKET, h, m)
-    raw = _coherent_raw(cfg, _PACKET)
+    raw = coherent_raw(cfg, _PACKET)
     n = 2 * m + 1
     spans = [(r0 - _HALO, min(r0 + _BLOCK_ROWS, n - _MARGIN) + _HALO) for r0 in range(_MARGIN, n - _MARGIN, _BLOCK_ROWS)]
     spans.append((0, n))
