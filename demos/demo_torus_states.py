@@ -16,14 +16,14 @@ from landau import (
     CoherentLabel,
     TorusConfig,
     TorusLabel,
-    apply_tx,
-    apply_ty,
+    boundary_residual,
     density_map,
     eigenvalue_residual,
     expectation,
     torus_coherent,
     torus_eigenstate,
     torus_inner,
+    translate,
 )
 from landau.serialize import write_pgm
 
@@ -33,7 +33,7 @@ from landau.serialize import write_pgm
 
 cfg1 = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=1, theta_x=math.pi, theta_y=math.pi)
 ground = torus_eigenstate(cfg1, TorusLabel(0, 0), nx=160, ny=160)
-print(f"boundary-condition residual: {ground.boundary_residual():.2e}")
+print(f"boundary-condition residual: {boundary_residual(ground):.2e}")
 print(f"energy residual against 1/2 (units of hbar*w): {eigenvalue_residual('H', ground, 0.5):.2e}")
 dm = density_map(ground)
 print(f"density maximum at ({dm.argmax_x:.3f}, {dm.argmax_y:.3f}); expected (0.5, 0.5)")
@@ -48,11 +48,11 @@ cfg3 = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=3, theta_x=0.8, theta_y=1.7)
 states = [torus_eigenstate(cfg3, TorusLabel(0, l), nx=96, ny=96) for l in range(3)]
 print("\nTy eigenvalues (phase / 2pi):")
 for l, st in enumerate(states):
-    eig = torus_inner(st, apply_ty(st))
+    eig = torus_inner(st, translate(st, "y"))
     print(f"   l={l}: {np.angle(eig) / (2 * math.pi):+.4f}  (expected {l}/3 mod 1)")
 print("Tx ladder overlaps |<l+1|Tx|l>|:")
 for l in range(3):
-    ov = torus_inner(states[(l + 1) % 3], apply_tx(states[l]))
+    ov = torus_inner(states[(l + 1) % 3], translate(states[l], "x"))
     print(f"   l={l} -> {(l + 1) % 3}: {abs(ov):.10f}")
 
 ###############################################################################

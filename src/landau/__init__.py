@@ -11,13 +11,13 @@ from .config import (
     torus_config_from_mapping,
 )
 from .gauge import (
-    TransitionFunctions,
     boundary_residual,
     cocycle_defect,
     flux_consistency_defect,
     polyakov_phase_x,
     polyakov_phase_y,
-    standard_transition_functions,
+    transition_x,
+    transition_y,
 )
 from .maggroup import (
     GroupElement,
@@ -53,9 +53,6 @@ from .torus import (
     SampledState,
     TorusLabel,
     apply_operator,
-    apply_translation_power,
-    apply_tx,
-    apply_ty,
     coherent_translation_series,
     default_grid,
     density_map,
@@ -68,5 +65,6 @@ from .torus import (
     torus_eigenstate,
     torus_eigenstates,
     torus_inner,
+    translate,
     translation_expectation,
 )

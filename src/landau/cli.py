@@ -305,6 +305,9 @@ def cmd_orbit(args, run) -> int:
         free = classical_orbit_trace(orbit, times)
         wrapped = np.mod(free, (cfg.lx, cfg.ly))  # folded into [0, lx) x [0, ly)
         closure = float(np.max(np.abs(free[-1] - free[0])))
+        # every cyclotron orbit closes; the residual is rounding, which scales
+        # with the largest coordinate of the circle
+        closes = closure <= 1.0e-9 * max(args.radius, abs(args.center_x), abs(args.center_y))
         with np.errstate(over="ignore"):  # a cell index beyond doubles reads inf
             cells = np.floor(free / (cfg.lx, cfg.ly))  # the torus cell of each sample
         wraps = bool((cells != cells[0]).any())
@@ -314,7 +317,7 @@ def cmd_orbit(args, run) -> int:
         write_json(
             {
                 "closure_residual": closure,
-                "closes": closure < 1.0e-9,
+                "closes": closes,
                 "crosses_boundary": wraps,
                 "period": period,
                 "radius": args.radius,

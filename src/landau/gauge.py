@@ -13,33 +13,20 @@ phi_x(y) = theta_x/e - B Lx y and phi_y(x) = theta_y/e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import TWO_PI
 
 
-@dataclass(frozen=True)
-class TransitionFunctions:
-    """Gauge functions gluing the torus boundaries, stored as closed-form
-    callables so that no sampling error enters the group-relation tests."""
-
-    phi_x: object  # function of y
-    phi_y: object  # function of x
+def transition_x(cfg, y):
+    """Gauge function phi_x(y) = theta_x/e - B Lx y gluing x = Lx to x = 0,
+    in closed form so that no sampling error enters the cocycle test."""
+    return cfg.theta_x / cfg.charge - cfg.b_field * cfg.lx * np.asarray(y, dtype=float)
 
 
-def standard_transition_functions(cfg) -> TransitionFunctions:
-    theta_x, theta_y = cfg.theta_x, cfg.theta_y
-    e, b, lx = cfg.charge, cfg.b_field, cfg.lx
-
-    def phi_x(y):
-        return theta_x / e - b * lx * np.asarray(y, dtype=float)
-
-    def phi_y(x):
-        return theta_y / e + 0.0 * np.asarray(x, dtype=float)
-
-    return TransitionFunctions(phi_x=phi_x, phi_y=phi_y)
+def transition_y(cfg, x):
+    """Gauge function phi_y(x) = theta_y/e gluing y = Ly to y = 0."""
+    return cfg.theta_y / cfg.charge + 0.0 * np.asarray(x, dtype=float)
 
 
 def polyakov_phase_x(cfg, y):
@@ -52,14 +39,14 @@ def polyakov_phase_y(cfg, x):
     return np.exp(1j * (cfg.charge * cfg.b_field * cfg.ly * np.asarray(x, dtype=float) - cfg.theta_y))
 
 
-def cocycle_defect(tf: TransitionFunctions, cfg, x: float = 0.0, y: float = 0.0) -> float:
+def cocycle_defect(cfg, x: float = 0.0, y: float = 0.0) -> float:
     """phi_y(x+Lx) + phi_x(y) - phi_x(y+Ly) - phi_y(x).
 
     For consistent transition functions this equals 2 pi n_phi / e
     independently of (x, y).
     """
     return float(
-        tf.phi_y(x + cfg.lx) + tf.phi_x(y) - tf.phi_x(y + cfg.ly) - tf.phi_y(x)
+        transition_y(cfg, x + cfg.lx) + transition_x(cfg, y) - transition_x(cfg, y + cfg.ly) - transition_y(cfg, x)
     )
 
 

@@ -6,7 +6,7 @@ All states are carried as SampledState grids over the closed fundamental
 domain [0, Lx] x [0, Ly] including both boundary lines, so the twisted
 boundary condition can be checked rather than imposed. Grid dimensions are
 multiples of n_phi in both directions, which makes the elementary steps
-(a_x, a_y) exact grid shifts: apply_tx / apply_ty involve no interpolation.
+(a_x, a_y) exact grid shifts: `translate` involves no interpolation.
 
 No grid-sized BLAS or LAPACK call here or in `verify` (a test scans for
 them). Inner products, Gram matrices and norms are numpy's pairwise
@@ -43,7 +43,7 @@ import numpy as np
 
 from .config import GRID_POINTS_PER_FLUX, TWO_PI, TorusConfig, commensurate, grid_spacing
 from .finitediff import apply_fd_operator
-from .gauge import boundary_residual, x_boundary_twist, y_boundary_twist
+from .gauge import x_boundary_twist, y_boundary_twist
 from .oscillator import hermite_eigenfunction
 from .plane import CoherentLabel, coherent_center
 
@@ -196,9 +196,6 @@ class SampledState:
     def core(self) -> np.ndarray:
         """Half-open grid without the duplicated boundary lines."""
         return self.values[:-1, :-1]
-
-    def boundary_residual(self) -> float:
-        return boundary_residual(self)
 
 
 def default_grid(cfg: TorusConfig) -> tuple[int, int]:
@@ -429,52 +426,42 @@ def _close_grid(core: np.ndarray, cfg: TorusConfig, ys_core: np.ndarray) -> np.n
     return full
 
 
-def apply_tx(state: SampledState) -> SampledState:
-    """Elementary magnetic translation along x:
+def translate(state: SampledState, direction: str, power: int = 1) -> SampledState:
+    """Magnetic translation T_direction^power, built from the elementary steps
 
     (Tx Psi)(x, y) = exp(2 pi i y / Ly - i theta_x / n_phi) Psi(x + a_x, y),
-
-    with the x-wrap supplied by the boundary twist. Implemented as an exact
-    roll of the half-open core (a permutation times unit phases), so it is
-    unitary on the grid inner product for any input; the duplicated boundary
-    lines of the result are rebuilt from the twist relation."""
-    cfg = state.config
-    nx = state.nx
-    s = nx // cfg.n_phi
-    ys_core = state.ys[:-1]
-    shifted = np.roll(state.core, -s, axis=0)
-    if s > 0:
-        shifted[nx - s :, :] *= x_boundary_twist(cfg, ys_core)[None, :]
-    gauge = np.exp(TWO_PI * 1j * ys_core / cfg.ly - 1j * cfg.theta_x / cfg.n_phi)
-    return SampledState(cfg, _close_grid(gauge[None, :] * shifted, cfg, ys_core))
-
-
-def apply_ty(state: SampledState) -> SampledState:
-    """Elementary magnetic translation along y:
-
     (Ty Psi)(x, y) = exp(-i theta_y / n_phi) Psi(x, y + a_y),
 
-    an exact roll of the core with the y-twist on the wrapped block."""
-    cfg = state.config
-    ny = state.ny
-    s = ny // cfg.n_phi
-    ys_core = state.ys[:-1]
-    shifted = np.roll(state.core, -s, axis=1)
-    if s > 0:
-        shifted[:, ny - s :] *= y_boundary_twist(cfg)
-    out = np.exp(-1j * cfg.theta_y / cfg.n_phi) * shifted
-    return SampledState(cfg, _close_grid(out, cfg, ys_core))
-
-
-def apply_translation_power(state: SampledState, direction: str, power: int) -> SampledState:
+    with the wrap supplied by the boundary twist. Each step is an exact roll
+    of the half-open core by n/n_phi cells (a permutation times unit phases),
+    so it is unitary on the grid inner product for any input; the duplicated
+    boundary lines are rebuilt from the twist relation once, after the last
+    step. Power 0 returns the state itself."""
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
-    op = apply_tx if direction == "x" else apply_ty if direction == "y" else None
-    if op is None:
+    if direction not in ("x", "y"):
         raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
+    if power == 0:
+        return state
+    cfg = state.config
+    ys_core = state.ys[:-1]
+    if direction == "x":
+        axis, twist = 0, x_boundary_twist(cfg, ys_core)[None, :]
+        gauge = np.exp(TWO_PI * 1j * ys_core / cfg.ly - 1j * cfg.theta_x / cfg.n_phi)[None, :]
+    else:
+        axis, twist = 1, y_boundary_twist(cfg)
+        gauge = np.exp(-1j * cfg.theta_y / cfg.n_phi)
+    n = state.values.shape[axis] - 1
+    s = n // cfg.n_phi
+    wrapped = (slice(None),) * axis + (slice(n - s, None),)
+    core = state.core
     for _ in range(power):
-        state = op(state)
-    return state
+        shifted = np.roll(core, -s, axis=axis)
+        shifted[wrapped] *= twist
+        # the gauge phase stays the left operand: complex multiply is not
+        # bitwise commutative
+        core = gauge * shifted
+    return SampledState(cfg, _close_grid(core, cfg, ys_core))
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +523,7 @@ def eigenvalue_residual(op: str, state: SampledState, value: complex) -> float:
 
 def translation_expectation(state: SampledState, direction: str, power: int) -> complex:
     """<Psi| T_direction^power |Psi> by grid quadrature."""
-    return torus_inner(state, apply_translation_power(state, direction, power))
+    return torus_inner(state, translate(state, direction, power))
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,15 @@ from . import maggroup, spectral
 from .config import TWO_PI, TorusConfig, check_work, grid_spacing
 from .finitediff import apply_fd_operator
 from .gauge import (
+    boundary_residual,
     cocycle_defect,
     flux_consistency_defect,
     polyakov_phase_x,
     polyakov_phase_y,
-    standard_transition_functions,
 )
 from .plane import CoherentLabel, FockLabel, ladder_apply
 from .torus import (
     TorusLabel,
-    apply_tx,
-    apply_ty,
     coherent_translation_series,
     default_grid,
     eigenvalue_residual,
@@ -36,6 +34,7 @@ from .torus import (
     torus_coherent,
     torus_eigenstates,
     torus_inner,
+    translate,
     translation_expectation,
     work_elements,
 )
@@ -249,10 +248,9 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     )
 
     # cocycle condition, constant in (x, y), relative to 2 pi n_phi / e
-    tf = standard_transition_functions(cfg)
     target = TWO_PI * cfg.n_phi / e
     pts = rng.uniform(-2.0, 2.0, size=(10, 2)) * (cfg.lx, cfg.ly)
-    cdef = max(abs(cocycle_defect(tf, cfg, x, y) / target - 1.0) for x, y in pts)
+    cdef = max(abs(cocycle_defect(cfg, x, y) / target - 1.0) for x, y in pts)
     add("cocycle_defect_constant", cdef, 1.0e-9)
 
     # Polyakov phases periodic under elementary steps
@@ -294,7 +292,7 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     del ly_states
     add(
         "torus_boundary_residual",
-        max(s.boundary_residual() for level in levels for s in level),
+        max(boundary_residual(s) for level in levels for s in level),
         1.0e-8,
     )
     gram_dev = max(float(np.max(np.abs(gram_matrix(level) - np.eye(n)))) for level in levels)
@@ -308,8 +306,8 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     del levels
 
     s0 = set_ly[0]
-    tx0, ty0 = apply_tx(s0), apply_ty(s0)
-    weyl_states = apply_ty(tx0).values - np.exp(TWO_PI * 1j / n) * apply_tx(ty0).values
+    tx0, ty0 = translate(s0, "x"), translate(s0, "y")
+    weyl_states = translate(tx0, "y").values - np.exp(TWO_PI * 1j / n) * translate(ty0, "x").values
     add(
         "weyl_relation_on_states",
         float(np.max(np.abs(weyl_states)) / np.max(np.abs(s0.values))),
@@ -328,7 +326,7 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
 
     # coherent states on the torus
     coh = torus_coherent(cfg, lab, nx=nx, ny=ny)
-    add("coherent_boundary_residual", coh.boundary_residual(), 1.0e-8)
+    add("coherent_boundary_residual", boundary_residual(coh), 1.0e-8)
     e_target = abs(lab.lam) ** 2 + 0.5
     add(
         "coherent_energy_expectation",

@@ -10,7 +10,6 @@ from landau import (
     flux_consistency_defect,
     polyakov_phase_x,
     polyakov_phase_y,
-    standard_transition_functions,
 )
 from landau.torus import SampledState, TorusLabel, grid_axes, torus_eigenstate
 
@@ -43,17 +42,16 @@ def test_polyakov_phase_unit_modulus():
 
 def test_cocycle_standard_values():
     cfg1 = TorusConfig(1, 1, 1, 1, 1)
-    assert cocycle_defect(standard_transition_functions(cfg1), cfg1) == pytest.approx(TWO_PI, rel=1e-14)
+    assert cocycle_defect(cfg1) == pytest.approx(TWO_PI, rel=1e-14)
     cfg2 = TorusConfig(1, 2, 1, 1, 3)
-    assert cocycle_defect(standard_transition_functions(cfg2), cfg2) == pytest.approx(3 * math.pi, rel=1e-14)
+    assert cocycle_defect(cfg2) == pytest.approx(3 * math.pi, rel=1e-14)
 
 
 def test_cocycle_constant_over_points():
     cfg = TorusConfig(1.2, 0.8, 1.4, 0.6, 2, theta_x=0.3, theta_y=2.0)
-    tf = standard_transition_functions(cfg)
     rng = np.random.default_rng(3)
     target = TWO_PI * cfg.n_phi / cfg.charge
-    vals = [cocycle_defect(tf, cfg, *rng.uniform(-2, 2, 2)) for _ in range(10)]
+    vals = [cocycle_defect(cfg, *rng.uniform(-2, 2, 2)) for _ in range(10)]
     assert max(abs(v - target) for v in vals) < 1e-12 * max(1.0, target)
 
 

@@ -11,9 +11,6 @@ from landau import (
     TorusConfig,
     TorusLabel,
     apply_operator,
-    apply_translation_power,
-    apply_tx,
-    apply_ty,
     coherent_translation_series,
     density_map,
     eigenvalue_residual,
@@ -23,9 +20,10 @@ from landau import (
     torus_coherent,
     torus_eigenstate,
     torus_inner,
+    translate,
     translation_expectation,
 )
-from landau.gauge import x_boundary_twist, y_boundary_twist
+from landau.gauge import boundary_residual, x_boundary_twist, y_boundary_twist
 from landau.oscillator import hermite_eigenfunction
 from landau.plane import evolve_coherent
 from landau.torus import (
@@ -68,7 +66,7 @@ def test_eigenstate_boundary_residual_and_norm(n_phi, basis):
     for n in range(3):
         for l in range(n_phi):
             st = torus_eigenstate(cfg, TorusLabel(n, l, basis), nx=24 * n_phi, ny=24 * n_phi)
-            assert st.boundary_residual() < 1e-8
+            assert boundary_residual(st) < 1e-8
             assert torus_norm(st) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -189,7 +187,7 @@ def test_sampled_state_values_are_c_contiguous():
     ly, lx = torus_eigenstates(cfg, [TorusLabel(1, 1), TorusLabel(1, 1, "lx")], 32, 24)
     coherent = torus_coherent(cfg, CoherentLabel(0.3 + 0.2j, -0.1 + 0.4j), nx=32, ny=24)
     fortran = SampledState(cfg, np.asfortranarray(ly.values))
-    states = [ly, lx, coherent, fortran, apply_tx(ly), apply_ty(lx), apply_operator("H", ly), normalized(lx)]
+    states = [ly, lx, coherent, fortran, translate(ly, "x"), translate(lx, "y"), apply_operator("H", ly), normalized(lx)]
     for st in states:
         assert st.values.flags.c_contiguous
     assert np.array_equal(fortran.values, ly.values)
@@ -299,18 +297,25 @@ def test_grid_commensurability_enforced():
 def test_ty_power_n_phi_is_identity(n_phi):
     cfg = make_cfg(n_phi)
     st = torus_eigenstate(cfg, TorusLabel(1, 0), nx=16 * n_phi, ny=16 * n_phi)
-    cycled = apply_translation_power(st, "y", n_phi)
+    cycled = translate(st, "y", n_phi)
     assert np.max(np.abs(cycled.values - st.values)) < 1e-10
-    cycled_x = apply_translation_power(st, "x", n_phi)
+    cycled_x = translate(st, "x", n_phi)
     assert np.max(np.abs(cycled_x.values - st.values)) < 1e-10
+    # a power is its steps composed, bit for bit, and power 0 is the state
+    for direction in "xy":
+        assert translate(st, direction, 0) is st
+        stepped = st
+        for power in range(1, 2 * n_phi + 1):
+            stepped = translate(stepped, direction)
+            assert translate(st, direction, power).values.tobytes() == stepped.values.tobytes()
 
 
 @pytest.mark.parametrize("n_phi", [2, 3, 4])
 def test_weyl_relation_pointwise(n_phi):
     cfg = make_cfg(n_phi)
     st = torus_eigenstate(cfg, TorusLabel(0, 1), nx=16 * n_phi, ny=16 * n_phi)
-    lhs = apply_ty(apply_tx(st)).values
-    rhs = np.exp(TWO_PI * 1j / n_phi) * apply_tx(apply_ty(st)).values
+    lhs = translate(translate(st, "x"), "y").values
+    rhs = np.exp(TWO_PI * 1j / n_phi) * translate(translate(st, "y"), "x").values
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(st.values))
 
 
@@ -319,8 +324,8 @@ def test_translations_are_unitary_on_grid():
     rng = np.random.default_rng(0)
     raw = rng.normal(size=(49, 49)) + 1j * rng.normal(size=(49, 49))
     st = SampledState(cfg, raw)
-    for op in (apply_tx, apply_ty):
-        moved = op(st)
+    for direction in "xy":
+        moved = translate(st, direction)
         assert torus_inner(moved, moved).real == pytest.approx(torus_inner(st, st).real, rel=1e-12)
 
 
@@ -349,8 +354,9 @@ def test_translations_unitary_property(n_phi, angles, aspect, cells, seed):
     a = random_grid_state(cfg, cells, seed)
     b = random_grid_state(cfg, cells, seed + 1)
     scale = torus_norm(a) * torus_norm(b)
-    for op in (apply_tx, apply_ty):
-        assert abs(torus_inner(op(a), op(b)) - torus_inner(a, b)) <= 1e-12 * scale
+    for direction in "xy":
+        moved = torus_inner(translate(a, direction), translate(b, direction))
+        assert abs(moved - torus_inner(a, b)) <= 1e-12 * scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -359,8 +365,8 @@ def test_weyl_relation_property(n_phi, angles, aspect, cells, seed):
     side = math.sqrt(aspect)
     cfg = make_cfg(n_phi, theta_x=angles[0], theta_y=angles[1], lx=side, ly=1.0 / side)
     st = random_grid_state(cfg, cells, seed)
-    lhs = apply_ty(apply_tx(st)).values
-    rhs = np.exp(TWO_PI * 1j / n_phi) * apply_tx(apply_ty(st)).values
+    lhs = translate(translate(st, "x"), "y").values
+    rhs = np.exp(TWO_PI * 1j / n_phi) * translate(translate(st, "y"), "x").values
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(st.values))
 
 
@@ -372,7 +378,7 @@ def test_tx_ladder_with_convention_phase(n_phi):
     nx = ny = 24 * n_phi
     states = [torus_eigenstate(cfg, TorusLabel(1, l), nx=nx, ny=ny) for l in range(n_phi)]
     for l in range(n_phi):
-        moved = apply_tx(states[l])
+        moved = translate(states[l], "x")
         target = states[(l + 1) % n_phi]
         ov = torus_inner(target, moved)
         assert abs(abs(ov) - 1.0) < 1e-8
@@ -386,7 +392,7 @@ def test_ty_eigenvalue(n_phi):
     nx = ny = 24 * n_phi
     for l in range(n_phi):
         st = torus_eigenstate(cfg, TorusLabel(0, l), nx=nx, ny=ny)
-        ov = torus_inner(st, apply_ty(st))
+        ov = torus_inner(st, translate(st, "y"))
         assert ov == pytest.approx(np.exp(TWO_PI * 1j * l / n_phi), abs=1e-8)
 
 
@@ -395,7 +401,7 @@ def test_ty_lowers_lx_label():
     nx = ny = 24 * 3
     states = [torus_eigenstate(cfg, TorusLabel(0, l, "lx"), nx=nx, ny=ny) for l in range(3)]
     for l in range(3):
-        moved = apply_ty(states[l])
+        moved = translate(states[l], "y")
         ov = torus_inner(states[(l - 1) % 3], moved)
         assert abs(abs(ov) - 1.0) < 1e-8
 
@@ -405,7 +411,7 @@ def test_tx_eigenvalue_in_lx_basis():
     nx = ny = 24 * 3
     for l in range(3):
         st = torus_eigenstate(cfg, TorusLabel(0, l, "lx"), nx=nx, ny=ny)
-        ov = torus_inner(st, apply_tx(st))
+        ov = torus_inner(st, translate(st, "x"))
         assert ov == pytest.approx(np.exp(TWO_PI * 1j * l / 3), abs=1e-8)
 
 
@@ -548,7 +554,7 @@ def test_coherent_boundary_residual():
     for n_phi in (1, 2, 3):
         cfg = make_cfg(n_phi)
         st = torus_coherent(cfg, CoherentLabel(0.5 - 0.2j, -0.3 + 0.4j), nx=32 * n_phi, ny=32 * n_phi)
-        assert st.boundary_residual() < 1e-8
+        assert boundary_residual(st) < 1e-8
 
 
 def test_time_evolution_stays_coherent_vs_eigenbasis():
@@ -587,9 +593,9 @@ def test_translation_argument_validation():
     cfg = make_cfg(2)
     st = torus_eigenstate(cfg, TorusLabel(0, 0), nx=32, ny=32)
     with pytest.raises(ValueError):
-        apply_translation_power(st, "x", -1)
+        translate(st, "x", -1)
     with pytest.raises(ValueError):
-        apply_translation_power(st, "z", 1)
+        translate(st, "z", 1)
 
 
 @pytest.mark.parametrize("direction", ["x", "y"])
