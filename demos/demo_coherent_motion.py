@@ -9,12 +9,8 @@ classical particle without spreading.
 
 import numpy as np
 
-from landau import (
-    CoherentLabel,
-    InfiniteConfig,
-    coherent_expectations,
-    evolve_coherent,
-)
+from landau.config import InfiniteConfig
+from landau.plane import CoherentLabel, coherent_expectations, evolve_coherent
 
 cfg = InfiniteConfig(mass=1.0, charge=1.0, b_field=1.0)
 label = CoherentLabel(lam=1.2, lam_prime=0.5 + 0.5j)

@@ -11,10 +11,10 @@ import math
 
 import numpy as np
 
-from landau import (
+from landau.config import InfiniteConfig
+from landau.plane import (
     ClassicalOrbit,
     FockLabel,
-    InfiniteConfig,
     classical_orbit_trace,
     ladder_apply,
     landau_energy,

@@ -9,7 +9,8 @@ Hamiltonian exactly, so the degeneracy survives discretization to solver
 precision.
 """
 
-from landau import TorusConfig, low_spectrum
+from landau.config import TorusConfig
+from landau.spectral import low_spectrum
 
 GRID = 96
 

@@ -12,20 +12,20 @@ import math
 
 import numpy as np
 
-from landau import (
-    CoherentLabel,
-    TorusConfig,
+from landau.config import TorusConfig
+from landau.gauge import boundary_residual
+from landau.plane import CoherentLabel
+from landau.serialize import write_pgm
+from landau.torus import (
     TorusLabel,
-    boundary_residual,
+    apply_operator,
     density_map,
     eigenvalue_residual,
-    expectation,
     torus_coherent,
     torus_eigenstate,
     torus_inner,
     translate,
 )
-from landau.serialize import write_pgm
 
 ###############################################################################
 # Unit flux, angles at pi: the ground state is unique and its density bump
@@ -62,6 +62,6 @@ for l in range(3):
 
 lab = CoherentLabel(0.4 + 0.2j, 0.3 - 0.1j)
 coh = torus_coherent(cfg3, lab, nx=96, ny=96)
-e = expectation("H", coh).real
+e = torus_inner(coh, apply_operator("H", coh)).real
 target = abs(lab.lam) ** 2 + 0.5
 print(f"\ncoherent <H> = {e:.6f}, closed form {target:.6f}")

@@ -141,7 +141,10 @@ def _trace_times(args, period: float) -> np.ndarray:
     rows = args.periods * args.samples + 1
     work = math.ceil(rows * _TRACE_ROW_VALUES)
     check_work(work, f"the {args.command} trace of {rows} samples", "choose fewer --periods or --samples")
-    return np.linspace(0.0, args.periods * period, rows)
+    end = args.periods * period
+    if not math.isfinite(end):
+        raise ValueError(f"--periods {args.periods} times the cyclotron period {period:g} is not a finite end time")
+    return np.linspace(0.0, end, rows)
 
 
 def cmd_spectrum(args, run) -> int:
@@ -302,7 +305,10 @@ def cmd_orbit(args, run) -> int:
     period = TWO_PI / cfg.omega
     times = _trace_times(args, period)
     with run.stage("trace"):
-        free = classical_orbit_trace(orbit, times)
+        with np.errstate(over="ignore"):
+            free = classical_orbit_trace(orbit, times)
+        if not np.isfinite(free).all():
+            raise ValueError("the orbit's coordinates overflow; choose a smaller --radius or center")
         wrapped = np.mod(free, (cfg.lx, cfg.ly))  # folded into [0, lx) x [0, ly)
         closure = float(np.max(np.abs(free[-1] - free[0])))
         # every cyclotron orbit closes; the residual is rounding, which scales

@@ -497,12 +497,6 @@ def apply_operator(op: str, state: SampledState) -> SampledState:
     return SampledState(cfg, _close_grid(out, cfg, ys))
 
 
-def expectation(op: str, state: SampledState) -> complex:
-    """Quadrature expectation <Psi|O Psi> (state assumed unit-normalized),
-    in units of hbar*omega for H."""
-    return torus_inner(state, apply_operator(op, state))
-
-
 def _l2_norm(z: np.ndarray) -> float:
     """Euclidean norm of z, scaled by max|z| before the pairwise sum of
     squares so that no square overflows or underflows."""
@@ -519,11 +513,6 @@ def eigenvalue_residual(op: str, state: SampledState, value: complex) -> float:
     applied = apply_operator(op, state).core
     base = state.core
     return _l2_norm(applied - value * base) / _l2_norm(base)
-
-
-def translation_expectation(state: SampledState, direction: str, power: int) -> complex:
-    """<Psi| T_direction^power |Psi> by grid quadrature."""
-    return torus_inner(state, translate(state, direction, power))
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +556,8 @@ def coherent_translation_series(cfg: TorusConfig, c: CoherentLabel, lx: int = 0,
 
         sum_m C(n_phi mx + lx, n_phi my + ly) / sum_m C(n_phi mx, n_phi my).
 
-    This is the independent analytic route that the grid quadrature of
-    translation_expectation is checked against."""
+    This is the independent analytic route that the grid quadrature
+    torus_inner(state, translate(state, ...)) is checked against."""
     mm = _series_reach(cfg)
     term = _coherent_overlap(cfg, c)
     num = 0.0 + 0.0j

@@ -24,10 +24,10 @@ from .gauge import (
 from .plane import CoherentLabel, FockLabel, ladder_apply
 from .torus import (
     TorusLabel,
+    apply_operator,
     coherent_translation_series,
     default_grid,
     eigenvalue_residual,
-    expectation,
     gram_matrix,
     grid_vdot,
     projector_distance,
@@ -35,7 +35,6 @@ from .torus import (
     torus_eigenstates,
     torus_inner,
     translate,
-    translation_expectation,
     work_elements,
 )
 
@@ -330,11 +329,11 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     e_target = abs(lab.lam) ** 2 + 0.5
     add(
         "coherent_energy_expectation",
-        abs(expectation("H", coh) - e_target) / e_target,
+        abs(torus_inner(coh, apply_operator("H", coh)) - e_target) / e_target,
         1.0e-3,
     )
     series = coherent_translation_series(cfg, lab, lx=1)
-    quad = translation_expectation(coh, "x", 1)
+    quad = torus_inner(coh, translate(coh, "x"))
     add("translation_expectation_series", abs(series - quad), 1.0e-8)
     del coh
 

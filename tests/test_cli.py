@@ -120,6 +120,9 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
         ["orbit", "--nphi", "1", "--radius", "0.1", "--phase0", "inf"],
         # the energy column |lam|^2 + 1/2 overflows
         ["coherent", "--nphi", "1", "--lam", "1e200", "--lam-prime", "0"],
+        # the coordinates overflow; the cyclotron period 2 pi M / eB overflows
+        ["orbit", "--nphi", "1", "--radius", "1e308", "--center-x", "1e308"],
+        ["orbit", "--nphi", "1", "--mass", "1e308", "--radius", "0.1", "--periods", "2"],
         ["verify", "--nphi", "1", "--seed", "-1"],
         # hy (hx) far above l_B on a torus of tiny area
         ["spectrum", "--nphi", "1", "--lx", "1e-160"],
@@ -361,8 +364,11 @@ def test_density_coherent_normalized(tmp_path):
 
 
 def test_density_resolution_flag_changes_grid(tmp_path):
-    run_cli(["density", "--nphi", "2", "--n", "0", "--l", "1", "--grid", "64", "--out-dir", str(tmp_path)])
-    assert read_json(tmp_path / "argmax.json")["grid"] == [65, 65]
+    # --grid is rounded up to a multiple of n_phi; the closed grid adds one point
+    for nphi, closed in (("2", 65), ("3", 67)):
+        out = tmp_path / nphi
+        run_cli(["density", "--nphi", nphi, "--n", "0", "--l", "1", "--grid", "64", "--out-dir", str(out)])
+        assert read_json(out / "argmax.json")["grid"] == [closed, closed]
 
 
 def test_density_selector_required(tmp_path):
@@ -612,8 +618,10 @@ def test_spectrum_output_deterministic_through_eigensolver(tmp_path):
 # square grids, so this case calls the library.
 SEEDED_SPECTRUM_SCRIPT = """
 import sys
-from landau import TorusConfig, default_grid, low_spectrum
+from landau.config import TorusConfig
 from landau.serialize import write_json
+from landau.spectral import low_spectrum
+from landau.torus import default_grid
 cfg = TorusConfig(1.0, 1.0, lx=1.1, ly=1 / 1.1, n_phi=2, theta_x=0.7, theta_y=2.1)
 assert default_grid(cfg) == (124, 102)
 write_json(low_spectrum(cfg, 124, 102, 4).as_dict(), sys.argv[1])

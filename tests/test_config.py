@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landau import InfiniteConfig, TorusConfig
-from landau.config import parse_config_text, torus_config_from_mapping
+from landau.config import InfiniteConfig, TorusConfig, parse_config_text, torus_config_from_mapping
 
 TWO_PI = 2.0 * math.pi
 

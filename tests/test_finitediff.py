@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landau import TorusConfig
+from landau.config import TorusConfig
 from landau.finitediff import OPERATORS, apply_fd_operator
 from landau.torus import TorusLabel, torus_eigenstate, x_boundary_twist, y_boundary_twist
 from oracles import covariant_fd_operator, reference_fd_operator

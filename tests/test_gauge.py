@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from landau import (
-    TorusConfig,
+from landau.config import TorusConfig
+from landau.gauge import (
     boundary_residual,
     cocycle_defect,
     flux_consistency_defect,

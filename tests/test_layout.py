@@ -2,7 +2,8 @@
 or class of the package is used somewhere in the package outside its own
 definition (a re-export in `__init__` is not a use), or is named below with
 the reason it stays. A helper that only tests or demos call belongs in
-tests/oracles.py or in its demo."""
+tests/oracles.py or in its demo. Each name has one import path, its own
+module: the package root holds only its docstring and `__version__`."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,13 @@ def test_every_public_name_is_used_or_allowed():
 def test_allowlist_is_not_stale():
     # an allowed name that gained a caller, or left the package, leaves the list
     assert set(ALLOWED) <= unused_public_names()
+
+
+def test_package_root_holds_only_version():
+    # a re-export block in __init__ would give every name a second path
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    assert len(body) == 2, "import each name from its own module, not from the package root"
+    docstring, version = body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert isinstance(docstring.value.value, str)
+    assert isinstance(version, ast.Assign) and [t.id for t in version.targets] == ["__version__"]

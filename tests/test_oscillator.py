@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from landau import hermite_eigenfunction
+from landau.oscillator import hermite_eigenfunction
 from oracles import independent_psi_n
 
 

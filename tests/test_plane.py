@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from landau import (
+from landau.config import InfiniteConfig
+from landau.finitediff import apply_fd_operator
+from landau.oscillator import hermite_eigenfunction
+from landau.plane import (
     ClassicalOrbit,
     CoherentLabel,
     FockLabel,
-    InfiniteConfig,
     classical_orbit_trace,
     coherent_expectations,
     eigenstate_py,
     evolve_coherent,
-    hermite_eigenfunction,
     ladder_apply,
     landau_energy,
 )
-from landau.finitediff import apply_fd_operator
 from oracles import (
     PlaneOperators,
     coherent_amplitude,

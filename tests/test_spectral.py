@@ -7,10 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from landau import TorusConfig, TorusLabel, low_spectrum, projector_distance, spectral, torus_eigenstate
-from landau.spectral import bloch_chain, chain_spectra, cluster_eigenvalues, clusters_well_separated
-from landau.torus import SampledState, normalized
+from landau import spectral
+from landau.config import TorusConfig
 from landau.gauge import x_boundary_twist, y_boundary_twist
+from landau.spectral import (
+    bloch_chain,
+    chain_spectra,
+    cluster_eigenvalues,
+    clusters_well_separated,
+    low_spectrum,
+)
+from landau.torus import SampledState, TorusLabel, normalized, projector_distance, torus_eigenstate
 from oracles import build_hamiltonian, free_twisted_spectrum, lowest_eigenpairs
 
 

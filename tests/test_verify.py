@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import landau
-from landau import TorusConfig, verify
-from landau.config import GRID_BUDGET, grid_spacing
+from landau import verify
+from landau.config import GRID_BUDGET, TorusConfig, grid_spacing
 from landau.finitediff import apply_fd_operator
 from landau.plane import CoherentLabel
 from landau.torus import TorusLabel, default_grid, eigenvalue_residual, torus_eigenstate
