@@ -9,39 +9,41 @@ through clock and shift matrices.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
 from landau import maggroup
 
 N_PHI = 4
-els = maggroup.elements(N_PHI)
+els = maggroup.elements(N_PHI)  # els[i] = [nx, ny, m] of element i
+table = maggroup.multiplication_indices(N_PHI)  # table[i, j]: index of i * j
 print(f"group order: {len(els)} = {N_PHI}^3")
+
+
+def name(i):
+    return "g({},{},{})".format(*els[i])
+
 
 ###############################################################################
 # Non-commutativity in exact integer arithmetic: measure the group
-# commutator of the two elementary translations.
+# commutator of the two elementary translations. Element 0 is the identity,
+# so the inverse of i is the j with table[i, j] == 0.
 
-gx = maggroup.GroupElement(1, 0, 0, N_PHI)
-gy = maggroup.GroupElement(0, 1, 0, N_PHI)
-comm = maggroup.multiply(
-    maggroup.multiply(gx, gy), maggroup.multiply(maggroup.inverse(gx), maggroup.inverse(gy))
-)
-print(f"commutator of the generators: {comm} (a pure center phase)")
+inverse = (table == 0).argmax(axis=1)
+gx, gy = els.index([1, 0, 0]), els.index([0, 1, 0])
+comm = table[table[gx, gy], table[inverse[gx], inverse[gy]]]
+center = maggroup.center(N_PHI)
+print(f"commutator of the generators: {name(comm)} (central: {comm in center}, identity: {comm == 0})")
 
 ###############################################################################
 # Conjugacy classes: the n_phi central phases sit alone; everything else
 # groups into classes that sweep the center direction.
 
-classes = sorted(
-    {maggroup.conjugacy_class(g) for g in els},
-    key=lambda c: (len(c), sorted((g.nx, g.ny, g.m) for g in c)),
-)
-sizes = {}
-for c in classes:
-    sizes[len(c)] = sizes.get(len(c), 0) + 1
+classes = maggroup.conjugacy_class_indices(N_PHI)
+sizes = dict(sorted(Counter(len(c) for c in classes).items()))
 print(f"{len(classes)} conjugacy classes, sizes: {sizes}")
-print(f"center: {sorted(maggroup.center(N_PHI), key=lambda g: g.m)}")
+print(f"center: [{', '.join(name(i) for i in center)}]")
 
 ###############################################################################
 # The clock-and-shift representation: Ty diagonal with n_phi-th roots of
@@ -59,6 +61,6 @@ print(f"commutant dimension (1 = irreducible): {maggroup.commutant_dimension(rep
 
 ok = True
 for nx, ny, nxp, nyp in itertools.product(range(N_PHI), repeat=4):
-    p = maggroup.multiply(maggroup.GroupElement(nx, ny, 0, N_PHI), maggroup.GroupElement(nxp, nyp, 0, N_PHI))
-    ok = ok and (p.nx, p.ny) == ((nx + nxp) % N_PHI, (ny + nyp) % N_PHI)
+    p = els[table[els.index([nx, ny, 0]), els.index([nxp, nyp, 0])]]
+    ok = ok and p[:2] == [(nx + nxp) % N_PHI, (ny + nyp) % N_PHI]
 print(f"\nG / Z(n_phi) multiplies like Z(n_phi) x Z(n_phi): {ok}")

@@ -181,9 +181,12 @@ def cmd_density(args, run) -> int:
     coherent_selector = args.lam is not None or args.lam_prime is not None
     if eigen_selector and coherent_selector:
         raise ValueError("choose either an eigenstate (--n/--l) or a coherent state (--lam/--lam-prime)")
+    if coherent_selector and args.basis is not None:
+        raise ValueError("--basis selects an eigenstate basis; a coherent state (--lam/--lam-prime) has none")
     if eigen_selector:
-        label = TorusLabel(args.n or 0, args.l or 0, args.basis)
-        selector = {"kind": "eigenstate", "n": args.n or 0, "l": args.l or 0, "basis": args.basis}
+        basis = args.basis or "ly"
+        label = TorusLabel(args.n or 0, args.l or 0, basis)
+        selector = {"kind": "eigenstate", "n": args.n or 0, "l": args.l or 0, "basis": basis}
     elif coherent_selector:
         lam = _parse_complex(args.lam or "0", "--lam")
         lam_prime = _parse_complex(args.lam_prime or "0", "--lam-prime")
@@ -238,8 +241,7 @@ def cmd_group(args, run) -> int:
     run.manifest["config"] = {"nphi": n}
 
     with run.stage("group"):
-        # element i is g(nx, ny, m) with i = (nx*n + ny)*n + m, as in maggroup
-        elements = np.indices((n, n, n)).reshape(3, -1).T.tolist()
+        elements = maggroup.elements(n)
         classes = maggroup.conjugacy_class_indices(n)
         rep = maggroup.clock_and_shift(n)
 
@@ -251,7 +253,7 @@ def cmd_group(args, run) -> int:
         "order": len(elements),
         "elements": elements,
         "conjugacy_classes": classes,
-        "center": sorted((g.nx * n + g.ny) * n + g.m for g in maggroup.center(n)),
+        "center": maggroup.center(n),
         "tx": mat_to_list(rep.tx),
         "ty": mat_to_list(rep.ty),
         "weyl_deviation": maggroup.weyl_deviation(rep),
@@ -383,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
-    p.add_argument("--basis", choices=("ly", "lx"), default="ly")
+    p.add_argument("--basis", choices=("ly", "lx"), default=None)  # "ly" for an eigenstate
     p.add_argument("--lam", type=str, default=None)
     p.add_argument("--lam-prime", dest="lam_prime", type=str, default=None)
     p.set_defaults(func=cmd_density)

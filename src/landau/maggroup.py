@@ -1,7 +1,12 @@
 """The discrete magnetic translation group as exact integer arithmetic, plus
 its n_phi-dimensional clock-and-shift unitary representation.
 
-Elements g(n_x, n_y, m) = exp(2 pi i m / n_phi) Ty^{n_y} Tx^{n_x} multiply as
+Element i of the group of order n_phi^3 is
+
+    g(nx, ny, m) = exp(2 pi i m / n_phi) Ty^{ny} Tx^{nx},  i = (nx*n_phi + ny)*n_phi + m,
+
+with 0 <= nx, ny, m < n_phi; an index is the only encoding of an element.
+The one group law is `multiplication_indices`:
 
     g(nx, ny, m) g(nx', ny', m') = g(nx + nx', ny + ny', m + m' - nx ny')
 
@@ -20,78 +25,27 @@ import numpy as np
 from .config import TWO_PI
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """g(nx, ny, m) of the group of order n_phi^3, its components reduced mod
-    n_phi."""
-
-    nx: int
-    ny: int
-    m: int
-    n_phi: int
-
-    def __post_init__(self):
-        if self.n_phi < 1:
-            raise ValueError(f"n_phi must be >= 1, got {self.n_phi}")
-        for name in ("nx", "ny", "m"):
-            object.__setattr__(self, name, getattr(self, name) % self.n_phi)
-
-    def __repr__(self):
-        return f"g({self.nx},{self.ny},{self.m})"
-
-
-def identity(n_phi: int) -> GroupElement:
-    return GroupElement(0, 0, 0, n_phi)
-
-
-def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
-    if g.n_phi != h.n_phi:
-        raise ValueError(f"modulus mismatch: {g.n_phi} vs {h.n_phi}")
-    return GroupElement(g.nx + h.nx, g.ny + h.ny, g.m + h.m - g.nx * h.ny, g.n_phi)
-
-
-def inverse(g: GroupElement) -> GroupElement:
-    return GroupElement(-g.nx, -g.ny, -g.m - g.nx * g.ny, g.n_phi)
-
-
-def elements(n_phi: int):
-    """All n_phi^3 group elements."""
-    return [
-        GroupElement(nx, ny, m, n_phi)
-        for nx, ny, m in itertools.product(range(n_phi), repeat=3)
-    ]
+def elements(n_phi: int) -> list:
+    """The [nx, ny, m] components of every element, in index order."""
+    return [list(g) for g in itertools.product(range(n_phi), repeat=3)]
 
 
 def multiplication_indices(n_phi: int) -> np.ndarray:
-    """int32 array table[i, j] = index of elements[i] * elements[j] in
-    `elements(n_phi)`, where element i is g(nx, ny, m) with
-    i = (nx*n + ny)*n + m: the group law of `multiply` on index arrays."""
+    """int32 array table[i, j] = index of the product of elements i and j."""
     n = n_phi
     nx, ny, m = (a.ravel() for a in np.indices((n, n, n), dtype=np.int32))
     gx, gy, gm = nx[:, None], ny[:, None], m[:, None]  # left factor, one per row
     return ((gx + nx) % n * n + (gy + ny) % n) * n + (gm + m - gx * ny) % n
 
 
-def conjugacy_class(g: GroupElement) -> frozenset:
-    """{g(nx, ny, m + nx*ny' - nx'*ny)} over all (nx', ny').
-
-    Central elements g(0, 0, m) are conjugate only to themselves.
-    """
-    n = g.n_phi
-    return frozenset(
-        GroupElement(g.nx, g.ny, g.m + g.nx * nyp - nxp * g.ny, n)
-        for nxp in range(n)
-        for nyp in range(n)
-    )
-
-
 def conjugacy_class_indices(n_phi: int) -> list:
-    """Every conjugacy class as a sorted list of `elements(n_phi)` indices
-    (i = (nx*n + ny)*n + m), the classes ordered by their smallest index.
+    """Every conjugacy class as a sorted list of element indices, the classes
+    ordered by their smallest index.
 
-    Closed form of `conjugacy_class`: conjugation adds nx*ny' - nx'*ny to m,
-    and those values run over the multiples of d = gcd(nx, ny, n_phi), so
-    the class of g(nx, ny, m) is every g(nx, ny, m') with m' = m mod d.
+    Conjugation adds nx*ny' - nx'*ny to m, and those values run over the
+    multiples of d = gcd(nx, ny, n_phi), so the class of g(nx, ny, m) is every
+    g(nx, ny, m') with m' = m mod d. Central elements g(0, 0, m) are
+    conjugate only to themselves.
     """
     n = n_phi
     classes = []
@@ -102,9 +56,9 @@ def conjugacy_class_indices(n_phi: int) -> list:
     return classes
 
 
-def center(n_phi: int) -> frozenset:
-    """The center {g(0, 0, m)}, a cyclic subgroup of order n_phi."""
-    return frozenset(GroupElement(0, 0, m, n_phi) for m in range(n_phi))
+def center(n_phi: int) -> list:
+    """The indices of the center {g(0, 0, m)}, a cyclic subgroup of order n_phi."""
+    return list(range(n_phi))
 
 
 # ---------------------------------------------------------------------------
@@ -130,22 +84,20 @@ def clock_and_shift(n_phi: int) -> UnitaryRep:
     return UnitaryRep(n_phi=n, tx=tx, ty=ty)
 
 
-def represent(rep: UnitaryRep, g: GroupElement) -> np.ndarray:
-    """Matrix exp(2 pi i m / n_phi) Ty^{n_y} Tx^{n_x} for g(n_x, n_y, m)."""
-    if rep.n_phi != g.n_phi:
-        raise ValueError(f"modulus mismatch: rep {rep.n_phi} vs element {g.n_phi}")
-    phase = np.exp(TWO_PI * 1j * g.m / g.n_phi)
+def represent(rep: UnitaryRep, nx: int, ny: int, m: int) -> np.ndarray:
+    """Matrix exp(2 pi i m / n_phi) Ty^{ny} Tx^{nx} of g(nx, ny, m)."""
+    phase = np.exp(TWO_PI * 1j * m / rep.n_phi)
     return phase * (
-        np.linalg.matrix_power(rep.ty, g.ny) @ np.linalg.matrix_power(rep.tx, g.nx)
+        np.linalg.matrix_power(rep.ty, ny) @ np.linalg.matrix_power(rep.tx, nx)
     )
 
 
 def homomorphism_defect(rep: UnitaryRep, table: np.ndarray, pairs) -> float:
-    """max |D(table[g, h]) - D(g) D(h)| over the index pairs (g, h) of
-    `elements(rep.n_phi)`, for a multiplication table on those indices (as
-    `multiplication_indices` gives): zero when rep represents that group law.
-    Each element's matrix is built once."""
-    d = [represent(rep, g) for g in elements(rep.n_phi)]
+    """max |D(table[g, h]) - D(g) D(h)| over the element index pairs (g, h),
+    for a multiplication table on those indices (as `multiplication_indices`
+    gives): zero when rep represents that group law. Each element's matrix is
+    built once."""
+    d = [represent(rep, *g) for g in elements(rep.n_phi)]
     return max(
         (float(np.max(np.abs(d[table[g, h]] - d[g] @ d[h]))) for g, h in pairs),
         default=0.0,
@@ -159,9 +111,15 @@ def weyl_deviation(rep: UnitaryRep) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
+# Singular values below this fraction of the largest (at least 1) count as
+# zero: the constraint entries have modulus at most 2, so a true null
+# direction sits at rounding level, far below it.
+COMMUTANT_TOL = 1.0e-10
+
+
 # No runtime caller yet: ROADMAP item 3 checks irreducibility of the lattice
 # levels' translation matrices with it.
-def commutant_dimension(rep: UnitaryRep, tol: float = 1.0e-10) -> int:
+def commutant_dimension(rep: UnitaryRep) -> int:
     """Dimension of {X : [X, Tx] = [X, Ty] = 0}; 1 means irreducible.
 
     Solved numerically: vectorize X and stack the two commutator constraints
@@ -175,4 +133,4 @@ def commutant_dimension(rep: UnitaryRep, tol: float = 1.0e-10) -> int:
     ]
     system = np.vstack(rows)
     sv = np.linalg.svd(system, compute_uv=False)
-    return int(np.sum(sv < tol * max(1.0, sv[0])))
+    return int(np.sum(sv < COMMUTANT_TOL * max(1.0, sv[0])))

@@ -14,9 +14,10 @@ plain Landau-gauge H, a and adag of `reference_fd_operator` stay as the
 independent operators the covariant ones must converge to.
 
 The references the package is compared against live here too:
-- the magnetic translation group's law on plain (nx, ny, m) tuples, with the
-  centre found by brute force and the quotient by the centre by coset
-  enumeration, against `landau.maggroup`;
+- the magnetic translation group's law on plain (nx, ny, m) tuples, its
+  table on element indices, the conjugacy classes and the centre found by
+  brute force and the quotient by the centre by coset enumeration, against
+  `landau.maggroup`;
 - the plane states the plane tests sample (`sample_plane`, the Px eigenstate
   on `independent_psi_n`, the coherent amplitude in closed form, and its
   unnormalised exponential `coherent_raw`, which `verify`'s factorised
@@ -59,6 +60,33 @@ def group_law(g, h, n_phi):
     """Product of the magnetic translation group elements g = (nx, ny, m) and
     h as plain integer tuples: (nx + nx', ny + ny', m + m' - nx ny') mod n_phi."""
     return ((g[0] + h[0]) % n_phi, (g[1] + h[1]) % n_phi, (g[2] + h[2] - g[0] * h[1]) % n_phi)
+
+
+def element_index(g, n_phi):
+    """Index i = (nx*n + ny)*n + m of g = (nx, ny, m): its position in
+    `itertools.product(range(n), repeat=3)`."""
+    return (g[0] * n_phi + g[1]) * n_phi + g[2]
+
+
+def group_table(n_phi):
+    """table[i, j] = index of the product of elements i and j under
+    `group_law`. The law is plain integer arithmetic, so it is evaluated on
+    every pair at once."""
+    g = np.array(list(itertools.product(range(n_phi), repeat=3))).T
+    return element_index(group_law(g[:, :, None], g[:, None, :], n_phi), n_phi)
+
+
+def conjugacy_classes_brute_force(n_phi):
+    """Every conjugacy class as a sorted list of element indices, the classes
+    ordered by their smallest index: each element g conjugated by every
+    element h, h g h^-1, on `group_table`, with each inverse found by search."""
+    t = group_table(n_phi)
+    inv = np.argmax(t == element_index((0, 0, 0), n_phi), axis=1)
+    conj = t[t, inv[:, None]]  # conj[h, g] = (h g) h^-1
+    classes = {}
+    for g in range(len(t)):
+        classes.setdefault(tuple(np.unique(conj[:, g]).tolist()), None)
+    return [list(c) for c in classes]
 
 
 def center_brute_force(n_phi):

@@ -46,6 +46,8 @@ from oracles import (
     coherent_moments_by_quadrature,
     coherent_prefactor,
     covariant_eigen_residual,
+    element_index,
+    group_law,
     interior,
     plane_box,
     quotient_by_center_table,
@@ -150,26 +152,29 @@ def test_criterion_03_group_algebra():
         rhs = vec_mul(g, vec_mul(h, k))
         assert all(np.array_equal(a, b) for a, b in zip(lhs, rhs))
 
-        ident = maggroup.identity(n_phi)
+        # the table `landau group` writes, against the oracle's group law one
+        # pair at a time: identity, inverses, classes, centre and quotient
+        t = maggroup.multiplication_indices(n_phi)
+        assert t.tolist() == [
+            [element_index(group_law(a, b, n_phi), n_phi) for b in els] for a in els
+        ]
+        assert np.array_equal(t[t], t[:, t])
+        ids = np.arange(n_phi**3)
+        assert np.array_equal(t[0], ids) and np.array_equal(t[:, 0], ids)
+        unit = t == 0
+        assert (unit.sum(axis=1) == 1).all() and np.array_equal(unit, unit.T)
+        inv = {tuple(a): next(b for b in els if group_law(a, b, n_phi) == (0, 0, 0)) for a in els}
+        classes = maggroup.conjugacy_class_indices(n_phi)
         for a in els:
-            inv = maggroup.inverse(a)
-            assert inv in set(els)  # closure of the inverse formula
-            assert maggroup.multiply(a, inv) == ident
-            assert maggroup.multiply(inv, a) == ident
-            brute = frozenset(
-                maggroup.multiply(maggroup.multiply(x, a), maggroup.inverse(x)) for x in els
-            )
-            assert maggroup.conjugacy_class(a) == brute
-        for a, b in itertools.product(els, repeat=2):
-            prod = maggroup.multiply(a, b)
-            ref = vec_mul((a.nx, a.ny, a.m), (b.nx, b.ny, b.m))
-            assert (prod.nx, prod.ny, prod.m) == ref
+            brute = {group_law(group_law(x, a, n_phi), inv[tuple(x)], n_phi) for x in els}
+            assert sorted(element_index(c, n_phi) for c in brute) in classes
+        assert sorted(i for c in classes for i in c) == ids.tolist()
 
-        assert {(g.nx, g.ny, g.m) for g in maggroup.center(n_phi)} == center_brute_force(n_phi)
+        assert maggroup.center(n_phi) == sorted(element_index(g, n_phi) for g in center_brute_force(n_phi))
         table = quotient_by_center_table(n_phi)
         for (a, b), prod in table.items():
-            g = maggroup.multiply(maggroup.GroupElement(*a, 0, n_phi), maggroup.GroupElement(*b, 0, n_phi))
-            assert prod == (g.nx, g.ny) == ((a[0] + b[0]) % n_phi, (a[1] + b[1]) % n_phi)
+            g = els[t[element_index((*a, 0), n_phi), element_index((*b, 0), n_phi)]]
+            assert prod == tuple(g[:2]) == ((a[0] + b[0]) % n_phi, (a[1] + b[1]) % n_phi)
 
     rep = maggroup.clock_and_shift(4)
     assert np.array_equal(

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import os
@@ -17,10 +18,10 @@ from hypothesis import strategies as st
 from landau import cli
 from landau.cli import _WRITE_GRIDS, build_parser, main
 from landau.config import GRID_BUDGET, TorusConfig, check_work
-from landau.maggroup import GroupElement, multiply
 from landau.plane import CoherentLabel, coherent_expectations, evolve_coherent
 from landau.torus import _BUILD_GRIDS, TorusLabel, image_count, work_elements
 from landau.verify import _BLOCK_ROWS
+from oracles import center_brute_force, conjugacy_classes_brute_force, element_index, group_law
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -141,6 +142,8 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
         ["spectrum", "--nphi", "1", "--lx", "1e-306"],
         # hx = 1.56 is about 4 l_B: the grid rule of spectrum holds for density too
         ["density", "--nphi", "1", "--lx", "100", "--ly", "0.01", "--n", "0", "--grid", "64"],
+        # a coherent state has no eigenstate basis to pick
+        ["density", "--nphi", "1", "--lam", "0.3", "--basis", "lx", "--grid", "16"],
     ],
 )
 def test_invalid_input_exits_2(tmp_path, args):
@@ -386,7 +389,7 @@ def test_group_dump(tmp_path):
     payload = read_json(tmp_path / "group.json")
     assert payload["order"] == 64
     assert len(payload["multiplication_table"]) == 64
-    assert len(payload["center"]) == 4
+    assert payload["center"] == [0, 1, 2, 3]
     assert payload["weyl_deviation"] < 1e-14
     tx = np.array([[complex(re, im) for re, im in row] for row in payload["tx"]])
     ty = np.array([[complex(re, im) for re, im in row] for row in payload["ty"]])
@@ -541,11 +544,15 @@ def test_coherent_csv_matches_per_step_evaluation(tmp_path, mass, charge, lam, l
 
 
 def test_group_table_matches_group_law(tmp_path):
-    run_cli(["group", "--nphi", "5", "--out-dir", str(tmp_path)])
-    payload = read_json(tmp_path / "group.json")
-    els = [GroupElement(nx, ny, m, 5) for nx, ny, m in payload["elements"]]
-    index = {g: i for i, g in enumerate(els)}
-    assert payload["multiplication_table"] == [[index[multiply(g, h)] for h in els] for g in els]
+    # group.json's table, classes and centre, against the oracle's group law
+    for n in (1, 5, 7):
+        run_cli(["group", "--nphi", str(n), "--out-dir", str(tmp_path)])
+        payload = read_json(tmp_path / "group.json")
+        els = [tuple(g) for g in payload["elements"]]
+        assert els == list(itertools.product(range(n), repeat=3))
+        assert payload["multiplication_table"] == [[element_index(group_law(g, h, n), n) for h in els] for g in els]
+        assert payload["conjugacy_classes"] == conjugacy_classes_brute_force(n)
+        assert payload["center"] == sorted(element_index(g, n) for g in center_brute_force(n))
 
 
 def test_outputs_are_deterministic(tmp_path):

@@ -12,10 +12,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "landau"
 
 # name -> why it stays without a caller in the package
 ALLOWED = {
-    "identity": "README object API",
-    "multiply": "README object API",
-    "inverse": "README object API",
-    "conjugacy_class": "README object API",
     "InfiniteConfig": "README object API",
     "commutant_dimension": "ROADMAP item 3",
     "eigenstate_py": "ROADMAP item 4",
