@@ -35,6 +35,7 @@ from .config import (
     commensurate,
     parse_config_text,
     torus_config_from_mapping,
+    work_report,
 )
 from .plane import (
     ClassicalOrbit,
@@ -47,7 +48,7 @@ from .plane import (
 from .serialize import write_density_csv, write_json, write_pgm, write_table_csv
 from .spectral import low_spectrum
 from .torus import TorusLabel, density_map, torus_coherent, torus_eigenstate, work_elements
-from .verify import heisenberg_grid, run_verification
+from .verify import heisenberg_grid, run_verification, torus_work
 
 
 def _add_config_flags(parser):
@@ -168,8 +169,9 @@ def cmd_spectrum(args, run) -> int:
     return 0
 
 
-# Closed grids the writers hold at once: the state and its float density.
-_WRITE_GRIDS = 2.5
+# Closed grids `density` holds after its state build, the state and its float
+# density: the highest tracemalloc peak of that stage at 512^2 and up was 1.60.
+_WRITE_GRIDS = 1.6
 
 
 def cmd_density(args, run) -> int:
@@ -200,6 +202,7 @@ def cmd_density(args, run) -> int:
         raise ValueError("no state selected: pass --n/--l or --lam/--lam-prime")
     work = work_elements(cfg, grid, grid, [label], _WRITE_GRIDS)
     check_work(work, f"density on the {grid}x{grid} grid", "choose a smaller --grid")
+    run.manifest["work"] = work_report(work)
     with run.stage("state"):
         if coherent_selector:
             # a huge label overflows the amplitude to NaN; the check below rejects it
@@ -211,19 +214,22 @@ def cmd_density(args, run) -> int:
     with run.stage("density"):
         dmap = density_map(state)
         finite = np.isfinite(dmap.density).all()
+    # the writers hold the density alone
+    hx, hy, nx, ny = state.hx, state.hy, state.nx, state.ny
+    del state
     if not finite:
         raise ValueError("the state's density is not finite; choose a smaller label")
     with run.stage("csv"):
         write_density_csv(dmap, run.output("density.csv"))
     with run.stage("pgm"):
         write_pgm(dmap, run.output("density.pgm"))
-    integral = float(dmap.density[:-1, :-1].sum() * state.hx * state.hy)
+    integral = float(dmap.density[:-1, :-1].sum() * hx * hy)
     with run.stage("json"):
         write_json(
             {
                 "argmax_x": dmap.argmax_x,
                 "argmax_y": dmap.argmax_y,
-                "grid": [state.nx + 1, state.ny + 1],
+                "grid": [nx + 1, ny + 1],
                 "integral": integral,
                 "selector": selector,
             },
@@ -286,6 +292,7 @@ def cmd_verify(args, run) -> int:
         seed=args.seed,
         checks=[{"name": c.name, "time_s": c.time_s} for c in checks],
         heisenberg_grid=heisenberg_grid(cfg),
+        work=work_report(torus_work(cfg)),
     )
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: residual {c.residual:.3e} (tol {c.tolerance:.1e})")

@@ -148,6 +148,12 @@ def check_work(work: int, what: str, remedy: str) -> None:
         )
 
 
+def work_report(work: int) -> dict:
+    """The run manifest's `work` field: `work` complex values against
+    WORK_BUDGET."""
+    return {"work_elements": work, "budget": WORK_BUDGET, "fraction": work / WORK_BUDGET}
+
+
 def commensurate(n: int, n_phi: int) -> int:
     """The least multiple of n_phi that is >= n: grids whose elementary
     translations are whole grid shifts."""

@@ -282,14 +282,16 @@ def write_pgm(dmap, path) -> None:
     d = np.asarray(dmap.density, dtype=float)
     _check_finite(d)
     peak = d.max()
-    scaled = np.zeros_like(d, dtype=np.intp) if peak == 0 else np.rint(d / peak * 255).astype(np.intp)
     width, height = d.shape
-    image = scaled.T[::-1]
+    image = d.T[::-1]
     levels = _words(np.arange(256), after=" ")
     with open(path, "wb") as fh:
         fh.write(f"P2\n{width} {height}\n255\n".encode())
         for i0, i1 in _chunks(height, width):
-            rows = levels.take(image[i0:i1], axis=0)
+            # scaled a chunk at a time by the grid maximum: no grid-sized temporaries
+            block = image[i0:i1]
+            scaled = np.zeros(block.shape, dtype=np.intp) if peak == 0 else np.rint(block / peak * 255).astype(np.intp)
+            rows = levels.take(scaled, axis=0)
             rows[:, -1, -1] = ord("\n")  # ' ' inside a row, '\n' at its end
             fh.write(_text(rows))
 

@@ -282,9 +282,10 @@ def normalized(state: SampledState) -> SampledState:
 # 0-3, its few image factors included, which is above every peak at 1025^2
 # (the fixed-size arrays weigh less there). A coherent state holds its image
 # sums and their products (5.14, at odd n_phi), an 'lx' state the cross
-# phase, the sum and their product (3.07), an 'ly' state the sum and its
-# normalised copy (2.05).
-_BUILD_GRIDS = {"coherent": 5.14, "lx": 3.07, "ly": 2.05}
+# phase, the sum and their product (3.07), an 'ly' state the sum beside the
+# norm's conjugated core and then beside its normalised copy (2.06, the
+# highest at theta = (0.7, 2.1)).
+_BUILD_GRIDS = {"coherent": 5.14, "lx": 3.07, "ly": 2.06}
 
 
 def torus_eigenstate(cfg: TorusConfig, label: TorusLabel, nx: int, ny: int) -> SampledState:
@@ -628,10 +629,14 @@ def density_map(state: SampledState) -> DensityMap:
     among them by rounding noise. Any reordering of the image sum may move
     the reported point to another copy; compare densities, not argmaxes.
     """
-    d = np.abs(state.values) ** 2
+    d = np.abs(state.values)
+    np.square(d, out=d)
     total = d[:-1, :-1].sum() * state.hx * state.hy
-    d = d / total
-    ix, iy = np.unravel_index(np.argmax(d[:-1, :-1]), d[:-1, :-1].shape)
+    d /= total
+    # the first maximum in C order, which np.argmax also finds, but without
+    # the contiguous copy of the core that np.argmax makes of a strided view
+    core = d[:-1, :-1]
+    ix, iy = np.unravel_index(np.argmax(core == core.max()), core.shape)
     return DensityMap(
         xs=state.xs,
         ys=state.ys,

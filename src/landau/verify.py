@@ -197,6 +197,30 @@ def _heisenberg_residual(cfg) -> float:
     return float(abs(num / den - 1j / mw) * mw)
 
 
+# The coherent state of the torus checks.
+_COHERENT = CoherentLabel(0.35 + 0.2j, 0.3 - 0.4j)
+
+
+def _torus_labels(n: int):
+    """The 'ly' labels of the torus checks, levels 0-2 in order, and the
+    'lx' labels of level 0."""
+    return [TorusLabel(lev, l) for lev in range(3) for l in range(n)], [TorusLabel(0, l, "lx") for l in range(n)]
+
+
+def torus_work(cfg: TorusConfig) -> int:
+    """Complex values the torus checks hold at most (`work_elements`),
+    counted without building anything."""
+    n = cfg.n_phi
+    nx, ny = default_grid(cfg)
+    ly_labels, lx_labels = _torus_labels(n)
+    # the peak (tracemalloc, in closed grids): the projector check holds the
+    # 'ly' level 0, the 'lx' family and the residuals, 3n, and two working
+    # grids (3n + 2.1 at n_phi = 2, 4 and 6); the Weyl check holds level 0 and
+    # its translated states (n + 6.2, and n + 6.3 at n_phi = 1 on 80^2, where
+    # fixed-size arrays weigh more)
+    return work_elements(cfg, nx, ny, [*ly_labels, *lx_labels, _COHERENT], max(3 * n + 2.5, n + 7))
+
+
 def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed: int = 0):
     """All module invariants at the given config. Returns (checks, all_pass).
 
@@ -213,14 +237,9 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
         raise ValueError(f"--nphi-override {nphi_override} gives a field B that is not finite")
     n = cfg.n_phi
     nx, ny = default_grid(cfg)
-    ly_labels = [TorusLabel(lev, l) for lev in range(3) for l in range(n)]
-    lx_labels = [TorusLabel(0, l, "lx") for l in range(n)]
-    lab = CoherentLabel(0.35 + 0.2j, 0.3 - 0.4j)
-    labels = [*ly_labels, *lx_labels, lab]
-    # the peak, at the H check: the 3n 'ly' states and one H application's
-    # working grids (4.1 at 400^2, 6.0 at 80^2 where fixed-size arrays weigh more)
+    ly_labels, lx_labels = _torus_labels(n)
     check_work(
-        work_elements(cfg, nx, ny, labels, 3 * n + 7),
+        torus_work(cfg),
         f"verify's torus checks on the {nx}x{ny} grid",
         "choose a torus closer to square or a smaller n_phi",
     )
@@ -284,24 +303,20 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     add("representation_homomorphism", hom, 1.0e-12)
 
     # torus states: boundary condition, orthonormality, translation actions;
-    # each family is released after its last reader, as the budget assumes
-    ly_states = torus_eigenstates(cfg, ly_labels, nx, ny)
-    levels = [ly_states[i : i + n] for i in range(0, 3 * n, n)]
-    del ly_states
-    add(
-        "torus_boundary_residual",
-        max(boundary_residual(s) for level in levels for s in level),
-        1.0e-8,
-    )
-    gram_dev = max(float(np.max(np.abs(gram_matrix(level) - np.eye(n)))) for level in levels)
-    add("degenerate_basis_orthonormality", gram_dev, 1.0e-8)
-    add(
-        "hamiltonian_eigen_residual",
-        eigenvalue_residual("H", levels[1][0], 1.5),
-        1.0e-5,
-    )
-    set_ly = levels[0]
-    del levels
+    # the 'ly' family is built one level at a time, level 0 last since the
+    # translation checks reuse it, and each family is released after its last
+    # reader, as the budget assumes
+    boundary, gram_dev = [], []
+    for lev in (1, 2, 0):
+        set_ly = None  # the previous level goes before the next is built
+        set_ly = torus_eigenstates(cfg, ly_labels[lev * n : (lev + 1) * n], nx, ny)
+        boundary += [boundary_residual(s) for s in set_ly]
+        gram_dev.append(float(np.max(np.abs(gram_matrix(set_ly) - np.eye(n)))))
+        if lev == 1:
+            h_residual = eigenvalue_residual("H", set_ly[0], 1.5)
+    add("torus_boundary_residual", max(boundary), 1.0e-8)
+    add("degenerate_basis_orthonormality", max(gram_dev), 1.0e-8)
+    add("hamiltonian_eigen_residual", h_residual, 1.0e-5)
 
     s0 = set_ly[0]
     tx0, ty0 = translate(s0, "x"), translate(s0, "y")
@@ -323,15 +338,15 @@ def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed:
     del s0, set_ly, set_lx
 
     # coherent states on the torus
-    coh = torus_coherent(cfg, lab, nx=nx, ny=ny)
+    coh = torus_coherent(cfg, _COHERENT, nx=nx, ny=ny)
     add("coherent_boundary_residual", boundary_residual(coh), 1.0e-8)
-    e_target = abs(lab.lam) ** 2 + 0.5
+    e_target = abs(_COHERENT.lam) ** 2 + 0.5
     add(
         "coherent_energy_expectation",
         abs(torus_inner(coh, apply_operator("H", coh)) - e_target) / e_target,
         1.0e-3,
     )
-    series = coherent_translation_series(cfg, lab, lx=1)
+    series = coherent_translation_series(cfg, _COHERENT, lx=1)
     quad = torus_inner(coh, translate(coh, "x"))
     add("translation_expectation_series", abs(series - quad), 1.0e-8)
     del coh

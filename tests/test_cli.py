@@ -15,9 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from landau import cli
+from landau import cli, verify
 from landau.cli import _WRITE_GRIDS, build_parser, main
-from landau.config import GRID_BUDGET, TorusConfig, check_work
+from landau.config import GRID_BUDGET, WORK_BUDGET, TorusConfig, check_work
 from landau.plane import CoherentLabel, coherent_expectations, evolve_coherent
 from landau.torus import _BUILD_GRIDS, TorusLabel, image_count, work_elements
 from landau.verify import _BLOCK_ROWS
@@ -242,7 +242,7 @@ def test_verify_sizes_its_work_before_allocating(tmp_path):
     out_dir = tmp_path / "out"
     done = run_capped(["verify", "--nphi", "2", "--lx", "1e-8"], out_dir)
     assert done.returncode == 2, done.stderr
-    assert "32x1121000 grid would hold 2.29e+03 times the work budget" in done.stderr
+    assert "32x1121000 grid would hold 2.28e+03 times the work budget" in done.stderr
     assert "Traceback" not in done.stderr
     assert not out_dir.exists()
 
@@ -252,8 +252,8 @@ def test_verify_sizes_its_work_before_allocating(tmp_path):
     [
         # its chain would hold a 20000 x 20000 float64 diagonal alone, 2.98 GiB
         (["spectrum", "--nphi", "1", "--grid", "20000"], "the lattice spectrum on the 20000x20000 grid would hold 17.8"),
-        # its state would be 5.96 GiB of complex128, 2.5 grids with the writers
-        (["density", "--nphi", "1", "--n", "0", "--grid", "20000"], "density on the 20000x20000 grid would hold 14.9"),
+        # its state would be 5.96 GiB of complex128, 2.06 grids while it is built
+        (["density", "--nphi", "1", "--n", "0", "--grid", "20000"], "density on the 20000x20000 grid would hold 12.2"),
     ],
     ids=["spectrum", "density"],
 )
@@ -267,12 +267,12 @@ def test_export_commands_size_their_work_before_allocating(tmp_path, args, messa
 
 
 def test_density_budget_follows_the_state_kind():
-    # arithmetic only: the measured peak of each kind's build, or the
-    # writers' 2.5 grids when that is larger, plus the image sum's factors
-    # twice
+    # arithmetic only: the measured peak of each kind's build, which is above
+    # what the density and the writers hold after it, plus the image sum's
+    # factors twice
     cfg = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=1)
     for label, grids in (
-        (TorusLabel(0, 0), 2.5),
+        (TorusLabel(0, 0), _BUILD_GRIDS["ly"]),
         (TorusLabel(0, 0, "lx"), _BUILD_GRIDS["lx"]),
         (CoherentLabel(0.3, 0.2j), _BUILD_GRIDS["coherent"]),
     ):
@@ -282,6 +282,9 @@ def test_density_budget_follows_the_state_kind():
     check_work(work_elements(cfg, 4500, 4500, [TorusLabel(3, 0, "lx")], _WRITE_GRIDS), "lx", "")
     with pytest.raises(ValueError, match="work budget"):
         check_work(work_elements(cfg, 4500, 4500, [CoherentLabel(0.3, 0.2j)], _WRITE_GRIDS), "coherent", "")
+
+
+DENSITY_BUDGET_SLACK = 1.8
 
 
 @pytest.mark.parametrize(
@@ -298,7 +301,10 @@ def test_density_budget_follows_the_state_kind():
 )
 def test_density_holds_no_more_than_its_work_budget(tmp_path, monkeypatch, args):
     # the whole run's tracemalloc peak against the work it passed to
-    # check_work; complex values are 16 bytes each
+    # check_work, complex values 16 bytes each: the budget holds the peak and
+    # is tight. Budget over peak read 1.03 ('ly', coherent), 1.02 ('lx'), 1.09
+    # (coherent-100x0.01) and 1.71 (lx-100x0.01, whose 766 images are counted
+    # twice with their exponent arrays, which the build holds one at a time)
     budget = []
 
     def record(work, what, remedy):
@@ -313,7 +319,7 @@ def test_density_holds_no_more_than_its_work_budget(tmp_path, monkeypatch, args)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * budget[0]
+    assert peak <= 16 * budget[0] <= DENSITY_BUDGET_SLACK * peak
 
 
 @pytest.mark.parametrize(
@@ -587,6 +593,22 @@ def test_export_stage_timings_only_in_manifest(tmp_path, argv, stages):
     assert all(isinstance(s, float) and s >= 0.0 for s in manifest["stages"].values())
     for name in manifest["outputs"]:
         assert "stages" not in (tmp_path / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (["density", "--nphi", "1", "--n", "0", "--grid", "64"], lambda cfg: work_elements(cfg, 64, 64, [TorusLabel(0, 0)], _WRITE_GRIDS)),
+        (["verify", "--nphi", "2"], verify.torus_work),
+    ],
+    ids=["density", "verify"],
+)
+def test_manifest_reports_the_work_model(tmp_path, argv, budget):
+    assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 0
+    work = read_json(tmp_path / f"{argv[0]}_manifest.json")["work"]
+    want = budget(TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=int(argv[2])))
+    assert work == {"work_elements": want, "budget": WORK_BUDGET, "fraction": want / WORK_BUDGET}
+    assert 0.0 < work["fraction"] < 1.0
 
 
 def test_verify_timing_only_in_manifest(tmp_path):

@@ -119,10 +119,22 @@ def _pgm_shapes():
     return [(1, 1), (3, 5), (5, 3)] + [(width, per_chunk + d) for d in (-1, 0, 1)]
 
 
-@pytest.mark.parametrize("shape", _pgm_shapes())
+def _pgm_chunked_shapes():
+    # three and more chunks of image rows, the last one whole or partial
+    width = 100
+    per_chunk = serialize.CHUNK_FIELDS // width
+    return [(width, 3 * per_chunk), (width, 4 * per_chunk - 7)]
+
+
+@pytest.mark.parametrize("shape", _pgm_shapes() + _pgm_chunked_shapes())
 def test_pgm_matches_reference(tmp_path, shape):
     xs, ys = _grid(*shape, seed=0)
     density = np.abs(np.random.default_rng(sum(shape)).standard_normal(shape))
+    if shape in _pgm_chunked_shapes():
+        # the grid maximum on the line y = 0, the bottom row of the image,
+        # which the last chunk writes: scaled by a chunk's own maximum, the
+        # other chunks would differ
+        density[shape[0] // 3, 0] = 2.0 * density.max()
     _same_bytes(tmp_path, write_pgm, reference_pgm, SimpleNamespace(xs=xs, ys=ys, density=density))
 
 
