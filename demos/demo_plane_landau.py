@@ -11,14 +11,9 @@ import math
 
 import numpy as np
 
-from landau.config import InfiniteConfig
-from landau.plane import (
-    ClassicalOrbit,
-    FockLabel,
-    classical_orbit_trace,
-    ladder_apply,
-    landau_energy,
-)
+from landau.config import InfiniteConfig, TorusConfig
+from landau.plane import ClassicalOrbit, classical_orbit_trace, landau_energy
+from landau.verify import run_verification
 
 cfg = InfiniteConfig(mass=1.0, charge=1.0, b_field=2.0)
 omega = cfg.omega
@@ -47,17 +42,20 @@ for n in range(1, 6):
     )
 
 ###############################################################################
-# Two commuting sets of ladder operators act on |n n'>: a/adag move the
-# energy, b/bdag move only the degeneracy label (the orbit center), so the
-# angular momentum m = n - n' changes under both.
+# Two commuting sets of ladder operators act on |n n'>: a/adag, built from the
+# radius vector rho = r - R, move the energy; b/bdag, built from the orbit
+# center R, move only the degeneracy label. For e, B > 0
+#   a = sqrt(eB/2) (rho_x - i rho_y),   b = sqrt(eB/2) (R_x + i R_y),
+# so [a, adag] = [b, bdag] = 1 and [a, b] = [a, bdag] = 0 read
+#   [rho_x, rho_y] = -i/eB,   [R_x, R_y] = i/eB,   [rho_i, R_j] = 0.
+# `landau verify` measures these on a finite-difference plane grid, in units
+# of l_B^2 = 1/eB; a level n state with n' quanta of b has m = n - n'.
 
-state = {FockLabel(0, 0): 1.0}
-print("\nclimbing from the vacuum:")
-for step, op in enumerate(("adag", "adag", "bdag")):
-    state = ladder_apply(op, state)
-    (label, amp), = state.items()
-    e, m = landau_energy(cfg, label.n), label.angular_momentum
-    print(f"   after {op:>4}: |{label.n} {label.n_prime}>  amp {amp:.4f}  E={e:.3f}  m={m}")
+print("\n n  n'  E        m")
+for n, n_prime in ((0, 0), (1, 0), (2, 0), (2, 1)):
+    print(f" {n}  {n_prime}   {landau_energy(cfg, n):.3f}    {n - n_prime:+d}")
 
-lowered = ladder_apply("a", {FockLabel(0, 5): 1.0})
-print(f"\n a on |0 5> annihilates the level-0 state: {lowered == {}}")
+checks = {c.name: c for c in run_verification(TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=1))[0]}
+print()
+for name in ("ladder_algebra", "heisenberg_center_commutator"):
+    print(f"{name}: residual {checks[name].residual:.3e} (tolerance {checks[name].tolerance:.0e})")

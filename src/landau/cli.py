@@ -132,9 +132,10 @@ def _parse_complex(text: str, flag: str) -> complex:
 _TRACE_ROW_VALUES = 6.1
 
 
-def _trace_times(args, period: float) -> np.ndarray:
+def _trace_times(args, period: float, run) -> np.ndarray:
     """Sample times for --periods periods at --samples steps each, sized
-    against the work budget before anything is allocated."""
+    against the work budget before anything is allocated; the count goes to
+    the manifest's `work`."""
     if args.periods < 0:
         raise ValueError(f"--periods must be >= 0, got {args.periods}")
     if args.samples < 1:
@@ -142,6 +143,7 @@ def _trace_times(args, period: float) -> np.ndarray:
     rows = args.periods * args.samples + 1
     work = math.ceil(rows * _TRACE_ROW_VALUES)
     check_work(work, f"the {args.command} trace of {rows} samples", "choose fewer --periods or --samples")
+    run.manifest["work"] = work_report(work)
     end = args.periods * period
     if not math.isfinite(end):
         raise ValueError(f"--periods {args.periods} times the cyclotron period {period:g} is not a finite end time")
@@ -160,7 +162,7 @@ def cmd_spectrum(args, run) -> int:
     payload["analytic_levels"] = [landau_energy(cfg, n) for n in range(args.levels)]
     with run.stage("json"):
         write_json(payload, run.output("spectrum.json"))
-    run.manifest.update(grid=grid, levels=args.levels, solver=report.solver)
+    run.manifest.update(grid=grid, levels=args.levels, solver=report.solver, work=work_report(report.work_elements))
     for c in report.clusters:
         print(
             f"cluster mean={c.mean:.8g} multiplicity={c.multiplicity} "
@@ -312,7 +314,7 @@ def cmd_orbit(args, run) -> int:
     if args.periods < 1:
         raise ValueError(f"--periods must be >= 1 for an orbit, got {args.periods}")
     period = TWO_PI / cfg.omega
-    times = _trace_times(args, period)
+    times = _trace_times(args, period, run)
     with run.stage("trace"):
         with np.errstate(over="ignore"):
             free = classical_orbit_trace(orbit, times)
@@ -349,7 +351,7 @@ def cmd_coherent(args, run) -> int:
     lam_prime = _parse_complex(args.lam_prime, "--lam-prime")
     label = CoherentLabel(lam, lam_prime)
     period = TWO_PI / cfg.omega
-    times = _trace_times(args, period)
+    times = _trace_times(args, period, run)
     # a huge label overflows the moments, which the check below rejects
     with run.stage("evolve"), np.errstate(over="ignore", invalid="ignore"):
         ex = coherent_expectations(cfg, evolve_coherent(cfg, label, times))

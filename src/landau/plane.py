@@ -1,5 +1,5 @@
-"""Infinite-volume physics: spectrum, eigenstates, ladder algebra on Fock
-labels, coherent states, and classical cyclotron orbits.
+"""Infinite-volume physics: spectrum, eigenstates, coherent states, and
+classical cyclotron orbits.
 
 Analytic states are returned as callables amplitude(x, y) accepting
 broadcastable arrays; discretization happens only in the consumers
@@ -48,57 +48,6 @@ def eigenstate_py(cfg, n: int, p_y: float):
         return hermite_eigenfunction(cfg.mass_omega, n, x + shift) * np.exp(1j * p_y * y)
 
     return amplitude
-
-
-# ---------------------------------------------------------------------------
-# Fock labels and ladder algebra
-
-
-@dataclass(frozen=True)
-class FockLabel:
-    """State |n n'> built by raising n times with adag and n' times with bdag
-    from the vacuum; m = n - n' is the angular momentum."""
-
-    n: int
-    n_prime: int
-
-    def __post_init__(self):
-        if self.n < 0 or self.n_prime < 0:
-            raise ValueError(f"Fock labels must be >= 0, got {self}")
-
-    @property
-    def angular_momentum(self) -> int:
-        return self.n - self.n_prime
-
-
-def ladder_apply(which: str, coeffs: dict) -> dict:
-    """Apply a, adag, b or bdag to a finitely supported coefficient map.
-
-    a |n n'> = sqrt(n) |n-1 n'>           adag |n n'> = sqrt(n+1) |n+1 n'>
-    b |n n'> = sqrt(n') |n n'-1>          bdag |n n'> = sqrt(n'+1) |n n'+1>
-
-    Annihilating the vacuum drops the term; an empty map is returned for the
-    zero vector.
-    """
-    out: dict = {}
-    for label, amp in coeffs.items():
-        n, np_ = label.n, label.n_prime
-        if which == "a":
-            if n == 0:
-                continue
-            new, factor = FockLabel(n - 1, np_), math.sqrt(n)
-        elif which == "adag":
-            new, factor = FockLabel(n + 1, np_), math.sqrt(n + 1)
-        elif which == "b":
-            if np_ == 0:
-                continue
-            new, factor = FockLabel(n, np_ - 1), math.sqrt(np_)
-        elif which == "bdag":
-            new, factor = FockLabel(n, np_ + 1), math.sqrt(np_ + 1)
-        else:
-            raise ValueError(f"unknown ladder operator {which!r}")
-        out[new] = out.get(new, 0.0) + factor * amp
-    return {k: v for k, v in out.items() if v != 0.0}
 
 
 # ---------------------------------------------------------------------------

@@ -153,9 +153,11 @@ class SpectrumReport:
     clusters: list = field(default_factory=list)
     omega: float = 0.0
     well_separated: bool = True
-    # how the eigenvalues were computed: run telemetry for the manifest,
-    # left out of as_dict so spectrum.json stays byte-stable
+    # how the eigenvalues were computed and the complex values the chains
+    # held (`config.check_work`): run telemetry for the manifest, left out of
+    # as_dict so spectrum.json stays byte-stable
     solver: dict = field(default_factory=dict)
+    work_elements: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -200,7 +202,8 @@ def chain_spectra(cfg, nx: int, ny: int, k: int) -> tuple[np.ndarray, dict]:
     """The k smallest eigenvalues of each Bloch chain in units of hbar*omega,
     one sorted row per chain m0 = 0..gcd(n_phi, ny)-1, and the solve's
     telemetry: wells per chain, each well's size as solved, the eigenpairs
-    taken per well and the largest edge bound of a kept pair. Each ring is
+    taken per well, the largest edge bound of a kept pair and the work the
+    chains were sized at (`work_elements`). Each ring is
     cut at the maxima of its diagonal into its n_phi/g centre wells, and
     each well, cropped, gives its k lowest eigenpairs; a well whose kept
     pair fails EDGE_TOL is solved again whole, and if it fails whole the
@@ -209,7 +212,8 @@ def chain_spectra(cfg, nx: int, ny: int, k: int) -> tuple[np.ndarray, dict]:
     check_grid(cfg, nx, ny)
     blocks = math.gcd(cfg.n_phi, ny)
     # a chain's diagonal, hops and their rolled copies: three complex values per site
-    check_work(3 * (nx * ny // blocks), f"the lattice spectrum on the {nx}x{ny} grid", "choose a coarser grid")
+    work = 3 * (nx * ny // blocks)
+    check_work(work, f"the lattice spectrum on the {nx}x{ny} grid", "choose a coarser grid")
     wells = cfg.n_phi // blocks
     # the potential cut, WELL_MARGIN above the ceil(k/wells)-th Landau level,
     # the top one each well holds when the wells share the cluster structure
@@ -248,7 +252,13 @@ def chain_spectra(cfg, nx: int, ny: int, k: int) -> tuple[np.ndarray, dict]:
         rows.append(values[kept])
         sizes.extend(hi - lo for lo, hi in spans)
         worst = max(worst, float(edges[kept].max()))
-    telemetry = {"wells_per_block": wells, "well_sizes": sizes, "k_per_well": k, "edge_bound": worst}
+    telemetry = {
+        "wells_per_block": wells,
+        "well_sizes": sizes,
+        "k_per_well": k,
+        "edge_bound": worst,
+        "work_elements": work,
+    }
     return np.array(rows), telemetry
 
 
@@ -265,6 +275,7 @@ def low_spectrum(cfg, nx: int, ny: int, k: int) -> SpectrumReport:
     blocks = math.gcd(cfg.n_phi, ny)
     per_block = -(-k // blocks)
     spectra, telemetry = chain_spectra(cfg, nx, ny, per_block)
+    work = telemetry.pop("work_elements")
     omega = cfg.omega
     ev = omega * np.sort(spectra.ravel())[:k]
     groups = cluster_eigenvalues(ev)
@@ -294,4 +305,5 @@ def low_spectrum(cfg, nx: int, ny: int, k: int) -> SpectrumReport:
             "edge_tol": EDGE_TOL,
             "kept": k,
         },
+        work_elements=work,
     )

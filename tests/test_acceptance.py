@@ -16,12 +16,10 @@ from landau.config import InfiniteConfig, TorusConfig
 from landau.gauge import boundary_residual, x_boundary_twist, y_boundary_twist
 from landau.plane import (
     CoherentLabel,
-    FockLabel,
     coherent_center,
     coherent_expectations,
     eigenstate_py,
     evolve_coherent,
-    ladder_apply,
     landau_energy,
 )
 from landau.serialize import write_pgm
@@ -40,6 +38,7 @@ from landau.torus import (
     translate,
 )
 from oracles import (
+    FockLabel,
     PlaneOperators,
     center_brute_force,
     coherent_amplitude,
@@ -49,6 +48,7 @@ from oracles import (
     element_index,
     group_law,
     interior,
+    ladder_apply,
     plane_box,
     quotient_by_center_table,
     sample_plane,

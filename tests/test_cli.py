@@ -600,8 +600,13 @@ def test_export_stage_timings_only_in_manifest(tmp_path, argv, stages):
     [
         (["density", "--nphi", "1", "--n", "0", "--grid", "64"], lambda cfg: work_elements(cfg, 64, 64, [TorusLabel(0, 0)], _WRITE_GRIDS)),
         (["verify", "--nphi", "2"], verify.torus_work),
+        # three complex values per site of each of the gcd(2, 48) = 2 chains
+        (["spectrum", "--nphi", "2", "--grid", "48", "--levels", "2"], lambda cfg: 3 * 48 * 48 // 2),
+        # 6.1 values per row of 4 * 16 + 1 samples
+        (["orbit", "--nphi", "1", "--radius", "0.2", "--periods", "4", "--samples", "16"], lambda cfg: math.ceil(65 * 6.1)),
+        (["coherent", "--nphi", "1", "--lam", "0.3", "--lam-prime", "0", "--periods", "4", "--samples", "16"], lambda cfg: math.ceil(65 * 6.1)),
     ],
-    ids=["density", "verify"],
+    ids=["density", "verify", "spectrum", "orbit", "coherent"],
 )
 def test_manifest_reports_the_work_model(tmp_path, argv, budget):
     assert run_cli(argv + ["--out-dir", str(tmp_path)]) == 0

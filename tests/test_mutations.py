@@ -10,9 +10,11 @@ caller, `apply_fd_operator` in both `verify` and `torus` (whose
 rows add the mutated term, built from the np.roll stencils of `oracles`, to
 the real result, so no row depends on how the code under test is built.
 
-Rows marked xfail are known blind spots: every check still passes. Each names
-the ROADMAP item that closes it; pyproject sets xfail_strict, so once that
-item lands the row fails until its marker is removed.
+The matrix holds 16 caught rows, each naming the checks it fails, a control
+row (the unmutated tori pass), and 4 blind rows. Rows marked xfail are known
+blind spots: every check still passes. Each names the ROADMAP item that
+closes it; pyproject sets xfail_strict, so once that item lands the row
+fails until its marker is removed.
 """
 
 import contextlib
@@ -168,6 +170,10 @@ def _ry_without_x_term(op, values, xs, ys, hx, hy, cfg, twist_x=None, twist_y=No
     return apply_fd_operator(op, values, xs, ys, hx, hy, cfg, twist_x, twist_y)
 
 
+def _ry_x_term_scaled(v, xs, ys, hx, hy, cfg, tx, ty):
+    return reference_d1(v, hx, 0, tx) * (-0.001j / cfg.mass_omega)
+
+
 def chain_mutation(change):
     """`bloch_chain` with its result (diag, hop) replaced by
     change(cfg, nx, ny, m0, diag, hop)."""
@@ -238,11 +244,12 @@ CAUGHT = {
     "operator_y_twist_set_to_1": (twist_mutation("y"), H_AND_COHERENT_FAIL),
     "rx_coefficient_scaled_1.001": (operator_mutation("Rx", _rx_scaled), {"heisenberg_center_commutator"}),
     "ry_y_term_scaled_1.001": (operator_mutation("Ry", _ry_y_term_scaled), {"heisenberg_center_commutator"}),
+    "ry_x_term_dropped": (fd_mutation(_ry_without_x_term), {"ladder_algebra"}),
+    "ry_x_term_scaled_1.001": (operator_mutation("Ry", _ry_x_term_scaled), {"ladder_algebra"}),
     "lattice_cosine_eb_scaled_1.001": (chain_mutation(_lattice_cosine_eb_scaled), {"spectrum_clusters"}),
 }
 
 BLIND = {
-    "ry_x_term_dropped": (fd_mutation(_ry_without_x_term), "closed by ROADMAP item 4"),
     "lattice_x_kinetic_scaled_1.001": (chain_mutation(_lattice_x_kinetic_scaled), "closed by ROADMAP item 2"),
     "lattice_y_kinetic_scaled_1.001": (chain_mutation(_lattice_y_kinetic_scaled), "closed by ROADMAP item 2"),
     "lattice_hops_theta_x_dropped": (chain_mutation(_lattice_hops_without_theta_x), "closed by ROADMAP item 3"),

@@ -9,15 +9,14 @@ from landau.oscillator import hermite_eigenfunction
 from landau.plane import (
     ClassicalOrbit,
     CoherentLabel,
-    FockLabel,
     classical_orbit_trace,
     coherent_expectations,
     eigenstate_py,
     evolve_coherent,
-    ladder_apply,
     landau_energy,
 )
 from oracles import (
+    FockLabel,
     PlaneOperators,
     coherent_amplitude,
     coherent_moments_by_quadrature,
@@ -25,6 +24,7 @@ from oracles import (
     covariant_fd_operator,
     eigenstate_px,
     interior,
+    ladder_apply,
     plane_box,
     reference_fd_operator,
     sample_plane,
@@ -121,7 +121,7 @@ def test_px_py_eigenstates_overlap_within_level():
 
 
 # ---------------------------------------------------------------------------
-# ladder algebra on Fock labels
+# ladder algebra on Fock labels (`oracles.FockLabel`, `oracles.ladder_apply`)
 
 
 def test_vacuum_annihilation():

@@ -18,9 +18,9 @@ from landau.verify import (
     _MARGIN,
     _PACKET,
     _commutator_blocks,
-    _heisenberg_residual,
     _packet_rows,
     _plane_grid,
+    _plane_residuals,
     run_verification,
 )
 from oracles import coherent_amplitude, coherent_raw, interior, sample_plane
@@ -40,7 +40,7 @@ def test_all_invariants_pass_at_two_flux_quanta():
         "torus_boundary_residual",
         "basis_projector_distance",
         "spectrum_clusters",
-        "fock_commutators",
+        "ladder_algebra",
         "heisenberg_center_commutator",
     ):
         assert expected in names
@@ -117,17 +117,17 @@ def test_group_checks_read_the_table(table, failing, monkeypatch):
     ids=["nphi1", "nphi2", "nphi4", "30x0.1-nphi2", "60x0.05-nphi2"],
 )
 def test_torus_checks_stay_within_their_work_budget(cfg, monkeypatch):
-    # the torus section ends where the Fock check begins; its complex values
+    # the torus section ends where the plane pass begins; its complex values
     # are 16 bytes each
     budget, peak = [], []
-    fock = verify._fock_commutator_residual
+    blocks = verify._commutator_blocks
 
-    def probe(rng):
+    def probe(*args):
         peak.append(tracemalloc.get_traced_memory()[1])
-        return fock(rng)
+        return blocks(*args)
 
     monkeypatch.setattr(verify, "check_work", lambda work, what, remedy: budget.append(work))
-    monkeypatch.setattr(verify, "_fock_commutator_residual", probe)
+    monkeypatch.setattr(verify, "_commutator_blocks", probe)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -138,7 +138,7 @@ def test_torus_checks_stay_within_their_work_budget(cfg, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the center-commutator check, streamed in row blocks
+# the two plane checks, streamed in row blocks
 
 
 def plane_axes(cfg):
@@ -149,12 +149,14 @@ def plane_axes(cfg):
 
 
 def full_commutator(cfg, amp, xs, ys):
+    """(psi, Rx psi, Ry psi, [Rx, Ry] psi) on the whole grid at once."""
     values = sample_plane(amp, xs, ys)
 
     def op(name, g):
         return apply_fd_operator(name, g, xs, ys, xs[1] - xs[0], ys[1] - ys[0], cfg)
 
-    return values, op("Rx", op("Ry", values)) - op("Ry", op("Rx", values))
+    rx, ry = op("Rx", values), op("Ry", values)
+    return values, rx, ry, op("Rx", ry) - op("Ry", rx)
 
 
 def reference_heisenberg(cfg):
@@ -163,7 +165,7 @@ def reference_heisenberg(cfg):
     l_B^2 = 1/(M w)."""
     xs, ys = plane_axes(cfg)
     amp = coherent_amplitude(cfg, CoherentLabel(0.3 + 0.2j, -0.1 + 0.4j))
-    values, comm = full_commutator(cfg, amp, xs, ys)
+    values, _, _, comm = full_commutator(cfg, amp, xs, ys)
     fw = interior(values, 6)
     val = np.vdot(fw, interior(comm, 6)) / np.vdot(fw, fw)
     return float(abs(val - 1j / cfg.mass_omega) * cfg.mass_omega)
@@ -177,7 +179,7 @@ def reference_heisenberg(cfg):
 )
 def test_heisenberg_blocks_match_full_grid(cfg):
     want = reference_heisenberg(cfg)
-    assert _heisenberg_residual(cfg) == pytest.approx(want, rel=1e-5)
+    assert _plane_residuals(cfg)[1] == pytest.approx(want, rel=1e-5)
     assert want < 1e-6
 
 
@@ -186,10 +188,10 @@ def test_full_grid_guard_fails_a_plane_grid_reaching_5_lB(monkeypatch):
     # the residual by 1.4e-4 relative, which the guard above must catch
     cfg = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=1)
     want = reference_heisenberg(cfg)
-    assert _heisenberg_residual(cfg) == pytest.approx(want, rel=1e-5)
+    assert _plane_residuals(cfg)[1] == pytest.approx(want, rel=1e-5)
     h = grid_spacing(cfg)
     monkeypatch.setattr(verify, "_plane_grid", lambda cfg: (h, int(math.ceil(5.0 / math.sqrt(cfg.mass_omega) / h))))
-    assert _heisenberg_residual(cfg) != pytest.approx(want, rel=1e-5)
+    assert _plane_residuals(cfg)[1] != pytest.approx(want, rel=1e-5)
 
 
 def test_commutator_blocks_equal_full_grid_bit_for_bit():
@@ -198,16 +200,46 @@ def test_commutator_blocks_equal_full_grid_bit_for_bit():
     xs = 0.035 * np.arange(-75, 76) + 0.1
     ys = 0.04 * np.arange(-60, 61)
     amp = coherent_amplitude(cfg, CoherentLabel(0.3 + 0.2j, -0.1 + 0.4j))
-    values, comm = full_commutator(cfg, amp, xs, ys)
+    full = full_commutator(cfg, amp, xs, ys)
     blocks = list(_commutator_blocks(cfg, lambda i0, i1: sample_plane(amp, xs[i0:i1], ys), xs, ys))
-    full, rest = divmod(139, _BLOCK_ROWS)
+    whole, rest = divmod(139, _BLOCK_ROWS)
     assert rest > 0
-    assert [len(v) for v, _ in blocks] == [_BLOCK_ROWS] * full + [rest]
-    got_values = np.concatenate([v for v, _ in blocks])
-    got_comm = np.concatenate([c for _, c in blocks])
-    assert got_values.shape == got_comm.shape == (139, 121 - 12)
-    assert np.array_equal(got_values, interior(values, 6))
-    assert np.array_equal(got_comm, interior(comm, 6))
+    assert [len(b[0]) for b in blocks] == [_BLOCK_ROWS] * whole + [rest]
+    assert np.array_equal(np.concatenate([b[0] for b in blocks]), xs[6:-6])
+    for k, want in enumerate(full, start=1):
+        got = np.concatenate([b[k] for b in blocks])
+        assert got.shape == (139, 121 - 12)
+        assert np.array_equal(got, interior(want, 6))
+
+
+def reference_ladder(cfg):
+    """The ladder residual of `_plane_residuals` from the whole plane grid of
+    `_plane_grid` at once: the three commutators by np.vdot over the interior,
+    <[A, B]> = 2i Im<A psi, B psi> / <psi, psi>, in units of l_B^2."""
+    h, m = _plane_grid(cfg)
+    xs = h * np.arange(-m, m + 1)
+    values, rx, ry, _ = full_commutator(cfg, coherent_raw(cfg, _PACKET), xs, xs)
+    f, rx, ry = (interior(a, 6) for a in (values, rx, ry))
+    x, y = xs[6:-6, None], xs[None, 6:-6]
+    mw = cfg.mass_omega
+
+    def comm(a, b):
+        return 2.0 * np.vdot(a, b).imag / np.vdot(f, f).real
+
+    rho_x, rho_y = x * f - rx, y * f - ry
+    return mw * max(abs(comm(rho_x, ry)), abs(comm(rho_y, rx)), abs(comm(rho_x, rho_y) + 1.0 / mw))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=n) for n in (1, 4)]
+    + [TorusConfig(2.0, 0.7, lx=1.3, ly=0.8, n_phi=2, theta_x=0.6, theta_y=1.2)],
+    ids=["nphi1", "nphi4", "mass2-charge0.7"],
+)
+def test_ladder_blocks_match_full_grid(cfg):
+    want = reference_ladder(cfg)
+    assert _plane_residuals(cfg)[0] == pytest.approx(want, rel=1e-8)
+    assert want < 1e-6
 
 
 def sampler_error(cfg, mutate=None):
