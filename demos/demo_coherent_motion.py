@@ -7,6 +7,8 @@ Under time evolution only lambda rotates, so the packet circles like a
 classical particle without spreading.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 
 from landau.config import InfiniteConfig
@@ -21,7 +23,7 @@ label = CoherentLabel(lam=1.2, lam_prime=0.5 + 0.5j)
 
 ex = coherent_expectations(cfg, label)
 print("expectations in |lambda lambda'>:")
-for key, value in ex.as_dict().items():
+for key, value in asdict(ex).items():
     print(f"   {key:>28}: {value:+.6f}")
 
 ###############################################################################

@@ -45,7 +45,7 @@ from .plane import (
     evolve_coherent,
     landau_energy,
 )
-from .serialize import write_density_csv, write_json, write_pgm, write_table_csv
+from .serialize import CHUNK_FIELDS, write_density_csv, write_json, write_pgm, write_table_csv
 from .spectral import low_spectrum
 from .torus import TorusLabel, density_map, torus_coherent, torus_eigenstate, work_elements
 from .verify import heisenberg_grid, run_verification, torus_work
@@ -128,20 +128,25 @@ def _parse_complex(text: str, flag: str) -> complex:
 # Complex values `orbit` and `coherent` hold per sample row, writer included:
 # tracemalloc read 4.5 and 5.0 per row at 262,145 and 524,289 rows, and 5.3
 # and 6.1 at 65,537 rows, where the writer's fixed chunk buffer weighs more.
-# Shorter traces hold more per row but stay far under the budget.
 _TRACE_ROW_VALUES = 6.1
+# Complex values (16 bytes) a CSV writer's buffers hold per value of the chunk
+# it encodes, counted in the writer stage: tracemalloc read 118.7 bytes for
+# `write_table_csv` at 3 and 7 columns from 4,097 rows up, 130 at 257 rows of
+# 3, and 106-111 for `write_density_csv` from 64^2 to 1024^2.
+_CHUNK_VALUE_WORK = 8.2
 
 
-def _trace_times(args, period: float, run) -> np.ndarray:
-    """Sample times for --periods periods at --samples steps each, sized
-    against the work budget before anything is allocated; the count goes to
-    the manifest's `work`."""
+def _trace_times(args, period: float, run, columns: int) -> np.ndarray:
+    """Sample times for --periods periods at --samples steps each, sized with
+    the writer's chunk of `columns` columns before anything is allocated; the
+    count goes to the manifest's `work`."""
     if args.periods < 0:
         raise ValueError(f"--periods must be >= 0, got {args.periods}")
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     rows = args.periods * args.samples + 1
-    work = math.ceil(rows * _TRACE_ROW_VALUES)
+    chunk = min(rows, CHUNK_FIELDS // columns)
+    work = math.ceil(rows * _TRACE_ROW_VALUES + _CHUNK_VALUE_WORK * columns * chunk)
     check_work(work, f"the {args.command} trace of {rows} samples", "choose fewer --periods or --samples")
     run.manifest["work"] = work_report(work)
     end = args.periods * period
@@ -173,6 +178,7 @@ def cmd_spectrum(args, run) -> int:
 
 # Closed grids `density` holds after its state build, the state and its float
 # density: the highest tracemalloc peak of that stage at 512^2 and up was 1.60.
+# The CSV writer's chunk buffers come on top (`_CHUNK_VALUE_WORK`).
 _WRITE_GRIDS = 1.6
 
 
@@ -202,7 +208,10 @@ def cmd_density(args, run) -> int:
         }
     else:
         raise ValueError("no state selected: pass --n/--l or --lam/--lam-prime")
-    work = work_elements(cfg, grid, grid, [label], _WRITE_GRIDS)
+    cells = (grid + 1) ** 2
+    # the CSV writer encodes chunks of CHUNK_FIELDS // 2 rows of three values
+    chunk = _CHUNK_VALUE_WORK * 3 * min(cells, CHUNK_FIELDS // 2)
+    work = work_elements(cfg, grid, grid, [label], _WRITE_GRIDS + chunk / cells)
     check_work(work, f"density on the {grid}x{grid} grid", "choose a smaller --grid")
     run.manifest["work"] = work_report(work)
     with run.stage("state"):
@@ -314,7 +323,7 @@ def cmd_orbit(args, run) -> int:
     if args.periods < 1:
         raise ValueError(f"--periods must be >= 1 for an orbit, got {args.periods}")
     period = TWO_PI / cfg.omega
-    times = _trace_times(args, period, run)
+    times = _trace_times(args, period, run, 3)
     with run.stage("trace"):
         with np.errstate(over="ignore"):
             free = classical_orbit_trace(orbit, times)
@@ -351,7 +360,7 @@ def cmd_coherent(args, run) -> int:
     lam_prime = _parse_complex(args.lam_prime, "--lam-prime")
     label = CoherentLabel(lam, lam_prime)
     period = TWO_PI / cfg.omega
-    times = _trace_times(args, period, run)
+    times = _trace_times(args, period, run, 7)
     # a huge label overflows the moments, which the check below rejects
     with run.stage("evolve"), np.errstate(over="ignore", invalid="ignore"):
         ex = coherent_expectations(cfg, evolve_coherent(cfg, label, times))

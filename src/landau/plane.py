@@ -66,12 +66,6 @@ class CoherentLabel:
     lam_prime: complex
 
 
-def coherent_center(cfg, c: CoherentLabel) -> tuple[float, float]:
-    """Expectation (<R_x>, <R_y>) of the orbit center."""
-    s = math.sqrt(2.0 / cfg.mass_omega)
-    return s * c.lam_prime.real, s * c.lam_prime.imag
-
-
 @dataclass(frozen=True)
 class CoherentExpectations:
     """The closed-form expectation values and uncertainties in |lam lam'>."""
@@ -91,16 +85,14 @@ class CoherentExpectations:
     energy: float
     spread_energy: float
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def coherent_expectations(cfg, c: CoherentLabel) -> CoherentExpectations:
     """Closed-form table of the fourteen first and second moments; an array
     lambda gives arrays for the moments that depend on it.
 
     rel_* are the components of the radius vector (x - R_x, y - R_y);
-    kinetic_momentum_* are M v_i = p_i + e A_i.
+    kinetic_momentum_* are M v_i = p_i + e A_i. The package reads the orbit
+    center <R> and the packet position <r> = <R> + <rel> from here alone.
     """
     mw = cfg.mass_omega
     omega = cfg.omega
@@ -160,9 +152,6 @@ class ClassicalOrbit:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.radius < 0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
-
-    def energy(self, mass: float) -> float:
-        return 0.5 * mass * self.omega**2 * self.radius**2
 
 
 def classical_orbit_trace(orbit: ClassicalOrbit, times) -> np.ndarray:

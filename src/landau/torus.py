@@ -45,7 +45,7 @@ from .config import GRID_POINTS_PER_FLUX, TWO_PI, TorusConfig, commensurate, gri
 from .finitediff import apply_fd_operator
 from .gauge import x_boundary_twist, y_boundary_twist
 from .oscillator import hermite_eigenfunction
-from .plane import CoherentLabel, coherent_center
+from .plane import CoherentLabel, coherent_expectations
 
 # projector_distance rejects input families whose Gram matrix is further
 # than this from the identity.
@@ -110,12 +110,11 @@ def _eigenstate_images(cfg: TorusConfig, label: TorusLabel) -> tuple:
 def _coherent_images(cfg: TorusConfig, c: CoherentLabel) -> tuple:
     """The x and y image sums of `torus_coherent`'s label, each as
     _image_bounds' arguments (c0, step, lo, hi, width)."""
-    mw = cfg.mass_omega
-    s2 = math.sqrt(2.0 / mw)
-    cx = s2 * (c.lam + c.lam_prime).real
-    cy = s2 * (c.lam_prime.imag - c.lam.imag)
-    # coherent amplitude ~ exp(-M w d^2 / 4) around the packet center
-    width = _reach(mw / 4.0)
+    with np.errstate(over="ignore"):  # a huge label's energy, which the bounds do not read
+        ex = coherent_expectations(cfg, c)
+    # coherent amplitude ~ exp(-M w d^2 / 4) around the packet position <r>
+    width = _reach(cfg.mass_omega / 4.0)
+    cx, cy = ex.center_x + ex.rel_x, ex.center_y + ex.rel_y
     return (cx, -cfg.lx, 0.0, cfg.lx, width), (cy, -cfg.ly, 0.0, cfg.ly, width)
 
 
@@ -529,12 +528,12 @@ def _coherent_overlap(cfg: TorusConfig, c: CoherentLabel):
         * exp[-i (2 pi <R_x>/Lx + theta_y/n_phi) ly]
 
     with everything that does not depend on (lx, ly) computed once."""
-    rx, ry = coherent_center(cfg, c)
+    ex = coherent_expectations(cfg, c)
     n = cfg.n_phi
     decay = math.pi**2 / cfg.mass_omega
     lx2, ly2 = cfg.lx**2, cfg.ly**2
-    rate_x = TWO_PI * ry / cfg.ly - cfg.theta_x / n
-    rate_y = TWO_PI * rx / cfg.lx + cfg.theta_y / n
+    rate_x = TWO_PI * ex.center_y / cfg.ly - cfg.theta_x / n
+    rate_y = TWO_PI * ex.center_x / cfg.lx + cfg.theta_y / n
 
     def term(lx: int, ly: int) -> complex:
         gauss = math.exp(-decay * (lx**2 / ly2 + ly**2 / lx2))

@@ -127,15 +127,11 @@ def _packet_rows(cfg, c: CoherentLabel, h: float, m: int):
     theta = 2.0 * k * h * h
     q = np.arange(m + 1)
     table = np.multiply.outer(np.exp(1j * (theta * (m + 1)) * q[:m]), np.exp(1j * theta * q)).ravel()
-    mag = np.abs(idx)
 
     def rows(i0, i1):
-        out = table[mag[i0:i1, None] * mag[None, :]]
-        # the rows with i < 0 come first; i j < 0 on their columns j > 0 and
-        # on the columns j < 0 of the rest
-        neg = max(m - i0, 0)
-        for part in (out[:neg, m + 1 :], out[neg:, :m]):
-            np.conjugate(part, out=part)
+        p = np.multiply.outer(idx[i0:i1], idx)
+        out = table[np.abs(p)]
+        np.conjugate(out, out=out, where=p < 0)
         out *= row[i0:i1, None]
         out *= col
         return out

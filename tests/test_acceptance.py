@@ -7,6 +7,7 @@ criterion tolerances, fixed here and nowhere else.
 import itertools
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from landau.config import InfiniteConfig, TorusConfig
 from landau.gauge import boundary_residual, x_boundary_twist, y_boundary_twist
 from landau.plane import (
     CoherentLabel,
-    coherent_center,
     coherent_expectations,
     eigenstate_py,
     evolve_coherent,
@@ -293,7 +293,7 @@ def test_criterion_08_coherent_state_suite():
         lam = complex(*rng.uniform(-0.8, 0.8, 2))
         lamp = complex(*rng.uniform(-0.8, 0.8, 2))
         label = CoherentLabel(lam, lamp)
-        closed = coherent_expectations(cfg, label).as_dict()
+        closed = asdict(coherent_expectations(cfg, label))
         amp = coherent_amplitude(cfg, label)
         s2 = math.sqrt(2.0 / cfg.mass_omega)
         center = (s2 * (lam + lamp).real, s2 * (lamp.imag - lam.imag))
@@ -401,7 +401,8 @@ def test_criterion_10_translation_expectation_phases():
     ]
     for cfg, lab, nx, ny in cases:
         st = torus_coherent(cfg, lab, nx=nx, ny=ny)
-        rx, ry = coherent_center(cfg, lab)
+        ex = coherent_expectations(cfg, lab)
+        rx, ry = ex.center_x, ex.center_y
         for l in (1, 2):
             tx = torus_inner(st, translate(st, "x", l))
             bx = coherent_prefactor(cfg, lab, l, "x", coherent_translation_series(cfg, lab, lx=l))

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landau import cli, verify
-from landau.cli import _WRITE_GRIDS, build_parser, main
+from landau.cli import _CHUNK_VALUE_WORK, _WRITE_GRIDS, build_parser, main
 from landau.config import GRID_BUDGET, WORK_BUDGET, TorusConfig, check_work
 from landau.plane import CoherentLabel, coherent_expectations, evolve_coherent
 from landau.torus import _BUILD_GRIDS, TorusLabel, image_count, work_elements
@@ -131,6 +131,8 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
         # e Lx Ly underflows to 0: B is not a finite double
         ["spectrum", "--nphi", "1", "--lx", "1e-200", "--ly", "1e-200"],
         ["density", "--nphi", "1", "--lam-prime", "1e100", "--grid", "16"],
+        # |lam|^2 overflows the packet's energy, which the image bounds do not read
+        ["density", "--nphi", "1", "--lam", "1e200", "--grid", "16"],
         ["verify", "--nphi", "1", "--lx", "1e-200", "--ly", "1e-200"],
         ["density", "--nphi", "1", "--n", "0", "--lx", "1e-200", "--ly", "1e-200"],
         ["orbit", "--nphi", "1", "--radius", "0.1", "--lx", "1e-200", "--ly", "1e-200"],
@@ -290,6 +292,9 @@ DENSITY_BUDGET_SLACK = 1.8
 @pytest.mark.parametrize(
     "args",
     [
+        # below 512^2 the CSV writer's fixed chunk buffers outweigh the grids
+        ["--nphi", "2", "--n", "0", "--grid", "128"],
+        ["--nphi", "2", "--n", "0", "--grid", "256"],
         ["--nphi", "1", "--n", "0", "--grid", "513"],
         ["--nphi", "2", "--n", "1", "--l", "1", "--basis", "lx", "--grid", "512"],
         ["--nphi", "1", "--lam", "0.3+0.2j", "--lam-prime=-0.1+0.4j", "--grid", "513"],
@@ -297,14 +302,16 @@ DENSITY_BUDGET_SLACK = 1.8
         ["--nphi", "1", "--lx", "100", "--ly", "0.01", "--lam", "0.35+0.2j", "--lam-prime", "0.3-0.4j", "--grid", "512"],
         ["--nphi", "1", "--lx", "100", "--ly", "0.01", "--n", "0", "--basis", "lx", "--grid", "512"],
     ],
-    ids=["ly", "lx", "coherent", "coherent-100x0.01", "lx-100x0.01"],
+    ids=["ly-128", "ly-256", "ly", "lx", "coherent", "coherent-100x0.01", "lx-100x0.01"],
 )
 def test_density_holds_no_more_than_its_work_budget(tmp_path, monkeypatch, args):
     # the whole run's tracemalloc peak against the work it passed to
     # check_work, complex values 16 bytes each: the budget holds the peak and
-    # is tight. Budget over peak read 1.03 ('ly', coherent), 1.02 ('lx'), 1.09
-    # (coherent-100x0.01) and 1.71 (lx-100x0.01, whose 766 images are counted
-    # twice with their exponent arrays, which the build holds one at a time)
+    # is tight. Budget over peak read 1.29 (ly-128), 1.52 (ly-256), 1.17
+    # ('ly', whose writer stage now outweighs its build), 1.02 ('lx'), 1.03
+    # (coherent), 1.09 (coherent-100x0.01) and 1.71 (lx-100x0.01, whose 766
+    # images are counted twice with their exponent arrays, which the build
+    # holds one at a time)
     budget = []
 
     def record(work, what, remedy):
@@ -320,6 +327,41 @@ def test_density_holds_no_more_than_its_work_budget(tmp_path, monkeypatch, args)
     finally:
         tracemalloc.stop()
     assert peak <= 16 * budget[0] <= DENSITY_BUDGET_SLACK * peak
+
+
+@pytest.mark.parametrize(
+    "periods, samples", [(1, 256), (1, 4096), (16, 4096), (64, 4096)], ids=["257", "4097", "65537", "262145"]
+)
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["orbit", "--nphi", "2", "--radius", "1"],
+        ["coherent", "--nphi", "2", "--lam", "0.5", "--lam-prime", "0.2"],
+    ],
+    ids=["orbit", "coherent"],
+)
+def test_trace_holds_no_more_than_its_work_budget(tmp_path, monkeypatch, args, periods, samples):
+    # the run's tracemalloc peak against the work it passed to check_work.
+    # A first, one-row run builds what a process builds once, the parser and
+    # the encoder's tables (about 140 kB), so the peak is the run's own. Budget
+    # over peak read 1.07 and 1.23 at 257 rows (orbit, coherent), 1.20 and
+    # 1.30 at 4,097, 1.52 and 1.34 at 65,537, and 1.47 and 1.32 at 262,145
+    assert main([*args, "--samples", "1", "--out-dir", str(tmp_path / "first")]) == 0
+    budget = []
+
+    def record(work, what, remedy):
+        budget.append(work)
+        check_work(work, what, remedy)
+
+    monkeypatch.setattr(cli, "check_work", record)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main([*args, "--periods", str(periods), "--samples", str(samples), "--out-dir", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * budget[0]
 
 
 @pytest.mark.parametrize(
@@ -598,13 +640,24 @@ def test_export_stage_timings_only_in_manifest(tmp_path, argv, stages):
 @pytest.mark.parametrize(
     "argv, budget",
     [
-        (["density", "--nphi", "1", "--n", "0", "--grid", "64"], lambda cfg: work_elements(cfg, 64, 64, [TorusLabel(0, 0)], _WRITE_GRIDS)),
+        # the grids after the build, and the writer's one chunk of 65^2 rows of three values
+        (
+            ["density", "--nphi", "1", "--n", "0", "--grid", "64"],
+            lambda cfg: work_elements(cfg, 64, 64, [TorusLabel(0, 0)], _WRITE_GRIDS + _CHUNK_VALUE_WORK * 3 * 65**2 / 65**2),
+        ),
         (["verify", "--nphi", "2"], verify.torus_work),
         # three complex values per site of each of the gcd(2, 48) = 2 chains
         (["spectrum", "--nphi", "2", "--grid", "48", "--levels", "2"], lambda cfg: 3 * 48 * 48 // 2),
-        # 6.1 values per row of 4 * 16 + 1 samples
-        (["orbit", "--nphi", "1", "--radius", "0.2", "--periods", "4", "--samples", "16"], lambda cfg: math.ceil(65 * 6.1)),
-        (["coherent", "--nphi", "1", "--lam", "0.3", "--lam-prime", "0", "--periods", "4", "--samples", "16"], lambda cfg: math.ceil(65 * 6.1)),
+        # 6.1 values per row of 4 * 16 + 1 samples, and the writer's one chunk
+        # of those rows in 3 (orbit) or 7 (coherent) columns
+        (
+            ["orbit", "--nphi", "1", "--radius", "0.2", "--periods", "4", "--samples", "16"],
+            lambda cfg: math.ceil(65 * 6.1 + _CHUNK_VALUE_WORK * 3 * 65),
+        ),
+        (
+            ["coherent", "--nphi", "1", "--lam", "0.3", "--lam-prime", "0", "--periods", "4", "--samples", "16"],
+            lambda cfg: math.ceil(65 * 6.1 + _CHUNK_VALUE_WORK * 7 * 65),
+        ),
     ],
     ids=["density", "verify", "spectrum", "orbit", "coherent"],
 )

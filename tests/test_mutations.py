@@ -4,14 +4,15 @@ operator the suite is meant to guard, for the duration of one
 
 A mutation is patched where it is called: `translate` in `verify`, its one
 caller, `apply_fd_operator` in both `verify` and `torus` (whose
-`apply_operator` passes it the boundary twists), and `bloch_chain` in
+`apply_operator` passes it the boundary twists), `apply_operator` in
+`verify`, whose one call is the coherent energy check, and `bloch_chain` in
 `spectral`. The translation rows post-multiply the result of the real
 `translate`, one elementary step at a time, and the operator and lattice
 rows add the mutated term, built from the np.roll stencils of `oracles`, to
 the real result, so no row depends on how the code under test is built.
 
-The matrix holds 16 caught rows, each naming the checks it fails, a control
-row (the unmutated tori pass), and 4 blind rows. Rows marked xfail are known
+The matrix holds 17 caught rows, each naming the checks it fails, a control
+row (the unmutated tori pass), and 6 blind rows. Rows marked xfail are known
 blind spots: every check still passes. Each names the ROADMAP item that
 closes it; pyproject sets xfail_strict, so once that item lands the row
 fails until its marker is removed.
@@ -28,7 +29,7 @@ from landau.config import TorusConfig
 from landau.finitediff import apply_fd_operator
 from landau.gauge import x_boundary_twist, y_boundary_twist
 from landau.spectral import bloch_chain
-from landau.torus import SampledState, translate
+from landau.torus import SampledState, apply_operator, translate
 from landau.verify import run_verification
 from oracles import _linked, reference_d1, reference_d2
 
@@ -52,12 +53,13 @@ def failing_checks(targets: dict) -> dict:
     return failing
 
 
-def translate_mutation(direction, fix):
-    """`translate` with each elementary step along `direction` followed by
-    values -> fix(state, values), on a writable copy of the closed grid."""
+def translate_mutation(directions, fix):
+    """`translate` with each elementary step along an axis in `directions`
+    ("x", "y" or "xy") followed by values -> fix(state, values), on a
+    writable copy of the closed grid."""
 
     def mutated(state, d, power=1):
-        if d != direction:
+        if d not in directions:
             return translate(state, d, power)
         for _ in range(power):
             state = translate(state, d)
@@ -89,6 +91,18 @@ def _drop_y_wrap(st, v):
     s = st.ny // st.config.n_phi
     v[:, st.ny - s : st.ny] /= y_boundary_twist(st.config)
     return v
+
+
+def _phase(angle):
+    def fix(st, v):
+        return v * np.exp(1j * angle)
+
+    return fix
+
+
+def _h_scaled(op, state):
+    applied = apply_operator(op, state)
+    return SampledState(applied.config, applied.values * (1.0 + 9.0e-4))
 
 
 def fd_mutation(mutated):
@@ -236,6 +250,10 @@ CAUGHT = {
         {"tx_ladder_overlap", "translation_expectation_series"},
     ),
     "ty_wrap_twist_dropped": (translate_mutation("y", _drop_y_wrap), {"ty_eigenvalue"}),
+    "translate_phase_1e-7": (
+        translate_mutation("xy", _phase(1.0e-7)),
+        {"ty_eigenvalue", "translation_expectation_series"},
+    ),
     "h_x_stencil_scaled_1.001": (operator_mutation("H", _h_x_scaled), H_FAILS),
     "h_y_stencil_scaled_1.001": (operator_mutation("H", _h_y_scaled), H_FAILS),
     "h_links_conjugated": (operator_mutation("H", _relinked(-1.0)), H_AND_COHERENT_FAIL),
@@ -257,6 +275,9 @@ BLIND = {
         chain_mutation(_lattice_momenta_without_theta_y),
         "closed by ROADMAP item 3",
     ),
+    "translate_phase_1e-9": (translate_mutation("xy", _phase(1.0e-9)), "closed by ROADMAP item 18"),
+    # the coherent energy check reads 9.0e-4 against its 1e-3
+    "coherent_h_scaled_1+9e-4": ({"landau.verify.apply_operator": _h_scaled}, "closed by ROADMAP item 18"),
 }
 
 

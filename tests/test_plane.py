@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -291,7 +292,7 @@ def test_coherent_center_plugin():
 
 def test_all_fourteen_moments_by_quadrature():
     label = CoherentLabel(0.45 + 0.25j, -0.3 + 0.5j)
-    closed = coherent_expectations(CFG, label).as_dict()
+    closed = asdict(coherent_expectations(CFG, label))
     amp = coherent_amplitude(CFG, label)
     s2 = math.sqrt(2.0 / CFG.mass_omega)
     cx = s2 * (label.lam + label.lam_prime).real
@@ -344,11 +345,11 @@ def test_array_time_matches_scalar_calls():
     label = CoherentLabel(0.6 - 0.35j, 0.1 + 0.2j)
     times = np.linspace(0.0, 16.0 * 2.0 * math.pi / CFG.omega, 4097)
     lam_t = evolve_coherent(CFG, label, times).lam
-    moments = coherent_expectations(CFG, CoherentLabel(lam_t, label.lam_prime)).as_dict()
+    moments = asdict(coherent_expectations(CFG, CoherentLabel(lam_t, label.lam_prime)))
     for i, t in enumerate(times):
         one = evolve_coherent(CFG, label, float(t))
         assert _bits(lam_t[i].real) == _bits(one.lam.real) and _bits(lam_t[i].imag) == _bits(one.lam.imag)
-        for key, value in coherent_expectations(CFG, one).as_dict().items():
+        for key, value in asdict(coherent_expectations(CFG, one)).items():
             assert _bits(np.broadcast_to(moments[key], times.shape)[i]) == _bits(value), key
 
 
@@ -416,4 +417,3 @@ def test_orbit_closes_after_one_period():
     period = 2 * math.pi / orbit.omega
     pos = classical_orbit_trace(orbit, [0.0, period])
     assert np.max(np.abs(pos[1] - pos[0])) < 1e-12
-    assert orbit.energy(mass=1.0) == pytest.approx(0.5 * 3.0**2 * 1.7**2)

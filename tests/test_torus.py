@@ -9,7 +9,7 @@ from hypothesis import strategies
 from landau.config import TorusConfig
 from landau.gauge import boundary_residual, x_boundary_twist, y_boundary_twist
 from landau.oscillator import hermite_eigenfunction
-from landau.plane import CoherentLabel, evolve_coherent
+from landau.plane import CoherentLabel, coherent_expectations, evolve_coherent
 from landau.torus import (
     SampledState,
     TorusLabel,
@@ -610,8 +610,6 @@ def test_translation_expectation_matches_series(direction, l):
 def test_translation_series_equals_term_by_term_sum():
     # the series with its per-term constants hoisted, against every term
     # computed anew: the same floating-point operations, bit for bit
-    from landau.plane import coherent_center
-
     for cfg, lab in (
         (make_cfg(1), CoherentLabel(0.35 + 0.2j, 0.3 - 0.4j)),
         (make_cfg(3, 0.7, 2.1, lx=1.3, ly=0.77), CoherentLabel(-0.2 + 0.5j, 0.1 + 0.1j)),
@@ -619,7 +617,8 @@ def test_translation_series_equals_term_by_term_sum():
         mw = cfg.mass_omega
 
         def term(lx, ly):
-            rx, ry = coherent_center(cfg, lab)
+            ex = coherent_expectations(cfg, lab)
+            rx, ry = ex.center_x, ex.center_y
             gauss = math.exp(-(math.pi**2 / mw) * (lx**2 / cfg.ly**2 + ly**2 / cfg.lx**2))
             phase = (
                 -math.pi * lx * ly / cfg.n_phi
@@ -642,9 +641,8 @@ def test_phase_recovers_center_modulo_periods():
     cfg = make_cfg(2, theta_x=0.9, theta_y=2.3)
     lab = CoherentLabel(0.25 + 0.15j, 0.5 - 0.3j)
     st = torus_coherent(cfg, lab, nx=128, ny=128)
-    from landau.plane import coherent_center
-
-    rx, ry = coherent_center(cfg, lab)
+    ex = coherent_expectations(cfg, lab)
+    rx, ry = ex.center_x, ex.center_y
     t1 = torus_inner(st, translate(st, "x", 1))
     b1 = coherent_prefactor(cfg, lab, 1, "x", coherent_translation_series(cfg, lab, lx=1))
     ry_rec = (np.angle(t1 / b1) + cfg.theta_x / cfg.n_phi) * cfg.ly / TWO_PI % cfg.ly
