@@ -35,7 +35,7 @@ cfg1 = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=1, theta_x=math.pi, theta_y=m
 ground = torus_eigenstate(cfg1, TorusLabel(0, 0), nx=160, ny=160)
 print(f"boundary-condition residual: {boundary_residual(ground):.2e}")
 print(f"energy residual against 1/2 (units of hbar*w): {eigenvalue_residual('H', ground, 0.5):.2e}")
-dm = density_map(ground)
+dm = density_map(cfg1, TorusLabel(0, 0), 160, 160)
 print(f"density maximum at ({dm.argmax_x:.3f}, {dm.argmax_y:.3f}); expected (0.5, 0.5)")
 write_pgm(dm, "ground_density.pgm")
 print("wrote ground_density.pgm")

@@ -47,7 +47,7 @@ from .plane import (
 )
 from .serialize import CHUNK_FIELDS, write_density_csv, write_json, write_pgm, write_table_csv
 from .spectral import low_spectrum
-from .torus import TorusLabel, density_map, torus_coherent, torus_eigenstate, work_elements
+from .torus import TorusLabel, density_map, density_work
 from .verify import heisenberg_grid, run_verification, torus_work
 
 
@@ -176,10 +176,10 @@ def cmd_spectrum(args, run) -> int:
     return 0
 
 
-# Closed grids `density` holds after its state build, the state and its float
-# density: the highest tracemalloc peak of that stage at 512^2 and up was 1.60.
-# The CSV writer's chunk buffers come on top (`_CHUNK_VALUE_WORK`).
-_WRITE_GRIDS = 1.6
+# Closed grids `density` holds once `density_map` returns: its float density,
+# half a grid, and the boolean grid of one finiteness check, an eighth of
+# that. The CSV writer's chunk buffers come on top (`_CHUNK_VALUE_WORK`).
+_WRITE_GRIDS = 0.5625
 
 
 def cmd_density(args, run) -> int:
@@ -211,36 +211,26 @@ def cmd_density(args, run) -> int:
     cells = (grid + 1) ** 2
     # the CSV writer encodes chunks of CHUNK_FIELDS // 2 rows of three values
     chunk = _CHUNK_VALUE_WORK * 3 * min(cells, CHUNK_FIELDS // 2)
-    work = work_elements(cfg, grid, grid, [label], _WRITE_GRIDS + chunk / cells)
+    work = density_work(cfg, grid, grid, label, _WRITE_GRIDS + chunk / cells)
     check_work(work, f"density on the {grid}x{grid} grid", "choose a smaller --grid")
     run.manifest["work"] = work_report(work)
-    with run.stage("state"):
-        if coherent_selector:
-            # a huge label overflows the amplitude to NaN; the check below rejects it
-            with np.errstate(over="ignore", invalid="ignore"):
-                state = torus_coherent(cfg, label, nx=grid, ny=grid)
-        else:
-            state = torus_eigenstate(cfg, label, nx=grid, ny=grid)
-
-    with run.stage("density"):
-        dmap = density_map(state)
+    # a huge coherent label overflows the amplitude to NaN; the check below rejects it
+    with run.stage("density"), np.errstate(over="ignore", invalid="ignore"):
+        dmap = density_map(cfg, label, grid, grid)
         finite = np.isfinite(dmap.density).all()
-    # the writers hold the density alone
-    hx, hy, nx, ny = state.hx, state.hy, state.nx, state.ny
-    del state
     if not finite:
         raise ValueError("the state's density is not finite; choose a smaller label")
     with run.stage("csv"):
         write_density_csv(dmap, run.output("density.csv"))
     with run.stage("pgm"):
         write_pgm(dmap, run.output("density.pgm"))
-    integral = float(dmap.density[:-1, :-1].sum() * hx * hy)
+    integral = float(dmap.density[:-1, :-1].sum() * (cfg.lx / grid) * (cfg.ly / grid))
     with run.stage("json"):
         write_json(
             {
                 "argmax_x": dmap.argmax_x,
                 "argmax_y": dmap.argmax_y,
-                "grid": [nx + 1, ny + 1],
+                "grid": [grid + 1, grid + 1],
                 "integral": integral,
                 "selector": selector,
             },
@@ -329,16 +319,19 @@ def cmd_orbit(args, run) -> int:
             free = classical_orbit_trace(orbit, times)
         if not np.isfinite(free).all():
             raise ValueError("the orbit's coordinates overflow; choose a smaller --radius or center")
-        wrapped = np.mod(free, (cfg.lx, cfg.ly))  # folded into [0, lx) x [0, ly)
         closure = float(np.max(np.abs(free[-1] - free[0])))
         # every cyclotron orbit closes; the residual is rounding, which scales
         # with the largest coordinate of the circle
         closes = closure <= 1.0e-9 * max(args.radius, abs(args.center_x), abs(args.center_y))
+        # the torus cells of the first sample and of each column's extremes:
+        # floor is monotonic, so some sample leaves the first cell exactly
+        # when an extreme does
         with np.errstate(over="ignore"):  # a cell index beyond doubles reads inf
-            cells = np.floor(free / (cfg.lx, cfg.ly))  # the torus cell of each sample
+            cells = np.floor(np.stack([free[0], free.min(axis=0), free.max(axis=0)]) / (cfg.lx, cfg.ly))
         wraps = bool((cells != cells[0]).any())
+        np.mod(free, (cfg.lx, cfg.ly), out=free)  # folded into [0, lx) x [0, ly)
     with run.stage("csv"):
-        write_table_csv(("t", "x", "y"), (times, wrapped[:, 0], wrapped[:, 1]), run.output("orbit.csv"))
+        write_table_csv(("t", "x", "y"), (times, free[:, 0], free[:, 1]), run.output("orbit.csv"))
     with run.stage("json"):
         write_json(
             {

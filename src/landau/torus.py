@@ -31,6 +31,24 @@ zero), and each plane's sum over k keeps its order. On a 2-CPU Xeon with
 9 images it took 0.20 ms against 0.88 at 161^2, and 11 ms against 33 at
 1025^2. W must be k-major: over a y-major W the same contraction ran 5x
 slower than the complex einsum.
+
+Each state kind has one row evaluator (`_eigenstate_rows`, `_coherent_rows`):
+its image sum, unnormalised, on the closed-grid rows i0..i1-1, with the y
+factors evaluated once and the x factors per block. Every value of a row
+comes out the same whatever block holds it, so `torus_eigenstates` and
+`torus_coherent` call it once on the whole grid, and `density_map` streams
+the state through it in blocks of `_STREAM_ROWS` rows, in two passes, and
+never holds the state. Pass 1 writes conj(a) * a of the core into one grid,
+whose pairwise sum is exactly the norm `normalized` takes; pass 2 writes
+|a / norm|^2 into the float density. So a streamed density has the bits of
+the built state's and holds one grid and a block, where a build holds 2.06
+('ly') or 5.14 (coherent) grids. The product grid stays: a bit-exact
+pairwise sum of complex values needs them all at once. 'lx' states are evaluated in
+one block: their `cross * einsum(...)` is multiplied in the order numpy's
+temporary elision picks from the block's size (see the comment there). In
+64-row blocks, at n_phi = 2, level 1 and theta = (0.7, 2.1), 163 of 263,169
+amplitudes changed at 512^2 (the last block, one row) and 9,251 of 25,921 at
+160^2 (every block is below the 256 KiB the whole grid is above).
 """
 
 from __future__ import annotations
@@ -126,6 +144,10 @@ def image_count(cfg: TorusConfig, label) -> int:
     return sum(max(0, last - first + 1) for first, last in (_image_bounds(*args) for args in sums))
 
 
+def _kind(label) -> str:
+    return "coherent" if isinstance(label, CoherentLabel) else label.basis
+
+
 def work_elements(cfg: TorusConfig, nx: int, ny: int, labels, grids: float) -> int:
     """Complex values held at most on the nx x ny grid while the caller holds
     `grids` closed grids of its own (a half grid is one of floats) and builds
@@ -133,9 +155,27 @@ def work_elements(cfg: TorusConfig, nx: int, ny: int, labels, grids: float) -> i
     `grids` and the costliest build's `_BUILD_GRIDS`, plus the largest image
     sum's factor matrices twice, since a build holds each factor and the
     exponent array it is evaluated from."""
-    build = max(_BUILD_GRIDS["coherent" if isinstance(label, CoherentLabel) else label.basis] for label in labels)
+    build = max(_BUILD_GRIDS[_kind(label)] for label in labels)
+    return _work(cfg, nx, ny, labels, max(grids, build))
+
+
+def density_work(cfg: TorusConfig, nx: int, ny: int, label, grids: float) -> int:
+    """`work_elements` for `density_map` of `label`, which builds no state:
+    in place of the build it holds pass 1's product grid and one block of
+    `_STREAM_ROWS` rows, each value of which weighs `_STREAM_BLOCK_WEIGHT`
+    complex values. An 'lx' state is evaluated in one block and holds its
+    build."""
+    kind = _kind(label)
+    if kind == "lx":
+        stream = _BUILD_GRIDS["lx"]
+    else:
+        stream = 1.0 + _STREAM_BLOCK_WEIGHT[kind] * min(_STREAM_ROWS, nx + 1) / (nx + 1)
+    return _work(cfg, nx, ny, [label], max(grids, stream))
+
+
+def _work(cfg: TorusConfig, nx: int, ny: int, labels, grids: float) -> int:
     images = max(image_count(cfg, label) for label in labels)
-    return math.ceil(max(grids, build) * (nx + 1) * (ny + 1)) + 2 * images * (nx + ny + 2)
+    return math.ceil(grids * (nx + 1) * (ny + 1)) + 2 * images * (nx + ny + 2)
 
 
 class SampledState:
@@ -220,6 +260,12 @@ def grid_vdot(a: np.ndarray, b: np.ndarray) -> complex:
     One temporary the size of a, where np.vdot copies both strided inputs."""
     p = np.conjugate(a, dtype=complex)
     p *= b
+    return _pairwise_sum(p)
+
+
+def _pairwise_sum(p: np.ndarray) -> complex:
+    """numpy's pairwise sum of the C-contiguous p, in the order its shape
+    fixes."""
     return complex(np.add.reduce(p.ravel()))
 
 
@@ -285,6 +331,16 @@ def normalized(state: SampledState) -> SampledState:
 # norm's conjugated core and then beside its normalised copy (2.06, the
 # highest at theta = (0.7, 2.1)).
 _BUILD_GRIDS = {"coherent": 5.14, "lx": 3.07, "ly": 2.06}
+# Complex values per value of one streamed block that `density_map` holds
+# beside pass 1's product grid (`density_work`): the highest tracemalloc peak
+# over n_phi = 1-4, levels 0-3 or three coherent labels, the unit torus at
+# theta = (0.7, 2.1) and 1.1 x 1/1.1 untwisted, grids 64^2 to 1026^2. An 'ly'
+# block holds its profile and its sum (1.84); a coherent block its factors,
+# the parity sums and their products (6.74, at 129^2 and odd n_phi).
+_STREAM_BLOCK_WEIGHT = {"coherent": 6.74, "ly": 1.84}
+# Closed-grid rows that one block of a streamed density spans (`density_map`):
+# 64 rows of a 1025^2 state are 1 MiB of complex values.
+_STREAM_ROWS = 64
 
 
 def torus_eigenstate(cfg: TorusConfig, label: TorusLabel, nx: int, ny: int) -> SampledState:
@@ -316,36 +372,56 @@ def torus_eigenstate(cfg: TorusConfig, label: TorusLabel, nx: int, ny: int) -> S
 
 def torus_eigenstates(cfg: TorusConfig, labels, nx: int, ny: int) -> list[SampledState]:
     """`torus_eigenstate` of each of `labels` on one nx x ny grid, with the
-    grid axes and the 'lx' cross phase computed once for all of them.
+    grid axes and the 'lx' cross phase computed once for all of them, each
+    state evaluated in one row block."""
+    xs, ys = grid_axes(cfg, nx, ny)
+    cross = None
+    states = []
+    for label in labels:
+        if label.basis == "lx" and cross is None:
+            cross = _cross_phase(cfg, xs, ys)
+        rows = _eigenstate_rows(cfg, label, xs, ys, cross)
+        states.append(normalized(SampledState(cfg, rows(0, nx + 1))))
+    return states
+
+
+def _cross_phase(cfg: TorusConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The 'lx' gauge factor exp(-2 pi i n_phi x y / (Lx Ly)) on the grid."""
+    return np.exp(-TWO_PI * 1j * cfg.n_phi * xs[:, None] * ys[None, :] / (cfg.lx * cfg.ly))
+
+
+def _eigenstate_rows(cfg: TorusConfig, label: TorusLabel, xs, ys, cross=None):
+    """rows(i0, i1): `torus_eigenstate`'s image sum, unnormalised, on the
+    closed-grid rows i0..i1-1. The y factors are evaluated once, the x
+    factors on each call; an 'lx' label needs `cross` (`_cross_phase`).
 
     The 'ly' sum runs over the real and imaginary planes of W as one real
     contraction (module docstring). The 'lx' sum stays complex: its complex
     factor is the x one, and einsum lays a real contraction over that out
     x-fastest, not C-ordered."""
-    xs, ys = grid_axes(cfg, nx, ny)
     mw = cfg.mass_omega
-    cross = None
-    states = []
-    for label in labels:
-        k = _image_indices(*_eigenstate_images(cfg, label))
-        if label.basis == "ly":
-            kval = cfg.n_phi * k + label.l + cfg.theta_y / TWO_PI
-            profile = hermite_eigenfunction(mw, label.n, xs[:, None] + kval * cfg.ax)
-            wave = np.exp(TWO_PI * 1j * ys * kval[:, None] / cfg.ly - 1j * cfg.theta_x * k[:, None])
-            planes = wave.view(float).reshape(len(k), ny + 1, 2)
-            values = np.einsum("xk,kyc->xyc", profile, planes, optimize=False).view(complex)[..., 0]
-        else:
-            if cross is None:
-                cross = np.exp(-TWO_PI * 1j * cfg.n_phi * xs[:, None] * ys[None, :] / (cfg.lx * cfg.ly))
-            qval = cfg.n_phi * k + label.l + cfg.theta_x / TWO_PI
-            profile = hermite_eigenfunction(mw, label.n, ys[:, None] - qval * cfg.ay)
-            wave = np.exp(TWO_PI * 1j * xs[:, None] * qval / cfg.lx + 1j * cfg.theta_y * k)
-            # cross stays the left operand as written: on grids of 256 KiB and
-            # more numpy reuses the einsum temporary and multiplies it by
-            # cross instead, and complex multiply is not bitwise commutative
-            values = cross * np.einsum("xk,yk->xy", wave, profile, optimize=False)
-        states.append(normalized(SampledState(cfg, values)))
-    return states
+    k = _image_indices(*_eigenstate_images(cfg, label))
+    if label.basis == "ly":
+        kval = cfg.n_phi * k + label.l + cfg.theta_y / TWO_PI
+        wave = np.exp(TWO_PI * 1j * ys * kval[:, None] / cfg.ly - 1j * cfg.theta_x * k[:, None])
+        planes = wave.view(float).reshape(len(k), len(ys), 2)
+
+        def rows(i0, i1):
+            profile = hermite_eigenfunction(mw, label.n, xs[i0:i1, None] + kval * cfg.ax)
+            return np.einsum("xk,kyc->xyc", profile, planes, optimize=False).view(complex)[..., 0]
+
+        return rows
+    qval = cfg.n_phi * k + label.l + cfg.theta_x / TWO_PI
+    profile = hermite_eigenfunction(mw, label.n, ys[:, None] - qval * cfg.ay)
+
+    def rows(i0, i1):
+        wave = np.exp(TWO_PI * 1j * xs[i0:i1, None] * qval / cfg.lx + 1j * cfg.theta_y * k)
+        # cross stays the left operand as written: on blocks of 256 KiB and
+        # more numpy reuses the einsum temporary and multiplies it by cross
+        # instead, and complex multiply is not bitwise commutative
+        return cross[i0:i1] * np.einsum("xk,yk->xy", wave, profile, optimize=False)
+
+    return rows
 
 
 def torus_coherent(cfg: TorusConfig, c: CoherentLabel, nx: int, ny: int) -> SampledState:
@@ -381,33 +457,48 @@ def torus_coherent(cfg: TorusConfig, c: CoherentLabel, nx: int, ny: int) -> Samp
 
     Kx + Ky rank-1 passes over the grid in place of Kx Ky."""
     xs, ys = grid_axes(cfg, nx, ny)
+    return normalized(SampledState(cfg, _coherent_rows(cfg, c, xs, ys)(0, nx + 1)))
+
+
+def _coherent_rows(cfg: TorusConfig, c: CoherentLabel, xs, ys):
+    """rows(i0, i1): `torus_coherent`'s image sum, unnormalised, on the
+    closed-grid rows i0..i1-1. D and Y, the y factors, are evaluated and
+    split by parity once; X and B on each call."""
     mw = cfg.mass_omega
     pre = math.sqrt(mw / 2.0)
     kx, ky = (_image_indices(*args) for args in _coherent_images(cfg, c))
-    u = xs[:, None] + kx * cfg.lx
     v = ys[:, None] + ky * cfg.ly
-    x_part = np.exp(-0.25 * mw * u * u + pre * u * (c.lam + c.lam_prime))
     d_part = np.exp(
         1j * (TWO_PI * cfg.n_phi / cfg.ly - 0.5 * mw * cfg.lx) * kx * ys[:, None]
         - 1j * kx * cfg.theta_x
     )
-    b_part = np.exp(-0.5j * mw * cfg.ly * xs[:, None] * ky)
     y_part = np.exp(-0.25 * mw * v * v + 1j * pre * v * (c.lam - c.lam_prime) - 1j * ky * cfg.theta_y)
+    odd_kx = (kx % 2 == 1) & (cfg.n_phi % 2 == 1)
+    odd_ky = ky % 2 == 1
+    split = bool(odd_kx.any())
+    if split:
+        d_even, d_odd = d_part[:, ~odd_kx], d_part[:, odd_kx]
+        y_even, y_odd = y_part[:, ~odd_ky], y_part[:, odd_ky]
 
     def image_sum(p, q):
         return np.einsum("xk,yk->xy", p, q, optimize=False)
 
-    odd_kx = (kx % 2 == 1) & (cfg.n_phi % 2 == 1)
-    if odd_kx.any():
-        odd_ky = ky % 2 == 1
-        e = image_sum(x_part[:, ~odd_kx], d_part[:, ~odd_kx])
-        o = image_sum(x_part[:, odd_kx], d_part[:, odd_kx])
-        values = (e + o) * image_sum(b_part[:, ~odd_ky], y_part[:, ~odd_ky])
-        values += (e - o) * image_sum(b_part[:, odd_ky], y_part[:, odd_ky])
-    else:
-        values = image_sum(x_part, d_part) * image_sum(b_part, y_part)
-    values *= np.exp(-0.5j * mw * xs[:, None] * ys[None, :])
-    return normalized(SampledState(cfg, values))
+    def rows(i0, i1):
+        x = xs[i0:i1, None]
+        u = x + kx * cfg.lx
+        x_part = np.exp(-0.25 * mw * u * u + pre * u * (c.lam + c.lam_prime))
+        b_part = np.exp(-0.5j * mw * cfg.ly * x * ky)
+        if split:
+            e = image_sum(x_part[:, ~odd_kx], d_even)
+            o = image_sum(x_part[:, odd_kx], d_odd)
+            values = (e + o) * image_sum(b_part[:, ~odd_ky], y_even)
+            values += (e - o) * image_sum(b_part[:, odd_ky], y_odd)
+        else:
+            values = image_sum(x_part, d_part) * image_sum(b_part, y_part)
+        values *= np.exp(-0.5j * mw * x * ys[None, :])
+        return values
+
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +710,27 @@ class DensityMap:
     argmax_y: float
 
 
-def density_map(state: SampledState) -> DensityMap:
-    """|Psi|^2 normalized to unit torus integral, plus the argmax location.
+def _streamed_norm(rows, blocks, nx: int, ny: int, weight: float) -> float:
+    """`torus_norm` of the state that `rows` evaluates over `blocks` (pass 1):
+    conj(a) * a written block by block into one core grid, whose pairwise sum
+    is the one `normalized` takes. A function of its own, so the grid is
+    freed before pass 2 allocates the density."""
+    products = np.empty((nx, ny), dtype=complex)
+    for i0, i1 in blocks:
+        core = rows(i0, i1)[: nx - i0, :ny]
+        out = products[i0 : i0 + len(core)]
+        np.conjugate(core, out=out)
+        out *= core
+    return math.sqrt(max((_pairwise_sum(products) * weight).real, 0.0))
+
+
+def density_map(cfg: TorusConfig, label, nx: int, ny: int) -> DensityMap:
+    """|Psi|^2 of the normalized state of `label`, a TorusLabel or a
+    CoherentLabel, on the closed nx x ny grid, normalized to unit torus
+    integral, plus the argmax location. The bits are those of |Psi|^2 of the
+    built state (`torus_eigenstate`, `torus_coherent`), but no state is held:
+    the image sum is evaluated twice, a block of rows at a time (module
+    docstring).
 
     The argmax is not unique for every state: an eigenstate's density has
     n_phi copies of its peak that are equal in exact arithmetic ('ly' states
@@ -628,18 +738,31 @@ def density_map(state: SampledState) -> DensityMap:
     among them by rounding noise. Any reordering of the image sum may move
     the reported point to another copy; compare densities, not argmaxes.
     """
-    d = np.abs(state.values)
+    xs, ys = grid_axes(cfg, nx, ny)
+    hx, hy = cfg.lx / nx, cfg.ly / ny
+    step = _STREAM_ROWS
+    if isinstance(label, CoherentLabel):
+        rows = _coherent_rows(cfg, label, xs, ys)
+    elif label.basis == "ly":
+        rows = _eigenstate_rows(cfg, label, xs, ys)
+    else:
+        rows, step = _eigenstate_rows(cfg, label, xs, ys, _cross_phase(cfg, xs, ys)), nx + 1
+    blocks = [(i0, min(i0 + step, nx + 1)) for i0 in range(0, nx + 1, step)]
+
+    norm = _streamed_norm(rows, blocks, nx, ny, hx * hy)
+    if norm == 0.0:
+        raise ValueError("cannot normalize the zero state")
+    # pass 2: |a / norm|^2, then the total and the argmax
+    d = np.empty((nx + 1, ny + 1))
+    for i0, i1 in blocks:
+        block = rows(i0, i1)
+        np.divide(block, norm, out=block)
+        np.abs(block, out=d[i0:i1])
     np.square(d, out=d)
-    total = d[:-1, :-1].sum() * state.hx * state.hy
+    total = d[:-1, :-1].sum() * hx * hy
     d /= total
     # the first maximum in C order, which np.argmax also finds, but without
     # the contiguous copy of the core that np.argmax makes of a strided view
     core = d[:-1, :-1]
     ix, iy = np.unravel_index(np.argmax(core == core.max()), core.shape)
-    return DensityMap(
-        xs=state.xs,
-        ys=state.ys,
-        density=d,
-        argmax_x=float(state.xs[ix]),
-        argmax_y=float(state.ys[iy]),
-    )
+    return DensityMap(xs=xs, ys=ys, density=d, argmax_x=float(xs[ix]), argmax_y=float(ys[iy]))

@@ -26,7 +26,10 @@ The references the package is compared against live here too:
   translation series by its centre-and-angle phase;
 - the ladder algebra a, adag, b, bdag on Fock labels |n n'> (`FockLabel`,
   `ladder_apply`), the number-basis form of the operators `verify`'s
-  `ladder_algebra` check measures on the plane grid.
+  `ladder_algebra` check measures on the plane grid;
+- the density of a built torus state, held whole (`density_map`), which
+  `landau.torus.density_map` streams without holding the state and must
+  equal bit for bit.
 
 The lattice spectrum has its own route too: the assembled nx*ny Peierls
 matrix, solved whole, which the Bloch-chain solver of `landau.spectral` must
@@ -423,6 +426,31 @@ def coherent_moments_by_quadrature(cfg, amplitude, label_center):
         out[mean_key] = mean
         out["spread_" + mean_key] = spread
     return out
+
+
+# ---------------------------------------------------------------------------
+# the density of a built torus state
+
+
+@dataclass(frozen=True)
+class DensityReference:
+    xs: np.ndarray
+    ys: np.ndarray
+    density: np.ndarray
+    argmax_x: float
+    argmax_y: float
+
+
+def density_map(state):
+    """|Psi|^2 of a built state (anything with `values` on the closed grid,
+    `xs`, `ys`, `hx` and `hy`) normalized to unit torus integral, plus the
+    first argmax of the core in C order."""
+    d = np.abs(state.values)
+    np.square(d, out=d)
+    total = d[:-1, :-1].sum() * state.hx * state.hy
+    d /= total
+    ix, iy = np.unravel_index(np.argmax(d[:-1, :-1]), (d.shape[0] - 1, d.shape[1] - 1))
+    return DensityReference(state.xs, state.ys, d, float(state.xs[ix]), float(state.ys[iy]))
 
 
 # ---------------------------------------------------------------------------

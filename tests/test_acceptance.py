@@ -261,8 +261,7 @@ def test_criterion_06_translation_ladder():
 
 def test_criterion_07_density_reproduction(tmp_path):
     cfg = torus_cfg(1, (math.pi, math.pi))
-    st = torus_eigenstate(cfg, TorusLabel(0, 0), nx=256, ny=256)
-    dm = density_map(st)
+    dm = density_map(cfg, TorusLabel(0, 0), 256, 256)
     cell = 1.0 / 256
     assert abs(dm.argmax_x - 0.5) <= cell
     assert abs(dm.argmax_y - 0.5) <= cell

@@ -19,7 +19,7 @@ from landau import cli, verify
 from landau.cli import _CHUNK_VALUE_WORK, _WRITE_GRIDS, build_parser, main
 from landau.config import GRID_BUDGET, WORK_BUDGET, TorusConfig, check_work
 from landau.plane import CoherentLabel, coherent_expectations, evolve_coherent
-from landau.torus import _BUILD_GRIDS, TorusLabel, image_count, work_elements
+from landau.torus import _BUILD_GRIDS, _STREAM_BLOCK_WEIGHT, _STREAM_ROWS, TorusLabel, density_work, image_count
 from landau.verify import _BLOCK_ROWS
 from oracles import center_brute_force, conjugacy_classes_brute_force, element_index, group_law
 
@@ -146,6 +146,8 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
         ["density", "--nphi", "1", "--lx", "100", "--ly", "0.01", "--n", "0", "--grid", "64"],
         # a coherent state has no eigenstate basis to pick
         ["density", "--nphi", "1", "--lam", "0.3", "--basis", "lx", "--grid", "16"],
+        # the amplitude overflows and the density reads NaN (ROADMAP item 1, step 2)
+        ["density", "--nphi", "1", "--lam", "27", "--lam-prime", "0", "--grid", "16"],
     ],
 )
 def test_invalid_input_exits_2(tmp_path, args):
@@ -183,7 +185,7 @@ def _reject(*args, **kwargs):
     "target, args",
     [
         ("landau.cli.low_spectrum", ["spectrum", "--nphi", "1", "--grid", "16"]),
-        ("landau.cli.torus_eigenstate", ["density", "--nphi", "1", "--n", "0", "--grid", "16"]),
+        ("landau.cli.density_map", ["density", "--nphi", "1", "--n", "0", "--grid", "16"]),
         ("landau.maggroup.multiplication_indices", ["group", "--nphi", "2"]),
         ("landau.cli.run_verification", ["verify", "--nphi", "1"]),
         ("landau.cli.classical_orbit_trace", ["orbit", "--nphi", "1", "--radius", "0.1"]),
@@ -254,8 +256,8 @@ def test_verify_sizes_its_work_before_allocating(tmp_path):
     [
         # its chain would hold a 20000 x 20000 float64 diagonal alone, 2.98 GiB
         (["spectrum", "--nphi", "1", "--grid", "20000"], "the lattice spectrum on the 20000x20000 grid would hold 17.8"),
-        # its state would be 5.96 GiB of complex128, 2.06 grids while it is built
-        (["density", "--nphi", "1", "--n", "0", "--grid", "20000"], "density on the 20000x20000 grid would hold 12.2"),
+        # its streamed norm would hold a product grid of 5.96 GiB of complex128
+        (["density", "--nphi", "1", "--n", "0", "--grid", "20000"], "density on the 20000x20000 grid would hold 5.98"),
     ],
     ids=["spectrum", "density"],
 )
@@ -269,21 +271,23 @@ def test_export_commands_size_their_work_before_allocating(tmp_path, args, messa
 
 
 def test_density_budget_follows_the_state_kind():
-    # arithmetic only: the measured peak of each kind's build, which is above
-    # what the density and the writers hold after it, plus the image sum's
-    # factors twice
+    # arithmetic only: pass 1's product grid and one block of rows weighted by
+    # the kind's measured peak ('lx' its one-block build), which is above what
+    # the density and the writers hold after it, plus the image sum's factors
+    # twice
     cfg = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=1)
     for label, grids in (
-        (TorusLabel(0, 0), _BUILD_GRIDS["ly"]),
+        (TorusLabel(0, 0), 1.0 + _STREAM_BLOCK_WEIGHT["ly"] * _STREAM_ROWS / 20001),
         (TorusLabel(0, 0, "lx"), _BUILD_GRIDS["lx"]),
-        (CoherentLabel(0.3, 0.2j), _BUILD_GRIDS["coherent"]),
+        (CoherentLabel(0.3, 0.2j), 1.0 + _STREAM_BLOCK_WEIGHT["coherent"] * _STREAM_ROWS / 20001),
     ):
         want = math.ceil(grids * 20001 * 20001) + 2 * image_count(cfg, label) * 40002
-        assert work_elements(cfg, 20000, 20000, [label], _WRITE_GRIDS) == want
-    # a grid that an eigenstate fits and a coherent state does not
-    check_work(work_elements(cfg, 4500, 4500, [TorusLabel(3, 0, "lx")], _WRITE_GRIDS), "lx", "")
+        assert density_work(cfg, 20000, 20000, label, _WRITE_GRIDS) == want
+    # a grid that the streamed states fit and an 'lx' state, built whole, does not
+    for label in (TorusLabel(3, 0), CoherentLabel(0.3, 0.2j)):
+        check_work(density_work(cfg, 5000, 5000, label, _WRITE_GRIDS), "streamed", "")
     with pytest.raises(ValueError, match="work budget"):
-        check_work(work_elements(cfg, 4500, 4500, [CoherentLabel(0.3, 0.2j)], _WRITE_GRIDS), "coherent", "")
+        check_work(density_work(cfg, 5000, 5000, TorusLabel(3, 0, "lx"), _WRITE_GRIDS), "lx", "")
 
 
 DENSITY_BUDGET_SLACK = 1.8
@@ -307,11 +311,12 @@ DENSITY_BUDGET_SLACK = 1.8
 def test_density_holds_no_more_than_its_work_budget(tmp_path, monkeypatch, args):
     # the whole run's tracemalloc peak against the work it passed to
     # check_work, complex values 16 bytes each: the budget holds the peak and
-    # is tight. Budget over peak read 1.29 (ly-128), 1.52 (ly-256), 1.17
-    # ('ly', whose writer stage now outweighs its build), 1.02 ('lx'), 1.03
-    # (coherent), 1.09 (coherent-100x0.01) and 1.71 (lx-100x0.01, whose 766
-    # images are counted twice with their exponent arrays, which the build
-    # holds one at a time)
+    # is tight. Budget over peak read 1.20 (ly-128), 1.24 (ly-256), 1.10
+    # ('ly', whose writer stage outweighs its stream), 1.03 ('lx'), 1.09
+    # (coherent), 1.60 (coherent-100x0.01) and 1.57 (lx-100x0.01): on the
+    # thin torus the 972 and 766 images are counted twice with their exponent
+    # arrays at full length, where a block holds its x factors for 64 rows
+    # and a build its exponent arrays one at a time
     budget = []
 
     def record(work, what, remedy):
@@ -616,8 +621,8 @@ def test_outputs_are_deterministic(tmp_path):
 @pytest.mark.parametrize(
     "argv, stages",
     [
-        (["density", "--nphi", "1", "--n", "1", "--grid", "16"], {"state", "density", "csv", "pgm", "json"}),
-        (["density", "--nphi", "1", "--lam", "0.2+0.1j", "--grid", "16"], {"state", "density", "csv", "pgm", "json"}),
+        (["density", "--nphi", "1", "--n", "1", "--grid", "16"], {"density", "csv", "pgm", "json"}),
+        (["density", "--nphi", "1", "--lam", "0.2+0.1j", "--grid", "16"], {"density", "csv", "pgm", "json"}),
         (["orbit", "--nphi", "1", "--radius", "0.2", "--samples", "8"], {"trace", "csv", "json"}),
         (["coherent", "--nphi", "1", "--lam", "0.3", "--lam-prime", "0", "--samples", "8"], {"evolve", "csv"}),
         (["group", "--nphi", "3"], {"group", "table", "json"}),
@@ -643,7 +648,7 @@ def test_export_stage_timings_only_in_manifest(tmp_path, argv, stages):
         # the grids after the build, and the writer's one chunk of 65^2 rows of three values
         (
             ["density", "--nphi", "1", "--n", "0", "--grid", "64"],
-            lambda cfg: work_elements(cfg, 64, 64, [TorusLabel(0, 0)], _WRITE_GRIDS + _CHUNK_VALUE_WORK * 3 * 65**2 / 65**2),
+            lambda cfg: density_work(cfg, 64, 64, TorusLabel(0, 0), _WRITE_GRIDS + _CHUNK_VALUE_WORK * 3 * 65**2 / 65**2),
         ),
         (["verify", "--nphi", "2"], verify.torus_work),
         # three complex values per site of each of the gcd(2, 48) = 2 chains

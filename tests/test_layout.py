@@ -18,6 +18,7 @@ ALLOWED = {
     "InfiniteConfig": "README object API",
     "commutant_dimension": "ROADMAP item 3",
     "eigenstate_py": "ROADMAP item 4",
+    "torus_eigenstate": "object API of the torus demo and the acceptance criteria; `density` streams its state",
 }
 
 # perfbench hook -> why it stays although it names no function of the

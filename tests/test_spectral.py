@@ -18,7 +18,7 @@ from landau.spectral import (
     low_spectrum,
 )
 from landau.torus import SampledState, TorusLabel, normalized, projector_distance, torus_eigenstate
-from oracles import build_hamiltonian, free_twisted_spectrum, lowest_eigenpairs
+from oracles import build_hamiltonian, density_map, free_twisted_spectrum, lowest_eigenpairs
 
 
 def make_cfg(n_phi, theta_x=0.7, theta_y=1.9, lx=1.0, ly=1.0):
@@ -305,8 +305,6 @@ def test_ground_cluster_spans_analytic_level():
 
 
 def test_discrete_ground_density_matches_analytic_peak():
-    from landau.torus import density_map
-
     cfg = make_cfg(1, theta_x=np.pi, theta_y=np.pi)
     grid = 96
     ham = build_hamiltonian(cfg, grid, grid)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies
 
+from landau import torus
 from landau.config import TorusConfig
 from landau.gauge import boundary_residual, x_boundary_twist, y_boundary_twist
 from landau.oscillator import hermite_eigenfunction
@@ -33,6 +34,7 @@ from landau.torus import (
     translate,
 )
 from oracles import coherent_prefactor, coherent_raw, covariant_eigen_residual
+from oracles import density_map as reference_density
 
 TWO_PI = 2.0 * math.pi
 
@@ -177,7 +179,7 @@ def test_eigenstates_equal_complex_sum_bit_for_bit(grid, basis):
 
 
 def test_sampled_state_values_are_c_contiguous():
-    # density_map's sums run in memory order, so every state is C-ordered
+    # sums over a grid run in memory order, so every state is C-ordered
     cfg = make_cfg(2)
     ly, lx = torus_eigenstates(cfg, [TorusLabel(1, 1), TorusLabel(1, 1, "lx")], 32, 24)
     coherent = torus_coherent(cfg, CoherentLabel(0.3 + 0.2j, -0.1 + 0.4j), nx=32, ny=24)
@@ -221,8 +223,7 @@ def test_gram_matrix_rejects_mixed_grids():
 def test_fig2_density_peak():
     # n_phi = 1, theta_x = theta_y = pi: single bump at (Lx/2, Ly/2)
     cfg = make_cfg(1, theta_x=math.pi, theta_y=math.pi)
-    st = torus_eigenstate(cfg, TorusLabel(0, 0), nx=128, ny=128)
-    dm = density_map(st)
+    dm = density_map(cfg, TorusLabel(0, 0), 128, 128)
     assert dm.argmax_x == pytest.approx(0.5, abs=1 / 128)
     assert dm.argmax_y == pytest.approx(0.5, abs=1 / 128)
 
@@ -231,18 +232,48 @@ def test_density_peak_follows_theta():
     # maximum at (-Lx theta_y / 2 pi, Ly theta_x / 2 pi) mod periods
     theta_x, theta_y = 1.1, 2.5
     cfg = make_cfg(1, theta_x=theta_x, theta_y=theta_y)
-    st = torus_eigenstate(cfg, TorusLabel(0, 0), nx=160, ny=160)
-    dm = density_map(st)
+    dm = density_map(cfg, TorusLabel(0, 0), 160, 160)
     assert dm.argmax_x == pytest.approx((-theta_y / TWO_PI) % 1.0, abs=2 / 160)
     assert dm.argmax_y == pytest.approx((theta_x / TWO_PI) % 1.0, abs=2 / 160)
 
 
 def test_density_normalized_and_consistent():
     cfg = make_cfg(2)
-    st = torus_eigenstate(cfg, TorusLabel(1, 0), nx=64, ny=64)
-    dm = density_map(st)
-    integral = dm.density[:-1, :-1].sum() * st.hx * st.hy
+    dm = density_map(cfg, TorusLabel(1, 0), 64, 64)
+    integral = dm.density[:-1, :-1].sum() * (cfg.lx / 64) * (cfg.ly / 64)
     assert integral == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+@pytest.mark.parametrize(
+    "cfg, grid",
+    [
+        # closed grids of 61^2 values, below numpy's 256 KiB elision threshold,
+        # and of 151^2, above it
+        (make_cfg(2, theta_x=0.7, theta_y=2.1), 60),
+        (make_cfg(2, theta_x=0.7, theta_y=2.1), 150),
+        (make_cfg(3, theta_x=0.7, theta_y=2.1, lx=1.3, ly=0.77), 60),
+        (make_cfg(3, theta_x=0.7, theta_y=2.1, lx=1.3, ly=0.77), 150),
+        # 972 coherent and 766 'lx' images
+        (make_cfg(1, theta_x=0.0, theta_y=0.0, lx=100.0, ly=0.01), 256),
+    ],
+    ids=["nphi2-60", "nphi2-150", "nphi3-60", "nphi3-150", "100x0.01-256"],
+)
+@pytest.mark.parametrize(
+    "label",
+    [TorusLabel(2, 1), TorusLabel(1, 0, "lx"), CoherentLabel(0.35 + 0.2j, 0.3 - 0.4j)],
+    ids=["ly", "lx", "coherent"],
+)
+def test_streamed_density_equals_built_state_bit_for_bit(monkeypatch, label, cfg, grid, rows):
+    # density_map evaluates the image sum a block of rows at a time, twice,
+    # and must give the density of the state built whole, byte for byte
+    monkeypatch.setattr(torus, "_STREAM_ROWS", rows)
+    build = torus_coherent if isinstance(label, CoherentLabel) else torus_eigenstate
+    want = reference_density(build(cfg, label, grid, grid))
+    got = density_map(cfg, label, grid, grid)
+    assert got.density.tobytes() == want.density.tobytes()
+    assert (got.argmax_x, got.argmax_y) == (want.argmax_x, want.argmax_y)
+    assert np.array_equal(got.xs, want.xs) and np.array_equal(got.ys, want.ys)
 
 
 @pytest.mark.parametrize("n, coarse, fine", [(30, 16, 256), (200, 64, 512)])
@@ -252,8 +283,8 @@ def test_density_grid_holds_exact_samples(n, coarse, fine):
     # sum: 1.2e-15 (n = 30) and 4.8e-16 (n = 200) of the peak at the shared
     # points on a 2-CPU Xeon
     cfg = make_cfg(1, theta_x=0.7, theta_y=2.1)
-    a = density_map(torus_eigenstate(cfg, TorusLabel(n, 0), coarse, coarse)).density
-    b = density_map(torus_eigenstate(cfg, TorusLabel(n, 0), fine, fine)).density
+    a = density_map(cfg, TorusLabel(n, 0), coarse, coarse).density
+    b = density_map(cfg, TorusLabel(n, 0), fine, fine).density
     step = fine // coarse
     assert np.max(np.abs(a - b[::step, ::step])) < 1e-13 * np.max(b)
 
@@ -262,8 +293,8 @@ def test_degeneracy_index_shift_moves_density():
     # l -> l+1 shifts the pattern by -a_x (same physics as theta_y -> theta_y + 2 pi)
     cfg = make_cfg(3)
     n = 24 * 3
-    d0 = density_map(torus_eigenstate(cfg, TorusLabel(0, 0), nx=n, ny=n)).density
-    d1 = density_map(torus_eigenstate(cfg, TorusLabel(0, 1), nx=n, ny=n)).density
+    d0 = density_map(cfg, TorusLabel(0, 0), n, n).density
+    d1 = density_map(cfg, TorusLabel(0, 1), n, n).density
     shift = n // 3
     rolled = np.roll(d0[:-1, :-1], -shift, axis=0)
     assert np.max(np.abs(d1[:-1, :-1] - rolled)) < 1e-8 * d0.max()
@@ -779,8 +810,7 @@ def test_state_and_density_files(tmp_path):
     from landau.serialize import write_density_csv, write_pgm
 
     cfg = make_cfg(1)
-    st = torus_eigenstate(cfg, TorusLabel(0, 0), nx=8, ny=8)
-    dm = density_map(st)
+    dm = density_map(cfg, TorusLabel(0, 0), 8, 8)
     density_csv = tmp_path / "density.csv"
     pgm = tmp_path / "density.pgm"
     write_density_csv(dm, density_csv)
