@@ -41,14 +41,12 @@ the state through it in blocks of `_STREAM_ROWS` rows, in two passes, and
 never holds the state. Pass 1 writes conj(a) * a of the core into one grid,
 whose pairwise sum is exactly the norm `normalized` takes; pass 2 writes
 |a / norm|^2 into the float density. So a streamed density has the bits of
-the built state's and holds one grid and a block, where a build holds 2.06
-('ly') or 5.14 (coherent) grids. The product grid stays: a bit-exact
-pairwise sum of complex values needs them all at once. 'lx' states are evaluated in
-one block: their `cross * einsum(...)` is multiplied in the order numpy's
-temporary elision picks from the block's size (see the comment there). In
-64-row blocks, at n_phi = 2, level 1 and theta = (0.7, 2.1), 163 of 263,169
-amplitudes changed at 512^2 (the last block, one row) and 9,251 of 25,921 at
-160^2 (every block is below the 256 KiB the whole grid is above).
+the built state's and holds one grid and a block, where a build holds about
+2 ('ly', 'lx') or 5 (coherent) grids (`_BUILD_GRIDS`). The product grid
+stays: a bit-exact pairwise sum of complex values needs them all at once. An
+'lx' row multiplies its cross phase and its image sum in an operand order
+written in the code and keyed to the whole grid's size (`_ELIDE_BYTES`), so
+its bits do not depend on the block that holds it.
 """
 
 from __future__ import annotations
@@ -156,26 +154,24 @@ def work_elements(cfg: TorusConfig, nx: int, ny: int, labels, grids: float) -> i
     sum's factor matrices twice, since a build holds each factor and the
     exponent array it is evaluated from."""
     build = max(_BUILD_GRIDS[_kind(label)] for label in labels)
-    return _work(cfg, nx, ny, labels, max(grids, build))
+    return _work(cfg, nx, ny, labels, max(grids, build), nx + 1)
 
 
 def density_work(cfg: TorusConfig, nx: int, ny: int, label, grids: float) -> int:
     """`work_elements` for `density_map` of `label`, which builds no state:
     in place of the build it holds pass 1's product grid and one block of
     `_STREAM_ROWS` rows, each value of which weighs `_STREAM_BLOCK_WEIGHT`
-    complex values. An 'lx' state is evaluated in one block and holds its
-    build."""
-    kind = _kind(label)
-    if kind == "lx":
-        stream = _BUILD_GRIDS["lx"]
-    else:
-        stream = 1.0 + _STREAM_BLOCK_WEIGHT[kind] * min(_STREAM_ROWS, nx + 1) / (nx + 1)
-    return _work(cfg, nx, ny, [label], max(grids, stream))
+    complex values, and the block's x factors in place of the grid's."""
+    block = min(_STREAM_ROWS, nx + 1)
+    stream = 1.0 + _STREAM_BLOCK_WEIGHT[_kind(label)] * block / (nx + 1)
+    return _work(cfg, nx, ny, [label], max(grids, stream), block)
 
 
-def _work(cfg: TorusConfig, nx: int, ny: int, labels, grids: float) -> int:
+def _work(cfg: TorusConfig, nx: int, ny: int, labels, grids: float, rows: int) -> int:
+    """`grids` closed grids, plus the largest image sum's factors twice: each
+    image adds a column of `rows` x values and one of ny + 1 y values."""
     images = max(image_count(cfg, label) for label in labels)
-    return math.ceil(grids * (nx + 1) * (ny + 1)) + 2 * images * (nx + ny + 2)
+    return math.ceil(grids * (nx + 1) * (ny + 1)) + 2 * images * (rows + ny + 1)
 
 
 class SampledState:
@@ -323,21 +319,24 @@ def normalized(state: SampledState) -> SampledState:
 # analytic state construction
 
 # Closed grids one state build holds at its peak (`work_elements`): the
-# highest tracemalloc peak of a build at 512^2 over n_phi = 1-4 and levels
-# 0-3, its few image factors included, which is above every peak at 1025^2
-# (the fixed-size arrays weigh less there). A coherent state holds its image
-# sums and their products (5.14, at odd n_phi), an 'lx' state the cross
-# phase, the sum and their product (3.07), an 'ly' state the sum beside the
-# norm's conjugated core and then beside its normalised copy (2.06, the
-# highest at theta = (0.7, 2.1)).
-_BUILD_GRIDS = {"coherent": 5.14, "lx": 3.07, "ly": 2.06}
+# highest tracemalloc peak of a build on the 129^2, 512^2 and 1025^2 grids
+# over n_phi = 1-4, levels 0-3 or two coherent labels, the unit torus at
+# theta = (0.7, 2.1) and 1.1 x 1/1.1 untwisted, its few image factors
+# included. Each kind peaks on 129^2, where the fixed-size arrays weigh most.
+# A coherent state holds its image sums and their products (5.63; 5.16 at
+# 512^2), an 'ly' state the sum beside the norm's conjugated core and then
+# beside its normalised copy (2.50; 2.03), an 'lx' state the sum beside its
+# cross phase and then what an 'ly' state holds (2.50; 2.06).
+_BUILD_GRIDS = {"coherent": 5.63, "lx": 2.50, "ly": 2.50}
 # Complex values per value of one streamed block that `density_map` holds
-# beside pass 1's product grid (`density_work`): the highest tracemalloc peak
-# over n_phi = 1-4, levels 0-3 or three coherent labels, the unit torus at
-# theta = (0.7, 2.1) and 1.1 x 1/1.1 untwisted, grids 64^2 to 1026^2. An 'ly'
-# block holds its profile and its sum (1.84); a coherent block its factors,
-# the parity sums and their products (6.74, at 129^2 and odd n_phi).
-_STREAM_BLOCK_WEIGHT = {"coherent": 6.74, "ly": 1.84}
+# beside pass 1's product grid and the block's image factors (`density_work`):
+# the highest tracemalloc peak over n_phi = 1-4, levels 0-3 or three coherent
+# labels, the unit torus at theta = (0.7, 2.1) and 1.1 x 1/1.1 untwisted,
+# grids 64^2 to 1026^2. An 'ly' block holds its profile and its sum (1.93, on
+# the 1024^2 grid at n_phi = 4); an 'lx' block its cross phase beside its sum
+# (3.84, on the 128^2 grid at n_phi = 4); a coherent block its factors, the
+# parity sums and their products (6.97, on the 192^2 grid at n_phi = 3).
+_STREAM_BLOCK_WEIGHT = {"coherent": 6.97, "lx": 3.84, "ly": 1.93}
 # Closed-grid rows that one block of a streamed density spans (`density_map`):
 # 64 rows of a 1025^2 state are 1 MiB of complex values.
 _STREAM_ROWS = 64
@@ -372,28 +371,26 @@ def torus_eigenstate(cfg: TorusConfig, label: TorusLabel, nx: int, ny: int) -> S
 
 def torus_eigenstates(cfg: TorusConfig, labels, nx: int, ny: int) -> list[SampledState]:
     """`torus_eigenstate` of each of `labels` on one nx x ny grid, with the
-    grid axes and the 'lx' cross phase computed once for all of them, each
-    state evaluated in one row block."""
+    grid axes computed once for all of them, each state evaluated in one row
+    block."""
     xs, ys = grid_axes(cfg, nx, ny)
-    cross = None
-    states = []
-    for label in labels:
-        if label.basis == "lx" and cross is None:
-            cross = _cross_phase(cfg, xs, ys)
-        rows = _eigenstate_rows(cfg, label, xs, ys, cross)
-        states.append(normalized(SampledState(cfg, rows(0, nx + 1))))
-    return states
+    return [normalized(SampledState(cfg, _eigenstate_rows(cfg, lab, xs, ys)(0, nx + 1))) for lab in labels]
 
 
-def _cross_phase(cfg: TorusConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The 'lx' gauge factor exp(-2 pi i n_phi x y / (Lx Ly)) on the grid."""
-    return np.exp(-TWO_PI * 1j * cfg.n_phi * xs[:, None] * ys[None, :] / (cfg.lx * cfg.ly))
+# Bytes of complex values on the whole closed grid from which an 'lx' row
+# multiplies its image sum by the cross phase, and below which the cross phase
+# by its image sum. It copies numpy's temporary elision threshold (256 KiB,
+# `temp_elide.c`): 'lx' states were built whole as `cross * einsum(...)`,
+# which numpy computes as einsum * cross on grids this large, and complex
+# multiply is not bitwise commutative. So every 'lx' state keeps those bits,
+# in blocks of any size and whether or not a numpy build elides temporaries.
+_ELIDE_BYTES = 256 * 1024
 
 
-def _eigenstate_rows(cfg: TorusConfig, label: TorusLabel, xs, ys, cross=None):
+def _eigenstate_rows(cfg: TorusConfig, label: TorusLabel, xs, ys):
     """rows(i0, i1): `torus_eigenstate`'s image sum, unnormalised, on the
     closed-grid rows i0..i1-1. The y factors are evaluated once, the x
-    factors on each call; an 'lx' label needs `cross` (`_cross_phase`).
+    factors and the 'lx' cross phase on each call.
 
     The 'ly' sum runs over the real and imaginary planes of W as one real
     contraction (module docstring). The 'lx' sum stays complex: its complex
@@ -413,13 +410,16 @@ def _eigenstate_rows(cfg: TorusConfig, label: TorusLabel, xs, ys, cross=None):
         return rows
     qval = cfg.n_phi * k + label.l + cfg.theta_x / TWO_PI
     profile = hermite_eigenfunction(mw, label.n, ys[:, None] - qval * cfg.ay)
+    sum_first = 16 * len(xs) * len(ys) >= _ELIDE_BYTES
 
     def rows(i0, i1):
-        wave = np.exp(TWO_PI * 1j * xs[i0:i1, None] * qval / cfg.lx + 1j * cfg.theta_y * k)
-        # cross stays the left operand as written: on blocks of 256 KiB and
-        # more numpy reuses the einsum temporary and multiplies it by cross
-        # instead, and complex multiply is not bitwise commutative
-        return cross[i0:i1] * np.einsum("xk,yk->xy", wave, profile, optimize=False)
+        x = xs[i0:i1, None]
+        cross = np.exp(-TWO_PI * 1j * cfg.n_phi * x * ys[None, :] / (cfg.lx * cfg.ly))
+        wave = np.exp(TWO_PI * 1j * x * qval / cfg.lx + 1j * cfg.theta_y * k)
+        s = np.einsum("xk,yk->xy", wave, profile, optimize=False)
+        if sum_first:
+            return np.multiply(s, cross, out=s)
+        return np.multiply(cross, s, out=s)
 
     return rows
 
@@ -740,14 +740,9 @@ def density_map(cfg: TorusConfig, label, nx: int, ny: int) -> DensityMap:
     """
     xs, ys = grid_axes(cfg, nx, ny)
     hx, hy = cfg.lx / nx, cfg.ly / ny
-    step = _STREAM_ROWS
-    if isinstance(label, CoherentLabel):
-        rows = _coherent_rows(cfg, label, xs, ys)
-    elif label.basis == "ly":
-        rows = _eigenstate_rows(cfg, label, xs, ys)
-    else:
-        rows, step = _eigenstate_rows(cfg, label, xs, ys, _cross_phase(cfg, xs, ys)), nx + 1
-    blocks = [(i0, min(i0 + step, nx + 1)) for i0 in range(0, nx + 1, step)]
+    build = _coherent_rows if isinstance(label, CoherentLabel) else _eigenstate_rows
+    rows = build(cfg, label, xs, ys)
+    blocks = [(i0, min(i0 + _STREAM_ROWS, nx + 1)) for i0 in range(0, nx + 1, _STREAM_ROWS)]
 
     norm = _streamed_norm(rows, blocks, nx, ny, hx * hy)
     if norm == 0.0:

@@ -19,7 +19,7 @@ from landau import cli, verify
 from landau.cli import _CHUNK_VALUE_WORK, _WRITE_GRIDS, build_parser, main
 from landau.config import GRID_BUDGET, WORK_BUDGET, TorusConfig, check_work
 from landau.plane import CoherentLabel, coherent_expectations, evolve_coherent
-from landau.torus import _BUILD_GRIDS, _STREAM_BLOCK_WEIGHT, _STREAM_ROWS, TorusLabel, density_work, image_count
+from landau.torus import _STREAM_BLOCK_WEIGHT, _STREAM_ROWS, TorusLabel, density_work, image_count
 from landau.verify import _BLOCK_ROWS
 from oracles import center_brute_force, conjugacy_classes_brute_force, element_index, group_law
 
@@ -271,23 +271,18 @@ def test_export_commands_size_their_work_before_allocating(tmp_path, args, messa
 
 
 def test_density_budget_follows_the_state_kind():
-    # arithmetic only: pass 1's product grid and one block of rows weighted by
-    # the kind's measured peak ('lx' its one-block build), which is above what
-    # the density and the writers hold after it, plus the image sum's factors
-    # twice
+    # arithmetic only: one formula for every kind, pass 1's product grid and
+    # one block of rows weighted by the kind's measured peak, which is above
+    # what the density and the writers hold after it, plus the image sum's
+    # factors twice, the x factors at block length
     cfg = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=1)
-    for label, grids in (
-        (TorusLabel(0, 0), 1.0 + _STREAM_BLOCK_WEIGHT["ly"] * _STREAM_ROWS / 20001),
-        (TorusLabel(0, 0, "lx"), _BUILD_GRIDS["lx"]),
-        (CoherentLabel(0.3, 0.2j), 1.0 + _STREAM_BLOCK_WEIGHT["coherent"] * _STREAM_ROWS / 20001),
-    ):
-        want = math.ceil(grids * 20001 * 20001) + 2 * image_count(cfg, label) * 40002
+    for label, kind in ((TorusLabel(0, 0), "ly"), (TorusLabel(0, 0, "lx"), "lx"), (CoherentLabel(0.3, 0.2j), "coherent")):
+        grids = 1.0 + _STREAM_BLOCK_WEIGHT[kind] * _STREAM_ROWS / 20001
+        want = math.ceil(grids * 20001 * 20001) + 2 * image_count(cfg, label) * (_STREAM_ROWS + 20001)
         assert density_work(cfg, 20000, 20000, label, _WRITE_GRIDS) == want
-    # a grid that the streamed states fit and an 'lx' state, built whole, does not
-    for label in (TorusLabel(3, 0), CoherentLabel(0.3, 0.2j)):
+    # a grid that every streamed kind fits, 'lx' included
+    for label in (TorusLabel(3, 0), TorusLabel(3, 0, "lx"), CoherentLabel(0.3, 0.2j)):
         check_work(density_work(cfg, 5000, 5000, label, _WRITE_GRIDS), "streamed", "")
-    with pytest.raises(ValueError, match="work budget"):
-        check_work(density_work(cfg, 5000, 5000, TorusLabel(3, 0, "lx"), _WRITE_GRIDS), "lx", "")
 
 
 DENSITY_BUDGET_SLACK = 1.8
@@ -311,12 +306,11 @@ DENSITY_BUDGET_SLACK = 1.8
 def test_density_holds_no_more_than_its_work_budget(tmp_path, monkeypatch, args):
     # the whole run's tracemalloc peak against the work it passed to
     # check_work, complex values 16 bytes each: the budget holds the peak and
-    # is tight. Budget over peak read 1.20 (ly-128), 1.24 (ly-256), 1.10
-    # ('ly', whose writer stage outweighs its stream), 1.03 ('lx'), 1.09
-    # (coherent), 1.60 (coherent-100x0.01) and 1.57 (lx-100x0.01): on the
-    # thin torus the 972 and 766 images are counted twice with their exponent
-    # arrays at full length, where a block holds its x factors for 64 rows
-    # and a build its exponent arrays one at a time
+    # is tight. Budget over peak read 1.19 (ly-128), 1.23 (ly-256), 1.08
+    # ('ly', whose writer stage outweighs its stream), 1.08 ('lx'), 1.07
+    # (coherent), 1.04 (coherent-100x0.01) and 1.62 (lx-100x0.01): on the
+    # thin torus the 766 'lx' images are counted as two complex columns per
+    # axis, where the y profile is real and is held once
     budget = []
 
     def record(work, what, remedy):

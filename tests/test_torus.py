@@ -157,11 +157,15 @@ def complex_sum_eigenstate(cfg, label, nx, ny):
     return normalized(SampledState(cfg, values))
 
 
-# verify's grid for its seeded n_phi = 2 torus, and export-sized grids: the
-# 'lx' cross product is 256 KiB and more only on the latter, where numpy
-# multiplies in the other operand order (torus_eigenstates)
+# verify's grid for its seeded n_phi = 2 torus, grids on either side of
+# torus._ELIDE_BYTES (closed grids of 16,129 and 16,641 values, against
+# 16,384) and export-sized grids. The oracle multiplies `cross * einsum(...)`
+# in the order numpy's temporary elision picks from the grid's size, so a
+# threshold off in either direction fails here.
 LAYOUT_GRIDS = {
     "verify-124x102": (make_cfg(2, 0.7, 2.1, lx=1.1, ly=1.0 / 1.1), 124, 102),
+    "nphi2-126": (make_cfg(2, 0.7, 2.1), 126, 126),
+    "nphi2-128": (make_cfg(2, 0.7, 2.1), 128, 128),
     "export-513": (make_cfg(3, 0.7, 2.1), 513, 513),
     "export-512": (make_cfg(2, 0.7, 2.1), 512, 512),
 }
@@ -248,16 +252,18 @@ def test_density_normalized_and_consistent():
 @pytest.mark.parametrize(
     "cfg, grid",
     [
-        # closed grids of 61^2 values, below numpy's 256 KiB elision threshold,
-        # and of 151^2, above it
+        # closed grids of 61^2 and 127^2 values, below torus._ELIDE_BYTES,
+        # and of 129^2 and 151^2, above it
         (make_cfg(2, theta_x=0.7, theta_y=2.1), 60),
+        (make_cfg(2, theta_x=0.7, theta_y=2.1), 126),
+        (make_cfg(2, theta_x=0.7, theta_y=2.1), 128),
         (make_cfg(2, theta_x=0.7, theta_y=2.1), 150),
         (make_cfg(3, theta_x=0.7, theta_y=2.1, lx=1.3, ly=0.77), 60),
         (make_cfg(3, theta_x=0.7, theta_y=2.1, lx=1.3, ly=0.77), 150),
         # 972 coherent and 766 'lx' images
         (make_cfg(1, theta_x=0.0, theta_y=0.0, lx=100.0, ly=0.01), 256),
     ],
-    ids=["nphi2-60", "nphi2-150", "nphi3-60", "nphi3-150", "100x0.01-256"],
+    ids=["nphi2-60", "nphi2-126", "nphi2-128", "nphi2-150", "nphi3-60", "nphi3-150", "100x0.01-256"],
 )
 @pytest.mark.parametrize(
     "label",
