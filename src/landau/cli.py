@@ -125,15 +125,17 @@ def _parse_complex(text: str, flag: str) -> complex:
     return value
 
 
-# Complex values `orbit` and `coherent` hold per sample row, writer included:
-# tracemalloc read 4.5 and 5.0 per row at 262,145 and 524,289 rows, and 5.3
-# and 6.1 at 65,537 rows, where the writer's fixed chunk buffer weighs more.
-_TRACE_ROW_VALUES = 6.1
+# Complex values `orbit` and `coherent` hold per sample row, the writer's
+# chunk not included (`_CHUNK_VALUE_WORK` counts it): with the writer stubbed
+# out, tracemalloc read 5.00 per row for `coherent` from 65,537 to 524,289
+# rows and 5.08 at 4,097, and 3.00-3.06 for `orbit`.
+_TRACE_ROW_VALUES = 5.1
 # Complex values (16 bytes) a CSV writer's buffers hold per value of the chunk
-# it encodes, counted in the writer stage: tracemalloc read 118.7 bytes for
-# `write_table_csv` at 3 and 7 columns from 4,097 rows up, 130 at 257 rows of
-# 3, and 106-111 for `write_density_csv` from 64^2 to 1024^2.
-_CHUNK_VALUE_WORK = 8.2
+# it encodes, counted in the writer stage: once a process has built the
+# encoder's tables, tracemalloc read 85-93 bytes for `write_table_csv` at 3 and
+# 7 columns from 257 to 262,145 rows, and 138-150 bytes per row, two values,
+# for `write_density_csv` from 64^2 to 1024^2.
+_CHUNK_VALUE_WORK = 5.9
 
 
 def _trace_times(args, period: float, run, columns: int) -> np.ndarray:
@@ -209,8 +211,9 @@ def cmd_density(args, run) -> int:
     else:
         raise ValueError("no state selected: pass --n/--l or --lam/--lam-prime")
     cells = (grid + 1) ** 2
-    # the CSV writer encodes chunks of CHUNK_FIELDS // 2 rows of three values
-    chunk = _CHUNK_VALUE_WORK * 3 * min(cells, CHUNK_FIELDS // 2)
+    # the CSV writer's chunks hold at most CHUNK_FIELDS // 2 rows of two
+    # values: the density it encodes and the x and y words laid beside it
+    chunk = _CHUNK_VALUE_WORK * 2 * min(cells, CHUNK_FIELDS // 2)
     work = density_work(cfg, grid, grid, label, _WRITE_GRIDS + chunk / cells)
     check_work(work, f"density on the {grid}x{grid} grid", "choose a smaller --grid")
     run.manifest["work"] = work_report(work)

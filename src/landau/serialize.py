@@ -27,17 +27,27 @@ conversion per value:
   short binary expansions (dyadic grids) meet exact ties more often. ±0 is
   written directly.
 * Text. N is split at 10**8 into a leading digit and two 8-digit halves,
-  whose digits come out as the bytes of one uint64 each (split into 32-bit
-  lanes, then 16-bit pairs, then bytes, dividing by multiply-shifts). They
-  are laid out as %g does: fixed notation for -4 <= k < 17, scientific
-  otherwise, trailing zeros and a bare '.' stripped, 'e±dd' or 'e±ddd', '-0'
-  kept. Each value becomes a NUL-padded field of _FIELD bytes.
+  and each half at 10**4 into two groups, whose digits come from one table
+  of the 10,000 4-digit groups' byte words: two words make the half's
+  uint64. Byte masks, picked by the exponent's layout class (a per-exponent
+  table) and the count of significant digits, lay them out as %g does:
+  fixed notation for -4 <= k < 17, scientific otherwise, trailing zeros and
+  a bare '.' stripped, 'e±dd' or 'e±ddd', '-0' kept. Each value becomes a
+  NUL-padded field of _FIELD bytes (sign, 22 slots, exponent), of which
+  `_encode` returns only the columns its chunk uses: the sign byte only if
+  a value is negative, the exponent only if one is scientific, and the 24
+  bytes of the longest '%.17g' text if one falls back.
 
 A writer lays the fields of a chunk of rows side by side with the separators
-in one uint8 matrix, drops its NULs and writes the bytes, so it never holds
-the whole text. A small alphabet (grid coordinates, PGM levels, a repeated
-CSV column, a group table's n**3 distinct entries) is encoded once by `_words`
-and gathered by index for each row. The writers refuse non-finite values.
+in one uint8 matrix, drops its NULs with one `bytes.translate` and writes the
+bytes, so it never holds the whole text. A small alphabet (grid coordinates,
+PGM levels, a repeated CSV column, a group table's n**3 distinct entries) is
+encoded once by `_words` and repeated for each row. The writers refuse
+non-finite values.
+
+The encoder's tables are built once per process and held for its life, so no
+work model counts them: they total 94,624 bytes, and a test holds them to at
+most 100,000.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ import numpy as np
 # Values encoded per chunk: bounds the memory a writer holds at once.
 CHUNK_FIELDS = 16384
 
-_FIELD = 32  # bytes per encoded value: sign, 22 digit/point slots, NUL, exponent
+_FIELD = 32  # bytes per encoded value: sign, 22 digit/point slots, exponent, NULs
 _MARGIN = 1.0e-9  # least distance of S from a half-integer, >> its 5e-15 error
 _E_MIN, _E_MAX = -280, 296  # decimal scales 16 - k in the power-of-ten table
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
@@ -67,7 +77,9 @@ class _Tables(NamedTuple):
     p_hi_lo: np.ndarray
     p_lo: np.ndarray  # double nearest 10**e - p_hi
     layout: np.ndarray  # (9, _CLASSES * 17) uint64 masks, see _layout_words
+    column: np.ndarray  # per exponent _E_MIN.._E_MAX: 17 * its layout class - 127, see _fields
     exponent: np.ndarray  # uint64 "e±dd[d]" for exponents _E_MIN.._E_MAX, 0 if fixed
+    digits: np.ndarray  # uint32: the digits of f"{i:04d}" as byte values 0..9, first in the low byte
 
 
 def _power_of_ten(e: int) -> tuple:
@@ -85,8 +97,9 @@ def _power_of_ten(e: int) -> tuple:
 def _layout_words(cls: int, digits: int) -> list:
     """The byte masks that place one value's characters in its field.
 
-    `_fields` builds bytes G: G[0] the sign, G[1..4] '0000', G[5..21] the 17
-    digits, G[22..23] NUL; slot j = 0..21 of the field is its byte 1 + j.
+    `_fields` builds bytes G: G[0] the sign (NUL there; `_encode` writes
+    it), G[1..4] '0000', G[5..21] the 17 digits, G[22..23] NUL; slot
+    j = 0..21 of the field is its byte 1 + j.
     Slots s..p keep G[1 + j]: the digits before the point, or for exponents
     x < 0 the '0' before it (s = p = 4 + x, so the zeros after the point
     follow). The point takes slot p + 1 when significant digits follow it;
@@ -116,11 +129,21 @@ def _tables() -> _Tables:
     layout = np.array(
         [_layout_words(cls, digits) for cls in range(_CLASSES) for digits in range(1, 18)], dtype=np.uint64
     ).T.copy()
+    x = np.arange(_E_MIN, _E_MAX + 1)
+    column = 17 * np.where((x >= -4) & (x < 17), x + 4, _CLASSES - 1) - 127
     exponent = np.array(
-        [0 if -4 <= x < 17 else int.from_bytes(b"e%+03d" % x, "little") for x in range(_E_MIN, _E_MAX + 1)],
-        dtype=np.uint64,
+        [0 if -4 <= e < 17 else int.from_bytes(b"e%+03d" % e, "little") for e in x.tolist()], dtype=np.uint64
     )
-    return _Tables(p_hi, p_hi_hi, p_hi - p_hi_hi, p_lo, layout, exponent)
+    # by the uint64 arithmetic the encoder runs anyway: numpy loops that no
+    # other code runs would add their code pages to the resident set
+    i = np.arange(10**4, dtype=np.uint64)
+    words = np.zeros_like(i)
+    for shift in (24, 16, 8, 0):  # the last digit to the highest byte
+        q = i // _U(10)
+        words |= (i - q * _U(10)) << _U(shift)
+        i = q
+    digits = words.view(np.uint32)[::2].copy()
+    return _Tables(p_hi, p_hi_hi, p_hi - p_hi_hi, p_lo, layout, column.astype(np.intp), exponent, digits)
 
 
 def _scaled(a: np.ndarray, i: np.ndarray, t: _Tables):
@@ -152,43 +175,53 @@ def _float_digits(a: np.ndarray, t: _Tables):
     return n, np.where(in_table, k, 0).astype(np.intp), ok
 
 
-def _digit_bytes(x: np.ndarray) -> np.ndarray:
-    """The 8 decimal digits of each x < 10**8 as byte values 0..9 of one
-    uint64, first digit in the low byte: split at 10**4 into two 32-bit
-    lanes, then each lane into 16-bit pairs and those into bytes, with one
-    multiply-shift per step for the division (by 100: * 10486 >> 20, by 10:
-    * 103 >> 10, exact for the lane values below 10**4 and 100)."""
-    high = x // _U(10**4)
-    v = high | ((x - high * _U(10**4)) << _U(32))
-    q = ((v * _U(10486)) >> _U(20)) & _U(0x0000007F0000007F)
-    v = ((v - q * _U(100)) << _U(16)) | q
-    q = ((v * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)
-    return ((v - q * _U(10)) << _U(8)) | q
+def _fields(n: np.ndarray, k: np.ndarray, t: _Tables) -> np.ndarray:
+    """(len(n), 4) uint64 words holding the NUL-padded text of
+    n * 10**(k-16) for 10**16 <= n < 10**17 in '%.17g' layout, byte 0 (the
+    sign) NUL and word 3 (the exponent) unset."""
+    n = n.view(np.uint64)  # unsigned division is the cheaper one
+    high = n // _U(10**8)
+    lead = high // _U(10**8)
+    halves = np.empty((2, len(n)), dtype=np.uint64)  # d1..d8 and d9..d16
+    np.subtract(high, lead * _U(10**8), out=halves[0])
+    np.subtract(n, high * _U(10**8), out=halves[1])
+    first = halves // _U(10**4)
+    halves -= first * _U(10**4)
+    # the 4-digit groups of each half side by side, as intp indices (take
+    # casts any other kind first): their two table words make one uint64 of
+    # the half's digits as byte values 0..9, d1 and d9 in the low byte
+    raw = t.digits.take(np.stack([first, halves], axis=-1).view(np.intp)).view(np.uint64)[..., 0]
+    # the layout column, 17 * class + digits - 1: digits - 1 is the bytes the
+    # 16-byte number d16..d1 uses, ((E + 1) >> 3) - 127 for the biased
+    # exponent E of the double nearest it plus 1/2 (so that 0 uses none; bytes
+    # of at most 9 leave no run of ones to round up), and t.column holds the
+    # -127
+    f = raw.astype(np.float64)
+    f[1] *= 2.0**64
+    f[1] += f[0]
+    f[1] += 0.5
+    column = t.column.take(k - _E_MIN)
+    column += (((f[1].view(np.uint64) >> _U(52)) + _U(1)) >> _U(3)).view(np.intp)
+    del high, first, halves, f
 
-
-def _fields(n: np.ndarray, k: np.ndarray, neg: np.ndarray, t: _Tables) -> np.ndarray:
-    """(len(n), _FIELD) uint8 NUL-padded text of ±n * 10**(k-16) for
-    10**16 <= n < 10**17, in '%.17g' layout."""
-    high = n // 10**8
-    lead = high // 10**8
-    raw = _digit_bytes(np.stack([high - lead * 10**8, n - high * 10**8]).astype(np.uint64))
-    # significant digits: through the highest nonzero byte (the bit length of
-    # a word whose bytes are at most 9 is exact in float64)
-    used = (np.frexp(raw.astype(np.float64))[1] + 7) >> 3
-    digits = np.where(raw[1] != 0, 9 + used[1], 1 + used[0])
-    cls = np.where((k >= -4) & (k < 17), k + 4, _CLASSES - 1)
-    masks = t.layout.take(cls * 17 + digits - 1, axis=1)
-
-    middle, low = raw | _U(0x3030303030303030)
-    g0 = _U(0x3030303000) | (neg * _U(ord("-"))) | ((lead.astype(np.uint64) + _U(_ASCII_ZERO)) << _U(40)) | (middle << _U(48))
-    g1 = (middle >> _U(16)) | (low << _U(48))
-    g2 = low >> _U(16)
-    up = (g0 << _U(8), (g1 << _U(8)) | (g0 >> _U(56)), (g2 << _U(8)) | (g1 >> _U(56)))
+    raw |= _U(0x3030303030303030)
+    g = np.empty((3, len(n)), dtype=np.uint64)
+    np.left_shift(lead, _U(40), out=g[0])
+    g[0] |= _U(0x303030303000)
+    g[0] |= raw[0] << _U(48)
+    np.right_shift(raw[0], _U(16), out=g[1])
+    g[1] |= raw[1] << _U(48)
+    np.right_shift(raw[1], _U(16), out=g[2])
+    del raw, lead
+    # the same bytes one slot later, for the digits after the point
+    up = g << _U(8)
+    up[1:] |= g[:2] >> _U(56)
+    g &= t.layout[0:3].take(column, axis=1)
+    up &= t.layout[3:6].take(column, axis=1)
+    g |= up
     out = np.empty((len(n), _FIELD // 8), dtype=np.uint64)
-    for w, g in enumerate((g0, g1, g2)):
-        out[:, w] = (g & masks[w]) | (up[w] & masks[3 + w]) | masks[6 + w]
-    out[:, 3] = t.exponent.take(np.clip(k, _E_MIN, _E_MAX) - _E_MIN)
-    return out.view(np.uint8)
+    np.bitwise_or(g, t.layout[6:9].take(column, axis=1), out=out[:, :3].T)
+    return out
 
 
 def _percent(fmt: bytes, values: np.ndarray) -> np.ndarray:
@@ -200,7 +233,7 @@ def _percent(fmt: bytes, values: np.ndarray) -> np.ndarray:
 
 def _encode(values) -> np.ndarray:
     """'%.17g' (float arrays) or '%d' (integer arrays) of every value, as a
-    (size, _FIELD) uint8 matrix of NUL-padded fields (module docstring)."""
+    (size, width) uint8 matrix of NUL-padded fields (module docstring)."""
     v = np.asarray(values).ravel()
     if v.dtype.kind in "iu":
         return _percent(b"%d", v)
@@ -208,15 +241,25 @@ def _encode(values) -> np.ndarray:
     a = np.abs(v, dtype=np.float64)
     n, k, ok = _float_digits(a, t)
     neg, zero = np.signbit(v), a == 0
-    out = _fields(np.where(ok, n, _N_MIN), k, neg, t)
+    rest = np.flatnonzero(~(ok | zero))
+    words = _fields(np.where(ok, n, _N_MIN), k, t)
+    scientific = not ((k >= -4) & (k < 17)).all()
+    if scientific:  # "e±dd[d]" from byte 23 on, right after slot 21
+        exponent = t.exponent.take(k - _E_MIN)
+        words[:, 2] |= exponent << _U(56)
+        words[:, 3] = exponent >> _U(8)
+    out = words.view(np.uint8)
     if zero.any():
         out[zero] = 0
-        out[zero, 0] = np.where(neg[zero], ord("-"), 0)
         out[zero, 1] = _ASCII_ZERO
-    rest = np.flatnonzero(~(ok | zero))
+    signed = rest.size or neg.any()
+    if signed:
+        out[:, 0] = np.where(neg, ord("-"), 0)
     if rest.size:
         out[rest] = _percent(b"%.17g", v[rest])
-    return out
+    # only the columns the chunk uses: byte 0 if a value is negative, the
+    # exponent if one is scientific, 24 for the longest '%.17g' text
+    return out[:, (0 if signed else 1) : (28 if scientific else 24 if rest.size else 23)]
 
 
 def _lay(*pieces) -> np.ndarray:
@@ -233,8 +276,7 @@ def _lay(*pieces) -> np.ndarray:
 
 def _text(*pieces) -> bytes:
     """The pieces laid side by side, as bytes without the NULs."""
-    t = _lay(*pieces)
-    return t[t != 0].tobytes()
+    return _lay(*pieces).tobytes().translate(None, b"\0")
 
 
 def _b(text: str) -> np.ndarray:
@@ -265,15 +307,17 @@ def _chunks(rows: int, values_per_row: int):
 
 def write_density_csv(dmap, path) -> None:
     """Columns x, y, density over the grid, x-major; the coordinates are
-    encoded once and gathered for each row."""
-    density = np.asarray(dmap.density, dtype=float).reshape(-1)
+    encoded once and broadcast over a chunk's block of whole x rows (or of
+    one row's y values, when a row is longer than a chunk)."""
+    density = np.asarray(dmap.density, dtype=float).reshape(len(dmap.xs), len(dmap.ys))
     _check_finite(dmap.xs, dmap.ys, density)
     xs_w, ys_w = _words(dmap.xs, after=","), _words(dmap.ys, after=",")
     with open(path, "wb") as fh:
         fh.write(b"x,y,density\n")
-        for i0, i1 in _chunks(density.size, 2):
-            ix, iy = np.divmod(np.arange(i0, i1), len(dmap.ys))
-            fh.write(_text(xs_w.take(ix, axis=0), ys_w.take(iy, axis=0), _encode(density[i0:i1]), _NEWLINE))
+        for i0, i1 in _chunks(len(dmap.xs), 2 * len(dmap.ys)):
+            for j0, j1 in _chunks(len(dmap.ys), 2 * (i1 - i0)):
+                block = density[i0:i1, j0:j1]
+                fh.write(_text(xs_w[i0:i1, None], ys_w[j0:j1], _encode(block).reshape(*block.shape, -1), _NEWLINE))
 
 
 def write_pgm(dmap, path) -> None:

@@ -161,17 +161,20 @@ def density_work(cfg: TorusConfig, nx: int, ny: int, label, grids: float) -> int
     """`work_elements` for `density_map` of `label`, which builds no state:
     in place of the build it holds pass 1's product grid and one block of
     `_STREAM_ROWS` rows, each value of which weighs `_STREAM_BLOCK_WEIGHT`
-    complex values, and the block's x factors in place of the grid's."""
+    complex values, and the block's x factors in place of the grid's. An
+    'lx' image's y profile is real and held once: half a complex column."""
     block = min(_STREAM_ROWS, nx + 1)
-    stream = 1.0 + _STREAM_BLOCK_WEIGHT[_kind(label)] * block / (nx + 1)
-    return _work(cfg, nx, ny, [label], max(grids, stream), block)
+    kind = _kind(label)
+    stream = 1.0 + _STREAM_BLOCK_WEIGHT[kind] * block / (nx + 1)
+    return _work(cfg, nx, ny, [label], max(grids, stream), block, 0.5 if kind == "lx" else 2.0)
 
 
-def _work(cfg: TorusConfig, nx: int, ny: int, labels, grids: float, rows: int) -> int:
-    """`grids` closed grids, plus the largest image sum's factors twice: each
-    image adds a column of `rows` x values and one of ny + 1 y values."""
+def _work(cfg: TorusConfig, nx: int, ny: int, labels, grids: float, rows: int, y_columns: float = 2.0) -> int:
+    """`grids` closed grids, plus the largest image sum's factors: each image
+    adds a column of `rows` x values twice and `y_columns` columns of ny + 1
+    y values."""
     images = max(image_count(cfg, label) for label in labels)
-    return math.ceil(grids * (nx + 1) * (ny + 1)) + 2 * images * (rows + ny + 1)
+    return math.ceil(grids * (nx + 1) * (ny + 1)) + math.ceil(images * (2 * rows + y_columns * (ny + 1)))
 
 
 class SampledState:
@@ -332,11 +335,12 @@ _BUILD_GRIDS = {"coherent": 5.63, "lx": 2.50, "ly": 2.50}
 # beside pass 1's product grid and the block's image factors (`density_work`):
 # the highest tracemalloc peak over n_phi = 1-4, levels 0-3 or three coherent
 # labels, the unit torus at theta = (0.7, 2.1) and 1.1 x 1/1.1 untwisted,
-# grids 64^2 to 1026^2. An 'ly' block holds its profile and its sum (1.93, on
-# the 1024^2 grid at n_phi = 4); an 'lx' block its cross phase beside its sum
-# (3.84, on the 128^2 grid at n_phi = 4); a coherent block its factors, the
-# parity sums and their products (6.97, on the 192^2 grid at n_phi = 3).
-_STREAM_BLOCK_WEIGHT = {"coherent": 6.97, "lx": 3.84, "ly": 1.93}
+# grids 64^2 to 1025^2. An 'ly' block holds its profile and its sum (1.88),
+# an 'lx' block its cross phase beside its sum (2.96), a coherent block its
+# factors, the parity sums and their products (5.97). Each kind peaks on the
+# 127^2 or 128^2 grid, where a ufunc's 8,192-value buffer weighs about one
+# block; from 513^2 up they read 1.03-1.15, 2.11-2.13 and 4.99.
+_STREAM_BLOCK_WEIGHT = {"coherent": 5.97, "lx": 2.96, "ly": 1.88}
 # Closed-grid rows that one block of a streamed density spans (`density_map`):
 # 64 rows of a 1025^2 state are 1 MiB of complex values.
 _STREAM_ROWS = 64
@@ -409,7 +413,12 @@ def _eigenstate_rows(cfg: TorusConfig, label: TorusLabel, xs, ys):
 
         return rows
     qval = cfg.n_phi * k + label.l + cfg.theta_x / TWO_PI
-    profile = hermite_eigenfunction(mw, label.n, ys[:, None] - qval * cfg.ay)
+    # real, held once; evaluated _STREAM_ROWS y values at a time, so that its
+    # temporaries weigh no more than a block's x factors (`density_work`)
+    profile = np.empty((len(ys), len(k)))
+    for j0 in range(0, len(ys), _STREAM_ROWS):
+        y = ys[j0 : j0 + _STREAM_ROWS, None]
+        profile[j0 : j0 + _STREAM_ROWS] = hermite_eigenfunction(mw, label.n, y - qval * cfg.ay)
     sum_first = 16 * len(xs) * len(ys) >= _ELIDE_BYTES
 
     def rows(i0, i1):
@@ -721,6 +730,7 @@ def _streamed_norm(rows, blocks, nx: int, ny: int, weight: float) -> float:
         out = products[i0 : i0 + len(core)]
         np.conjugate(core, out=out)
         out *= core
+        del core  # before the next block is evaluated beside it
     return math.sqrt(max((_pairwise_sum(products) * weight).real, 0.0))
 
 
@@ -753,6 +763,7 @@ def density_map(cfg: TorusConfig, label, nx: int, ny: int) -> DensityMap:
         block = rows(i0, i1)
         np.divide(block, norm, out=block)
         np.abs(block, out=d[i0:i1])
+        del block
     np.square(d, out=d)
     total = d[:-1, :-1].sum() * hx * hy
     d /= total

@@ -274,11 +274,17 @@ def test_density_budget_follows_the_state_kind():
     # arithmetic only: one formula for every kind, pass 1's product grid and
     # one block of rows weighted by the kind's measured peak, which is above
     # what the density and the writers hold after it, plus the image sum's
-    # factors twice, the x factors at block length
+    # factors: the x factors twice at block length, the y factors twice, or
+    # half a column for the real 'lx' profile
     cfg = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=1)
-    for label, kind in ((TorusLabel(0, 0), "ly"), (TorusLabel(0, 0, "lx"), "lx"), (CoherentLabel(0.3, 0.2j), "coherent")):
+    for label, kind, y_columns in (
+        (TorusLabel(0, 0), "ly", 2),
+        (TorusLabel(0, 0, "lx"), "lx", 0.5),
+        (CoherentLabel(0.3, 0.2j), "coherent", 2),
+    ):
         grids = 1.0 + _STREAM_BLOCK_WEIGHT[kind] * _STREAM_ROWS / 20001
-        want = math.ceil(grids * 20001 * 20001) + 2 * image_count(cfg, label) * (_STREAM_ROWS + 20001)
+        images = image_count(cfg, label)
+        want = math.ceil(grids * 20001 * 20001) + math.ceil(images * (2 * _STREAM_ROWS + y_columns * 20001))
         assert density_work(cfg, 20000, 20000, label, _WRITE_GRIDS) == want
     # a grid that every streamed kind fits, 'lx' included
     for label in (TorusLabel(3, 0), TorusLabel(3, 0, "lx"), CoherentLabel(0.3, 0.2j)):
@@ -291,7 +297,7 @@ DENSITY_BUDGET_SLACK = 1.8
 @pytest.mark.parametrize(
     "args",
     [
-        # below 512^2 the CSV writer's fixed chunk buffers outweigh the grids
+        # below 349^2 the CSV writer's fixed chunk buffers outweigh the 'ly' stream
         ["--nphi", "2", "--n", "0", "--grid", "128"],
         ["--nphi", "2", "--n", "0", "--grid", "256"],
         ["--nphi", "1", "--n", "0", "--grid", "513"],
@@ -306,11 +312,12 @@ DENSITY_BUDGET_SLACK = 1.8
 def test_density_holds_no_more_than_its_work_budget(tmp_path, monkeypatch, args):
     # the whole run's tracemalloc peak against the work it passed to
     # check_work, complex values 16 bytes each: the budget holds the peak and
-    # is tight. Budget over peak read 1.19 (ly-128), 1.23 (ly-256), 1.08
-    # ('ly', whose writer stage outweighs its stream), 1.08 ('lx'), 1.07
-    # (coherent), 1.04 (coherent-100x0.01) and 1.62 (lx-100x0.01): on the
-    # thin torus the 766 'lx' images are counted as two complex columns per
-    # axis, where the y profile is real and is held once
+    # is tight. Budget over peak read 1.13 (ly-128), 1.16 (ly-256), 1.07
+    # ('ly'), 1.07 ('lx'), 1.06 (coherent), 1.04 (coherent-100x0.01) and 1.08
+    # (lx-100x0.01, whose 766 real 'lx' y profiles count half a complex column
+    # each) as a process's first run, which also builds the parser and the
+    # encoder's tables, and 1.28, 1.27, 1.09, 1.08, 1.07, 1.04 and 1.09 after
+    # another run
     budget = []
 
     def record(work, what, remedy):
@@ -342,9 +349,10 @@ def test_density_holds_no_more_than_its_work_budget(tmp_path, monkeypatch, args)
 def test_trace_holds_no_more_than_its_work_budget(tmp_path, monkeypatch, args, periods, samples):
     # the run's tracemalloc peak against the work it passed to check_work.
     # A first, one-row run builds what a process builds once, the parser and
-    # the encoder's tables (about 140 kB), so the peak is the run's own. Budget
-    # over peak read 1.07 and 1.23 at 257 rows (orbit, coherent), 1.20 and
-    # 1.30 at 4,097, 1.52 and 1.34 at 65,537, and 1.47 and 1.32 at 262,145
+    # the encoder's tables (95 kB), so the peak is the run's own. Budget over
+    # peak read 1.14 and 1.22 at 257 rows (orbit, coherent), 1.30 and 1.28 at
+    # 4,097, 2.19 and 1.17 at 65,537, and 1.82 and 1.09 at 262,145: `orbit`
+    # holds 3.0 values per row of the 5.1 that `coherent` sets
     assert main([*args, "--samples", "1", "--out-dir", str(tmp_path / "first")]) == 0
     budget = []
 
@@ -377,7 +385,7 @@ def test_trace_commands_size_their_work_before_allocating(tmp_path, capsys, args
     with pytest.raises(SystemExit) as err:
         run_cli([*args, "--periods", "1000000", "--samples", "1000000", "--out-dir", str(out_dir)])
     assert err.value.code == 2
-    assert f"the {args[0]} trace of 1000000000001 samples would hold 9.05e+04 times the work budget" in capsys.readouterr().err
+    assert f"the {args[0]} trace of 1000000000001 samples would hold 7.57e+04 times the work budget" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -639,23 +647,23 @@ def test_export_stage_timings_only_in_manifest(tmp_path, argv, stages):
 @pytest.mark.parametrize(
     "argv, budget",
     [
-        # the grids after the build, and the writer's one chunk of 65^2 rows of three values
+        # the grids after the build, and the writer's one chunk of 65^2 rows of two values
         (
             ["density", "--nphi", "1", "--n", "0", "--grid", "64"],
-            lambda cfg: density_work(cfg, 64, 64, TorusLabel(0, 0), _WRITE_GRIDS + _CHUNK_VALUE_WORK * 3 * 65**2 / 65**2),
+            lambda cfg: density_work(cfg, 64, 64, TorusLabel(0, 0), _WRITE_GRIDS + _CHUNK_VALUE_WORK * 2 * 65**2 / 65**2),
         ),
         (["verify", "--nphi", "2"], verify.torus_work),
         # three complex values per site of each of the gcd(2, 48) = 2 chains
         (["spectrum", "--nphi", "2", "--grid", "48", "--levels", "2"], lambda cfg: 3 * 48 * 48 // 2),
-        # 6.1 values per row of 4 * 16 + 1 samples, and the writer's one chunk
+        # 5.1 values per row of 4 * 16 + 1 samples, and the writer's one chunk
         # of those rows in 3 (orbit) or 7 (coherent) columns
         (
             ["orbit", "--nphi", "1", "--radius", "0.2", "--periods", "4", "--samples", "16"],
-            lambda cfg: math.ceil(65 * 6.1 + _CHUNK_VALUE_WORK * 3 * 65),
+            lambda cfg: math.ceil(65 * 5.1 + _CHUNK_VALUE_WORK * 3 * 65),
         ),
         (
             ["coherent", "--nphi", "1", "--lam", "0.3", "--lam-prime", "0", "--periods", "4", "--samples", "16"],
-            lambda cfg: math.ceil(65 * 6.1 + _CHUNK_VALUE_WORK * 7 * 65),
+            lambda cfg: math.ceil(65 * 5.1 + _CHUNK_VALUE_WORK * 7 * 65),
         ),
     ],
     ids=["density", "verify", "spectrum", "orbit", "coherent"],

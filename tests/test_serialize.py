@@ -93,7 +93,9 @@ def _same_bytes(tmp_path, write, reference, *args):
 
 ROWS_PER_CHUNK_2 = serialize.CHUNK_FIELDS // 2  # density CSV: 'x,y' and the value
 ROWS_PER_CHUNK_3 = serialize.CHUNK_FIELDS // 3  # trace CSV
-SHAPES_2 = [(1, 1), (3, 5), (5, 3)] + [(1, ROWS_PER_CHUNK_2 + d) for d in (-1, 0, 1)]
+# rows of one x split across chunks, and blocks of whole x rows (64 and 63
+# rows of 127 and 129 y values per chunk) with a last partial block
+SHAPES_2 = [(1, 1), (3, 5), (5, 3)] + [(2, ROWS_PER_CHUNK_2 + d) for d in (-1, 0, 1)] + [(130, 127), (127, 129)]
 
 
 @pytest.mark.parametrize("shape", SHAPES_2)
@@ -203,6 +205,55 @@ def test_row_formatter_matches_per_value_format(tmp_path_factory, width, data, c
     want = ",".join(f"c{j}" for j in range(width)) + "\n"
     want += "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
     assert path.read_text() == want
+
+
+# The one value of a chunk that widens its fields: a negative value (the sign
+# column), a scientific one (the exponent), one '%' formats and -0.0
+WIDENING = [-0.25, 1.5e-7, 2.0**-25, -0.0]
+
+
+@pytest.mark.parametrize("special", WIDENING)
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_writers_widen_only_the_chunk_that_needs_it(tmp_path, monkeypatch, special, where):
+    # chunks of 6 table rows or 3 density rows (one x each) of plain positive
+    # fixed-notation values, but for one value on the first or last row of
+    # the second chunk; every other chunk encodes at its narrowest
+    monkeypatch.setattr(serialize, "CHUNK_FIELDS", 6)
+    values = np.linspace(0.5, 0.9, 18)
+    values[6 if where == "first" else 11] = special
+    ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+    write_table_csv(("v",), (values,), ours)
+    assert ours.read_text() == "v\n" + "".join(format(v, ".17g") + "\n" for v in values.tolist())
+    dmap = SimpleNamespace(xs=np.linspace(0.1, 0.6, 6), ys=np.array([0.25, 0.5, 0.75]), density=values.reshape(6, 3))
+    _same_bytes(tmp_path, write_density_csv, reference_density_csv, dmap)
+
+
+@pytest.mark.parametrize(
+    "special, columns",
+    [(None, (1, 23)), (-0.25, (0, 23)), (-0.0, (0, 23)), (1.5e-7, (1, 28)), (1 + 2.0**-17, (0, 24)), (2.0**-25, (0, 28))],
+)
+def test_encoder_keeps_only_the_columns_a_chunk_uses(special, columns):
+    # of a field's sign byte, 22 slots, exponent and NULs (serialize._FIELD);
+    # 1 + 2**-17 and 2**-25 are exact ties that '%' formats, in fixed and in
+    # scientific notation
+    values = np.linspace(0.5, 0.9, 9)
+    if special is not None:
+        values[4] = special
+    assert serialize._encode(values).shape == (9, columns[1] - columns[0])
+    _assert_encodes(values)
+
+
+def test_digit_table_holds_every_four_digit_group():
+    digits = serialize._tables().digits
+    want = np.frombuffer("".join(f"{i:04d}" for i in range(10**4)).encode(), dtype=np.uint8) - ord("0")
+    assert digits.shape == (10**4,)
+    assert np.array_equal(digits.view(np.uint8), want)
+
+
+def test_encoder_tables_stay_under_their_cap():
+    # the process-wide cache that no work model counts: the module docstring
+    # states the cap
+    assert sum(a.nbytes for a in serialize._tables()) <= 100_000
 
 
 # ---------------------------------------------------------------------------
