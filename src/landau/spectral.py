@@ -222,7 +222,9 @@ def chain_spectra(cfg, nx: int, ny: int, k: int) -> tuple[np.ndarray, dict]:
     for m0 in range(blocks):
         diag, hop = bloch_chain(cfg, nx, ny, m0)
         start = int(np.argmax(diag))
-        diag, links = np.roll(diag, -start), np.roll(np.abs(hop), -start)
+        links = np.roll(np.abs(hop), -start)
+        del hop  # before the rolled diagonal is made beside the links
+        diag = np.roll(diag, -start)
         bounds = (np.arange(wells + 1) * diag.size) // wells
         segments = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
         spans = []
@@ -252,6 +254,7 @@ def chain_spectra(cfg, nx: int, ny: int, k: int) -> tuple[np.ndarray, dict]:
         rows.append(values[kept])
         sizes.extend(hi - lo for lo, hi in spans)
         worst = max(worst, float(edges[kept].max()))
+        del diag, links  # before the next chain is built beside them
     telemetry = {
         "wells_per_block": wells,
         "well_sizes": sizes,

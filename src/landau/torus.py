@@ -41,12 +41,8 @@ the state through it in blocks of `_STREAM_ROWS` rows, in two passes, and
 never holds the state. Pass 1 writes conj(a) * a of the core into one grid,
 whose pairwise sum is exactly the norm `normalized` takes; pass 2 writes
 |a / norm|^2 into the float density. So a streamed density has the bits of
-the built state's and holds one grid and a block, where a build holds about
-2 ('ly', 'lx') or 5 (coherent) grids (`_BUILD_GRIDS`). The product grid
-stays: a bit-exact pairwise sum of complex values needs them all at once. An
-'lx' row multiplies its cross phase and its image sum in an operand order
-written in the code and keyed to the whole grid's size (`_ELIDE_BYTES`), so
-its bits do not depend on the block that holds it.
+the built state's and holds one grid and a block. The product grid stays: a
+bit-exact pairwise sum of complex values needs them all at once.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ import numpy as np
 from .config import GRID_POINTS_PER_FLUX, TWO_PI, TorusConfig, commensurate, grid_spacing
 from .finitediff import apply_fd_operator
 from .gauge import x_boundary_twist, y_boundary_twist
-from .oscillator import hermite_eigenfunction
+from .oscillator import check_level, hermite_eigenfunction
 from .plane import CoherentLabel, coherent_expectations
 
 # projector_distance rejects input families whose Gram matrix is further
@@ -82,8 +78,7 @@ class TorusLabel:
     basis: str = "ly"
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"level must be >= 0, got {self.n}")
+        check_level(self.n)
         if self.basis not in ("ly", "lx"):
             raise ValueError(f"basis must be 'ly' or 'lx', got {self.basis!r}")
 
@@ -142,39 +137,28 @@ def image_count(cfg: TorusConfig, label) -> int:
     return sum(max(0, last - first + 1) for first, last in (_image_bounds(*args) for args in sums))
 
 
-def _kind(label) -> str:
-    return "coherent" if isinstance(label, CoherentLabel) else label.basis
-
-
-def work_elements(cfg: TorusConfig, nx: int, ny: int, labels, grids: float) -> int:
-    """Complex values held at most on the nx x ny grid while the caller holds
-    `grids` closed grids of its own (a half grid is one of floats) and builds
-    the states of `labels`, counted without building anything: the larger of
-    `grids` and the costliest build's `_BUILD_GRIDS`, plus the largest image
-    sum's factor matrices twice, since a build holds each factor and the
-    exponent array it is evaluated from."""
-    build = max(_BUILD_GRIDS[_kind(label)] for label in labels)
-    return _work(cfg, nx, ny, labels, max(grids, build), nx + 1)
+def work_elements(cfg: TorusConfig, nx: int, ny: int, labels, grids: float, rows: int, y_columns: float = 2.0) -> int:
+    """Complex values held at most on the nx x ny grid, counted without
+    building anything: the caller's `grids` closed grids (a half grid is one
+    of floats), plus the factors of the largest image sum of `labels`. Each
+    image adds a column of `rows` x values twice, since a build holds each
+    factor and the exponent array it is evaluated from, and `y_columns`
+    columns of ny + 1 y values."""
+    images = max(image_count(cfg, label) for label in labels)
+    return math.ceil(grids * (nx + 1) * (ny + 1)) + math.ceil(images * (2 * rows + y_columns * (ny + 1)))
 
 
 def density_work(cfg: TorusConfig, nx: int, ny: int, label, grids: float) -> int:
     """`work_elements` for `density_map` of `label`, which builds no state:
-    in place of the build it holds pass 1's product grid and one block of
-    `_STREAM_ROWS` rows, each value of which weighs `_STREAM_BLOCK_WEIGHT`
-    complex values, and the block's x factors in place of the grid's. An
-    'lx' image's y profile is real and held once: half a complex column."""
+    the larger of the caller's `grids` and what the stream holds, pass 1's
+    product grid and one block of `_STREAM_ROWS` rows, each value of which
+    weighs `_STREAM_BLOCK_WEIGHT` complex values, with the block's x factors
+    in place of the grid's. An 'lx' image's y profile is real and held once:
+    half a complex column."""
     block = min(_STREAM_ROWS, nx + 1)
-    kind = _kind(label)
+    kind = "coherent" if isinstance(label, CoherentLabel) else label.basis
     stream = 1.0 + _STREAM_BLOCK_WEIGHT[kind] * block / (nx + 1)
-    return _work(cfg, nx, ny, [label], max(grids, stream), block, 0.5 if kind == "lx" else 2.0)
-
-
-def _work(cfg: TorusConfig, nx: int, ny: int, labels, grids: float, rows: int, y_columns: float = 2.0) -> int:
-    """`grids` closed grids, plus the largest image sum's factors: each image
-    adds a column of `rows` x values twice and `y_columns` columns of ny + 1
-    y values."""
-    images = max(image_count(cfg, label) for label in labels)
-    return math.ceil(grids * (nx + 1) * (ny + 1)) + math.ceil(images * (2 * rows + y_columns * (ny + 1)))
+    return work_elements(cfg, nx, ny, [label], max(grids, stream), block, 0.5 if kind == "lx" else 2.0)
 
 
 class SampledState:
@@ -321,16 +305,6 @@ def normalized(state: SampledState) -> SampledState:
 # ---------------------------------------------------------------------------
 # analytic state construction
 
-# Closed grids one state build holds at its peak (`work_elements`): the
-# highest tracemalloc peak of a build on the 129^2, 512^2 and 1025^2 grids
-# over n_phi = 1-4, levels 0-3 or two coherent labels, the unit torus at
-# theta = (0.7, 2.1) and 1.1 x 1/1.1 untwisted, its few image factors
-# included. Each kind peaks on 129^2, where the fixed-size arrays weigh most.
-# A coherent state holds its image sums and their products (5.63; 5.16 at
-# 512^2), an 'ly' state the sum beside the norm's conjugated core and then
-# beside its normalised copy (2.50; 2.03), an 'lx' state the sum beside its
-# cross phase and then what an 'ly' state holds (2.50; 2.06).
-_BUILD_GRIDS = {"coherent": 5.63, "lx": 2.50, "ly": 2.50}
 # Complex values per value of one streamed block that `density_map` holds
 # beside pass 1's product grid and the block's image factors (`density_work`):
 # the highest tracemalloc peak over n_phi = 1-4, levels 0-3 or three coherent
@@ -381,16 +355,6 @@ def torus_eigenstates(cfg: TorusConfig, labels, nx: int, ny: int) -> list[Sample
     return [normalized(SampledState(cfg, _eigenstate_rows(cfg, lab, xs, ys)(0, nx + 1))) for lab in labels]
 
 
-# Bytes of complex values on the whole closed grid from which an 'lx' row
-# multiplies its image sum by the cross phase, and below which the cross phase
-# by its image sum. It copies numpy's temporary elision threshold (256 KiB,
-# `temp_elide.c`): 'lx' states were built whole as `cross * einsum(...)`,
-# which numpy computes as einsum * cross on grids this large, and complex
-# multiply is not bitwise commutative. So every 'lx' state keeps those bits,
-# in blocks of any size and whether or not a numpy build elides temporaries.
-_ELIDE_BYTES = 256 * 1024
-
-
 def _eigenstate_rows(cfg: TorusConfig, label: TorusLabel, xs, ys):
     """rows(i0, i1): `torus_eigenstate`'s image sum, unnormalised, on the
     closed-grid rows i0..i1-1. The y factors are evaluated once, the x
@@ -419,16 +383,15 @@ def _eigenstate_rows(cfg: TorusConfig, label: TorusLabel, xs, ys):
     for j0 in range(0, len(ys), _STREAM_ROWS):
         y = ys[j0 : j0 + _STREAM_ROWS, None]
         profile[j0 : j0 + _STREAM_ROWS] = hermite_eigenfunction(mw, label.n, y - qval * cfg.ay)
-    sum_first = 16 * len(xs) * len(ys) >= _ELIDE_BYTES
 
     def rows(i0, i1):
         x = xs[i0:i1, None]
         cross = np.exp(-TWO_PI * 1j * cfg.n_phi * x * ys[None, :] / (cfg.lx * cfg.ly))
         wave = np.exp(TWO_PI * 1j * x * qval / cfg.lx + 1j * cfg.theta_y * k)
         s = np.einsum("xk,yk->xy", wave, profile, optimize=False)
-        if sum_first:
-            return np.multiply(s, cross, out=s)
-        return np.multiply(cross, s, out=s)
+        # the image sum stays the left operand: complex multiply is not
+        # bitwise commutative
+        return np.multiply(s, cross, out=s)
 
     return rows
 

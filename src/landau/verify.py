@@ -227,8 +227,9 @@ def torus_work(cfg: TorusConfig) -> int:
     # 'ly' level 0, the 'lx' family and the residuals, 3n, and two working
     # grids (3n + 2.1 at n_phi = 2, 4 and 6); the Weyl check holds level 0 and
     # its translated states (n + 6.2, and n + 6.3 at n_phi = 1 on 80^2, where
-    # fixed-size arrays weigh more)
-    return work_elements(cfg, nx, ny, [*ly_labels, *lx_labels, _COHERENT], max(3 * n + 2.5, n + 7))
+    # fixed-size arrays weigh more). At least 8 grids, above the 2.5 (an
+    # eigenstate) to 5.6 (a coherent state) that one state's build holds
+    return work_elements(cfg, nx, ny, [*ly_labels, *lx_labels, _COHERENT], max(3 * n + 2.5, n + 7), nx + 1)
 
 
 def run_verification(cfg: TorusConfig, nphi_override: float | None = None, seed: int = 0):

@@ -148,6 +148,11 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
         ["density", "--nphi", "1", "--lam", "0.3", "--basis", "lx", "--grid", "16"],
         # the amplitude overflows and the density reads NaN (ROADMAP item 1, step 2)
         ["density", "--nphi", "1", "--lam", "27", "--lam-prime", "0", "--grid", "16"],
+        # above oscillator.MAX_LEVEL the recurrence's seed underflows: the
+        # state held 66% of its norm at n = 1000, and 10^9 recurrence passes
+        # would run for about a day
+        ["density", "--nphi", "1", "--n", "1000", "--grid", "64"],
+        ["density", "--nphi", "1", "--n", "1000000000", "--grid", "64"],
     ],
 )
 def test_invalid_input_exits_2(tmp_path, args):
@@ -333,6 +338,26 @@ def test_density_holds_no_more_than_its_work_budget(tmp_path, monkeypatch, args)
     finally:
         tracemalloc.stop()
     assert peak <= 16 * budget[0] <= DENSITY_BUDGET_SLACK * peak
+
+
+@pytest.mark.parametrize("nphi, grid", [(1, 96), (4, 96), (4, 192), (2, 384)], ids=["1-96", "4-96", "4-192", "2-384"])
+def test_spectrum_holds_no_more_than_its_work_budget(tmp_path, nphi, grid):
+    # the run's tracemalloc peak against the manifest's work, three complex
+    # values per chain site. A first run builds what a process builds once.
+    # Each chain is freed before the next is built, and its hops once their
+    # moduli are taken: budget over peak read 1.17, 1.02, 1.14 and 1.19, or
+    # 2.5-2.9 values per site. Below 96^2 fixed-size arrays dominate (0.91 at
+    # 48^2, n_phi 2), so no smaller grid is held to the model
+    argv = ["spectrum", "--nphi", str(nphi), "--theta-x", "0.7", "--theta-y", "2.1"]
+    assert main([*argv, "--grid", "48", "--out-dir", str(tmp_path / "first")]) == 0
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main([*argv, "--grid", str(grid), "--out-dir", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * read_json(tmp_path / "spectrum_manifest.json")["work"]["work_elements"]
 
 
 @pytest.mark.parametrize(

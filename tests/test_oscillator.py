@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from landau.oscillator import hermite_eigenfunction
+from landau.oscillator import MAX_LEVEL, hermite_eigenfunction
 from oracles import independent_psi_n
 
 
@@ -84,12 +84,12 @@ def test_recurrence_intermediates_bounded():
 
 
 def test_high_level_holds_a_few_arrays():
-    # the full table at n = 2000 on 10^4 points would be 2001 arrays (160 MB)
+    # the full table at the level cap on 10^4 points would be 695 arrays (56 MB)
     u = np.linspace(-70.0, 70.0, 10_000)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        psi = hermite_eigenfunction(1.0, 2000, u)
+        psi = hermite_eigenfunction(1.0, MAX_LEVEL, u)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -104,5 +104,19 @@ def test_no_overflow_far_out():
 
 
 def test_level_out_of_range():
-    with pytest.raises(ValueError):
-        hermite_eigenfunction(1.0, -1, 0.0)
+    for n in (-1, MAX_LEVEL + 1):
+        with pytest.raises(ValueError, match=rf"\[0, {MAX_LEVEL}\]"):
+            hermite_eigenfunction(1.0, n, 0.0)
+
+
+@pytest.mark.parametrize("mass_omega", [1.0, 2.5])
+def test_unit_norm_at_the_level_cap(mass_omega):
+    # trapezoid over xi in [-60, 60], spectrally accurate for this Gaussian-
+    # decaying integrand: its floor is a few 1e-12, and from the cap up the
+    # error grows about 1.7x per level as the seed's underflow reaches the tail
+    s = math.sqrt(mass_omega)
+    u = np.linspace(-60.0, 60.0, 60001) / s
+    psi = hermite_eigenfunction(mass_omega, MAX_LEVEL, u)
+    w = psi * psi
+    norm = (w.sum() - 0.5 * (w[0] + w[-1])) * (u[1] - u[0])
+    assert abs(norm - 1.0) < 1e-10

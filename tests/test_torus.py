@@ -139,7 +139,8 @@ def test_eigenstate_product_sum_property(n_phi, angles, aspect, level, l, basis,
 def complex_sum_eigenstate(cfg, label, nx, ny):
     """`torus_eigenstate` as one complex contraction over the image index,
     factors stored y-major ('ly') or x-major ('lx'): the form the real-plane
-    'ly' sum replaced, which it must reproduce bit for bit."""
+    'ly' sum replaced, which it must reproduce bit for bit. The 'lx' sum is
+    the left operand of its cross phase, as in `torus._eigenstate_rows`."""
     mw = cfg.mass_omega
     xs, ys = grid_axes(cfg, nx, ny)
     k = _image_indices(*_eigenstate_images(cfg, label))
@@ -153,15 +154,12 @@ def complex_sum_eigenstate(cfg, label, nx, ny):
         qval = cfg.n_phi * k + label.l + cfg.theta_x / TWO_PI
         profile = hermite_eigenfunction(mw, label.n, ys[:, None] - qval * cfg.ay)
         wave = np.exp(TWO_PI * 1j * xs[:, None] * qval / cfg.lx + 1j * cfg.theta_y * k)
-        values = cross * np.einsum("xk,yk->xy", wave, profile, optimize=False)
+        values = np.einsum("xk,yk->xy", wave, profile, optimize=False) * cross
     return normalized(SampledState(cfg, values))
 
 
-# verify's grid for its seeded n_phi = 2 torus, grids on either side of
-# torus._ELIDE_BYTES (closed grids of 16,129 and 16,641 values, against
-# 16,384) and export-sized grids. The oracle multiplies `cross * einsum(...)`
-# in the order numpy's temporary elision picks from the grid's size, so a
-# threshold off in either direction fails here.
+# verify's grid for its seeded n_phi = 2 torus, two small grids (closed grids
+# of 16,129 and 16,641 values) and export-sized grids.
 LAYOUT_GRIDS = {
     "verify-124x102": (make_cfg(2, 0.7, 2.1, lx=1.1, ly=1.0 / 1.1), 124, 102),
     "nphi2-126": (make_cfg(2, 0.7, 2.1), 126, 126),
@@ -252,8 +250,7 @@ def test_density_normalized_and_consistent():
 @pytest.mark.parametrize(
     "cfg, grid",
     [
-        # closed grids of 61^2 and 127^2 values, below torus._ELIDE_BYTES,
-        # and of 129^2 and 151^2, above it
+        # closed grids of 61^2 to 151^2 values
         (make_cfg(2, theta_x=0.7, theta_y=2.1), 60),
         (make_cfg(2, theta_x=0.7, theta_y=2.1), 126),
         (make_cfg(2, theta_x=0.7, theta_y=2.1), 128),

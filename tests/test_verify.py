@@ -137,6 +137,33 @@ def test_torus_checks_stay_within_their_work_budget(cfg, monkeypatch):
     assert peak[0] - start <= 16 * budget[0]
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        TorusConfig(1.0, 1.0, lx=1.3, ly=0.77, n_phi=3),
+        TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=4),
+        TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=6, theta_x=0.7, theta_y=2.1),
+    ],
+    ids=["nphi3-1.3x0.77", "nphi4", "nphi6-twisted"],
+)
+def test_verify_holds_no_more_than_its_work_budget(cfg):
+    # the whole run's tracemalloc peak, plane pass included, against
+    # torus_work, whose grids hold each state build with no term of its own:
+    # budget over peak read 1.06, 1.05 and 1.03. A first run builds what a
+    # process builds once. n_phi 1-2 are left out: there the plane pass's
+    # fixed 381^2 grid sets the peak, about 3.5 MB or 2-4x torus_work, far
+    # below config.WORK_BUDGET
+    run_verification(cfg)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_verification(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * verify.torus_work(cfg)
+
+
 # ---------------------------------------------------------------------------
 # the two plane checks, streamed in row blocks
 
