@@ -37,12 +37,11 @@ its image sum, unnormalised, on the closed-grid rows i0..i1-1, with the y
 factors evaluated once and the x factors per block. Every value of a row
 comes out the same whatever block holds it, so `torus_eigenstates` and
 `torus_coherent` call it once on the whole grid, and `density_map` streams
-the state through it in blocks of `_STREAM_ROWS` rows, in two passes, and
-never holds the state. Pass 1 writes conj(a) * a of the core into one grid,
-whose pairwise sum is exactly the norm `normalized` takes; pass 2 writes
-|a / norm|^2 into the float density. So a streamed density has the bits of
-the built state's and holds one grid and a block. The product grid stays: a
-bit-exact pairwise sum of complex values needs them all at once.
+the state through it in blocks of `_STREAM_ROWS` rows, in one pass, and
+never holds the state. Each block's |a| goes into the float density, which
+is then squared and divided by its own total. So a streamed density has the
+bits of the unnormalised image sum's |a|^2 evaluated whole and normalised in
+one step, and holds half a grid and a block.
 """
 
 from __future__ import annotations
@@ -150,14 +149,14 @@ def work_elements(cfg: TorusConfig, nx: int, ny: int, labels, grids: float, rows
 
 def density_work(cfg: TorusConfig, nx: int, ny: int, label, grids: float) -> int:
     """`work_elements` for `density_map` of `label`, which builds no state:
-    the larger of the caller's `grids` and what the stream holds, pass 1's
-    product grid and one block of `_STREAM_ROWS` rows, each value of which
-    weighs `_STREAM_BLOCK_WEIGHT` complex values, with the block's x factors
-    in place of the grid's. An 'lx' image's y profile is real and held once:
-    half a complex column."""
+    the larger of the caller's `grids` and what the stream holds, the float
+    density (half a grid) and one block of `_STREAM_ROWS` rows, each value
+    of which weighs `_STREAM_BLOCK_WEIGHT` complex values, with the block's x
+    factors in place of the grid's. An 'lx' image's y profile is real and
+    held once: half a complex column."""
     block = min(_STREAM_ROWS, nx + 1)
     kind = "coherent" if isinstance(label, CoherentLabel) else label.basis
-    stream = 1.0 + _STREAM_BLOCK_WEIGHT[kind] * block / (nx + 1)
+    stream = 0.5 + _STREAM_BLOCK_WEIGHT[kind] * block / (nx + 1)
     return work_elements(cfg, nx, ny, [label], max(grids, stream), block, 0.5 if kind == "lx" else 2.0)
 
 
@@ -243,12 +242,6 @@ def grid_vdot(a: np.ndarray, b: np.ndarray) -> complex:
     One temporary the size of a, where np.vdot copies both strided inputs."""
     p = np.conjugate(a, dtype=complex)
     p *= b
-    return _pairwise_sum(p)
-
-
-def _pairwise_sum(p: np.ndarray) -> complex:
-    """numpy's pairwise sum of the C-contiguous p, in the order its shape
-    fixes."""
     return complex(np.add.reduce(p.ravel()))
 
 
@@ -306,15 +299,17 @@ def normalized(state: SampledState) -> SampledState:
 # analytic state construction
 
 # Complex values per value of one streamed block that `density_map` holds
-# beside pass 1's product grid and the block's image factors (`density_work`):
+# beside its float density and the block's image factors (`density_work`):
 # the highest tracemalloc peak over n_phi = 1-4, levels 0-3 or three coherent
 # labels, the unit torus at theta = (0.7, 2.1) and 1.1 x 1/1.1 untwisted,
-# grids 64^2 to 1025^2. An 'ly' block holds its profile and its sum (1.88),
+# grids 64^2 to 1025^2. An 'ly' block holds its profile and its sum (1.01),
 # an 'lx' block its cross phase beside its sum (2.96), a coherent block its
-# factors, the parity sums and their products (5.97). Each kind peaks on the
-# 127^2 or 128^2 grid, where a ufunc's 8,192-value buffer weighs about one
-# block; from 513^2 up they read 1.03-1.15, 2.11-2.13 and 4.99.
-_STREAM_BLOCK_WEIGHT = {"coherent": 5.97, "lx": 2.96, "ly": 1.88}
+# factors, the parity sums and their products (5.98). 'lx' and coherent peak
+# on the 128^2 or 129^2 grid, where a ufunc's 8,192-value buffer weighs
+# about one block, and from 513^2 up read 2.08-2.17 and 2.74-5.02. 'ly'
+# peaks on 1025^2, where the argmax's boolean grid, a sixteenth of a grid,
+# weighs a block; its streamed blocks read at most 0.95.
+_STREAM_BLOCK_WEIGHT = {"coherent": 5.98, "lx": 2.96, "ly": 1.01}
 # Closed-grid rows that one block of a streamed density spans (`density_map`):
 # 64 rows of a 1025^2 state are 1 MiB of complex values.
 _STREAM_ROWS = 64
@@ -682,28 +677,15 @@ class DensityMap:
     argmax_y: float
 
 
-def _streamed_norm(rows, blocks, nx: int, ny: int, weight: float) -> float:
-    """`torus_norm` of the state that `rows` evaluates over `blocks` (pass 1):
-    conj(a) * a written block by block into one core grid, whose pairwise sum
-    is the one `normalized` takes. A function of its own, so the grid is
-    freed before pass 2 allocates the density."""
-    products = np.empty((nx, ny), dtype=complex)
-    for i0, i1 in blocks:
-        core = rows(i0, i1)[: nx - i0, :ny]
-        out = products[i0 : i0 + len(core)]
-        np.conjugate(core, out=out)
-        out *= core
-        del core  # before the next block is evaluated beside it
-    return math.sqrt(max((_pairwise_sum(products) * weight).real, 0.0))
-
-
 def density_map(cfg: TorusConfig, label, nx: int, ny: int) -> DensityMap:
     """|Psi|^2 of the normalized state of `label`, a TorusLabel or a
     CoherentLabel, on the closed nx x ny grid, normalized to unit torus
-    integral, plus the argmax location. The bits are those of |Psi|^2 of the
-    built state (`torus_eigenstate`, `torus_coherent`), but no state is held:
-    the image sum is evaluated twice, a block of rows at a time (module
-    docstring).
+    integral, plus the argmax location. No state is held: the unnormalised
+    image sum is evaluated once, a block of rows at a time (module
+    docstring), and |a|^2 / (sum of |a|^2 hx hy) is |a / norm|^2 in exact
+    arithmetic, within rounding of the built state's density
+    (`torus_eigenstate`, `torus_coherent`). A total that is zero or not
+    finite raises ValueError.
 
     The argmax is not unique for every state: an eigenstate's density has
     n_phi copies of its peak that are equal in exact arithmetic ('ly' states
@@ -715,20 +697,15 @@ def density_map(cfg: TorusConfig, label, nx: int, ny: int) -> DensityMap:
     hx, hy = cfg.lx / nx, cfg.ly / ny
     build = _coherent_rows if isinstance(label, CoherentLabel) else _eigenstate_rows
     rows = build(cfg, label, xs, ys)
-    blocks = [(i0, min(i0 + _STREAM_ROWS, nx + 1)) for i0 in range(0, nx + 1, _STREAM_ROWS)]
-
-    norm = _streamed_norm(rows, blocks, nx, ny, hx * hy)
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero state")
-    # pass 2: |a / norm|^2, then the total and the argmax
     d = np.empty((nx + 1, ny + 1))
-    for i0, i1 in blocks:
-        block = rows(i0, i1)
-        np.divide(block, norm, out=block)
-        np.abs(block, out=d[i0:i1])
-        del block
+    for i0 in range(0, nx + 1, _STREAM_ROWS):
+        np.abs(rows(i0, i0 + _STREAM_ROWS), out=d[i0 : i0 + _STREAM_ROWS])
     np.square(d, out=d)
     total = d[:-1, :-1].sum() * hx * hy
+    # a zero state, or |a|^2 finite but its sum overflowing, which would
+    # divide the density to zeros
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"the state's density integrates to {total:.3g}; choose a smaller label")
     d /= total
     # the first maximum in C order, which np.argmax also finds, but without
     # the contiguous copy of the core that np.argmax makes of a strided view

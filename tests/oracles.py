@@ -27,9 +27,9 @@ The references the package is compared against live here too:
 - the ladder algebra a, adag, b, bdag on Fock labels |n n'> (`FockLabel`,
   `ladder_apply`), the number-basis form of the operators `verify`'s
   `ladder_algebra` check measures on the plane grid;
-- the density of a built torus state, held whole (`density_map`), which
+- the density of a torus state held whole (`density_map`), which
   `landau.torus.density_map` streams without holding the state and must
-  equal bit for bit.
+  equal bit for bit on the unnormalised image sum evaluated whole.
 
 The lattice spectrum has its own route too: the assembled nx*ny Peierls
 matrix, solved whole, which the Bloch-chain solver of `landau.spectral` must

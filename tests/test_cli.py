@@ -146,13 +146,16 @@ def test_spectrum_missing_nphi_exits_2(tmp_path):
         ["density", "--nphi", "1", "--lx", "100", "--ly", "0.01", "--n", "0", "--grid", "64"],
         # a coherent state has no eigenstate basis to pick
         ["density", "--nphi", "1", "--lam", "0.3", "--basis", "lx", "--grid", "16"],
-        # the amplitude overflows and the density reads NaN (ROADMAP item 1, step 2)
+        # the amplitude overflows and the density integrates to inf (ROADMAP item 22)
         ["density", "--nphi", "1", "--lam", "27", "--lam-prime", "0", "--grid", "16"],
         # above oscillator.MAX_LEVEL the recurrence's seed underflows: the
         # state held 66% of its norm at n = 1000, and 10^9 recurrence passes
         # would run for about a day
         ["density", "--nphi", "1", "--n", "1000", "--grid", "64"],
         ["density", "--nphi", "1", "--n", "1000000000", "--grid", "64"],
+        # each |a|^2 is finite but their sum overflows: the density would
+        # divide to zeros
+        ["density", "--nphi", "1", "--lam", "26.5", "--grid", "64"],
     ],
 )
 def test_invalid_input_exits_2(tmp_path, args):
@@ -261,8 +264,8 @@ def test_verify_sizes_its_work_before_allocating(tmp_path):
     [
         # its chain would hold a 20000 x 20000 float64 diagonal alone, 2.98 GiB
         (["spectrum", "--nphi", "1", "--grid", "20000"], "the lattice spectrum on the 20000x20000 grid would hold 17.8"),
-        # its streamed norm would hold a product grid of 5.96 GiB of complex128
-        (["density", "--nphi", "1", "--n", "0", "--grid", "20000"], "density on the 20000x20000 grid would hold 5.98"),
+        # its float density alone would be 2.98 GiB of float64
+        (["density", "--nphi", "1", "--n", "0", "--grid", "20000"], "density on the 20000x20000 grid would hold 3.35"),
     ],
     ids=["spectrum", "density"],
 )
@@ -276,18 +279,19 @@ def test_export_commands_size_their_work_before_allocating(tmp_path, args, messa
 
 
 def test_density_budget_follows_the_state_kind():
-    # arithmetic only: one formula for every kind, pass 1's product grid and
-    # one block of rows weighted by the kind's measured peak, which is above
-    # what the density and the writers hold after it, plus the image sum's
-    # factors: the x factors twice at block length, the y factors twice, or
-    # half a column for the real 'lx' profile
+    # arithmetic only: one formula for every kind, the larger of the writer
+    # stage's grids and the stream's, the float density and one block of rows
+    # weighted by the kind's measured peak, plus the image sum's factors: the
+    # x factors twice at block length, the y factors twice, or half a column
+    # for the real 'lx' profile. At 20000^2 the writer's 0.5625 grids
+    # outweigh the stream's 0.503-0.519
     cfg = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=1)
     for label, kind, y_columns in (
         (TorusLabel(0, 0), "ly", 2),
         (TorusLabel(0, 0, "lx"), "lx", 0.5),
         (CoherentLabel(0.3, 0.2j), "coherent", 2),
     ):
-        grids = 1.0 + _STREAM_BLOCK_WEIGHT[kind] * _STREAM_ROWS / 20001
+        grids = max(0.5 + _STREAM_BLOCK_WEIGHT[kind] * _STREAM_ROWS / 20001, _WRITE_GRIDS)
         images = image_count(cfg, label)
         want = math.ceil(grids * 20001 * 20001) + math.ceil(images * (2 * _STREAM_ROWS + y_columns * 20001))
         assert density_work(cfg, 20000, 20000, label, _WRITE_GRIDS) == want
@@ -302,27 +306,29 @@ DENSITY_BUDGET_SLACK = 1.8
 @pytest.mark.parametrize(
     "args",
     [
-        # below 349^2 the CSV writer's fixed chunk buffers outweigh the 'ly' stream
+        # the CSV writer's stage outweighs the 'ly' stream on every grid
         ["--nphi", "2", "--n", "0", "--grid", "128"],
         ["--nphi", "2", "--n", "0", "--grid", "256"],
         ["--nphi", "1", "--n", "0", "--grid", "513"],
+        # the export benchmark's largest density, which sets its peak_rss_mb
+        ["--nphi", "1", "--n", "0", "--grid", "1025"],
         ["--nphi", "2", "--n", "1", "--l", "1", "--basis", "lx", "--grid", "512"],
         ["--nphi", "1", "--lam", "0.3+0.2j", "--lam-prime=-0.1+0.4j", "--grid", "513"],
         # 972 coherent and 766 'lx' images on a thin torus
         ["--nphi", "1", "--lx", "100", "--ly", "0.01", "--lam", "0.35+0.2j", "--lam-prime", "0.3-0.4j", "--grid", "512"],
         ["--nphi", "1", "--lx", "100", "--ly", "0.01", "--n", "0", "--basis", "lx", "--grid", "512"],
     ],
-    ids=["ly-128", "ly-256", "ly", "lx", "coherent", "coherent-100x0.01", "lx-100x0.01"],
+    ids=["ly-128", "ly-256", "ly", "ly-1025", "lx", "coherent", "coherent-100x0.01", "lx-100x0.01"],
 )
 def test_density_holds_no_more_than_its_work_budget(tmp_path, monkeypatch, args):
     # the whole run's tracemalloc peak against the work it passed to
     # check_work, complex values 16 bytes each: the budget holds the peak and
-    # is tight. Budget over peak read 1.13 (ly-128), 1.16 (ly-256), 1.07
-    # ('ly'), 1.07 ('lx'), 1.06 (coherent), 1.04 (coherent-100x0.01) and 1.08
-    # (lx-100x0.01, whose 766 real 'lx' y profiles count half a complex column
-    # each) as a process's first run, which also builds the parser and the
-    # encoder's tables, and 1.28, 1.27, 1.09, 1.08, 1.07, 1.04 and 1.09 after
-    # another run
+    # is tight. Budget over peak read 1.14 (ly-128), 1.16 (ly-256), 1.10
+    # ('ly'), 1.13 (ly-1025), 1.14 ('lx'), 1.09 (coherent), 1.04
+    # (coherent-100x0.01) and 1.14 (lx-100x0.01, whose 766 real 'lx' y
+    # profiles count half a complex column each) as a process's first run,
+    # which also builds the parser and the encoder's tables, and 1.28, 1.27,
+    # 1.16, 1.15, 1.20, 1.10, 1.04 and 1.15 after another run
     budget = []
 
     def record(work, what, remedy):
@@ -444,6 +450,14 @@ def test_density_coherent_normalized(tmp_path):
     assert code == 0
     argmax = read_json(tmp_path / "argmax.json")
     assert abs(argmax["integral"] - 1.0) < 1e-8
+
+
+def test_density_near_overflow_normalized(tmp_path):
+    # the largest |a|^2 are close to overflow, but their sum is finite (at
+    # --lam 26.5 it overflows, and density exits 2)
+    assert run_cli(["density", "--nphi", "1", "--lam", "26.4", "--grid", "64", "--out-dir", str(tmp_path)]) == 0
+    argmax = read_json(tmp_path / "argmax.json")
+    assert abs(argmax["integral"] - 1.0) < 1e-12
 
 
 def test_density_resolution_flag_changes_grid(tmp_path):
