@@ -302,14 +302,14 @@ def normalized(state: SampledState) -> SampledState:
 # beside its float density and the block's image factors (`density_work`):
 # the highest tracemalloc peak over n_phi = 1-4, levels 0-3 or three coherent
 # labels, the unit torus at theta = (0.7, 2.1) and 1.1 x 1/1.1 untwisted,
-# grids 64^2 to 1025^2. An 'ly' block holds its profile and its sum (1.01),
+# grids 64^2 to 1025^2. An 'ly' block holds its profile and its sum (0.95),
 # an 'lx' block its cross phase beside its sum (2.96), a coherent block its
 # factors, the parity sums and their products (5.98). 'lx' and coherent peak
 # on the 128^2 or 129^2 grid, where a ufunc's 8,192-value buffer weighs
 # about one block, and from 513^2 up read 2.08-2.17 and 2.74-5.02. 'ly'
-# peaks on 1025^2, where the argmax's boolean grid, a sixteenth of a grid,
-# weighs a block; its streamed blocks read at most 0.95.
-_STREAM_BLOCK_WEIGHT = {"coherent": 5.98, "lx": 2.96, "ly": 1.01}
+# reads 0.90 on 64^2 rising to 0.95 on 1025^2; the argmax after the stream
+# holds one value per row.
+_STREAM_BLOCK_WEIGHT = {"coherent": 5.98, "lx": 2.96, "ly": 0.95}
 # Closed-grid rows that one block of a streamed density spans (`density_map`):
 # 64 rows of a 1025^2 state are 1 MiB of complex values.
 _STREAM_ROWS = 64
@@ -344,16 +344,24 @@ def torus_eigenstate(cfg: TorusConfig, label: TorusLabel, nx: int, ny: int) -> S
 
 def torus_eigenstates(cfg: TorusConfig, labels, nx: int, ny: int) -> list[SampledState]:
     """`torus_eigenstate` of each of `labels` on one nx x ny grid, with the
-    grid axes computed once for all of them, each state evaluated in one row
-    block."""
+    grid axes, and the 'lx' cross phase if any label needs it, computed once
+    for all of them, each state evaluated in one row block."""
     xs, ys = grid_axes(cfg, nx, ny)
-    return [normalized(SampledState(cfg, _eigenstate_rows(cfg, lab, xs, ys)(0, nx + 1))) for lab in labels]
+    cross = _cross_phase(cfg, xs, ys) if any(lab.basis == "lx" for lab in labels) else None
+    return [normalized(SampledState(cfg, _eigenstate_rows(cfg, lab, xs, ys, cross)(0, nx + 1))) for lab in labels]
 
 
-def _eigenstate_rows(cfg: TorusConfig, label: TorusLabel, xs, ys):
+def _cross_phase(cfg: TorusConfig, xs, ys) -> np.ndarray:
+    """The 'lx' gauge factor exp(-2 pi i n_phi x y / (Lx Ly)) on rows xs."""
+    return np.exp(-TWO_PI * 1j * cfg.n_phi * xs[:, None] * ys[None, :] / (cfg.lx * cfg.ly))
+
+
+def _eigenstate_rows(cfg: TorusConfig, label: TorusLabel, xs, ys, cross=None):
     """rows(i0, i1): `torus_eigenstate`'s image sum, unnormalised, on the
     closed-grid rows i0..i1-1. The y factors are evaluated once, the x
-    factors and the 'lx' cross phase on each call.
+    factors on each call, and the 'lx' cross phase is read from `cross`, its
+    values on the whole closed grid, or else evaluated on each call; either
+    way each row has the same bits.
 
     The 'ly' sum runs over the real and imaginary planes of W as one real
     contraction (module docstring). The 'lx' sum stays complex: its complex
@@ -380,13 +388,14 @@ def _eigenstate_rows(cfg: TorusConfig, label: TorusLabel, xs, ys):
         profile[j0 : j0 + _STREAM_ROWS] = hermite_eigenfunction(mw, label.n, y - qval * cfg.ay)
 
     def rows(i0, i1):
-        x = xs[i0:i1, None]
-        cross = np.exp(-TWO_PI * 1j * cfg.n_phi * x * ys[None, :] / (cfg.lx * cfg.ly))
-        wave = np.exp(TWO_PI * 1j * x * qval / cfg.lx + 1j * cfg.theta_y * k)
+        # the block's cross phase first, so that its exponent array is freed
+        # before the sum is made beside it
+        phase = _cross_phase(cfg, xs[i0:i1], ys) if cross is None else cross[i0:i1]
+        wave = np.exp(TWO_PI * 1j * xs[i0:i1, None] * qval / cfg.lx + 1j * cfg.theta_y * k)
         s = np.einsum("xk,yk->xy", wave, profile, optimize=False)
         # the image sum stays the left operand: complex multiply is not
         # bitwise commutative
-        return np.multiply(s, cross, out=s)
+        return np.multiply(s, phase, out=s)
 
     return rows
 
@@ -707,8 +716,10 @@ def density_map(cfg: TorusConfig, label, nx: int, ny: int) -> DensityMap:
     if not 0.0 < total < math.inf:
         raise ValueError(f"the state's density integrates to {total:.3g}; choose a smaller label")
     d /= total
-    # the first maximum in C order, which np.argmax also finds, but without
-    # the contiguous copy of the core that np.argmax makes of a strided view
+    # the first maximum in C order, which np.argmax also finds: the first row
+    # holding the largest row maximum, then the first maximum in that row,
+    # with no contiguous copy of the strided core and no grid of booleans
     core = d[:-1, :-1]
-    ix, iy = np.unravel_index(np.argmax(core == core.max()), core.shape)
+    ix = int(np.argmax(core.max(axis=1)))
+    iy = int(np.argmax(core[ix]))
     return DensityMap(xs=xs, ys=ys, density=d, argmax_x=float(xs[ix]), argmax_y=float(ys[iy]))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from landau import cli, verify
+from landau import cli, spectral, verify
 from landau.cli import _CHUNK_VALUE_WORK, _WRITE_GRIDS, build_parser, main
 from landau.config import GRID_BUDGET, WORK_BUDGET, TorusConfig, check_work
 from landau.plane import CoherentLabel, coherent_expectations, evolve_coherent
@@ -263,11 +263,17 @@ def test_verify_sizes_its_work_before_allocating(tmp_path):
     "args, message",
     [
         # its chain would hold a 20000 x 20000 float64 diagonal alone, 2.98 GiB
-        (["spectrum", "--nphi", "1", "--grid", "20000"], "the lattice spectrum on the 20000x20000 grid would hold 17.8"),
+        (["spectrum", "--nphi", "1", "--grid", "20000"], "the lattice spectrum on the 20000x20000 grid would hold 59.4"),
         # its float density alone would be 2.98 GiB of float64
         (["density", "--nphi", "1", "--n", "0", "--grid", "20000"], "density on the 20000x20000 grid would hold 3.35"),
+        # its chain fits, but 2000 eigenvectors of the 1024^2-site well
+        # would be 15.6 GiB of float64
+        (
+            ["spectrum", "--nphi", "1", "--levels", "2000", "--grid", "1024"],
+            "the lattice spectrum on the 1024x1024 grid would hold 31.2",
+        ),
     ],
-    ids=["spectrum", "density"],
+    ids=["spectrum", "density", "spectrum-levels"],
 )
 def test_export_commands_size_their_work_before_allocating(tmp_path, args, message):
     out_dir = tmp_path / "out"
@@ -300,6 +306,39 @@ def test_density_budget_follows_the_state_kind():
         check_work(density_work(cfg, 5000, 5000, label, _WRITE_GRIDS), "streamed", "")
 
 
+def test_spectrum_budget_counts_the_well_vectors(monkeypatch):
+    # arithmetic only: three complex values per chain site, and the largest
+    # well's whole segment, size = ceil(sites / wells), at k + 4 values per
+    # site: its k eigenvectors and the quotient's temporary of their size,
+    # and the solver's arrays. Nothing is built before the work is checked
+    counted = []
+
+    def record(work, what, remedy):
+        counted.append(work)
+        raise ValueError("counted")
+
+    def build(*args):
+        raise AssertionError("a chain was built before its work was checked")
+
+    monkeypatch.setattr(spectral, "check_work", record)
+    monkeypatch.setattr(spectral, "bloch_chain", build)
+    for nphi, grid, k, sites, size in (
+        # one chain of one well
+        (1, 1024, 2000, 1024 * 1024, 1024 * 1024),
+        # gcd(6, 100) = 2 chains of 5,000 sites, each 3 wells of 1,667 at most
+        (6, 100, 9, 5000, 1667),
+        # k above the segment counts the segment's size
+        (6, 100, 2000, 5000, 1667),
+    ):
+        cfg = TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=nphi)
+        with pytest.raises(ValueError, match="counted"):
+            spectral.chain_spectra(cfg, grid, grid, k)
+        assert counted.pop() == 3 * sites + size * (min(k, size) + 4)
+    monkeypatch.setattr(spectral, "check_work", check_work)
+    with pytest.raises(ValueError, match=r"on the 1024x1024 grid would hold 31\.2 times the work budget"):
+        spectral.low_spectrum(TorusConfig(1.0, 1.0, lx=1.0, ly=1.0, n_phi=1), 1024, 1024, 2000)
+
+
 DENSITY_BUDGET_SLACK = 1.8
 
 
@@ -324,11 +363,14 @@ def test_density_holds_no_more_than_its_work_budget(tmp_path, monkeypatch, args)
     # the whole run's tracemalloc peak against the work it passed to
     # check_work, complex values 16 bytes each: the budget holds the peak and
     # is tight. Budget over peak read 1.14 (ly-128), 1.16 (ly-256), 1.10
-    # ('ly'), 1.13 (ly-1025), 1.14 ('lx'), 1.09 (coherent), 1.04
+    # ('ly'), 1.13 (ly-1025), 1.14 ('lx'), 1.08 (coherent), 1.04
     # (coherent-100x0.01) and 1.14 (lx-100x0.01, whose 766 real 'lx' y
     # profiles count half a complex column each) as a process's first run,
     # which also builds the parser and the encoder's tables, and 1.28, 1.27,
-    # 1.16, 1.15, 1.20, 1.10, 1.04 and 1.15 after another run
+    # 1.16, 1.15, 1.20, 1.10, 1.04 and 1.15 after another run. The writer's
+    # stage sets every 'ly' peak; density_map's own 'ly' peak on 1025^2 is
+    # its stream, 0.95 values per block value, since its argmax holds one
+    # value per row and no grid of booleans
     budget = []
 
     def record(work, what, remedy):
@@ -346,15 +388,24 @@ def test_density_holds_no_more_than_its_work_budget(tmp_path, monkeypatch, args)
     assert peak <= 16 * budget[0] <= DENSITY_BUDGET_SLACK * peak
 
 
-@pytest.mark.parametrize("nphi, grid", [(1, 96), (4, 96), (4, 192), (2, 384)], ids=["1-96", "4-96", "4-192", "2-384"])
-def test_spectrum_holds_no_more_than_its_work_budget(tmp_path, nphi, grid):
-    # the run's tracemalloc peak against the manifest's work, three complex
-    # values per chain site. A first run builds what a process builds once.
-    # Each chain is freed before the next is built, and its hops once their
-    # moduli are taken: budget over peak read 1.17, 1.02, 1.14 and 1.19, or
-    # 2.5-2.9 values per site. Below 96^2 fixed-size arrays dominate (0.91 at
-    # 48^2, n_phi 2), so no smaller grid is held to the model
-    argv = ["spectrum", "--nphi", str(nphi), "--theta-x", "0.7", "--theta-y", "2.1"]
+@pytest.mark.parametrize(
+    "nphi, grid, levels",
+    [(1, 96, 3), (4, 96, 3), (4, 192, 3), (2, 384, 3), (1, 96, 100), (1, 96, 300)],
+    ids=["1-96", "4-96", "4-192", "2-384", "1-96-100", "1-96-300"],
+)
+def test_spectrum_holds_no_more_than_its_work_budget(tmp_path, nphi, grid, levels):
+    # the run's tracemalloc peak against the manifest's work: three complex
+    # values per chain site, and the whole segment of the largest well with
+    # its eigenvectors, the quotient's temporary and the solver's arrays. A
+    # first run builds what a process builds once. Each chain is freed before
+    # the next is built, and its hops once their moduli are taken. At three
+    # levels the chains set the peak, 2.5-2.9 values per site, and the wells
+    # are cropped: budget over peak read 3.9, 3.4, 3.8 and 4.0. At 100 and
+    # 300 levels the well is the whole 9,216-site chain, and its vectors and
+    # the quotient's temporary set the peak: 1.05 and 1.02, where the chain
+    # term alone reads 0.03 and 0.01. Below 96^2 fixed-size arrays dominate,
+    # so no smaller grid is held to the model
+    argv = ["spectrum", "--nphi", str(nphi), "--theta-x", "0.7", "--theta-y", "2.1", "--levels", str(levels)]
     assert main([*argv, "--grid", "48", "--out-dir", str(tmp_path / "first")]) == 0
     tracemalloc.start()
     try:
@@ -692,8 +743,10 @@ def test_export_stage_timings_only_in_manifest(tmp_path, argv, stages):
             lambda cfg: density_work(cfg, 64, 64, TorusLabel(0, 0), _WRITE_GRIDS + _CHUNK_VALUE_WORK * 2 * 65**2 / 65**2),
         ),
         (["verify", "--nphi", "2"], verify.torus_work),
-        # three complex values per site of each of the gcd(2, 48) = 2 chains
-        (["spectrum", "--nphi", "2", "--grid", "48", "--levels", "2"], lambda cfg: 3 * 48 * 48 // 2),
+        # three complex values per site of each of the gcd(2, 48) = 2 chains,
+        # and k = 2 eigenvectors plus the solver's four values per site of a
+        # chain's one well
+        (["spectrum", "--nphi", "2", "--grid", "48", "--levels", "2"], lambda cfg: (3 + 2 + 4) * 48 * 48 // 2),
         # 5.1 values per row of 4 * 16 + 1 samples, and the writer's one chunk
         # of those rows in 3 (orbit) or 7 (coherent) columns
         (

@@ -309,6 +309,44 @@ def test_streamed_density_evaluates_each_block_once(monkeypatch, label):
     assert calls == list(range(0, 65, 7))
 
 
+def test_lx_family_evaluates_one_cross_phase(monkeypatch):
+    # a family of four 'lx' states evaluates the cross phase once over the
+    # closed grid, an 'ly' family never, and each state keeps the bits of
+    # its one-label build; a streamed density evaluates it per block
+    calls = []
+    phase = torus._cross_phase
+
+    def counted(cfg, xs, ys):
+        calls.append(xs.size)
+        return phase(cfg, xs, ys)
+
+    monkeypatch.setattr(torus, "_cross_phase", counted)
+    cfg = make_cfg(4, 0.7, 2.1)
+    labels = [TorusLabel(0, l, "lx") for l in range(4)]
+    family = torus_eigenstates(cfg, labels, 64, 64)
+    assert calls == [65]
+    for label, state in zip(labels, family):
+        assert state.values.tobytes() == torus_eigenstate(cfg, label, 64, 64).values.tobytes()
+    assert calls == [65] * 5
+    calls.clear()
+    torus_eigenstates(cfg, [TorusLabel(0, l) for l in range(4)], 64, 64)
+    assert calls == []
+    monkeypatch.setattr(torus, "_STREAM_ROWS", 16)
+    density_map(cfg, labels[1], 64, 64)
+    assert calls == [16, 16, 16, 16, 1]
+
+
+def test_density_argmax_is_the_first_maximum_in_c_order():
+    # the row-maxima search finds np.argmax's point on the core, also among
+    # the n_phi copies of an eigenstate's peak that are equal in exact
+    # arithmetic
+    cfg = make_cfg(3, 0.7, 2.1)
+    for label in (TorusLabel(0, 1), TorusLabel(1, 2, "lx"), CoherentLabel(0.3 + 0.2j, -0.1 + 0.4j)):
+        got = density_map(cfg, label, 48, 48)
+        ix, iy = np.unravel_index(np.argmax(got.density[:-1, :-1]), (48, 48))
+        assert (got.argmax_x, got.argmax_y) == (got.xs[ix], got.ys[iy])
+
+
 @pytest.mark.parametrize("n, coarse, fine", [(30, 16, 256), (200, 64, 512)])
 def test_density_grid_holds_exact_samples(n, coarse, fine):
     # `density` applies no stencil, so a grid far coarser than the h^2 M w
